@@ -36,6 +36,7 @@ from .periodization import (
     ZKernel,
     ZKernelCF,
     ZKernelFC,
+    _block_coords,
     apply_cf,
     apply_fc,
     window_offsets,
@@ -161,8 +162,7 @@ def _asymmetric_entries(profile: Profile) -> tuple[tuple[int, ...], np.ndarray]:
     spec = profile.spec
     radii_c = _coarse_radii(profile)
     ratios = spec.ratios()
-    vol_f = spec.eps_t * spec.eps_x**spec.dim
-    block = np.indices(tuple(int(r) for r in ratios)).reshape(spec.n_axes, -1).T
+    block = _block_coords(spec)
     offsets = window_offsets(spec, radii_c)
     entries = np.zeros((len(block), len(offsets)), dtype=complex)
     for wi, w in enumerate(block):
@@ -172,7 +172,7 @@ def _asymmetric_entries(profile: Profile) -> tuple[tuple[int, ...], np.ndarray]:
                 val = 1.0
                 for axis, weights in enumerate(profile.axis_weights):
                     val *= weights[int(z[axis]) + profile.radii[axis]]
-                entries[wi, mi] = val / vol_f
+                entries[wi, mi] = val / spec.vol_f
     return radii_c, entries
 
 
@@ -226,8 +226,6 @@ def prolong_restrict_kernel(profile: Profile) -> ZKernel:
     """Coarse-invariant fine-lattice kernel of prolong-then-restrict."""
     spec = profile.spec
     ratios = spec.ratios()
-    vol_f = spec.eps_t * spec.eps_x**spec.dim
-    vol_c = vol_f * float(np.prod(ratios))
     radii = tuple(2 * r for r in profile.radii)
     # per-axis pair sums g[w, d] = sum_x q(w - l x) q(w + d - l x)
     tables = []
@@ -246,10 +244,10 @@ def prolong_restrict_kernel(profile: Profile) -> ZKernel:
                         total += w[z0 + r] * w[z1 + r]
                 g[wa, d + 2 * r] = total
         tables.append(g)
-    block = np.indices(tuple(int(r) for r in ratios)).reshape(spec.n_axes, -1).T
+    block = _block_coords(spec)
     offsets = window_offsets(spec, radii)
     entries = np.zeros((len(block), len(offsets)), dtype=complex)
-    pref = vol_c / vol_f**2
+    pref = spec.vol_c / spec.vol_f**2
     for wi, wc in enumerate(block):
         for di, d in enumerate(offsets):
             val = pref
@@ -265,7 +263,7 @@ def prolong_restrict_fiber(profile: Profile, k) -> BlochFiber:
     k = np.asarray(k, dtype=complex)
     ratios = spec.ratios().astype(float)
     eps = spec.spacings()
-    bhat = np.indices(tuple(int(r) for r in ratios)).reshape(spec.n_axes, -1).T
+    bhat = _block_coords(spec)
     ells = 2.0 * np.pi * bhat / (eps * ratios)
     left = np.array([profile_hat(profile, -(k + ell)) for ell in ells])
     right = np.array([profile_hat(profile, k + ell) for ell in ells])

@@ -49,7 +49,7 @@ from .periodization import (
     zkernel,
 )
 from .rand import random_zkernel, rng_from_seed
-from .verify import CheckResult, all_passed, verify_suite
+from .verify import _complex_momenta, _le, all_passed, verify_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -331,16 +331,6 @@ class Job:
         return name, FUNCTIONS[name]
 
 
-def _eq_row(name, anchor, deviation, tol, witness=None) -> CheckResult:
-    dev = float(deviation)
-    return CheckResult(name, anchor, dev, float(tol), dev <= tol, witness)
-
-
-def _le_row(name, anchor, lhs, rhs, witness=None) -> CheckResult:
-    lhs, rhs = float(lhs), float(rhs)
-    return CheckResult(name, anchor, lhs, rhs, lhs <= rhs * (1.0 + 1e-12), witness)
-
-
 def _fiber_rows(spec, matrices):
     """CSV rows (k indices, flat row/col labels, re, im) per fiber matrix."""
     rows = []
@@ -382,17 +372,13 @@ def _run_norms(job: Job, outdir: str):
         z_norm = weighted_norm(job.kernel, mass)
         t_norm = weighted_norm(job.torus, mass)
         table.append([_fmt(mass), _fmt(z_norm), _fmt(t_norm)])
-        checks.append(_le_row(f"torus_norm_dominated[m={mass:g}]",
-                              "lemBOlonelinfty.b", t_norm, z_norm))
+        checks.append(_le(f"torus_norm_dominated[m={mass:g}]",
+                          "lemBOlonelinfty.b", t_norm, z_norm))
         sup = 0.0
-        width = 2.0 * np.pi / (job.spec.spacings() * job.spec.ratios())
-        for _ in range(40):
-            re = rng.uniform(0.0, 1.0, size=job.spec.n_axes) * width
-            im = rng.normal(size=job.spec.n_axes)
-            im *= rng.uniform(0.0, 0.99) * mass / max(np.linalg.norm(im), 1e-12)
-            sup = max(sup, np.abs(fiber_hat(job.kernel, re + 1j * im).entries).max())
-        checks.append(_le_row(f"fiber_sup_bound[m={mass:g}]",
-                              "lemBOlonelinfty.a", sup, z_norm))
+        for k in _complex_momenta(job.spec, rng, 40, mass):
+            sup = max(sup, np.abs(fiber_hat(job.kernel, k).entries).max())
+        checks.append(_le(f"fiber_sup_bound[m={mass:g}]",
+                          "lemBOlonelinfty.a", sup, z_norm))
     _write_csv(os.path.join(outdir, "norms.csv"),
                ["mass", "window_norm", "torus_norm"], table)
     return checks
@@ -416,12 +402,12 @@ def _run_decay(job: Job, outdir: str):
         f"d_index_{a}" for a in range(job.spec.n_axes)] + ["abs_entry", "bound"]
     _write_csv(os.path.join(outdir, "decay.csv"), header, table)
     scale = max(entries.max(), 1e-300)
-    checks = [_le_row(f"entrywise_decay_bound[m={mass:g}]", "lemBOlonelinfty.b",
-                      float((entries - bound).max()), 1e-12 * scale)]
+    checks = [_le(f"entrywise_decay_bound[m={mass:g}]", "lemBOlonelinfty.b",
+                  float((entries - bound).max()), 1e-12 * scale)]
     target = job.params.get("target_mass") if job.params else None
     if target is not None:
         target = float(target)
-        checks.append(_le_row(
+        checks.append(_le(
             f"decay_norm_bound[m={mass:g},m''={target:g}]", "lemBOlonelinfty.b",
             weighted_norm(job.kernel, target),
             decay_norm_bound(f, job.kernel.radii, mass, target)))
@@ -439,7 +425,7 @@ def _run_funcalc(job: Job, outdir: str):
     mass = job.params.get("mass") if job.params else None
     if mass is not None:
         mass = _get_float(job.params, "mass")
-        checks.append(_le_row(
+        checks.append(_le(
             f"function_norm_bound[m={mass:g}]", "lemBOfnbnd",
             weighted_norm(result, mass),
             function_norm_bound(job.torus, job.fn, job.contour, mass),

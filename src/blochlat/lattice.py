@@ -102,6 +102,16 @@ class LatticeSpec:
     def n_axes(self) -> int:
         return 1 + self.dim
 
+    @property
+    def vol_f(self) -> float:
+        """Fine cell volume."""
+        return self.eps_t * self.eps_x**self.dim
+
+    @property
+    def vol_c(self) -> float:
+        """Coarse cell volume, one block of fine cells."""
+        return (self.eps_t * self.l_t) * (self.eps_x * self.l_x) ** self.dim
+
     def spacings(self) -> np.ndarray:
         """Fine lattice step per axis, shape (1+dim,)."""
         return np.array([self.eps_t] + [self.eps_x] * self.dim, dtype=float)
@@ -331,17 +341,15 @@ def build_family(spec: LatticeSpec) -> LatticeFamily:
     """Construct the six-lattice family with its cell volumes."""
     d = spec.dim
     two_pi_pow = (2.0 * np.pi) ** (1 + d)
-    vol_f = spec.eps_t * spec.eps_x**d
-    vol_c = (spec.eps_t * spec.l_t) * (spec.eps_x * spec.l_x) ** d
     hvol_f = two_pi_pow / ((spec.eps_t * spec.big_l_t) * (spec.eps_x * spec.big_l_x) ** d)
-    hvol_b = two_pi_pow / ((spec.eps_t * spec.l_t) * (spec.eps_x * spec.l_x) ** d)
+    hvol_b = two_pi_pow / spec.vol_c
     n_fine = spec.big_l_t * spec.big_l_x**d
     n_coarse = (spec.big_l_t // spec.l_t) * (spec.big_l_x // spec.l_x) ** d
     n_block = spec.l_t * spec.l_x**d
     return LatticeFamily(
         spec=spec,
-        vol_f=vol_f,
-        vol_c=vol_c,
+        vol_f=spec.vol_f,
+        vol_c=spec.vol_c,
         hvol_f=hvol_f,
         hvol_c=hvol_f,
         hvol_b=hvol_b,

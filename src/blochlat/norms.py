@@ -14,9 +14,12 @@ fibers.  Writing the inversion quadrature along the contour shifted by an
 imaginary momentum eta picks up a factor exp(eta . d) on the offset-d
 entry; choosing eta of size m against the direction of d therefore bounds
 every entry by exp(-m |d|) times a sup of the shifted fiber over the real
-quadrature grid.  Since the quadrature is exact, the resulting inequality
-is a theorem, not a heuristic: summing it against exp(m' |d|) controls
-|a|_{m'} by ``decay_constant(m - m') / vol_c`` times that sup.
+quadrature grid.  All offsets along one primitive lattice direction share
+that eta, so the bound takes one shifted quadrature per offset direction,
+the same ``periodization._inversion_sums`` that ``inverse_fiber`` runs at
+eta = 0.  Since the quadrature is exact, the resulting inequality is a
+theorem, not a heuristic: summing it against exp(m' |d|) controls |a|_{m'}
+by ``decay_constant(m - m') / vol_c`` times that sup.
 """
 
 from __future__ import annotations
@@ -32,8 +35,10 @@ from .periodization import (
     ZKernelFC,
     _block_coords,
     _block_index,
-    _block_phase_matrix,
-    _quadrature_nodes,
+    _inversion_sums,
+    _n_block,
+    _probe_quasi_periodicity,
+    _quadrature_grid,
     normalize_radii,
     window_offsets,
     zkernel,
@@ -50,7 +55,10 @@ __all__ = [
 
 def _torus_norm(kernel: PeriodicKernel, mass: float) -> float:
     fam = kernel.family
-    weight = np.exp(mass * distance_matrix(fam.spec, "fine")) * np.abs(kernel.entries)
+    entries = np.abs(kernel.entries)
+    # weight the support only: exp(m dist) may overflow where the entry is 0
+    weight = np.exp(mass * distance_matrix(fam.spec, "fine"),
+                    out=np.zeros(entries.shape), where=entries != 0.0) * entries
     rows = fam.vol_f * weight.sum(axis=1).max()
     cols = fam.vol_f * weight.sum(axis=0).max()
     return float(max(rows, cols))
@@ -61,7 +69,6 @@ def _z_norm(a: ZKernel, mass: float) -> float:
     offsets = window_offsets(spec, a.radii)
     dist = np.linalg.norm(offsets * spec.spacings(), axis=1)
     weight = np.exp(mass * dist)
-    vol_f = spec.eps_t * spec.eps_x**spec.dim
     rows = (np.abs(a.entries) * weight).sum(axis=1).max()
     block = _block_coords(spec)
     slots = np.arange(len(offsets))
@@ -69,7 +76,7 @@ def _z_norm(a: ZKernel, mass: float) -> float:
     for v in block:
         src = _block_index(spec, v - offsets)  # row class of the pair (v - d, v)
         cols = max(cols, float((np.abs(a.entries[src, slots]) * weight).sum()))
-    return float(vol_f * max(rows, cols))
+    return float(spec.vol_f * max(rows, cols))
 
 
 def _asym_sums(spec, radii, entries, mass: float) -> tuple[float, float]:
@@ -78,22 +85,20 @@ def _asym_sums(spec, radii, entries, mass: float) -> tuple[float, float]:
     ratios = spec.ratios()
     offsets = window_offsets(spec, radii)
     block = _block_coords(spec)
-    vol_f = spec.eps_t * spec.eps_x**spec.dim
-    vol_c = vol_f * float(np.prod(ratios))
     # fine point w against coarse point at offset m: both in physical units
     coarse_sum = 0.0
     for wi, w in enumerate(block):
         d = (w - offsets * ratios) * eps
         coarse_sum = max(
             coarse_sum,
-            float(vol_c * (np.abs(entries[wi]) * np.exp(mass * np.linalg.norm(d, axis=1))).sum()),
+            float(spec.vol_c * (np.abs(entries[wi]) * np.exp(mass * np.linalg.norm(d, axis=1))).sum()),
         )
     # all fine points against the coarse origin: u = w - L m carries entry (w, m)
     fine_sum = 0.0
     for wi, w in enumerate(block):
         u = (w - offsets * ratios) * eps
         fine_sum += float(
-            vol_f * (np.abs(entries[wi]) * np.exp(mass * np.linalg.norm(u, axis=1))).sum()
+            spec.vol_f * (np.abs(entries[wi]) * np.exp(mass * np.linalg.norm(u, axis=1))).sum()
         )
     return coarse_sum, fine_sum
 
@@ -148,63 +153,33 @@ def decay_constant(gap: float, spacings) -> float:
     return float(np.prod(eps) * total)
 
 
-def _shifted_sums(f: FiberFunction, radii, mass: float, grid_points):
-    """Per-entry averages of |shifted fiber| and the plain shifted inversion.
-
-    Returns (bound, value): both (n_block, n_window); ``value`` is the
-    contour-shifted inversion result, ``bound`` its termwise absolute value
-    with the exp(-mass |d|) decay factored in.
-    """
-    spec = f.spec
-    radii = normalize_radii(spec, radii)
-    offsets = window_offsets(spec, radii)
-    block = _block_coords(spec)
-    eps = spec.spacings()
-    vol_c = (spec.eps_t * spec.l_t) * (spec.eps_x * spec.l_x) ** spec.dim
-    ew = _block_phase_matrix(spec, block)
-    vmap = np.stack([_block_index(spec, w + offsets) for w in block])
-    if grid_points is None:
-        grid = tuple(2 * r + 1 for r in radii)
-    else:
-        arr = np.asarray(grid_points, dtype=np.int64)
-        grid = tuple(int(x) for x in (np.full(spec.n_axes, int(arr)) if arr.ndim == 0 else arr))
-    nodes = _quadrature_nodes(spec, grid)
-
-    d_phys = offsets * eps
-    lengths = np.linalg.norm(d_phys, axis=1)
-    bound = np.zeros((len(block), len(offsets)))
-    value = np.zeros((len(block), len(offsets)), dtype=complex)
-    for di, d in enumerate(d_phys):
-        if lengths[di] > 0.0:
-            eta = -mass * d / lengths[di]
-        else:
-            eta = np.zeros(spec.n_axes)
-        col = vmap[:, di]
-        acc_abs = np.zeros(len(block))
-        acc = np.zeros(len(block), dtype=complex)
-        for k in nodes:
-            s = ew.T @ np.asarray(f.matrix_at(k + 1j * eta)) @ np.conj(ew)
-            picked = s[np.arange(len(block)), col]
-            acc_abs += np.abs(picked)
-            acc += np.exp(-1j * (k + 1j * eta) @ d) * picked
-        bound[:, di] = np.exp(-mass * lengths[di]) * acc_abs / (vol_c * len(nodes))
-        value[:, di] = acc / (vol_c * len(nodes))
-    return bound, value
-
-
-def fiber_decay_bound(f: FiberFunction, radii, mass: float, *,
-                      grid_points=None) -> np.ndarray:
+def fiber_decay_bound(f: FiberFunction, radii, mass: float) -> np.ndarray:
     """Entrywise bound exp(-mass |d|) sup |shifted fiber| on the window.
 
     Every entry of the kernel recovered by ``inverse_fiber`` is bounded in
-    absolute value by the returned array.
+    absolute value by the returned array.  The offsets d along one primitive
+    lattice direction u = d / gcd(d) share the shift eta = -mass u / |u|, so
+    one shifted quadrature per direction bounds all of them.
     """
-    bound, _ = _shifted_sums(f, radii, float(mass), grid_points)
+    mass = float(mass)
+    spec = f.spec
+    radii = normalize_radii(spec, radii)
+    _probe_quasi_periodicity(f)
+    grid = _quadrature_grid(spec, radii)
+    offsets = window_offsets(spec, radii)
+    units = offsets // np.maximum(np.gcd.reduce(offsets, axis=1), 1)[:, None]
+    directions, which = np.unique(units, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    bound = np.zeros((_n_block(spec), len(offsets)))
+    for j, u in enumerate(directions * spec.spacings()):
+        eta = -mass * u / (np.linalg.norm(u) or 1.0)  # 0 for the zero offset
+        _, abs_sum = _inversion_sums(f, radii, eta, grid)
+        cols = which == j
+        bound[:, cols] = abs_sum[:, cols]
     return bound
 
 
-def inverse_fiber_shifted(f: FiberFunction, radii, eta, *,
-                          grid_points=None) -> ZKernel:
+def inverse_fiber_shifted(f: FiberFunction, radii, eta) -> ZKernel:
     """Invert the fiber transform along the contour shifted by i * eta.
 
     Analyticity and quasi-periodicity make the result independent of eta;
@@ -218,29 +193,13 @@ def inverse_fiber_shifted(f: FiberFunction, radii, eta, *,
         raise ValueError(
             f"imaginary shift must have {spec.n_axes} components, got {eta.shape}"
         )
-    offsets = window_offsets(spec, radii)
-    block = _block_coords(spec)
-    eps = spec.spacings()
-    vol_c = (spec.eps_t * spec.l_t) * (spec.eps_x * spec.l_x) ** spec.dim
-    ew = _block_phase_matrix(spec, block)
-    vmap = np.stack([_block_index(spec, w + offsets) for w in block])
-    if grid_points is None:
-        grid = tuple(2 * r + 1 for r in radii)
-    else:
-        arr = np.asarray(grid_points, dtype=np.int64)
-        grid = tuple(int(x) for x in (np.full(spec.n_axes, int(arr)) if arr.ndim == 0 else arr))
-    nodes = _quadrature_nodes(spec, grid)
-    acc = np.zeros((len(block), len(offsets)), dtype=complex)
-    for k in nodes:
-        kc = k + 1j * eta
-        s = ew.T @ np.asarray(f.matrix_at(kc)) @ np.conj(ew)
-        acc += np.exp(-1j * (offsets * eps) @ kc) * np.take_along_axis(s, vmap, axis=1)
-    acc /= vol_c * len(nodes)
-    return zkernel(spec, radii, acc)
+    _probe_quasi_periodicity(f)
+    value, _ = _inversion_sums(f, radii, eta, _quadrature_grid(spec, radii))
+    return zkernel(spec, radii, value)
 
 
-def decay_norm_bound(f: FiberFunction, radii, mass: float, target_mass: float,
-                     *, grid_points=None) -> float:
+def decay_norm_bound(f: FiberFunction, radii, mass: float,
+                     target_mass: float) -> float:
     """Bound on the weighted norm at ``target_mass`` of the kernel behind f.
 
     Combines the entrywise fiber bound at ``mass`` with the summed decay
@@ -254,7 +213,7 @@ def decay_norm_bound(f: FiberFunction, radii, mass: float, target_mass: float,
         )
     spec = f.spec
     radii = normalize_radii(spec, radii)
-    bound, _ = _shifted_sums(f, radii, mass, grid_points)
+    bound = fiber_decay_bound(f, radii, mass)
     offsets = window_offsets(spec, radii)
     lengths = np.linalg.norm(offsets * spec.spacings(), axis=1)
     # peel the decay factor back off: envelope = sup of the averaged |fiber|

@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 QUASI_PERIOD_RTOL = 1e-10
+PROBE_SEED = 5  # seeds the quasi-periodicity probe of every inversion
 
 AXIS_NAMES = {0: "time"}
 
@@ -191,9 +192,8 @@ def zkernel_cf(spec: LatticeSpec, radii, entries) -> ZKernelCF:
 
 def identity_zkernel(spec: LatticeSpec) -> ZKernel:
     """Kernel of the identity operator: (1/vol_f) at zero offset."""
-    vol_f = spec.eps_t * spec.eps_x**spec.dim
     entries = np.zeros((_n_block(spec), 1), dtype=complex)
-    entries[:, 0] = 1.0 / vol_f
+    entries[:, 0] = 1.0 / spec.vol_f
     return zkernel(spec, 0, entries)
 
 
@@ -202,9 +202,8 @@ def shift_zkernel(spec: LatticeSpec, shift) -> ZKernel:
     shift = np.asarray(shift, dtype=np.int64)
     radii = tuple(int(abs(s)) for s in shift)
     offsets = window_offsets(spec, radii)
-    vol_f = spec.eps_t * spec.eps_x**spec.dim
     entries = np.zeros((_n_block(spec), len(offsets)), dtype=complex)
-    entries[:, int(np.flatnonzero((offsets == shift).all(axis=1))[0])] = 1.0 / vol_f
+    entries[:, int(np.flatnonzero((offsets == shift).all(axis=1))[0])] = 1.0 / spec.vol_f
     return zkernel(spec, radii, entries)
 
 
@@ -257,7 +256,6 @@ def compose_z(a: ZKernel, b: ZKernel) -> ZKernel:
     spec = a.spec
     if b.spec != spec:
         raise ValueError("kernels carry different lattice specs")
-    vol_f = spec.eps_t * spec.eps_x**spec.dim
     radii = tuple(ra + rb for ra, rb in zip(a.radii, b.radii))
     shape_c = window_shape(spec, radii)
     shape_b = window_shape(spec, b.radii)
@@ -276,7 +274,7 @@ def compose_z(a: ZKernel, b: ZKernel) -> ZKernel:
                 slice(rc + dm - rb, rc + dm + rb + 1)
                 for rc, dm, rb in zip(radii, d_mid, b.radii)
             )
-            out[w_idx][corner] += vol_f * a_val * b_grid[mid_idx]
+            out[w_idx][corner] += spec.vol_f * a_val * b_grid[mid_idx]
     return zkernel(spec, radii, out.reshape(n_block, -1))
 
 
@@ -334,12 +332,11 @@ def fiber_hat(a: ZKernel, k) -> BlochFiber:
     offsets = window_offsets(spec, a.radii)
     block = _block_coords(spec)
     eps = spec.spacings()
-    vol_f = spec.eps_t * spec.eps_x**spec.dim
     ekd = np.exp(1j * (offsets * eps) @ k)  # exp(i k.d)
     eld = _block_phase_matrix(spec, offsets)  # exp(i l.d)
     ew = _block_phase_matrix(spec, block)  # exp(i l.w)
     g = a.entries @ (ekd[None, :] * eld).T  # (w, l')
-    entries = (vol_f / _n_block(spec)) * (np.conj(ew) @ (ew.T * g))
+    entries = (spec.vol_f / _n_block(spec)) * (np.conj(ew) @ (ew.T * g))
     entries.flags.writeable = False
     return BlochFiber(k, entries, None)
 
@@ -355,12 +352,11 @@ def fiber_hat_fc(b: ZKernelFC, k) -> np.ndarray:
     k = _momentum(spec, k)
     block = _block_coords(spec)
     eps = spec.spacings()
-    vol_f = spec.eps_t * spec.eps_x**spec.dim
     coarse_off = window_offsets(spec, b.radii) * spec.ratios()
     g = b.entries @ np.exp(1j * (coarse_off * eps) @ k)  # sum over x, exp(i k.x)
     ekw = np.exp(-1j * (block * eps) @ k)  # exp(-i k.w)
     ew = _block_phase_matrix(spec, block)
-    return vol_f * (np.conj(ew) @ (ekw * g))
+    return spec.vol_f * (np.conj(ew) @ (ekw * g))
 
 
 def fiber_hat_cf(c: ZKernelCF, k) -> np.ndarray:
@@ -369,12 +365,11 @@ def fiber_hat_cf(c: ZKernelCF, k) -> np.ndarray:
     k = _momentum(spec, k)
     block = _block_coords(spec)
     eps = spec.spacings()
-    vol_f = spec.eps_t * spec.eps_x**spec.dim
     coarse_off = window_offsets(spec, c.radii) * spec.ratios()
     g = c.entries @ np.exp(-1j * (coarse_off * eps) @ k)  # sum over x, exp(-i k.x)
     ekw = np.exp(1j * (block * eps) @ k)  # exp(i k.w)
     ew = _block_phase_matrix(spec, block)
-    return vol_f * (ew @ (ekw * g))
+    return spec.vol_f * (ew @ (ekw * g))
 
 
 def exact_grid_sizes(spec: LatticeSpec, radii) -> tuple[int, ...]:
@@ -393,8 +388,11 @@ def _quadrature_nodes(spec: LatticeSpec, grid: tuple[int, ...]) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-def _probe_quasi_periodicity(f: FiberFunction, rng: np.random.Generator) -> None:
+def _probe_quasi_periodicity(f: FiberFunction) -> None:
+    """Reject f unless f(k + t p) is f(k) with both dual-block labels rolled
+    by t, at three seeded draws of k and of the reciprocal step t."""
     spec = f.spec
+    rng = np.random.Generator(np.random.PCG64(PROBE_SEED))
     recip = steps(spec, "dual_block")
     ratios = spec.ratios()
     shape = tuple(int(r) for r in ratios)
@@ -417,50 +415,69 @@ def _probe_quasi_periodicity(f: FiberFunction, rng: np.random.Generator) -> None
             )
 
 
-def inverse_fiber(
-    f: FiberFunction,
-    radii,
-    min_grid_points: int = 0,
-    *,
-    grid_points=None,
-    probe_seed: int = 5,
-) -> ZKernel:
-    """Recover the kernel of known support from its fiber function.
+def _quadrature_grid(spec: LatticeSpec, radii: tuple[int, ...],
+                     grid_points=None) -> tuple[int, ...]:
+    """Nodes per axis: ``2 * radius + 1``, which is always exact, unless
+    ``grid_points`` (a count, or one per axis) overrides it."""
+    if grid_points is None:
+        return tuple(2 * r + 1 for r in radii)
+    arr = np.asarray(grid_points, dtype=np.int64)
+    if arr.ndim == 0:
+        arr = np.full(spec.n_axes, int(arr))
+    grid = tuple(int(n) for n in arr.reshape(-1))
+    if len(grid) != spec.n_axes or any(n < 1 for n in grid):
+        raise ValueError(
+            f"quadrature grid must be {spec.n_axes} positive integers, "
+            f"got {grid_points!r}"
+        )
+    return grid
 
-    The quadrature grid per axis defaults to ``max(2 * radius + 1,
-    min_grid_points)``, which is always exact for a kernel supported in the
-    window.  ``grid_points`` overrides the grid verbatim (per axis when a
-    tuple), allowing deliberate undersampling experiments; no exactness
-    guarantee then.
+
+def _inversion_sums(f: FiberFunction, radii: tuple[int, ...], eta,
+                    grid: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Inversion quadrature of f along the contour shifted by i * eta.
+
+    Sums the terms exp(-i kc.d) f(kc)[w, class of w + d] / (vol_c * N) over
+    the N nodes kc = k + i * eta of the uniform ``grid``.  Returns that sum,
+    which is the kernel entry a(w, w + d) whenever the grid is exact, and the
+    sum of the absolute values of its terms, which bounds the entry; both
+    are (n_block, n_window).
     """
     spec = f.spec
-    radii = normalize_radii(spec, radii)
-    _probe_quasi_periodicity(f, np.random.Generator(np.random.PCG64(probe_seed)))
-    if grid_points is None:
-        grid = tuple(max(2 * r + 1, int(min_grid_points)) for r in radii)
-    else:
-        arr = np.asarray(grid_points, dtype=np.int64)
-        if arr.ndim == 0:
-            arr = np.full(spec.n_axes, int(arr))
-        grid = tuple(int(n) for n in arr)
-    if any(n < 1 for n in grid):
-        raise ValueError(f"quadrature grid must be positive, got {grid}")
-
     offsets = window_offsets(spec, radii)
     block = _block_coords(spec)
-    eps = spec.spacings()
-    vol_c = (spec.eps_t * spec.l_t) * (spec.eps_x * spec.l_x) ** spec.dim
+    d_phys = offsets * spec.spacings()
     ew = _block_phase_matrix(spec, block)
     vmap = np.stack(
         [_block_index(spec, w + offsets) for w in block]
     )  # (n_block, window): block class of w + d
-    acc = np.zeros((_n_block(spec), len(offsets)), dtype=complex)
-    nodes = _quadrature_nodes(spec, grid)
+    total = np.zeros(vmap.shape, dtype=complex)
+    total_abs = np.zeros(vmap.shape)
+    nodes = _quadrature_nodes(spec, grid) + 1j * np.asarray(eta, dtype=float)
     for k in nodes:
         s = ew.T @ np.asarray(f.matrix_at(k)) @ np.conj(ew)
-        acc += np.exp(-1j * (offsets * eps) @ k) * np.take_along_axis(s, vmap, axis=1)
-    acc /= vol_c * len(nodes)
-    return zkernel(spec, radii, acc)
+        term = np.exp(-1j * d_phys @ k) * np.take_along_axis(s, vmap, axis=1)
+        total += term
+        total_abs += np.abs(term)
+    scale = spec.vol_c * len(nodes)
+    return total / scale, total_abs / scale
+
+
+def inverse_fiber(f: FiberFunction, radii, *, grid_points=None) -> ZKernel:
+    """Recover the kernel of known support from its fiber function.
+
+    The quadrature takes ``2 * radius + 1`` nodes per axis, which is always
+    exact for a kernel supported in the window.  ``grid_points`` (a count,
+    or one per axis) replaces that grid verbatim, for oversampling or for
+    deliberate undersampling experiments; a grid short of
+    ``exact_grid_sizes`` along some axis carries no exactness guarantee.
+    """
+    spec = f.spec
+    radii = normalize_radii(spec, radii)
+    _probe_quasi_periodicity(f)
+    grid = _quadrature_grid(spec, radii, grid_points)
+    value, _ = _inversion_sums(f, radii, 0.0, grid)
+    return zkernel(spec, radii, value)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +572,6 @@ def apply_z(a: ZKernel, phi: ZField) -> ZField:
     spec = a.spec
     if phi.spec != spec or phi.kind != "fine":
         raise ValueError("field must be a fine-lattice field on the same spec")
-    vol_f = spec.eps_t * spec.eps_x**spec.dim
     offsets = window_offsets(spec, a.radii)
     ratios = spec.ratios()
     acc: dict[tuple[int, ...], complex] = {}
@@ -567,7 +583,7 @@ def apply_z(a: ZKernel, phi: ZField) -> ZField:
             if a_val == 0.0:
                 continue
             key = tuple(int(c) for c in u)
-            acc[key] = acc.get(key, 0.0) + vol_f * a_val * val
+            acc[key] = acc.get(key, 0.0) + spec.vol_f * a_val * val
     if not acc:
         return zfield(spec, "fine", np.zeros((1, spec.n_axes), dtype=np.int64), [0.0])
     coords = np.asarray(list(acc.keys()), dtype=np.int64)
@@ -579,10 +595,7 @@ def z_inner(a: ZField, b: ZField) -> complex:
     """Cell-volume weighted inner product, conjugate-linear in ``a``."""
     if a.spec != b.spec or a.kind != b.kind:
         raise ValueError("fields live on different lattices")
-    spec = a.spec
-    vol = spec.eps_t * spec.eps_x**spec.dim
-    if a.kind == "coarse":
-        vol *= spec.l_t * spec.l_x**spec.dim
+    vol = a.spec.vol_c if a.kind == "coarse" else a.spec.vol_f
     lookup = {tuple(int(c) for c in pt): val for pt, val in zip(b.coords, b.values)}
     total = 0.0 + 0.0j
     for pt, val in zip(a.coords, a.values):

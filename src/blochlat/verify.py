@@ -549,11 +549,10 @@ def _recentered(a: ZKernel, shift: float = 10.0, width: float = 0.3) -> ZKernel:
     spec = a.spec
     scale = weighted_norm(a, 0.0)
     entries = np.asarray(a.entries) * (width / scale if scale > 0 else 0.0)
-    vol_f = spec.eps_t * spec.eps_x**spec.dim
     offsets = window_offsets(spec, a.radii)
     center = int(np.flatnonzero((offsets == 0).all(axis=1))[0])
     entries = entries.copy()
-    entries[:, center] += shift / vol_f
+    entries[:, center] += shift / spec.vol_f
     return zkernel(spec, a.radii, entries)
 
 

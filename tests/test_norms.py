@@ -59,6 +59,14 @@ def test_z_norm_agrees_with_torus_norm_when_window_fits():
         assert z == pytest.approx(t, rel=1e-12)
 
 
+def test_torus_norm_finite_where_the_weight_overflows():
+    # exp(200 * dist) overflows on the torus, but only off the support
+    a = random_zkernel(REF, (2, 2), rng_from_seed(0))
+    torus = weighted_norm(periodize(a, FAM), 200.0)
+    assert np.isfinite(torus)
+    assert torus <= weighted_norm(a, 200.0) * (1.0 + 1e-12)
+
+
 def test_torus_norm_matches_direct_formula():
     rng = rng_from_seed(61)
     a = random_periodic_kernel(FAM, rng)

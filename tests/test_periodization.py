@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blochlat.lattice import LatticeSpec, build_family, steps
+from blochlat.norms import decay_norm_bound, fiber_decay_bound, inverse_fiber_shifted
 from blochlat.periodic_op import bloch_fibers, compose, identity_kernel, transpose_kernel
 from blochlat.periodization import (
     FiberFunction,
@@ -263,9 +264,12 @@ def test_inverse_fiber_exact_at_minimal_grid():
 def test_inverse_fiber_min_grid_points_inflates_grid():
     rng = rng_from_seed(32)
     a = random_zkernel(REF, (1, 1), rng)
-    back = inverse_fiber(fiber_function(a), (1, 1), min_grid_points=5)
+    back = inverse_fiber(fiber_function(a), (1, 1), grid_points=5)
     scale = np.abs(a.entries).max()
     assert np.abs(back.entries - a.entries).max() <= 1e-13 * scale
+    for bad in (0, (5, 5, 5)):
+        with pytest.raises(ValueError, match="quadrature grid"):
+            inverse_fiber(fiber_function(a), (1, 1), grid_points=bad)
 
 
 def test_inverse_fiber_undersampling_aliases():
@@ -288,14 +292,25 @@ def test_inverse_fiber_undersampling_aliases():
     assert np.abs(two.entries - b.entries).max() <= 1e-13 * bscale
 
 
-def test_inverse_fiber_rejects_non_quasi_periodic_input():
+@pytest.mark.parametrize(
+    "invert",
+    [
+        lambda f: inverse_fiber(f, (1, 1)),
+        lambda f: inverse_fiber_shifted(f, (1, 1), np.array([0.3, -0.2])),
+        lambda f: fiber_decay_bound(f, (1, 1), 0.5),
+        lambda f: decay_norm_bound(f, (1, 1), 0.5, 0.25),
+    ],
+    ids=["inverse_fiber", "inverse_fiber_shifted", "fiber_decay_bound",
+         "decay_norm_bound"],
+)
+def test_inverse_fiber_rejects_non_quasi_periodic_input(invert):
     rng = rng_from_seed(34)
     a = random_zkernel(REF, (1, 1), rng)
     bad = FiberFunction(
         REF, lambda k: fiber_hat(a, k).entries + 0.01 * np.real(k[0]) * np.eye(9)
     )
     with pytest.raises(ValueError, match="quasi-periodic"):
-        inverse_fiber(bad, (1, 1))
+        invert(bad)
 
 
 def test_fc_fiber_matches_brute_force():
