@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve
 
 from .lattice import FieldVector, LatticeFamily, LatticeSpec
 from .periodic_op import BlochFiber
@@ -114,7 +113,7 @@ def smooth_profile(spec: LatticeSpec, width: int) -> Profile:
     for r, w in zip(base.radii, base.axis_weights):
         acc = np.asarray(w)
         for _ in range(int(width) - 1):
-            acc = convolve(acc, np.asarray(w), mode="full", method="direct")
+            acc = np.convolve(acc, w)
         weights.append(_frozen(acc))
         radii.append(int(width) * r)
     return Profile(spec, tuple(radii), tuple(weights))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .averaging import naive_profile, prolong_restrict_kernel, smooth_profile
 from .lattice import LatticeSpec, build_family, steps
-from .norms import decay_norm_bound, fiber_decay_bound, weighted_norm
+from .norms import _decay_norm_from_bound, fiber_decay_bound, weighted_norm
 from .opfunc import (
     FUNCTIONS,
     Circle,
@@ -333,14 +333,12 @@ class Job:
 
 def _fiber_rows(spec, matrices):
     """CSV rows (k indices, flat row/col labels, re, im) per fiber matrix."""
-    rows = []
     for rep, matrix in matrices:
         base = [str(int(c)) for c in rep]
         for i in range(matrix.shape[0]):
             for j in range(matrix.shape[1]):
-                rows.append(base + [str(i), str(j),
-                                    _fmt(matrix[i, j].real), _fmt(matrix[i, j].imag)])
-    return rows
+                yield base + [str(i), str(j),
+                              _fmt(matrix[i, j].real), _fmt(matrix[i, j].imag)]
 
 
 def _fiber_header(spec) -> list[str]:
@@ -391,13 +389,13 @@ def _run_decay(job: Job, outdir: str):
     entries = np.abs(np.asarray(job.kernel.entries))
     offsets = window_offsets(job.spec, job.kernel.radii)
     ratios = tuple(int(r) for r in job.spec.ratios())
-    table = []
-    for w_idx in range(entries.shape[0]):
-        w = np.unravel_index(w_idx, ratios)
-        for d_idx, d in enumerate(offsets):
-            table.append([str(int(c)) for c in w]
-                         + [str(int(c)) for c in d]
-                         + [_fmt(entries[w_idx, d_idx]), _fmt(bound[w_idx, d_idx])])
+    table = (
+        [str(int(c)) for c in np.unravel_index(w_idx, ratios)]
+        + [str(int(c)) for c in d]
+        + [_fmt(entries[w_idx, d_idx]), _fmt(bound[w_idx, d_idx])]
+        for w_idx in range(entries.shape[0])
+        for d_idx, d in enumerate(offsets)
+    )
     header = [f"w_index_{a}" for a in range(job.spec.n_axes)] + [
         f"d_index_{a}" for a in range(job.spec.n_axes)] + ["abs_entry", "bound"]
     _write_csv(os.path.join(outdir, "decay.csv"), header, table)
@@ -410,7 +408,7 @@ def _run_decay(job: Job, outdir: str):
         checks.append(_le(
             f"decay_norm_bound[m={mass:g},m''={target:g}]", "lemBOlonelinfty.b",
             weighted_norm(job.kernel, target),
-            decay_norm_bound(f, job.kernel.radii, mass, target)))
+            _decay_norm_from_bound(job.spec, job.kernel.radii, bound, mass, target)))
     return checks
 
 

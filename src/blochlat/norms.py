@@ -211,9 +211,16 @@ def decay_norm_bound(f: FiberFunction, radii, mass: float,
         raise ValueError(
             f"need a positive mass gap, got mass={mass} <= target={target_mass}"
         )
-    spec = f.spec
-    radii = normalize_radii(spec, radii)
     bound = fiber_decay_bound(f, radii, mass)
+    return _decay_norm_from_bound(f.spec, radii, bound, mass, target_mass)
+
+
+def _decay_norm_from_bound(spec, radii, bound: np.ndarray, mass: float,
+                           target_mass: float) -> float:
+    """:func:`decay_norm_bound` from a :func:`fiber_decay_bound` at ``mass``.
+
+    The caller guarantees mass > target_mass.
+    """
     offsets = window_offsets(spec, radii)
     lengths = np.linalg.norm(offsets * spec.spacings(), axis=1)
     # peel the decay factor back off: envelope = sup of the averaged |fiber|

@@ -16,6 +16,23 @@ block; ``reconstruct`` resums them into the kernel,
 
 one summand per dual-coarse class, independent of the chosen class
 representatives.
+
+Both directions run on the block rows A(b, .), b over the block sites,
+which fix the kernel by coarse translation (the Bloch-Floquet reduction).
+With R_b(p) = sum_v A(b, v) exp(i p.v), one inverse FFT per row,
+
+    fiber(k)[l, l'] = vol_f / n_block * sum_b exp(-i (k+l).b) R_b(k+l'),
+
+and ``reconstruct`` inverts it: G_b(k+l') = sum_l exp(i (k+l).b)
+fiber(k)[l, l'] fills the fine dual once over all classes, and
+
+    A(b, v) = 1 / (vol_c * n_coarse) * sum_p G_b(p) exp(-i p.v)
+
+is one forward FFT per row.  ``momentum_matrix`` and
+``kernel_from_momentum`` evaluate the two-sided displays above with dense
+n_fine x n_fine phase tables.  No fiber computation goes through them; they
+are the independent oracle: the ``lemBOkervar.a``/``.c`` checks run on them,
+and ``lemBOkervar.f`` compares fibers against their diagonal blocks.
 """
 
 from __future__ import annotations
@@ -166,18 +183,47 @@ def _canonical_reps(family: LatticeFamily) -> np.ndarray:
     return family.coords("dual_coarse")
 
 
-def _fiber_momentum_indices(family: LatticeFamily, rep) -> np.ndarray:
-    """Fine-dual flat indices of rep + l for l over the dual block."""
+def _fiber_momentum_indices(family: LatticeFamily, reps) -> np.ndarray:
+    """Fine-dual flat indices of rep + l for l over the dual block.
+
+    One row per representative, shape (len(reps), n_block).
+    """
     lift = family.extents("dual_fine") // family.extents("dual_block")
-    p = np.asarray(rep, dtype=np.int64) + family.coords("dual_block") * lift
-    return family.indices("dual_fine", p)
+    p = np.asarray(reps, dtype=np.int64)[:, None, :] + family.coords("dual_block") * lift
+    flat = family.indices("dual_fine", p.reshape(-1, family.spec.n_axes))
+    return flat.reshape(len(p), family.n_block)
+
+
+def _fiber_layout(family: LatticeFamily, reps) -> tuple[np.ndarray, np.ndarray]:
+    """Where each fiber sits on the fine dual, and its block phases.
+
+    Returns the flat dual-fine indices of p = rep + l (see
+    :func:`_fiber_momentum_indices`) and exp(i p.b) over block sites b,
+    shape (len(reps), n_block, n_block) indexed [rep, l, b].  The phases are
+    taken at the canonical momentum of each index, so an unreduced
+    representative gets the phases of its reduced one.
+    """
+    idx = _fiber_momentum_indices(family, reps)
+    phases = family.pairing_phases(
+        "dual_fine", family.coords("dual_fine")[idx.reshape(-1)],
+        "block", family.coords("block"),
+    )
+    return idx, phases.reshape(idx.shape + (family.n_block,))
+
+
+def _row_grid(family: LatticeFamily) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Shape of the block rows stacked as (n_block, *fine extents), and the
+    axes of that stack that run over the fine torus."""
+    shape = (family.n_block, *(int(e) for e in family.extents("fine")))
+    return shape, tuple(range(1, len(shape)))
 
 
 def bloch_fibers(kernel: PeriodicKernel, reps=None) -> list[BlochFiber]:
     """Extract the momentum fibers, one per dual-coarse class.
 
     ``reps`` may list arbitrary integer representatives (not necessarily
-    reduced); exactly one per dual-coarse class is required.
+    reduced); exactly one per dual-coarse class is required.  The fibers are
+    computed from the block rows, one inverse FFT per row.
     """
     fam = kernel.family
     if reps is None:
@@ -191,15 +237,19 @@ def bloch_fibers(kernel: PeriodicKernel, reps=None) -> list[BlochFiber]:
             f"({fam.n_coarse} classes), got {len(reps)} reps covering "
             f"{len(classes)} classes"
         )
-    m = momentum_matrix(kernel)
+    idx, phases = _fiber_layout(fam, reps)
+    rows = kernel.entries[fam.indices("fine", fam.coords("block"))]
+    shape, axes = _row_grid(fam)
+    # R_b(p) = sum_v A(b, v) exp(i p.v): the unnormalized inverse transform
+    r_b = np.fft.ifftn(rows.reshape(shape), axes=axes, norm="forward")
+    r_b = r_b.reshape(fam.n_block, fam.n_fine)
+    # fiber[l, l'] = vol_f / n_block * sum_b exp(-i (k+l).b) R_b(k+l')
+    entries = np.conj(phases) @ np.moveaxis(r_b[:, idx], 0, 1)
+    entries *= fam.vol_f / fam.n_block
+    entries.flags.writeable = False
     k_steps = fam.steps("dual_coarse")
-    fibers = []
-    for rep in reps:
-        idx = _fiber_momentum_indices(fam, rep)
-        entries = np.ascontiguousarray(m.entries[np.ix_(idx, idx)])
-        entries.flags.writeable = False
-        fibers.append(BlochFiber(np.asarray(rep) * k_steps, entries, rep))
-    return fibers
+    return [BlochFiber(np.asarray(rep) * k_steps, block, rep)
+            for rep, block in zip(reps, entries)]
 
 
 def reconstruct(family: LatticeFamily, fibers: list[BlochFiber]) -> PeriodicKernel:
@@ -208,6 +258,8 @@ def reconstruct(family: LatticeFamily, fibers: list[BlochFiber]) -> PeriodicKern
     The result does not depend on which representative each fiber was
     extracted at: shifting a representative by a dual-block-lattice vector
     permutes the fiber entries and the compensating phases below cancel.
+    The block rows come from one FFT per row; the other rows are their
+    coarse translates.
     """
     ext_c = family.extents("dual_coarse")
     classes = set()
@@ -220,16 +272,20 @@ def reconstruct(family: LatticeFamily, fibers: list[BlochFiber]) -> PeriodicKern
             f"need exactly one fiber per dual-coarse class ({family.n_coarse}), "
             f"got {len(fibers)} fibers covering {len(classes)} classes"
         )
-    sites = family.coords("fine")
-    block_phases = family.pairing_phases(
-        "dual_block", family.coords("dual_block"), "fine", sites
-    )  # (n_block, n_fine)
-    entries = np.zeros((family.n_fine, family.n_fine), dtype=complex)
-    for fiber in fibers:
-        rep = np.asarray(fiber.rep, dtype=np.int64)
-        # exp(i k.u) for the representative momentum, exact integer phases
-        ku = family.pairing_phases("dual_coarse", rep, "fine", sites)[0]
-        inner = block_phases.T @ fiber.entries @ np.conj(block_phases)
-        entries += (ku[:, None] * np.conj(ku)[None, :]) * inner
-    entries /= family.vol_c * family.n_coarse
+    idx, phases = _fiber_layout(family, [fiber.rep for fiber in fibers])
+    blocks = np.stack([np.asarray(fiber.entries) for fiber in fibers])
+    # G_b(k+l') = sum_l exp(i (k+l).b) F_k[l, l'], scattered onto the fine
+    # dual; the classes cover it exactly once
+    spectrum = np.empty((family.n_block, family.n_fine), dtype=complex)
+    spectrum[:, idx] = np.moveaxis(np.swapaxes(phases, 1, 2) @ blocks, 0, 1)
+    shape, axes = _row_grid(family)
+    rows = np.fft.fftn(spectrum.reshape(shape), axes=axes)
+    rows /= family.vol_c * family.n_coarse
+    # A(b + x, v + x) = A(b, v) for every coarse translation x
+    block = family.coords("block")
+    entries = np.empty((family.n_fine, family.n_fine), dtype=complex)
+    for x in family.coords("coarse") * family.spec.ratios():
+        entries[family.indices("fine", block + x)] = np.roll(
+            rows, tuple(int(c) for c in x), axis=axes
+        ).reshape(family.n_block, family.n_fine)
     return periodic_kernel(family, entries)

@@ -4,6 +4,8 @@ execution, report determinism, and the exit-code contract."""
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -281,3 +283,15 @@ def test_verbose_prints_rows(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "volume_identity_fine" in captured
     assert "eqnBOvolhvol" in captured
+
+
+def test_cli_import_does_not_load_scipy():
+    # a heavy dependency on the import path dominates the start-up of every job
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import blochlat.cli, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"
