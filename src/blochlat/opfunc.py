@@ -10,10 +10,20 @@ trapezoid rule (geometric convergence for analytic integrands), polylines
 use Gauss-Legendre nodes per segment.  Node counts double until the
 result stops moving at relative tolerance 1e-10.
 
+Each fiber is handled as one batched computation over its shifts: the
+shifted matrices (zeta_j - M) are stacked and inverted by one batched LU
+(numpy has no Schur factorization to reuse across shifts).  On a circle
+the n trapezoid nodes are exactly the even nodes of the 2n rule, so each
+doubling halves the previous sum and adds only the n new odd nodes.
+Gauss-Legendre nodes do not nest, so polylines recompute every node.
+
 Before any quadrature the spectrum of every fiber is checked against the
 contour: each eigenvalue must be enclosed with winding number one and
-must clear the contour by more than 1e-8 of the spectral scale, and every
-resolvent solve additionally rejects condition numbers beyond 1e14.
+must clear the contour by more than 1e-8 of the spectral scale.  Every
+resolvent also rejects shifts whose 2-norm condition number exceeds 1e14.
+A cheap upper bound on it, taken from the matrix and its computed inverse,
+clears a shift when it lies well below the limit; any other shift, or a
+stack the LU cannot factor, gets the exact SVD condition number.
 """
 
 from __future__ import annotations
@@ -45,6 +55,13 @@ __all__ = [
 ]
 
 RESOLVENT_COND_LIMIT = 1e14
+# The bound clears a shift only this far below the limit: near 1e14 both the
+# bound and the SVD condition number carry rounding errors of about
+# eps * cond, roughly one percent, so the exact check decides there.
+COND_BOUND_ACCEPT = RESOLVENT_COND_LIMIT / 10
+# Shifts per resolvent stack in the quadrature, which caps its memory when
+# the node count doubles towards MAX_NODES.
+NODE_BATCH = 256
 CLEARANCE_RTOL = 1e-8
 DOUBLING_RTOL = 1e-10
 MAX_NODES = 1 << 14
@@ -189,34 +206,81 @@ def _validate_spectrum(contour, eigenvalues: np.ndarray) -> None:
             )
 
 
-def resolvent_fiber(matrix: np.ndarray, zeta: complex) -> np.ndarray:
-    """(zeta - M)^(-1), rejecting near-singular shifts."""
+def _condition_bound(shifted: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Upper bound on the 2-norm condition number of each stacked matrix.
+
+    Uses ||A||_2 <= ||A||_F and ||A||_2 <= sqrt(||A||_1 ||A||_inf) for both
+    the matrix and its inverse, and keeps the smaller product.
+    """
+    a, b = np.abs(shifted), np.abs(inverse)
+    frobenius = np.sqrt((a * a).sum(axis=(-2, -1)) * (b * b).sum(axis=(-2, -1)))
+    one_inf = np.sqrt(a.sum(axis=-2).max(axis=-1) * a.sum(axis=-1).max(axis=-1)
+                      * b.sum(axis=-2).max(axis=-1) * b.sum(axis=-1).max(axis=-1))
+    return np.minimum(frobenius, one_inf)
+
+
+def resolvent_fiber(matrix: np.ndarray, zeta) -> np.ndarray:
+    """(zeta - M)^(-1), rejecting near-singular shifts.
+
+    ``zeta`` is one shift, giving an (n, n) matrix, or a 1-D array of shifts,
+    giving the (m, n, n) stack of resolvents from one batched inversion.
+    """
     matrix = np.asarray(matrix)
-    shifted = zeta * np.eye(len(matrix)) - matrix
-    if np.linalg.cond(shifted) > RESOLVENT_COND_LIMIT:
-        raise ValueError(
-            f"resolvent at zeta={complex(zeta):.6g} is ill-conditioned; the "
-            "contour runs too close to the spectrum"
-        )
-    return np.linalg.solve(shifted, np.eye(len(matrix), dtype=complex))
+    zetas = np.asarray(zeta, dtype=complex)
+    if zetas.ndim > 1:
+        raise ValueError(f"shifts must be a scalar or a 1-D array, got shape {zetas.shape}")
+    shifts = np.atleast_1d(zetas)
+    shifted = shifts[:, None, None] * np.eye(len(matrix)) - matrix
+    try:
+        inverse = np.linalg.inv(shifted)
+    except np.linalg.LinAlgError as exc:
+        inverse, failure = None, exc
+        unsure = np.ones(len(shifts), dtype=bool)
+    else:
+        # written so that a NaN bound also goes to the exact check
+        unsure = ~(_condition_bound(shifted, inverse) <= COND_BOUND_ACCEPT)
+    if unsure.any():
+        exact = np.linalg.cond(shifted[unsure])
+        bad = shifts[unsure][exact > RESOLVENT_COND_LIMIT]
+        if len(bad):
+            raise ValueError(
+                f"resolvent at zeta={complex(bad[0]):.6g} is ill-conditioned; "
+                "the contour runs too close to the spectrum"
+            )
+    if inverse is None:
+        raise failure
+    return inverse if zetas.ndim else inverse[0]
+
+
+def _node_sum(matrix: np.ndarray, fn, nodes: np.ndarray,
+              weights: np.ndarray) -> np.ndarray:
+    """sum_j w_j f(z_j) (z_j - M)^(-1), one resolvent stack per NODE_BATCH
+    nodes."""
+    coeffs = weights * np.array([fn(z) for z in nodes], dtype=complex)
+    acc = np.zeros(matrix.shape, dtype=complex)
+    for lo in range(0, len(nodes), NODE_BATCH):
+        part = slice(lo, lo + NODE_BATCH)
+        acc += np.tensordot(coeffs[part], resolvent_fiber(matrix, nodes[part]), axes=1)
+    return acc
 
 
 def _fiber_quadrature(matrix: np.ndarray, fn, contour) -> np.ndarray:
     """Adaptive doubling of the contour rule on a single fiber matrix."""
     _validate_spectrum(contour, np.linalg.eigvals(matrix))
     n = 16
-    prev = None
-    while n <= MAX_NODES:
-        nodes, weights = contour_nodes(contour, n)
-        acc = np.zeros_like(matrix, dtype=complex)
-        for zeta, w in zip(nodes, weights):
-            acc += w * fn(zeta) * resolvent_fiber(matrix, zeta)
-        if prev is not None:
-            dev = np.abs(acc - prev).max()
-            if dev <= DOUBLING_RTOL * max(1.0, np.abs(acc).max()):
-                return acc
-        prev = acc
+    acc = _node_sum(matrix, fn, *contour_nodes(contour, n))
+    while 2 * n <= MAX_NODES:
         n *= 2
+        nodes, weights = contour_nodes(contour, n)
+        if isinstance(contour, Circle):
+            # the previous rule is this one's even nodes at twice the weight
+            new = 0.5 * acc + _node_sum(matrix, fn, nodes[1::2], weights[1::2])
+        else:
+            new = _node_sum(matrix, fn, nodes, weights)
+        dev = np.abs(new - acc).max()
+        if dev <= DOUBLING_RTOL * max(1.0, np.abs(new).max()):
+            return new
+        acc = new
     raise ValueError(
         f"contour quadrature did not converge within {MAX_NODES} nodes; "
         "the spectrum may hug the contour"
@@ -236,15 +300,12 @@ def function_of_operator(kernel: PeriodicKernel, fn: Callable[[complex], complex
 def function_of_operator_nodes(kernel: PeriodicKernel, fn, contour,
                                nodes: int) -> PeriodicKernel:
     """Fixed-node variant, for convergence studies; no adaptivity."""
+    zs, ws = contour_nodes(contour, nodes)
     out = []
     for fiber in bloch_fibers(kernel):
         matrix = np.asarray(fiber.entries)
         _validate_spectrum(contour, np.linalg.eigvals(matrix))
-        zs, ws = contour_nodes(contour, nodes)
-        acc = np.zeros_like(matrix, dtype=complex)
-        for zeta, w in zip(zs, ws):
-            acc += w * fn(zeta) * resolvent_fiber(matrix, zeta)
-        out.append(BlochFiber(fiber.k, acc, fiber.rep))
+        out.append(BlochFiber(fiber.k, _node_sum(matrix, fn, zs, ws), fiber.rep))
     return reconstruct(kernel.family, out)
 
 
@@ -276,13 +337,22 @@ def function_norm_bound(kernel: PeriodicKernel, fn, contour, mass: float,
     """length / (2 pi) * sup |f| * sup |resolvent norm| over the contour.
 
     The suprema are sampled at the quadrature nodes; with analytic data and
-    a clear contour this dominates the weighted norm of f(A).
+    a clear contour this dominates the weighted norm of f(A).  The fibers
+    are taken once; each node's resolvent kernel is reconstructed from one
+    batched resolvent stack per fiber.
     """
     from .norms import weighted_norm
 
     zs, _ = contour_nodes(contour, nodes)
     sup_f = max(abs(complex(fn(z))) for z in zs)
-    sup_res = max(weighted_norm(resolvent_kernel(kernel, z), mass) for z in zs)
+    fibers = bloch_fibers(kernel)
+    stacks = [resolvent_fiber(np.asarray(f.entries), zs) for f in fibers]
+    sup_res = max(
+        weighted_norm(reconstruct(kernel.family, [
+            BlochFiber(f.k, stack[j], f.rep) for f, stack in zip(fibers, stacks)
+        ]), mass)
+        for j in range(len(zs))
+    )
     return contour_length(contour) / (2.0 * np.pi) * sup_f * sup_res
 
 

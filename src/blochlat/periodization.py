@@ -28,6 +28,7 @@ single dual-block index in momentum space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -325,16 +326,25 @@ def _momentum(spec: LatticeSpec, k) -> np.ndarray:
     return arr.astype(complex) if np.iscomplexobj(arr) else arr.astype(float)
 
 
+@lru_cache(maxsize=32)
+def _window_tables(spec: LatticeSpec, radii: tuple[int, ...]):
+    """The k-independent tables of ``fiber_hat``, read-only: window
+    displacements offset * eps, exp(i l.d) over the window and exp(i l.w)
+    over the block."""
+    offsets = window_offsets(spec, radii)
+    tables = (offsets * spec.spacings(), _block_phase_matrix(spec, offsets),
+              _block_phase_matrix(spec, _block_coords(spec)))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def fiber_hat(a: ZKernel, k) -> BlochFiber:
     """Momentum fiber of an infinite-lattice kernel at (possibly complex) k."""
     spec = a.spec
     k = _momentum(spec, k)
-    offsets = window_offsets(spec, a.radii)
-    block = _block_coords(spec)
-    eps = spec.spacings()
-    ekd = np.exp(1j * (offsets * eps) @ k)  # exp(i k.d)
-    eld = _block_phase_matrix(spec, offsets)  # exp(i l.d)
-    ew = _block_phase_matrix(spec, block)  # exp(i l.w)
+    disp, eld, ew = _window_tables(spec, normalize_radii(spec, a.radii))
+    ekd = np.exp(1j * disp @ k)  # exp(i k.d)
     g = a.entries @ (ekd[None, :] * eld).T  # (w, l')
     entries = (spec.vol_f / _n_block(spec)) * (np.conj(ew) @ (ew.T * g))
     entries.flags.writeable = False

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blochlat import opfunc
 from blochlat.lattice import LatticeSpec, build_family
 from blochlat.norms import weighted_norm
 from blochlat.opfunc import (
+    COND_BOUND_ACCEPT,
     FUNCTIONS,
+    RESOLVENT_COND_LIMIT,
     Circle,
     Polyline,
     contour_length,
@@ -17,6 +22,7 @@ from blochlat.opfunc import (
     function_of_operator,
     function_of_operator_nodes,
     make_polynomial,
+    resolvent_fiber,
     resolvent_kernel,
 )
 from blochlat.periodic_op import (
@@ -216,3 +222,103 @@ def test_polynomial_factory_and_registry():
         make_polynomial([])
     nodes, weights = contour_nodes(Circle(0.0, 1.0), 4)
     assert len(nodes) == 4 and len(weights) == 4
+
+
+def random_matrix(kind, n, rng):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "normal":
+        q, _ = np.linalg.qr(g)
+        return (q * (rng.standard_normal(n) + 1j * rng.standard_normal(n))) @ q.conj().T
+    return g if kind == "non-normal" else np.triu(g)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["normal", "non-normal", "triangular"]),
+       n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       near=st.booleans(), log_gap=st.floats(-9.0, -3.0))
+def test_condition_bound_dominates_the_condition_number(kind, n, seed, near, log_gap):
+    rng = rng_from_seed(seed)
+    m = random_matrix(kind, n, rng)
+    if near:  # near-singular: a shift just off an eigenvalue
+        lam = np.linalg.eigvals(m)[rng.integers(n)]
+        zeta = lam + 10.0**log_gap * np.exp(2j * np.pi * rng.uniform())
+    else:
+        zeta = 3.0 * complex(rng.standard_normal(), rng.standard_normal())
+    shifted = zeta * np.eye(n) - m
+    bound = opfunc._condition_bound(shifted, np.linalg.inv(shifted))
+    cond = np.linalg.cond(shifted)
+    # Both numbers are computed: each carries a relative rounding error of
+    # order n * eps * cond on top of the last-bit error of the norms.
+    slack = 1e-12 + 4 * n * np.finfo(float).eps * cond
+    assert bound >= cond * (1.0 - slack)
+    if bound <= COND_BOUND_ACCEPT:
+        assert cond <= RESOLVENT_COND_LIMIT
+
+
+@pytest.mark.parametrize("kind", ["normal", "non-normal", "triangular"])
+def test_resolvent_rejects_exactly_the_shifts_beyond_the_limit(kind):
+    rng = rng_from_seed(81)
+    m = random_matrix(kind, 6, rng)
+    lam = np.linalg.eigvals(m)[0]
+    gaps = 10.0 ** np.linspace(-16.0, -11.0, 41) * np.exp(0.7j)
+    decisions = []
+    for zeta in lam + gaps:
+        exact = np.linalg.cond(zeta * np.eye(6) - m)
+        try:
+            resolvent_fiber(m, zeta)
+            decisions.append((exact > RESOLVENT_COND_LIMIT, False))
+        except ValueError as exc:
+            assert "ill-conditioned" in str(exc)
+            decisions.append((exact > RESOLVENT_COND_LIMIT, True))
+    assert all(want == got for want, got in decisions)
+    assert {got for _, got in decisions} == {False, True}
+
+
+def test_singular_shift_is_ill_conditioned_not_a_linalg_error():
+    m = np.diag([1.0, 2.0 + 1j, -3.0])
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        resolvent_fiber(m, 2.0 + 1j)
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        resolvent_fiber(m, np.array([5.0, 2.0 + 1j, 4j]))
+
+
+def test_stacked_resolvents_match_one_shift_at_a_time():
+    a = shifted_test_kernel(82)
+    contour, _ = spectrum_circle(a)
+    zs, _ = contour_nodes(contour, 24)
+    matrix = np.asarray(bloch_fibers(a)[1].entries)
+    stack = resolvent_fiber(matrix, zs)
+    assert stack.shape == (24,) + matrix.shape
+    for zeta, got in zip(zs, stack):
+        want = resolvent_fiber(matrix, zeta)
+        assert want.shape == matrix.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_circle_doubling_reuses_the_previous_nodes():
+    a = shifted_test_kernel(83)
+    contour, _ = spectrum_circle(a, margin=8.0)  # converges at 32 nodes
+    calls = []
+
+    def counting_square(z):
+        calls.append(z)
+        return z * z
+
+    out = function_of_operator(a, counting_square, contour)
+    assert len(calls) == 32 * len(bloch_fibers(a))
+    want = compose(a, a).entries
+    assert np.abs(out.entries - want).max() <= 1e-8 * np.abs(want).max()
+
+
+def test_norm_bound_takes_the_fibers_once(monkeypatch):
+    a = shifted_test_kernel(84)
+    contour, _ = spectrum_circle(a, margin=2.0)
+    calls = []
+
+    def counting_fibers(kernel):
+        calls.append(kernel)
+        return bloch_fibers(kernel)
+
+    monkeypatch.setattr(opfunc, "bloch_fibers", counting_fibers)
+    function_norm_bound(a, np.exp, contour, 0.5)
+    assert len(calls) == 1
