@@ -163,7 +163,7 @@ def _fine_unit_factor(spec: LatticeSpec, tag: str) -> np.ndarray:
     return spec.fine_extents() // spec.ratios()  # dual_block
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _coords_cache(spec: LatticeSpec, tag: str) -> np.ndarray:
     ext = extents(spec, tag)
     grids = np.indices(tuple(int(e) for e in ext)).reshape(spec.n_axes, -1).T
@@ -172,17 +172,22 @@ def _coords_cache(spec: LatticeSpec, tag: str) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def distance_matrix(spec: LatticeSpec, tag: str) -> np.ndarray:
-    """All pairwise geodesic torus distances on the tagged lattice."""
-    pts = _coords_cache(spec, tag)
+def _pair_distances(spec: LatticeSpec, tag: str, rows: np.ndarray,
+                    cols: np.ndarray) -> np.ndarray:
+    """Geodesic torus distances between two sets of tagged coords, read-only."""
     ext = extents(spec, tag)
-    stp = steps(spec, tag)
-    delta = (pts[:, None, :] - pts[None, :, :]) % ext
-    delta = np.minimum(delta, ext - delta).astype(float) * stp
+    delta = (rows[:, None, :] - cols[None, :, :]) % ext
+    delta = np.minimum(delta, ext - delta).astype(float) * steps(spec, tag)
     out = np.sqrt((delta**2).sum(axis=-1))
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=4)
+def distance_matrix(spec: LatticeSpec, tag: str) -> np.ndarray:
+    """All pairwise geodesic torus distances on the tagged lattice."""
+    pts = _coords_cache(spec, tag)
+    return _pair_distances(spec, tag, pts, pts)
 
 
 @dataclass(frozen=True)

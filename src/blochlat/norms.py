@@ -24,9 +24,11 @@ by ``decay_constant(m - m') / vol_c`` times that sup.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .lattice import distance_matrix
+from .lattice import LatticeSpec, _coords_cache, _pair_distances
 from .periodic_op import PeriodicKernel
 from .periodization import (
     FiberFunction,
@@ -53,15 +55,26 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=8)
+def _block_distances(spec: LatticeSpec) -> np.ndarray:
+    """Geodesic torus distances from the block sites (rows) to every fine
+    site (columns), read-only."""
+    return _pair_distances(spec, "fine", _block_coords(spec),
+                           _coords_cache(spec, "fine"))
+
+
 def _torus_norm(kernel: PeriodicKernel, mass: float) -> float:
+    """Row and column sums over the block rows: the row sums of A are those
+    of its block rows, and column v collects the block rows' columns in the
+    coarse class of v."""
     fam = kernel.family
-    entries = np.abs(kernel.entries)
+    rows = np.abs(kernel.rows)
     # weight the support only: exp(m dist) may overflow where the entry is 0
-    weight = np.exp(mass * distance_matrix(fam.spec, "fine"),
-                    out=np.zeros(entries.shape), where=entries != 0.0) * entries
-    rows = fam.vol_f * weight.sum(axis=1).max()
-    cols = fam.vol_f * weight.sum(axis=0).max()
-    return float(max(rows, cols))
+    weight = np.exp(mass * _block_distances(fam.spec), out=np.zeros(rows.shape),
+                    where=rows != 0.0) * rows
+    classes = _block_index(fam.spec, fam.coords("fine"))
+    cols = np.bincount(classes, weights=weight.sum(axis=0), minlength=fam.n_block)
+    return float(fam.vol_f * max(weight.sum(axis=1).max(), cols.max()))
 
 
 def _z_norm(a: ZKernel, mass: float) -> float:

@@ -28,7 +28,17 @@ fiber(k)[l, l'] fills the fine dual once over all classes, and
 
     A(b, v) = 1 / (vol_c * n_coarse) * sum_p G_b(p) exp(-i p.v)
 
-is one forward FFT per row.  ``momentum_matrix`` and
+is one forward FFT per row.
+
+A ``PeriodicKernel`` stores exactly those rows, shape (n_block, n_fine),
+read-only; its dense ``entries`` are expanded on first use, one
+``np.roll`` of the rows per coarse cell, and cached.  ``periodic_kernel``
+takes either the dense (n_fine, n_fine) kernel, which it checks for
+coarse-translation invariance and keeps as ``entries``, or the block rows,
+which define an invariant kernel and need no check.  ``periodize``,
+``reconstruct``, ``bloch_fibers`` and the torus weighted norm work on the
+rows and never form the dense kernel; ``apply_kernel``, ``compose`` and
+``transpose_kernel`` act on ``entries``.  ``momentum_matrix`` and
 ``kernel_from_momentum`` evaluate the two-sided displays above with dense
 n_fine x n_fine phase tables.  No fiber computation goes through them; they
 are the independent oracle: the ``lemBOkervar.a``/``.c`` checks run on them,
@@ -38,6 +48,7 @@ and ``lemBOkervar.f`` compares fibers against their diagonal blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,10 +74,31 @@ PERIODICITY_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class PeriodicKernel:
-    """Dense kernel on the fine torus, coarse-translation invariant."""
+    """Kernel on the fine torus, coarse-translation invariant.
+
+    Stored as its block rows: ``rows[b]`` is A(b, .) over the fine sites,
+    with b running over ``family.coords("block")``; coarse translation
+    gives every other row.  ``entries`` is the dense (n_fine, n_fine)
+    kernel, expanded from the rows on first use and cached read-only.
+    """
 
     family: LatticeFamily
-    entries: np.ndarray  # (n_fine, n_fine) complex
+    rows: np.ndarray  # (n_block, n_fine) complex
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense kernel: A(b + x, v + x) = A(b, v) over coarse steps x."""
+        fam = self.family
+        shape, axes = _row_grid(fam)
+        grid = self.rows.reshape(shape)
+        block = fam.coords("block")
+        out = np.empty((fam.n_fine, fam.n_fine), dtype=complex)
+        for x in fam.coords("coarse") * fam.spec.ratios():
+            out[fam.indices("fine", block + x)] = np.roll(
+                grid, tuple(int(c) for c in x), axis=axes
+            ).reshape(fam.n_block, fam.n_fine)
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -99,17 +131,33 @@ def _coarse_shift_permutation(family: LatticeFamily, axis: int) -> np.ndarray:
     return family.indices("fine", family.coords("fine") + shift)
 
 
+def _block_sites(family: LatticeFamily) -> np.ndarray:
+    """Fine-site indices of the block sites, in block order."""
+    return family.indices("fine", family.coords("block"))
+
+
 def periodic_kernel(family: LatticeFamily, entries,
                     check: bool = True) -> PeriodicKernel:
-    """Wrap dense entries, verifying coarse-translation invariance.
+    """Wrap a coarse-invariant kernel given densely or by its block rows.
 
-    Invariance is checked on the coarse generators only (they generate the
-    group) to relative tolerance 1e-10 of the largest entry.
+    Dense (n_fine, n_fine) entries are kept as the kernel's ``entries``;
+    with ``check`` their invariance is verified on the coarse generators
+    only (they generate the group) to relative tolerance 1e-10 of the
+    largest entry.  Block rows (n_block, n_fine), row b = A(b, .) in
+    ``family.coords("block")`` order, define an invariant kernel and are
+    not checked.  With a single coarse cell both shapes, and both orders,
+    coincide.
     """
     arr = np.array(entries, dtype=complex)
     n = family.n_fine
+    if arr.shape == (family.n_block, n) and family.n_coarse > 1:
+        arr.flags.writeable = False
+        return PeriodicKernel(family, arr)
     if arr.shape != (n, n):
-        raise ValueError(f"expected entries of shape ({n}, {n}), got {arr.shape}")
+        raise ValueError(
+            f"expected entries of shape ({n}, {n}) or block rows of shape "
+            f"({family.n_block}, {n}), got {arr.shape}"
+        )
     if check:
         scale = float(np.abs(arr).max()) or 1.0
         for axis in range(family.spec.n_axes):
@@ -122,14 +170,18 @@ def periodic_kernel(family: LatticeFamily, entries,
                     f"{PERIODICITY_RTOL:.0e} * max|A| = {PERIODICITY_RTOL * scale:.3e}"
                 )
     arr.flags.writeable = False
-    return PeriodicKernel(family, arr)
+    rows = arr[_block_sites(family)]
+    rows.flags.writeable = False
+    kernel = PeriodicKernel(family, rows)
+    kernel.__dict__["entries"] = arr  # the dense form is at hand: cache it
+    return kernel
 
 
 def identity_kernel(family: LatticeFamily) -> PeriodicKernel:
     """Kernel of the identity operator, (1/vol_f) on the diagonal."""
-    return periodic_kernel(
-        family, np.eye(family.n_fine, dtype=complex) / family.vol_f, check=False
-    )
+    rows = np.zeros((family.n_block, family.n_fine), dtype=complex)
+    rows[np.arange(family.n_block), _block_sites(family)] = 1.0 / family.vol_f
+    return periodic_kernel(family, rows, check=False)
 
 
 def apply_kernel(kernel: PeriodicKernel, field: FieldVector) -> FieldVector:
@@ -238,10 +290,9 @@ def bloch_fibers(kernel: PeriodicKernel, reps=None) -> list[BlochFiber]:
             f"{len(classes)} classes"
         )
     idx, phases = _fiber_layout(fam, reps)
-    rows = kernel.entries[fam.indices("fine", fam.coords("block"))]
     shape, axes = _row_grid(fam)
     # R_b(p) = sum_v A(b, v) exp(i p.v): the unnormalized inverse transform
-    r_b = np.fft.ifftn(rows.reshape(shape), axes=axes, norm="forward")
+    r_b = np.fft.ifftn(kernel.rows.reshape(shape), axes=axes, norm="forward")
     r_b = r_b.reshape(fam.n_block, fam.n_fine)
     # fiber[l, l'] = vol_f / n_block * sum_b exp(-i (k+l).b) R_b(k+l')
     entries = np.conj(phases) @ np.moveaxis(r_b[:, idx], 0, 1)
@@ -258,8 +309,7 @@ def reconstruct(family: LatticeFamily, fibers: list[BlochFiber]) -> PeriodicKern
     The result does not depend on which representative each fiber was
     extracted at: shifting a representative by a dual-block-lattice vector
     permutes the fiber entries and the compensating phases below cancel.
-    The block rows come from one FFT per row; the other rows are their
-    coarse translates.
+    The block rows come from one FFT per row and are the stored kernel.
     """
     ext_c = family.extents("dual_coarse")
     classes = set()
@@ -281,11 +331,4 @@ def reconstruct(family: LatticeFamily, fibers: list[BlochFiber]) -> PeriodicKern
     shape, axes = _row_grid(family)
     rows = np.fft.fftn(spectrum.reshape(shape), axes=axes)
     rows /= family.vol_c * family.n_coarse
-    # A(b + x, v + x) = A(b, v) for every coarse translation x
-    block = family.coords("block")
-    entries = np.empty((family.n_fine, family.n_fine), dtype=complex)
-    for x in family.coords("coarse") * family.spec.ratios():
-        entries[family.indices("fine", block + x)] = np.roll(
-            rows, tuple(int(c) for c in x), axis=axes
-        ).reshape(family.n_block, family.n_fine)
-    return periodic_kernel(family, entries)
+    return periodic_kernel(family, rows.reshape(family.n_block, family.n_fine))

@@ -33,7 +33,14 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import FieldVector, LatticeFamily, LatticeSpec, extents, steps
+from .lattice import (
+    FieldVector,
+    LatticeFamily,
+    LatticeSpec,
+    _coords_cache,
+    extents,
+    steps,
+)
 from .periodic_op import BlochFiber, PeriodicKernel, periodic_kernel
 
 __all__ = [
@@ -102,8 +109,8 @@ def window_offsets(spec: LatticeSpec, radii) -> np.ndarray:
 
 
 def _block_coords(spec: LatticeSpec) -> np.ndarray:
-    grids = np.indices(tuple(int(r) for r in spec.ratios()))
-    return grids.reshape(spec.n_axes, -1).T.astype(np.int64)
+    """Block site coords, canonical order; the cached read-only table."""
+    return _coords_cache(spec, "block")
 
 
 def _block_index(spec: LatticeSpec, coords: np.ndarray) -> np.ndarray:
@@ -234,22 +241,18 @@ def periodize(a: ZKernel, family: LatticeFamily) -> PeriodicKernel:
     """Wrap an infinite-lattice kernel around the torus.
 
     Exact because the window fits inside one period, so at most one image of
-    each entry lands on any torus pair.
+    each entry lands on any torus pair.  Only the block rows are filled;
+    coarse invariance gives the rest.
     """
     spec = a.spec
     if family.spec != spec:
         raise ValueError("kernel and family carry different lattice specs")
     _check_window_fits(spec, a.radii, extents(spec, "fine"))
     offsets = window_offsets(spec, a.radii)
-    block = _block_coords(spec)
-    entries = np.zeros((family.n_fine, family.n_fine), dtype=complex)
-    coarse_fine = family.coords("coarse") * spec.ratios()
-    for w_idx, w in enumerate(block):
-        for x in coarse_fine:
-            row = family.index("fine", w + x)
-            cols = family.indices("fine", w + x + offsets)
-            entries[row, cols] = a.entries[w_idx]
-    return periodic_kernel(family, entries)
+    rows = np.zeros((family.n_block, family.n_fine), dtype=complex)
+    for w_idx, w in enumerate(_block_coords(spec)):
+        rows[w_idx, family.indices("fine", w + offsets)] = a.entries[w_idx]
+    return periodic_kernel(family, rows)
 
 
 def compose_z(a: ZKernel, b: ZKernel) -> ZKernel:

@@ -61,18 +61,10 @@ def random_periodic_kernel(family: LatticeFamily, rng,
                            complex_entries: bool = True) -> PeriodicKernel:
     """Random coarse-invariant torus kernel: free rows on block representatives,
     extended over the torus by coarse translations."""
-    spec = family.spec
     rows = rng.uniform(-1.0, 1.0, size=(family.n_block, family.n_fine))
     if complex_entries:
         rows = rows + 1j * rng.uniform(-1.0, 1.0, size=rows.shape)
-    entries = np.zeros((family.n_fine, family.n_fine), dtype=complex)
-    block = family.coords("block")
-    cols = family.coords("fine")
-    for x in family.coords("coarse") * spec.ratios():
-        row_idx = family.indices("fine", block + x)
-        col_idx = family.indices("fine", cols + x)
-        entries[np.ix_(row_idx, col_idx)] = rows
-    return periodic_kernel(family, entries)
+    return periodic_kernel(family, rows)
 
 
 def random_field_values(family: LatticeFamily, tag: str, rng,

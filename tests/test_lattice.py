@@ -6,6 +6,7 @@ import pytest
 from blochlat.lattice import (
     LatticeSpec,
     Site,
+    _coords_cache,
     build_family,
     distance_matrix,
     extents,
@@ -14,6 +15,7 @@ from blochlat.lattice import (
     steps,
     torus_distance,
 )
+from blochlat.periodization import _block_coords
 
 REF = LatticeSpec(eps_t=1.0, eps_x=1.0, l_t=3, l_x=3, big_l_t=9, big_l_x=9, dim=1)
 
@@ -175,3 +177,25 @@ def test_field_validation_and_inner():
         fam.field("dual_fine", np.zeros(81))
     with pytest.raises(ValueError, match="different"):
         inner(fam, f, fam.field("coarse", np.zeros(9)))
+
+
+def test_site_caches_are_bounded_and_read_only():
+    spec = LatticeSpec(eps_t=0.5, eps_x=0.25, l_t=2, l_x=4, big_l_t=8, big_l_x=16, dim=2)
+    for cache in (_coords_cache, distance_matrix):
+        assert cache.cache_info().maxsize is not None
+    for arr in (_coords_cache(spec, "fine"), distance_matrix(REF, "fine")):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+@pytest.mark.parametrize("spec", [
+    REF,
+    LatticeSpec(eps_t=1.0, eps_x=1.0, l_t=3, l_x=3, big_l_t=9, big_l_x=9, dim=3),
+    LatticeSpec(eps_t=0.5, eps_x=0.25, l_t=2, l_x=4, big_l_t=8, big_l_x=16, dim=2),
+])
+def test_block_coords_are_the_cached_block_table(spec):
+    block = _block_coords(spec)
+    expect = np.indices(tuple(int(r) for r in spec.ratios()))
+    np.testing.assert_array_equal(block, expect.reshape(spec.n_axes, -1).T)
+    assert block is build_family(spec).coords("block")
+    assert not block.flags.writeable

@@ -1,0 +1,56 @@
+"""Memory guards: coarse-invariant kernels stay at their block rows on the
+periodize -> function -> fibers path, so no n_fine x n_fine array forms.
+
+Peaks are ``tracemalloc`` readings of this process.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from blochlat.lattice import LatticeSpec, build_family
+from blochlat.opfunc import Circle, function_of_operator, make_polynomial
+from blochlat.periodic_op import bloch_fibers, reconstruct
+from blochlat.periodization import periodize
+from blochlat.rand import random_zkernel, rng_from_seed
+
+
+def _traced_peak_mb(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_funcalc_path_stays_below_one_dense_kernel():
+    # 12 x 9 x 9 = 972 sites; one dense complex kernel is 15.1 MB
+    spec = LatticeSpec(1.0, 1.0, 3, 3, 12, 9, dim=2)
+    fam = build_family(spec)
+    z = random_zkernel(spec, (2, 2, 2), rng_from_seed(41))
+    poly = make_polynomial([1.0, 0.5, 0.25])
+
+    def run():
+        result = function_of_operator(periodize(z, fam), poly, Circle(0.0, 200.0))
+        return bloch_fibers(result)
+
+    fibers, peak = _traced_peak_mb(run)
+    assert len(fibers) == fam.n_coarse
+    assert peak < 8.0
+
+
+def test_dim3_round_trip_fits_without_the_dense_kernel():
+    # 9^4 = 6561 sites; one dense complex kernel is 689 MB
+    spec = LatticeSpec(1.0, 1.0, 3, 3, 9, 9, dim=3)
+    fam = build_family(spec)
+    z = random_zkernel(spec, (1, 1, 1, 1), rng_from_seed(0))
+
+    def run():
+        kernel = periodize(z, fam)
+        return kernel, reconstruct(fam, bloch_fibers(kernel))
+
+    (kernel, back), peak = _traced_peak_mb(run)
+    scale = np.abs(kernel.rows).max()
+    assert np.abs(back.rows - kernel.rows).max() <= 1e-12 * scale
+    assert peak < 128.0

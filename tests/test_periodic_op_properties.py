@@ -1,8 +1,10 @@
-"""Property tests for the block-row (FFT) fiber route over drawn lattice specs.
+"""Property tests for the block-row kernel storage and the FFT fiber route
+over drawn lattice specs.
 
 ``momentum_matrix`` is the independent oracle: its dual-coarse diagonal
 blocks are the fibers, whatever representatives ``bloch_fibers`` is given.
-Sizes stay at or below 256 fine sites.
+The dense fill loops and the dense norm formula below are the references
+for the row storage.  Sizes stay at or below 256 fine sites.
 """
 
 import numpy as np
@@ -10,9 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blochlat.lattice import LatticeSpec, build_family
-from blochlat.periodic_op import bloch_fibers, momentum_matrix, reconstruct
-from blochlat.periodization import periodize
+from blochlat.lattice import LatticeSpec, build_family, distance_matrix
+from blochlat.norms import weighted_norm
+from blochlat.periodic_op import (
+    _coarse_shift_permutation,
+    bloch_fibers,
+    identity_kernel,
+    momentum_matrix,
+    periodic_kernel,
+    reconstruct,
+)
+from blochlat.periodization import periodize, window_offsets
 from blochlat.rand import random_periodic_kernel, random_zkernel, rng_from_seed
 
 MAX_SITES = 256
@@ -105,3 +115,100 @@ def test_class_cover_errors(case, seed):
         reconstruct(fam, fibers[:-1])
     with pytest.raises(ValueError, match="class"):
         reconstruct(fam, fibers + fibers[:1])
+
+
+# -- block-row storage ---------------------------------------------------
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+def _dense_periodize(a, fam):
+    """Dense periodization, one scatter per fine row."""
+    offsets = window_offsets(fam.spec, a.radii)
+    entries = np.zeros((fam.n_fine, fam.n_fine), dtype=complex)
+    for w_idx, w in enumerate(fam.coords("block")):
+        for x in fam.coords("coarse") * fam.spec.ratios():
+            cols = fam.indices("fine", w + x + offsets)
+            entries[fam.index("fine", w + x), cols] = a.entries[w_idx]
+    return entries
+
+
+def _dense_random_kernel(fam, seed):
+    """``random_periodic_kernel``'s draws, filled densely by coarse shifts."""
+    rng = rng_from_seed(seed)
+    rows = rng.uniform(-1.0, 1.0, size=(fam.n_block, fam.n_fine))
+    rows = rows + 1j * rng.uniform(-1.0, 1.0, size=rows.shape)
+    entries = np.zeros((fam.n_fine, fam.n_fine), dtype=complex)
+    for x in fam.coords("coarse") * fam.spec.ratios():
+        row_idx = fam.indices("fine", fam.coords("block") + x)
+        col_idx = fam.indices("fine", fam.coords("fine") + x)
+        entries[np.ix_(row_idx, col_idx)] = rows
+    return entries
+
+
+def _assert_row_form(fam, k):
+    """Rows are the block rows of the expansion, bit for bit, and the
+    expansion is exactly invariant under every coarse generator."""
+    assert k.rows.shape == (fam.n_block, fam.n_fine)
+    assert not k.rows.flags.writeable and not k.entries.flags.writeable
+    block = fam.indices("fine", fam.coords("block"))
+    np.testing.assert_array_equal(_bits(k.rows), _bits(k.entries[block]))
+    dense = periodic_kernel(fam, k.entries)
+    np.testing.assert_array_equal(_bits(dense.entries), _bits(k.entries))
+    for axis in range(fam.spec.n_axes):
+        perm = _coarse_shift_permutation(fam, axis)
+        assert np.abs(k.entries[np.ix_(perm, perm)] - k.entries).max() == 0.0
+
+
+@PROPERTY_SETTINGS
+@given(case=specs_and_radii(), seed=st.integers(0, 2**32 - 1))
+@example(case=REF3, seed=0)
+def test_row_storage_expands_to_the_dense_kernel(case, seed):
+    spec, radii = case
+    fam = build_family(spec)
+    z = random_zkernel(spec, radii, rng_from_seed(seed))
+    window = periodize(z, fam)
+    drawn = random_periodic_kernel(fam, rng_from_seed(seed))
+    np.testing.assert_array_equal(_bits(window.entries), _bits(_dense_periodize(z, fam)))
+    np.testing.assert_array_equal(_bits(drawn.entries),
+                                  _bits(_dense_random_kernel(fam, seed)))
+    for k in (window, drawn, identity_kernel(fam),
+              reconstruct(fam, bloch_fibers(drawn))):
+        _assert_row_form(fam, k)
+
+
+def _dense_norm(k, mass):
+    """The weighted norm from the dense kernel and all pairwise distances."""
+    entries = np.abs(k.entries)
+    with np.errstate(over="ignore"):
+        weight = np.exp(mass * distance_matrix(k.family.spec, "fine"),
+                        out=np.zeros(entries.shape), where=entries != 0.0) * entries
+    return k.family.vol_f * max(weight.sum(axis=1).max(), weight.sum(axis=0).max())
+
+
+@PROPERTY_SETTINGS
+@given(case=specs_and_radii(), seed=st.integers(0, 2**32 - 1))
+@example(case=REF3, seed=0)
+@example(case=(LatticeSpec(1.0, 1.0, 3, 3, 9, 9), (2, 2)), seed=0)
+def test_torus_norm_matches_the_dense_formula(case, seed):
+    spec, radii = case
+    fam = build_family(spec)
+    rng = rng_from_seed(seed)
+    near = tuple(min(r, 1) for r in radii)
+    window = periodize(random_zkernel(spec, near, rng), fam)
+    reach = np.linalg.norm(window_offsets(spec, near) * spec.spacings(), axis=1).max()
+    for k in (window, random_periodic_kernel(fam, rng)):
+        for mass in (0.0, 0.6, 200.0):
+            with np.errstate(over="ignore"):  # full support at mass 200
+                got = weighted_norm(k, mass)
+            expect = _dense_norm(k, mass)
+            if np.isfinite(expect):
+                assert got == pytest.approx(expect, rel=1e-13)
+            else:
+                assert got == expect
+    # exp(650) times at most 3^4 entries of size sqrt(2) and vol_f <= 4^4
+    # stays below the float range
+    if 200.0 * reach <= 650.0:
+        assert np.isfinite(weighted_norm(window, 200.0))
