@@ -12,7 +12,9 @@ restriction under the volume-weighted inner products, so
 
     (P psi)(u) = (vol_c / vol_f) sum_x q(u - L x) psi(x).
 
-Both operators are thin wrappers over the asymmetric kernel machinery; the
+Both operators read one coarse-invariant table, q(w - L m) / vol_f, built
+by ``averaging_kernel``: restriction reads it coarse-from-fine
+(``apply_cf``), prolongation fine-from-coarse (``apply_fc``).  The
 composite P R is a coarse-invariant kernel on the fine lattice whose
 momentum fibers are rank one:
 
@@ -33,14 +35,12 @@ from .lattice import FieldVector, LatticeFamily, LatticeSpec
 from .periodic_op import BlochFiber
 from .periodization import (
     ZKernel,
-    ZKernelCF,
     ZKernelFC,
     _block_coords,
     apply_cf,
     apply_fc,
     window_offsets,
     zkernel,
-    zkernel_cf,
     zkernel_fc,
 )
 
@@ -50,8 +50,7 @@ __all__ = [
     "smooth_profile",
     "dirichlet_average",
     "profile_hat",
-    "restriction_kernel",
-    "prolongation_kernel",
+    "averaging_kernel",
     "restrict_field",
     "prolong_field",
     "restrict_prolong_profile",
@@ -156,8 +155,10 @@ def _coarse_radii(profile: Profile) -> tuple[int, ...]:
     )
 
 
-def _asymmetric_entries(profile: Profile) -> tuple[tuple[int, ...], np.ndarray]:
-    """Window table q(w - L m) / vol_f over block rows and coarse offsets."""
+def averaging_kernel(profile: Profile) -> ZKernelFC:
+    """Window table q(w - L m) / vol_f over block rows and coarse offsets:
+    the kernel of the block average read coarse-from-fine, and of its
+    adjoint read fine-from-coarse."""
     spec = profile.spec
     radii_c = _coarse_radii(profile)
     ratios = spec.ratios()
@@ -172,29 +173,17 @@ def _asymmetric_entries(profile: Profile) -> tuple[tuple[int, ...], np.ndarray]:
                 for axis, weights in enumerate(profile.axis_weights):
                     val *= weights[int(z[axis]) + profile.radii[axis]]
                 entries[wi, mi] = val / spec.vol_f
-    return radii_c, entries
-
-
-def restriction_kernel(profile: Profile) -> ZKernelCF:
-    """Coarse-from-fine kernel of the block average."""
-    radii_c, entries = _asymmetric_entries(profile)
-    return zkernel_cf(profile.spec, radii_c, entries)
-
-
-def prolongation_kernel(profile: Profile) -> ZKernelFC:
-    """Fine-from-coarse kernel of the adjoint of the block average."""
-    radii_c, entries = _asymmetric_entries(profile)
-    return zkernel_fc(profile.spec, radii_c, entries)
+    return zkernel_fc(spec, radii_c, entries)
 
 
 def restrict_field(family: LatticeFamily, profile: Profile,
                    phi: FieldVector) -> FieldVector:
-    return apply_cf(family, restriction_kernel(profile), phi)
+    return apply_cf(family, averaging_kernel(profile), phi)
 
 
 def prolong_field(family: LatticeFamily, profile: Profile,
                   psi: FieldVector) -> FieldVector:
-    return apply_fc(family, prolongation_kernel(profile), psi)
+    return apply_fc(family, averaging_kernel(profile), psi)
 
 
 def restrict_prolong_profile(profile: Profile) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:

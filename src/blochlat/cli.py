@@ -20,9 +20,11 @@ precondition was violated while running; 2 malformed configuration;
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -83,16 +85,25 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _parse_float(section, key, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(
+            f"{section.name}.{key} must be a finite number, got {text.strip()!r}"
+        )
+    return value
+
+
 def _get_float(section, key, default=None) -> float:
     raw = section.get(key)
     if raw is None:
         if default is None:
             raise ConfigError(f"missing required key {section.name}.{key}")
         return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{section.name}.{key} must be a number, got {raw!r}")
+    return _parse_float(section, key, raw)
 
 
 def _get_int(section, key, default=None) -> int:
@@ -111,10 +122,7 @@ def _float_list(section, key, default) -> list[float]:
     raw = section.get(key)
     if raw is None:
         return list(default)
-    try:
-        return [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"{section.name}.{key} must be comma-separated numbers")
+    return [_parse_float(section, key, part) for part in raw.split(",") if part.strip()]
 
 
 def _load_config(path: str) -> configparser.ConfigParser:
@@ -148,10 +156,9 @@ def _validate_keys(parser: configparser.ConfigParser, task: str, kind: str) -> N
     for key in parser["task"]:
         if key != "name":
             raise ConfigError(f"unknown key task.{key}")
-    if parser.has_section("params"):
-        for key in parser["params"]:
-            if key not in _PARAM_KEYS_BY_TASK[task]:
-                raise ConfigError(f"unknown key params.{key} for task '{task}'")
+    for key in parser["params"]:
+        if key not in _PARAM_KEYS_BY_TASK[task]:
+            raise ConfigError(f"unknown key params.{key} for task '{task}'")
 
 
 def _build_spec(section) -> LatticeSpec:
@@ -279,12 +286,14 @@ class Job:
             raise ConfigError(
                 f"kernel.type must be one of {', '.join(KERNEL_TYPES)}, got {kind!r}"
             )
+        if not parser.has_section("params"):
+            parser.add_section("params")
         _validate_keys(parser, task, kind)
         self.task = task
         self.seed = seed
         self.spec = _build_spec(parser["lattice"])
         self.kernel = _build_kernel(self.spec, parser["kernel"], kind, seed)
-        self.params = parser["params"] if parser.has_section("params") else {}
+        self.params = parser["params"]
         self.family = build_family(self.spec)
         if task in ("norms", "funcalc", "verify"):
             try:
@@ -292,37 +301,41 @@ class Job:
             except ValueError as exc:
                 raise ConfigError(f"kernel does not fit the torus: {exc}")
         if task == "decay":
-            mass = _get_float(self.params, "mass", 0.5) if self.params else 0.5
-            target = self.params.get("target_mass") if self.params else None
-            if target is not None and float(target) >= mass:
+            self.mass = _get_float(self.params, "mass", 0.5)
+            self.target_mass = self._optional_float("target_mass")
+            if self.target_mass is not None and self.target_mass >= self.mass:
                 raise ConfigError(
                     "params.target_mass must be smaller than params.mass"
                 )
         if task == "funcalc":
+            self.mass = self._optional_float("mass")
             self.contour = self._build_contour()
             self.fn_name, self.fn = self._build_function()
 
+    def _optional_float(self, key: str) -> float | None:
+        return _get_float(self.params, key) if key in self.params else None
+
     def _build_contour(self) -> Circle:
-        center_raw = self.params.get("contour_center", "10") if self.params else "10"
+        center_raw = self.params.get("contour_center", "10")
         try:
             center = complex(center_raw.replace(" ", ""))
         except ValueError:
             raise ConfigError(f"params.contour_center invalid: {center_raw!r}")
-        radius = _get_float(self.params, "contour_radius", 5.0) if self.params else 5.0
+        if not cmath.isfinite(center):
+            raise ConfigError(f"params.contour_center must be finite, got {center_raw!r}")
+        radius = _get_float(self.params, "contour_radius", 5.0)
         try:
             return Circle(center, radius)
         except ValueError as exc:
             raise ConfigError(f"params: {exc}")
 
     def _build_function(self):
-        name = self.params.get("function", "identity") if self.params else "identity"
+        name = self.params.get("function", "identity")
         if name == "polynomial":
-            raw = self.params.get("coefficients")
-            if raw is None:
+            if "coefficients" not in self.params:
                 raise ConfigError("params.coefficients required for polynomial")
             try:
-                coeffs = [float(p) for p in raw.split(",") if p.strip()]
-                return name, make_polynomial(coeffs)
+                return name, make_polynomial(_float_list(self.params, "coefficients", ()))
             except ValueError as exc:
                 raise ConfigError(f"params.coefficients: {exc}")
         if name not in FUNCTIONS:
@@ -360,8 +373,7 @@ def _run_fibers(job: Job, outdir: str):
 
 
 def _run_norms(job: Job, outdir: str):
-    masses = _float_list(job.params, "masses", (1.0, 0.5, 0.25)) if job.params \
-        else [1.0, 0.5, 0.25]
+    masses = _float_list(job.params, "masses", (1.0, 0.5, 0.25))
     if not masses or any(m < 0 for m in masses):
         raise ConfigError("params.masses must be non-negative numbers")
     rng = rng_from_seed(job.seed)
@@ -383,7 +395,7 @@ def _run_norms(job: Job, outdir: str):
 
 
 def _run_decay(job: Job, outdir: str):
-    mass = _get_float(job.params, "mass", 0.5) if job.params else 0.5
+    mass, target = job.mass, job.target_mass
     f = fiber_function(job.kernel)
     bound = fiber_decay_bound(f, job.kernel.radii, mass)
     entries = np.abs(np.asarray(job.kernel.entries))
@@ -402,9 +414,7 @@ def _run_decay(job: Job, outdir: str):
     scale = max(entries.max(), 1e-300)
     checks = [_le(f"entrywise_decay_bound[m={mass:g}]", "lemBOlonelinfty.b",
                   float((entries - bound).max()), 1e-12 * scale)]
-    target = job.params.get("target_mass") if job.params else None
     if target is not None:
-        target = float(target)
         checks.append(_le(
             f"decay_norm_bound[m={mass:g},m''={target:g}]", "lemBOlonelinfty.b",
             weighted_norm(job.kernel, target),
@@ -420,9 +430,8 @@ def _run_funcalc(job: Job, outdir: str):
     _write_csv(os.path.join(outdir, "funcalc.csv"), _fiber_header(job.spec),
                _fiber_rows(job.spec, matrices))
     checks = []
-    mass = job.params.get("mass") if job.params else None
+    mass = job.mass
     if mass is not None:
-        mass = _get_float(job.params, "mass")
         checks.append(_le(
             f"function_norm_bound[m={mass:g}]", "lemBOfnbnd",
             weighted_norm(result, mass),

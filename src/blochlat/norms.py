@@ -33,7 +33,6 @@ from .periodic_op import PeriodicKernel
 from .periodization import (
     FiberFunction,
     ZKernel,
-    ZKernelCF,
     ZKernelFC,
     _block_coords,
     _block_index,
@@ -93,27 +92,16 @@ def _z_norm(a: ZKernel, mass: float) -> float:
 
 
 def _asym_sums(spec, radii, entries, mass: float) -> tuple[float, float]:
-    """(coarse-weighted row sup, fine-weighted column sup) shared by fc/cf."""
-    eps = spec.spacings()
-    ratios = spec.ratios()
+    """(coarse-weighted row sup, fine-weighted column sup); both readings
+    of a ``ZKernelFC`` share them.
+
+    Fine point w against the coarse point at offset m, in physical units:
+    row w sums over the coarse points, and the column of the coarse origin
+    collects every row, since u = w - L m carries entry (w, m)."""
     offsets = window_offsets(spec, radii)
-    block = _block_coords(spec)
-    # fine point w against coarse point at offset m: both in physical units
-    coarse_sum = 0.0
-    for wi, w in enumerate(block):
-        d = (w - offsets * ratios) * eps
-        coarse_sum = max(
-            coarse_sum,
-            float(spec.vol_c * (np.abs(entries[wi]) * np.exp(mass * np.linalg.norm(d, axis=1))).sum()),
-        )
-    # all fine points against the coarse origin: u = w - L m carries entry (w, m)
-    fine_sum = 0.0
-    for wi, w in enumerate(block):
-        u = (w - offsets * ratios) * eps
-        fine_sum += float(
-            spec.vol_f * (np.abs(entries[wi]) * np.exp(mass * np.linalg.norm(u, axis=1))).sum()
-        )
-    return coarse_sum, fine_sum
+    d = (_block_coords(spec)[:, None, :] - offsets * spec.ratios()) * spec.spacings()
+    row_sums = (np.abs(entries) * np.exp(mass * np.linalg.norm(d, axis=2))).sum(axis=1)
+    return float(spec.vol_c * row_sums.max()), float(sum(spec.vol_f * row_sums))
 
 
 def weighted_norm(kernel, mass: float) -> float:
@@ -123,7 +111,7 @@ def weighted_norm(kernel, mass: float) -> float:
         return _torus_norm(kernel, mass)
     if isinstance(kernel, ZKernel):
         return _z_norm(kernel, mass)
-    if isinstance(kernel, (ZKernelFC, ZKernelCF)):
+    if isinstance(kernel, ZKernelFC):
         coarse_sum, fine_sum = _asym_sums(
             kernel.spec, kernel.radii, np.asarray(kernel.entries), mass
         )

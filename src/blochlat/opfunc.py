@@ -287,35 +287,36 @@ def _fiber_quadrature(matrix: np.ndarray, fn, contour) -> np.ndarray:
     )
 
 
+def _map_fibers(kernel: PeriodicKernel, per_fiber) -> PeriodicKernel:
+    """Torus kernel whose fiber at each momentum is ``per_fiber`` of the
+    kernel's fiber matrix there."""
+    return reconstruct(kernel.family, [
+        BlochFiber(fiber.k, per_fiber(np.asarray(fiber.entries)), fiber.rep)
+        for fiber in bloch_fibers(kernel)
+    ])
+
+
 def function_of_operator(kernel: PeriodicKernel, fn: Callable[[complex], complex],
                          contour) -> PeriodicKernel:
     """Apply a holomorphic function to a torus operator, fiber by fiber."""
-    out = []
-    for fiber in bloch_fibers(kernel):
-        entries = _fiber_quadrature(np.asarray(fiber.entries), fn, contour)
-        out.append(BlochFiber(fiber.k, entries, fiber.rep))
-    return reconstruct(kernel.family, out)
+    return _map_fibers(kernel, lambda matrix: _fiber_quadrature(matrix, fn, contour))
 
 
 def function_of_operator_nodes(kernel: PeriodicKernel, fn, contour,
                                nodes: int) -> PeriodicKernel:
     """Fixed-node variant, for convergence studies; no adaptivity."""
     zs, ws = contour_nodes(contour, nodes)
-    out = []
-    for fiber in bloch_fibers(kernel):
-        matrix = np.asarray(fiber.entries)
+
+    def per_fiber(matrix):
         _validate_spectrum(contour, np.linalg.eigvals(matrix))
-        out.append(BlochFiber(fiber.k, _node_sum(matrix, fn, zs, ws), fiber.rep))
-    return reconstruct(kernel.family, out)
+        return _node_sum(matrix, fn, zs, ws)
+
+    return _map_fibers(kernel, per_fiber)
 
 
 def resolvent_kernel(kernel: PeriodicKernel, zeta: complex) -> PeriodicKernel:
     """Torus kernel of (zeta - A)^(-1)."""
-    out = []
-    for fiber in bloch_fibers(kernel):
-        entries = resolvent_fiber(np.asarray(fiber.entries), zeta)
-        out.append(BlochFiber(fiber.k, entries, fiber.rep))
-    return reconstruct(kernel.family, out)
+    return _map_fibers(kernel, lambda matrix: resolvent_fiber(matrix, zeta))
 
 
 def function_fiber(source, fn, contour) -> FiberFunction:

@@ -222,13 +222,13 @@ def momentum_matrix(kernel: PeriodicKernel) -> MomentumMatrix:
     return MomentumMatrix(fam, out)
 
 
-def kernel_from_momentum(m: MomentumMatrix, check: bool = True) -> PeriodicKernel:
+def kernel_from_momentum(m: MomentumMatrix) -> PeriodicKernel:
     """Invert :func:`momentum_matrix` by the double momentum sum."""
     fam = m.family
     ph = _site_phases(fam)
     factor = fam.hvol_f / (2.0 * np.pi) ** (1 + fam.spec.dim)
     entries = factor * (ph.T @ m.entries @ np.conj(ph))
-    return periodic_kernel(fam, entries, check=check)
+    return periodic_kernel(fam, entries)
 
 
 def _canonical_reps(family: LatticeFamily) -> np.ndarray:

@@ -20,9 +20,11 @@ quadrature over the dual-coarse Brillouin zone; the integrand is a
 trigonometric polynomial, so a uniform grid of ``2 * radius + 1`` nodes per
 axis is always exact.
 
-Asymmetric kernels map between the coarse and fine lattices: b(u, x) rows
-are fine, columns coarse ("fc"); c(x, u) the reverse ("cf").  Both carry a
-single dual-block index in momentum space.
+An asymmetric kernel between the fine and coarse lattices is one
+coarse-invariant window table, ``ZKernelFC``, read in two directions: the
+``_fc`` functions read it as b(u, x), fine rows and coarse columns, and the
+``_cf`` functions as its transpose c(x, u) = b(u, x).  Either reading
+carries a single dual-block index in momentum space.
 """
 
 from __future__ import annotations
@@ -46,22 +48,18 @@ from .periodic_op import BlochFiber, PeriodicKernel, periodic_kernel
 __all__ = [
     "ZKernel",
     "ZKernelFC",
-    "ZKernelCF",
     "ZField",
     "FiberFunction",
     "window_offsets",
     "window_shape",
     "zkernel",
     "zkernel_fc",
-    "zkernel_cf",
     "identity_zkernel",
     "shift_zkernel",
     "translation_invariant_zkernel",
     "periodize",
     "compose_z",
     "transpose_z",
-    "transpose_fc",
-    "transpose_cf",
     "fiber_hat",
     "fiber_function",
     "fiber_hat_fc",
@@ -139,23 +137,13 @@ class ZKernel:
 
 @dataclass(frozen=True)
 class ZKernelFC:
-    """Kernel b(u, x), fine rows and coarse columns, coarse-invariant.
+    """Coarse-invariant kernel between the fine and coarse lattices.
 
-    ``entries[w, m]`` holds b(w, x) at the coarse point x with coarse-step
-    offset m over the window.
-    """
-
-    spec: LatticeSpec
-    radii: tuple[int, ...]
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
-class ZKernelCF:
-    """Kernel c(x, u), coarse rows and fine columns, coarse-invariant.
-
-    ``entries[w, m]`` holds c(x, w) at the coarse point x with coarse-step
-    offset m over the window.
+    ``entries[w, m]`` holds b(w, x) = c(x, w) at the coarse point x with
+    coarse-step offset m over the window.  ``fiber_hat_fc``, ``apply_fc``
+    and ``scaled_fiber_fc`` read the table as b(u, x), fine rows and coarse
+    columns; ``fiber_hat_cf``, ``apply_cf`` and ``scaled_fiber_cf`` read it
+    as the transpose c(x, u), coarse rows and fine columns.
     """
 
     spec: LatticeSpec
@@ -191,11 +179,6 @@ def zkernel(spec: LatticeSpec, radii, entries) -> ZKernel:
 def zkernel_fc(spec: LatticeSpec, radii, entries) -> ZKernelFC:
     radii, arr = _wrap_entries(spec, radii, entries)
     return ZKernelFC(spec, radii, arr)
-
-
-def zkernel_cf(spec: LatticeSpec, radii, entries) -> ZKernelCF:
-    radii, arr = _wrap_entries(spec, radii, entries)
-    return ZKernelCF(spec, radii, arr)
 
 
 def identity_zkernel(spec: LatticeSpec) -> ZKernel:
@@ -297,16 +280,6 @@ def transpose_z(a: ZKernel) -> ZKernel:
     return zkernel(spec, a.radii, out)
 
 
-def transpose_fc(b: ZKernelFC) -> ZKernelCF:
-    """b*(x, u) = b(u, x); the stored window is reinterpreted in place."""
-    return zkernel_cf(b.spec, b.radii, np.asarray(b.entries))
-
-
-def transpose_cf(c: ZKernelCF) -> ZKernelFC:
-    """c*(u, x) = c(x, u); the stored window is reinterpreted in place."""
-    return zkernel_fc(c.spec, c.radii, np.asarray(c.entries))
-
-
 # ---------------------------------------------------------------------------
 # momentum fibers
 # ---------------------------------------------------------------------------
@@ -372,7 +345,7 @@ def fiber_hat_fc(b: ZKernelFC, k) -> np.ndarray:
     return spec.vol_f * (np.conj(ew) @ (ekw * g))
 
 
-def fiber_hat_cf(c: ZKernelCF, k) -> np.ndarray:
+def fiber_hat_cf(c: ZKernelFC, k) -> np.ndarray:
     """Dual-block row vector of a coarse-from-fine kernel at momentum k."""
     spec = c.spec
     k = _momentum(spec, k)
@@ -526,7 +499,7 @@ def apply_fc(family: LatticeFamily, b: ZKernelFC, psi: FieldVector) -> FieldVect
     return family.field("fine", out)
 
 
-def apply_cf(family: LatticeFamily, c: ZKernelCF, phi: FieldVector) -> FieldVector:
+def apply_cf(family: LatticeFamily, c: ZKernelFC, phi: FieldVector) -> FieldVector:
     """Torus action of the periodized kernel: coarse field from a fine one."""
     if phi.tag != "fine":
         raise ValueError(f"cf kernel acts on fine fields, got {phi.tag!r}")

@@ -12,11 +12,9 @@ import numpy as np
 from .lattice import LatticeFamily
 from .periodization import (
     ZKernel,
-    ZKernelCF,
     ZKernelFC,
     window_shape,
     zkernel,
-    zkernel_cf,
     zkernel_fc,
 )
 from .periodic_op import PeriodicKernel, periodic_kernel
@@ -25,7 +23,6 @@ __all__ = [
     "rng_from_seed",
     "random_zkernel",
     "random_zkernel_fc",
-    "random_zkernel_cf",
     "random_periodic_kernel",
     "random_field_values",
 ]
@@ -36,41 +33,30 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def _window_values(spec, radii, rng, complex_entries):
-    shape = (spec.l_t * spec.l_x**spec.dim,) + window_shape(spec, radii)
+def _uniform(rng, shape) -> np.ndarray:
+    """Complex entries uniform on [-1, 1] in each part, real parts drawn first."""
     out = rng.uniform(-1.0, 1.0, size=shape)
-    if complex_entries:
-        out = out + 1j * rng.uniform(-1.0, 1.0, size=shape)
-    return out
+    return out + 1j * rng.uniform(-1.0, 1.0, size=shape)
 
 
-def random_zkernel(spec, radii, rng, complex_entries: bool = True) -> ZKernel:
+def _window_values(spec, radii, rng):
+    return _uniform(rng, (spec.l_t * spec.l_x**spec.dim,) + window_shape(spec, radii))
+
+
+def random_zkernel(spec, radii, rng) -> ZKernel:
     """Coarse-invariant infinite-lattice kernel with uniform window entries."""
-    return zkernel(spec, radii, _window_values(spec, radii, rng, complex_entries))
+    return zkernel(spec, radii, _window_values(spec, radii, rng))
 
 
-def random_zkernel_fc(spec, radii, rng, complex_entries: bool = True) -> ZKernelFC:
-    return zkernel_fc(spec, radii, _window_values(spec, radii, rng, complex_entries))
+def random_zkernel_fc(spec, radii, rng) -> ZKernelFC:
+    return zkernel_fc(spec, radii, _window_values(spec, radii, rng))
 
 
-def random_zkernel_cf(spec, radii, rng, complex_entries: bool = True) -> ZKernelCF:
-    return zkernel_cf(spec, radii, _window_values(spec, radii, rng, complex_entries))
-
-
-def random_periodic_kernel(family: LatticeFamily, rng,
-                           complex_entries: bool = True) -> PeriodicKernel:
+def random_periodic_kernel(family: LatticeFamily, rng) -> PeriodicKernel:
     """Random coarse-invariant torus kernel: free rows on block representatives,
     extended over the torus by coarse translations."""
-    rows = rng.uniform(-1.0, 1.0, size=(family.n_block, family.n_fine))
-    if complex_entries:
-        rows = rows + 1j * rng.uniform(-1.0, 1.0, size=rows.shape)
-    return periodic_kernel(family, rows)
+    return periodic_kernel(family, _uniform(rng, (family.n_block, family.n_fine)))
 
 
-def random_field_values(family: LatticeFamily, tag: str, rng,
-                        complex_entries: bool = True) -> np.ndarray:
-    n = family.count(tag)
-    out = rng.uniform(-1.0, 1.0, size=n)
-    if complex_entries:
-        out = out + 1j * rng.uniform(-1.0, 1.0, size=n)
-    return out
+def random_field_values(family: LatticeFamily, tag: str, rng) -> np.ndarray:
+    return _uniform(rng, family.count(tag))

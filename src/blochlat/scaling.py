@@ -28,13 +28,11 @@ from .periodic_op import BlochFiber
 from .periodization import (
     ZField,
     ZKernel,
-    ZKernelCF,
     ZKernelFC,
     fiber_hat,
     fiber_hat_cf,
     fiber_hat_fc,
     zkernel,
-    zkernel_cf,
     zkernel_fc,
 )
 
@@ -88,7 +86,7 @@ def mass_transfer(factors: ScaleFactors) -> float:
     return max(1.0 / factors.time, 1.0 / factors.space)
 
 
-_BUILDERS = {ZKernel: zkernel, ZKernelFC: zkernel_fc, ZKernelCF: zkernel_cf}
+_BUILDERS = {ZKernel: zkernel, ZKernelFC: zkernel_fc}
 
 
 def scale_kernel(kernel, factors: ScaleFactors):
@@ -127,5 +125,5 @@ def scaled_fiber_fc(b: ZKernelFC, factors: ScaleFactors, k) -> np.ndarray:
     return fiber_hat_fc(b, _compressed(b.spec, factors, k))
 
 
-def scaled_fiber_cf(c: ZKernelCF, factors: ScaleFactors, k) -> np.ndarray:
+def scaled_fiber_cf(c: ZKernelFC, factors: ScaleFactors, k) -> np.ndarray:
     return fiber_hat_cf(c, _compressed(c.spec, factors, k))

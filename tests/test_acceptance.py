@@ -70,7 +70,6 @@ from blochlat.rand import (
     random_field_values,
     random_periodic_kernel,
     random_zkernel,
-    random_zkernel_cf,
     random_zkernel_fc,
     rng_from_seed,
 )
@@ -481,7 +480,7 @@ def test_criterion_8_scaling_laws():
     assert weighted_norm(scaled, threshold) <= weighted_norm(a, mass) * (1.0 + 1e-12)
 
     b = random_zkernel_fc(REF, (2, 2), rng)
-    c = random_zkernel_cf(REF, (1, 2), rng)
+    c = random_zkernel_fc(REF, (1, 2), rng)
     dev_asym = 0.0
     for k in _sample_momenta(REF, rng, 5, 0.5):
         k_s = k * sigma.vector(REF)

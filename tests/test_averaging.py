@@ -5,16 +5,15 @@ import pytest
 
 from blochlat.lattice import LatticeSpec, build_family, inner
 from blochlat.averaging import (
+    averaging_kernel,
     dirichlet_average,
     naive_profile,
     profile_hat,
     prolong_field,
     prolong_restrict_fiber,
     prolong_restrict_kernel,
-    prolongation_kernel,
     restrict_field,
     restrict_prolong_profile,
-    restriction_kernel,
     smooth_profile,
 )
 from blochlat.periodization import (
@@ -228,10 +227,10 @@ def test_asymmetric_kernel_fibers_are_profile_responses():
     p = smooth_profile(REF, 2)
     ells = dual_block_phys(REF)
     for k in (np.array([0.4, 1.1]), np.array([-0.2 + 0.3j, 0.8])):
-        got_r = fiber_hat_cf(restriction_kernel(p), k)
+        got_r = fiber_hat_cf(averaging_kernel(p), k)
         want_r = np.array([profile_hat(p, k + ell) for ell in ells])
         np.testing.assert_allclose(got_r, want_r, atol=1e-12)
-        got_p = fiber_hat_fc(prolongation_kernel(p), k)
+        got_p = fiber_hat_fc(averaging_kernel(p), k)
         want_p = np.array([profile_hat(p, -(k + ell)) for ell in ells])
         np.testing.assert_allclose(got_p, want_p, atol=1e-12)
 

@@ -264,6 +264,37 @@ def test_invalid_values_are_rejected(tmp_path, capsys):
         assert needle in capsys.readouterr().err
 
 
+FUNCALC_PARAMS = """
+[params]
+function = identity
+contour_center = {center}
+contour_radius = 5.0
+mass = {mass}
+"""
+
+
+@pytest.mark.parametrize("text, key", [
+    (REF_LINES.format(task="decay") + "\n[params]\ntarget_mass = abc\n",
+     "params.target_mass"),
+    (REF_LINES.format(task="verify").replace("eps_t = 1.0", "eps_t = inf"),
+     "lattice.eps_t"),
+    (REF_LINES.format(task="decay") + "\n[params]\nmass = nan\n", "params.mass"),
+    (REF_LINES.format(task="funcalc") + FUNCALC_PARAMS.format(center="10", mass="nan"),
+     "params.mass"),
+    (REF_LINES.format(task="norms") + "\n[params]\nmasses = 1,nan\n", "params.masses"),
+    (REF_LINES.format(task="funcalc") + FUNCALC_PARAMS.format(center="nan", mass="0.25"),
+     "params.contour_center"),
+], ids=["target_mass_abc", "eps_t_inf", "decay_mass_nan", "funcalc_mass_nan",
+        "masses_nan", "contour_center_nan"])
+def test_malformed_and_non_finite_numbers_exit_two(tmp_path, capsys, text, key):
+    config = write_config(tmp_path, text)
+    assert run(config, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_missing_config_exits_two(tmp_path, capsys):
     assert run(str(tmp_path / "absent.ini"), tmp_path / "out") == 2
     assert "not found" in capsys.readouterr().err

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blochlat.averaging import naive_profile, restriction_kernel
+from blochlat.averaging import averaging_kernel, naive_profile
 from blochlat.lattice import LatticeSpec
 from blochlat.norms import weighted_norm
 from blochlat.periodization import (
@@ -17,7 +17,6 @@ from blochlat.periodization import (
 )
 from blochlat.rand import (
     random_zkernel,
-    random_zkernel_cf,
     random_zkernel_fc,
     rng_from_seed,
 )
@@ -103,7 +102,7 @@ def test_scaled_fiber_reads_original_at_compressed_momentum():
 def test_scaled_fiber_identity_for_asymmetric_kernels():
     rng = rng_from_seed(14)
     b = random_zkernel_fc(REF, (2, 2), rng)
-    c = random_zkernel_cf(REF, (1, 2), rng)
+    c = random_zkernel_fc(REF, (1, 2), rng)
     for _ in range(4):
         k = rng.normal(size=2) + 1j * 0.2 * rng.normal(size=2)
         np.testing.assert_allclose(
@@ -122,7 +121,7 @@ def test_scaled_norm_bounded_by_transferred_mass():
         for make, radii in (
             (random_zkernel, (2, 1)),
             (random_zkernel_fc, (1, 2)),
-            (random_zkernel_cf, (2, 1)),
+            (random_zkernel_fc, (2, 1)),
         ):
             kernel = make(REF, radii, rng)
             lhs = weighted_norm(scale_kernel(kernel, SIGMA), mass)
@@ -145,9 +144,9 @@ def test_norm_transfer_is_tight_on_the_weakly_contracted_axis():
     ) * (1.0 - 1e-6)
 
 
-def test_restriction_kernel_commutes_with_scaling():
-    direct = restriction_kernel(naive_profile(scale_spec(REF, SIGMA)))
-    routed = scale_kernel(restriction_kernel(naive_profile(REF)), SIGMA)
+def test_averaging_kernel_commutes_with_scaling():
+    direct = averaging_kernel(naive_profile(scale_spec(REF, SIGMA)))
+    routed = scale_kernel(averaging_kernel(naive_profile(REF)), SIGMA)
     assert direct.spec == routed.spec
     assert direct.radii == routed.radii
     np.testing.assert_allclose(direct.entries, routed.entries, rtol=1e-14)
