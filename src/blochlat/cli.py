@@ -5,8 +5,11 @@ lattice and kernel, and writes machine-readable reports:
 
 * ``report.json``   deterministic given (config, seed); byte-identical
                     across repeated runs
-* ``summary.json``  the same rows plus ``elapsed_ms``
-* ``<task>.csv``    bulk numeric output where the task produces matrices
+* ``summary.json``  the same rows plus ``elapsed_ms`` and ``stage_ms``
+* ``<task>.csv``    bulk numeric output where the task produces matrices;
+                    ``_write_csv`` fills one ``%.17g`` template per chunk (a
+                    fiber, a block site), so floats read back bit-exact, and
+                    writes it before the next, so memory holds one chunk
 
 Config sections are ``[lattice]``, ``[kernel]``, ``[task]``, ``[params]``;
 unknown sections or keys are rejected by name so typos cannot silently
@@ -22,7 +25,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import configparser
-import csv
 import json
 import math
 import os
@@ -79,10 +81,6 @@ _PARAM_KEYS_BY_TASK = {
 
 class ConfigError(Exception):
     """Configuration rejected; the message names the offending field."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _parse_float(section, key, text: str) -> float:
@@ -198,6 +196,8 @@ def _read_explicit_entries(spec: LatticeSpec, path: str):
                 values = [float(p) for p in parts]
             except ValueError:
                 raise ConfigError(f"kernel.entries line {lineno}: non-numeric field")
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"kernel.entries line {lineno}: non-finite field")
             rows.append((lineno, values))
     if not rows:
         raise ConfigError(f"kernel.entries file {path} holds no entries")
@@ -206,8 +206,8 @@ def _read_explicit_entries(spec: LatticeSpec, path: str):
     for lineno, values in rows:
         w = values[:n]
         d = values[n:2 * n]
-        if any(c != int(c) for c in w + d):
-            raise ConfigError(f"kernel.entries line {lineno}: coordinates must be integers")
+        if any(c != int(c) or abs(c) >= 2 ** 63 for c in w + d):
+            raise ConfigError(f"kernel.entries line {lineno}: coordinates must be int64")
         if any(not (0 <= int(c) < r) for c, r in zip(w, ratios)):
             raise ConfigError(
                 f"kernel.entries line {lineno}: block site outside the block"
@@ -344,14 +344,14 @@ class Job:
         return name, FUNCTIONS[name]
 
 
-def _fiber_rows(spec, matrices):
-    """CSV rows (k indices, flat row/col labels, re, im) per fiber matrix."""
+def _fiber_chunks(spec, matrices):
+    """``_write_csv`` chunks per fiber: labels "k indices,row,col,", values re, im."""
+    n = int(np.prod(spec.ratios()))
+    suffixes = [f"{i},{j}," for i in range(n) for j in range(n)]
     for rep, matrix in matrices:
-        base = [str(int(c)) for c in rep]
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                yield base + [str(i), str(j),
-                              _fmt(matrix[i, j].real), _fmt(matrix[i, j].imag)]
+        base = "".join(f"{int(c)}," for c in rep)
+        yield ([base + s for s in suffixes],
+               np.ascontiguousarray(matrix, dtype=complex).view(float).reshape(-1, 2))
 
 
 def _fiber_header(spec) -> list[str]:
@@ -368,7 +368,7 @@ def _run_fibers(job: Job, outdir: str):
         for rep in job.family.coords("dual_coarse")
     ]
     _write_csv(os.path.join(outdir, "fibers.csv"), _fiber_header(spec),
-               _fiber_rows(spec, matrices))
+               _fiber_chunks(spec, matrices))
     return []
 
 
@@ -377,11 +377,11 @@ def _run_norms(job: Job, outdir: str):
     if not masses or any(m < 0 for m in masses):
         raise ConfigError("params.masses must be non-negative numbers")
     rng = rng_from_seed(job.seed)
-    checks, table = [], []
-    for mass in masses:
+    checks, values = [], np.empty((len(masses), 3))
+    for row, mass in zip(values, masses):
         z_norm = weighted_norm(job.kernel, mass)
         t_norm = weighted_norm(job.torus, mass)
-        table.append([_fmt(mass), _fmt(z_norm), _fmt(t_norm)])
+        row[:] = mass, z_norm, t_norm
         checks.append(_le(f"torus_norm_dominated[m={mass:g}]",
                           "lemBOlonelinfty.b", t_norm, z_norm))
         sup = 0.0
@@ -390,7 +390,7 @@ def _run_norms(job: Job, outdir: str):
         checks.append(_le(f"fiber_sup_bound[m={mass:g}]",
                           "lemBOlonelinfty.a", sup, z_norm))
     _write_csv(os.path.join(outdir, "norms.csv"),
-               ["mass", "window_norm", "torus_norm"], table)
+               ["mass", "window_norm", "torus_norm"], [([""] * len(masses), values)])
     return checks
 
 
@@ -400,17 +400,14 @@ def _run_decay(job: Job, outdir: str):
     bound = fiber_decay_bound(f, job.kernel.radii, mass)
     entries = np.abs(np.asarray(job.kernel.entries))
     offsets = window_offsets(job.spec, job.kernel.radii)
-    ratios = tuple(int(r) for r in job.spec.ratios())
-    table = (
-        [str(int(c)) for c in np.unravel_index(w_idx, ratios)]
-        + [str(int(c)) for c in d]
-        + [_fmt(entries[w_idx, d_idx]), _fmt(bound[w_idx, d_idx])]
-        for w_idx in range(entries.shape[0])
-        for d_idx, d in enumerate(offsets)
+    d_labels = [",".join(map(str, d)) + "," for d in offsets.tolist()]
+    chunks = (
+        ([",".join(map(str, w)) + "," + d for d in d_labels], np.column_stack((e, b)))
+        for w, e, b in zip(np.ndindex(*job.spec.ratios()), entries, bound)
     )
     header = [f"w_index_{a}" for a in range(job.spec.n_axes)] + [
         f"d_index_{a}" for a in range(job.spec.n_axes)] + ["abs_entry", "bound"]
-    _write_csv(os.path.join(outdir, "decay.csv"), header, table)
+    _write_csv(os.path.join(outdir, "decay.csv"), header, chunks)
     scale = max(entries.max(), 1e-300)
     checks = [_le(f"entrywise_decay_bound[m={mass:g}]", "lemBOlonelinfty.b",
                   float((entries - bound).max()), 1e-12 * scale)]
@@ -424,11 +421,9 @@ def _run_decay(job: Job, outdir: str):
 
 def _run_funcalc(job: Job, outdir: str):
     result = function_of_operator(job.torus, job.fn, job.contour)
-    matrices = [
-        (fiber.rep, np.asarray(fiber.entries)) for fiber in bloch_fibers(result)
-    ]
+    matrices = [(fiber.rep, fiber.entries) for fiber in bloch_fibers(result)]
     _write_csv(os.path.join(outdir, "funcalc.csv"), _fiber_header(job.spec),
-               _fiber_rows(job.spec, matrices))
+               _fiber_chunks(job.spec, matrices))
     checks = []
     mass = job.mass
     if mass is not None:
@@ -453,11 +448,15 @@ _RUNNERS = {
 }
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(path: str, header, chunks) -> None:
+    """Write ``header``, then each ``(labels, values)`` chunk: row r is ``labels[r]``
+    ("" or integer fields each ending in ",") and then ``values[r]`` as %.17g cells."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for labels, values in chunks:
+            cells = ",".join(["%.17g"] * values.shape[1]) + "\n"
+            fh.write("".join(label + cells for label in labels)
+                     % tuple(values.ravel().tolist()))
 
 
 def _check_payload(results) -> list[dict]:
@@ -489,6 +488,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    built = time.perf_counter()
 
     try:
         os.makedirs(args.output, exist_ok=True)
@@ -509,9 +509,10 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     payload = _check_payload(results)
-    elapsed_ms = int(round((time.perf_counter() - started) * 1000.0))
+    elapsed_ms, job_ms = (round((t - started) * 1e3) for t in (time.perf_counter(), built))
     report = {"task": job.task, "checks": payload}
-    summary = {"checks": payload, "elapsed_ms": elapsed_ms}
+    summary = {"checks": payload, "elapsed_ms": elapsed_ms,
+               "stage_ms": {"job": job_ms, "task": elapsed_ms - job_ms}}
     try:
         with open(os.path.join(args.output, "report.json"), "w") as fh:
             json.dump(report, fh, indent=2)

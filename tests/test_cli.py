@@ -9,8 +9,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from blochlat.cli import main
+from blochlat.cli import _write_csv, main
 from blochlat.lattice import LatticeSpec, steps
 from blochlat.periodization import fiber_hat, window_offsets, zkernel
 
@@ -69,6 +72,19 @@ def test_verify_task_passes_and_reports_anchors(tmp_path):
         summary = json.load(fh)
     assert summary["checks"] == rows
     assert isinstance(summary["elapsed_ms"], int)
+
+
+def test_summary_stage_times_add_up_to_elapsed(tmp_path):
+    config = write_config(tmp_path, REF_LINES.format(task="fibers"))
+    out = tmp_path / "out"
+    assert run(config, out) == 0
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    stages = summary["stage_ms"]
+    assert set(stages) == {"job", "task"}
+    assert all(isinstance(v, int) and v >= 0 for v in stages.values())
+    assert abs(stages["job"] + stages["task"] - summary["elapsed_ms"]) <= 2
+    assert "stage_ms" not in read_report(out)
 
 
 def test_reports_byte_identical_for_same_seed(tmp_path):
@@ -293,6 +309,68 @@ def test_malformed_and_non_finite_numbers_exit_two(tmp_path, capsys, text, key):
     assert key in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "0,0,0,0,nan,0",
+    "0,0,0,0,inf,0",
+    "0,0,inf,0,1.0,0",
+    "0,0,1e30,0,1.0,0",
+], ids=["value_nan", "value_inf", "offset_inf", "offset_beyond_int64"])
+def test_bad_explicit_entries_exit_two(tmp_path, capsys, line):
+    entries_path = tmp_path / "entries.csv"
+    entries_path.write_text("w_0,w_1,d_0,d_1,re,im\n" + line + "\n")
+    config = write_config(tmp_path, REF_LINES.format(task="norms").replace(
+        "type = random\nsupport_radius = 2\nseed = 7",
+        f"type = explicit\nentries = {entries_path}"))
+    assert run(config, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "kernel.entries line 2" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@st.composite
+def _csv_chunks(draw):
+    n_cols = draw(st.integers(1, 4))
+    chunks = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_rows = draw(st.integers(0, 5))
+        labels = draw(st.lists(st.lists(st.integers(-20, 20), max_size=3),
+                               min_size=n_rows, max_size=n_rows))
+        values = draw(arrays(np.float64, (n_rows, n_cols),
+                             elements=st.floats(width=64, allow_subnormal=True)))
+        chunks.append((labels, values))
+    return n_cols, chunks
+
+
+@settings(derandomize=True, database=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_chunks())
+@example((3, [
+    ([[0, -1], [], [7]], np.array([[np.nan, np.inf, -np.inf],
+                                   [0.0, -0.0, 5e-324],
+                                   [-2.2250738585072009e-308, 1.7976931348623157e308, 0.1]])),
+    ([], np.empty((0, 3))),
+]))
+def test_write_csv_matches_csv_writer(tmp_path, drawn):
+    # the %-template writer must reproduce csv.writer fed format(x, ".17g")
+    # cells byte for byte, special values included
+    n_cols, chunks = drawn
+    header = [f"c{i}" for i in range(n_cols)]
+    path = tmp_path / "got.csv"
+    _write_csv(str(path), header, [
+        (["".join(f"{c}," for c in label) for label in labels], values)
+        for labels, values in chunks
+    ])
+    with open(tmp_path / "expected.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for labels, values in chunks:
+            writer.writerows([str(c) for c in label]
+                             + [format(float(x), ".17g") for x in row]
+                             for label, row in zip(labels, values))
+    assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_missing_config_exits_two(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Memory guards: coarse-invariant kernels stay at their block rows on the
-periodize -> function -> fibers path, so no n_fine x n_fine array forms.
+periodize -> function -> fibers path, so no n_fine x n_fine array forms, and
+the CLI streams its CSVs one fiber at a time.
 
 Peaks are ``tracemalloc`` readings of this process.
 """
@@ -8,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 
+from blochlat.cli import _fiber_chunks, _fiber_header, _write_csv
 from blochlat.lattice import LatticeSpec, build_family
 from blochlat.opfunc import Circle, function_of_operator, make_polynomial
 from blochlat.periodic_op import bloch_fibers, reconstruct
@@ -38,6 +40,23 @@ def test_funcalc_path_stays_below_one_dense_kernel():
     fibers, peak = _traced_peak_mb(run)
     assert len(fibers) == fam.n_coarse
     assert peak < 8.0
+
+
+def test_funcalc_csv_is_written_one_fiber_at_a_time(tmp_path):
+    # the 972-site funcalc.csv holds 52,488 floats, 1.3 MB of text; a writer
+    # that builds the whole file at once peaks near 4 MB
+    spec = LatticeSpec(1.0, 1.0, 3, 3, 12, 9, dim=2)
+    fam = build_family(spec)
+    z = random_zkernel(spec, (2, 2, 2), rng_from_seed(41))
+    matrices = [(f.rep, f.entries) for f in bloch_fibers(periodize(z, fam))]
+    path = tmp_path / "funcalc.csv"
+
+    def run():
+        _write_csv(str(path), _fiber_header(spec), _fiber_chunks(spec, matrices))
+
+    _, peak = _traced_peak_mb(run)
+    assert path.stat().st_size > 1_000_000
+    assert peak < 1.0
 
 
 def test_dim3_round_trip_fits_without_the_dense_kernel():
