@@ -162,18 +162,13 @@ def averaging_kernel(profile: Profile) -> ZKernelFC:
     spec = profile.spec
     radii_c = _coarse_radii(profile)
     ratios = spec.ratios()
-    block = _block_coords(spec)
-    offsets = window_offsets(spec, radii_c)
-    entries = np.zeros((len(block), len(offsets)), dtype=complex)
-    for wi, w in enumerate(block):
-        for mi, m in enumerate(offsets):
-            z = w - m * ratios
-            if (np.abs(z) <= profile.radii).all():
-                val = 1.0
-                for axis, weights in enumerate(profile.axis_weights):
-                    val *= weights[int(z[axis]) + profile.radii[axis]]
-                entries[wi, mi] = val / spec.vol_f
-    return zkernel_fc(spec, radii_c, entries)
+    z = _block_coords(spec)[:, None, :] - window_offsets(spec, radii_c) * ratios
+    radii = np.asarray(profile.radii)
+    val = np.ones(z.shape[:2])
+    for axis, weights in enumerate(profile.axis_weights):
+        val = val * weights[np.clip(z[..., axis] + radii[axis], 0, 2 * radii[axis])]
+    inside = (np.abs(z) <= radii).all(axis=2)
+    return zkernel_fc(spec, radii_c, np.where(inside, val / spec.vol_f, 0.0))
 
 
 def restrict_field(family: LatticeFamily, profile: Profile,
@@ -234,15 +229,10 @@ def prolong_restrict_kernel(profile: Profile) -> ZKernel:
         tables.append(g)
     block = _block_coords(spec)
     offsets = window_offsets(spec, radii)
-    entries = np.zeros((len(block), len(offsets)), dtype=complex)
-    pref = spec.vol_c / spec.vol_f**2
-    for wi, wc in enumerate(block):
-        for di, d in enumerate(offsets):
-            val = pref
-            for axis in range(spec.n_axes):
-                val *= tables[axis][int(wc[axis]), int(d[axis]) + 2 * profile.radii[axis]]
-            entries[wi, di] = val
-    return zkernel(spec, radii, entries)
+    val = np.full((len(block), len(offsets)), spec.vol_c / spec.vol_f**2)
+    for axis in range(spec.n_axes):
+        val = val * tables[axis][block[:, None, axis], offsets[:, axis] + radii[axis]]
+    return zkernel(spec, radii, val)
 
 
 def prolong_restrict_fiber(profile: Profile, k) -> BlochFiber:

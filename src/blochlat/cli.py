@@ -45,6 +45,7 @@ from .opfunc import (
 )
 from .periodic_op import bloch_fibers
 from .periodization import (
+    _check_window_fits,
     fiber_function,
     fiber_hat,
     normalize_radii,
@@ -174,7 +175,7 @@ def _build_spec(section) -> LatticeSpec:
         raise ConfigError(f"lattice: {exc}")
 
 
-def _read_explicit_entries(spec: LatticeSpec, path: str):
+def _read_explicit_entries(spec: LatticeSpec, path: str, fit: bool):
     if not os.path.isfile(path):
         raise ConfigError(f"kernel.entries file not found: {path}")
     n = spec.n_axes
@@ -212,15 +213,20 @@ def _read_explicit_entries(spec: LatticeSpec, path: str):
             raise ConfigError(
                 f"kernel.entries line {lineno}: block site outside the block"
             )
+        if fit:
+            try:
+                _check_window_fits(spec, [abs(int(c)) for c in d], spec.fine_extents())
+            except ValueError as exc:
+                raise ConfigError(f"kernel.entries line {lineno}: {exc}")
         radii = [max(r, abs(int(c))) for r, c in zip(radii, d)]
     radii = tuple(radii)
-    offsets = window_offsets(spec, radii)
-    n_window = len(offsets)
-    strides = {}
-    for idx, off in enumerate(offsets):
-        strides[tuple(int(c) for c in off)] = idx
-    n_block = int(np.prod(ratios))
-    entries = np.zeros((n_block, n_window), dtype=complex)
+    try:
+        offsets = window_offsets(spec, radii)
+        entries = np.zeros((int(np.prod(ratios)), len(offsets)), dtype=complex)
+    except MemoryError:
+        widest = max(rows, key=lambda row: max(map(abs, row[1][n:2 * n])))[0]
+        raise ConfigError(f"kernel.entries line {widest}: {_unstorable(radii)}")
+    strides = {tuple(int(c) for c in off): idx for idx, off in enumerate(offsets)}
     seen = set()
     for lineno, values in rows:
         w = tuple(int(c) for c in values[:n])
@@ -242,7 +248,13 @@ def _is_number(text: str) -> bool:
         return False
 
 
-def _build_kernel(spec: LatticeSpec, section, kind: str, seed: int):
+def _unstorable(radii) -> str:
+    return (f"a window of {math.prod(2 * r + 1 for r in radii)} offsets per "
+            "block site cannot be stored")
+
+
+def _build_kernel(spec: LatticeSpec, section, kind: str, seed: int, fit: bool):
+    """The kernel; with ``fit`` a window wider than the torus is rejected first."""
     try:
         if kind == "naive_qstarq":
             return prolong_restrict_kernel(naive_profile(spec))
@@ -253,7 +265,7 @@ def _build_kernel(spec: LatticeSpec, section, kind: str, seed: int):
             path = section.get("entries")
             if path is None:
                 raise ConfigError("missing required key kernel.entries")
-            return _read_explicit_entries(spec, path)
+            return _read_explicit_entries(spec, path, fit)
         radius = section.get("support_radius", "2")
         try:
             radii = normalize_radii(
@@ -262,7 +274,15 @@ def _build_kernel(spec: LatticeSpec, section, kind: str, seed: int):
             )
         except ValueError:
             raise ConfigError(f"kernel.support_radius invalid: {radius!r}")
-        return random_zkernel(spec, radii, rng_from_seed(_get_int(section, "seed", seed)))
+        rng = rng_from_seed(_get_int(section, "seed", seed))
+        try:
+            if fit:
+                _check_window_fits(spec, radii, spec.fine_extents())
+            return random_zkernel(spec, radii, rng)
+        except ValueError as exc:
+            raise ConfigError(f"kernel.support_radius {radius!r}: {exc}")
+        except MemoryError:
+            raise ConfigError(f"kernel.support_radius {radius!r}: {_unstorable(radii)}")
     except ConfigError:
         raise
     except ValueError as exc:
@@ -292,10 +312,11 @@ class Job:
         self.task = task
         self.seed = seed
         self.spec = _build_spec(parser["lattice"])
-        self.kernel = _build_kernel(self.spec, parser["kernel"], kind, seed)
+        periodizes = task in ("norms", "funcalc", "verify")
+        self.kernel = _build_kernel(self.spec, parser["kernel"], kind, seed, periodizes)
         self.params = parser["params"]
         self.family = build_family(self.spec)
-        if task in ("norms", "funcalc", "verify"):
+        if periodizes:
             try:
                 self.torus = periodize(self.kernel, self.family)
             except ValueError as exc:

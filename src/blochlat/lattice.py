@@ -277,15 +277,14 @@ class LatticeFamily:
 
     def index(self, tag: str, coords) -> int:
         """Flat canonical index of (possibly unreduced) integer coords."""
-        ext = extents(self.spec, tag)
-        arr = np.asarray(coords, dtype=np.int64) % ext
-        return int(np.ravel_multi_index(tuple(arr.T), tuple(int(e) for e in ext)))
+        return int(self.indices(tag, coords))
 
     def indices(self, tag: str, coords) -> np.ndarray:
-        """Vectorized :meth:`index` for an (N, 1+dim) coordinate array."""
+        """Vectorized :meth:`index`: coords of shape (..., 1+dim) give
+        indices of shape (...)."""
         ext = extents(self.spec, tag)
         arr = np.asarray(coords, dtype=np.int64) % ext
-        return np.ravel_multi_index(tuple(arr.T), tuple(int(e) for e in ext))
+        return np.ravel_multi_index(tuple(np.moveaxis(arr, -1, 0)), tuple(int(e) for e in ext))
 
     def positions(self, tag: str, coords=None) -> np.ndarray:
         """Physical coordinates; all sites when ``coords`` is omitted."""
@@ -322,24 +321,22 @@ class LatticeFamily:
     def field(self, tag: str, values) -> FieldVector:
         if tag not in DIRECT_TAGS:
             raise ValueError(f"field values live on a direct lattice, got {tag!r}")
-        arr = np.array(values, dtype=complex)
-        if arr.shape != (self.count(tag),):
-            raise ValueError(
-                f"expected {self.count(tag)} values for {tag!r}, got shape {arr.shape}"
-            )
-        arr.flags.writeable = False
-        return FieldVector(arr, tag)
+        return FieldVector(self._site_values(tag, values), tag)
 
     def spectrum(self, tag: str, values) -> SpectrumVector:
         if tag not in DUAL_TAGS:
             raise ValueError(f"spectrum values live on a dual lattice, got {tag!r}")
+        return SpectrumVector(self._site_values(tag, values), tag)
+
+    def _site_values(self, tag: str, values) -> np.ndarray:
+        """Read-only complex copy of one value per site of the tagged lattice."""
         arr = np.array(values, dtype=complex)
         if arr.shape != (self.count(tag),):
             raise ValueError(
                 f"expected {self.count(tag)} values for {tag!r}, got shape {arr.shape}"
             )
         arr.flags.writeable = False
-        return SpectrumVector(arr, tag)
+        return arr
 
 
 def build_family(spec: LatticeSpec) -> LatticeFamily:
@@ -381,11 +378,8 @@ def torus_distance(family: LatticeFamily, a: Site, b: Site) -> float:
     """Geodesic distance between two sites of the same torus, physical units."""
     if a.tag != b.tag:
         raise ValueError(f"sites live on different lattices: {a.tag!r} vs {b.tag!r}")
-    ext = extents(family.spec, a.tag)
-    stp = steps(family.spec, a.tag)
-    delta = (np.asarray(a.coords, dtype=np.int64) - np.asarray(b.coords)) % ext
-    delta = np.minimum(delta, ext - delta).astype(float) * stp
-    return float(np.sqrt((delta**2).sum()))
+    pair = np.asarray([a.coords, b.coords], dtype=np.int64)
+    return float(_pair_distances(family.spec, a.tag, pair[:1], pair[1:])[0, 0])
 
 
 def inner(family: LatticeFamily, f: FieldVector, g: FieldVector) -> complex:

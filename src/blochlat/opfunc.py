@@ -29,6 +29,7 @@ stack the LU cannot factor, gets the exact SVD condition number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -83,6 +84,11 @@ def _cross(o: complex, a: complex, b: complex) -> float:
     return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
 
 
+def _edges(verts) -> list:
+    """The segments (a, b) of the closed polygon through ``verts``."""
+    return list(zip(verts, verts[1:] + verts[:1]))
+
+
 def _segments_cross(a, b, c, d) -> bool:
     d1 = _cross(c, d, a)
     d2 = _cross(c, d, b)
@@ -110,32 +116,22 @@ class Polyline:
                 f"a closed contour needs at least 3 distinct vertices, got {len(verts)}"
             )
         n = len(verts)
-        area = 0.0
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            area += a.real * b.imag - b.real * a.imag
-        if area <= 0.0:
+        edges = _edges(verts)
+        if sum(a.real * b.imag - b.real * a.imag for a, b in edges) <= 0.0:
             raise ValueError("contour must be positively oriented (counterclockwise)")
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
-                c, d = verts[j], verts[(j + 1) % n]
-                if _segments_cross(a, b, c, d):
-                    raise ValueError(
-                        f"contour segments {i} and {j} intersect; the contour "
-                        "must be simple"
-                    )
+        for i, j in combinations(range(n), 2):
+            # adjacent segments share a vertex; only the others must not cross
+            if j - i not in (1, n - 1) and _segments_cross(*edges[i], *edges[j]):
+                raise ValueError(
+                    f"contour segments {i} and {j} intersect; the contour must be simple"
+                )
         object.__setattr__(self, "vertices", verts)
 
 
 def contour_length(contour) -> float:
     if isinstance(contour, Circle):
         return 2.0 * np.pi * contour.radius
-    verts = contour.vertices
-    n = len(verts)
-    return float(sum(abs(verts[(i + 1) % n] - verts[i]) for i in range(n)))
+    return float(sum(abs(b - a) for a, b in _edges(contour.vertices)))
 
 
 def contour_nodes(contour, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,12 +147,10 @@ def contour_nodes(contour, n: int) -> tuple[np.ndarray, np.ndarray]:
         theta = 2.0 * np.pi * np.arange(n) / n
         offs = contour.radius * np.exp(1j * theta)
         return contour.center + offs, offs / n
-    verts = contour.vertices
     t, w = leggauss(n)
     nodes = []
     weights = []
-    for i in range(len(verts)):
-        a, b = verts[i], verts[(i + 1) % len(verts)]
+    for a, b in _edges(contour.vertices):
         nodes.append(a + (b - a) * (t + 1.0) / 2.0)
         weights.append(w * (b - a) / (2.0 * 2j * np.pi))
     return np.concatenate(nodes), np.concatenate(weights)
@@ -166,12 +160,7 @@ def encloses(contour, point: complex) -> bool:
     """Whether the contour winds once around the point."""
     if isinstance(contour, Circle):
         return abs(point - contour.center) < contour.radius
-    verts = contour.vertices
-    total = 0.0
-    for i in range(len(verts)):
-        a = verts[i] - point
-        b = verts[(i + 1) % len(verts)] - point
-        total += np.angle(b / a)
+    total = sum(np.angle((b - point) / (a - point)) for a, b in _edges(contour.vertices))
     return int(round(total / (2.0 * np.pi))) == 1
 
 
@@ -179,10 +168,8 @@ def contour_clearance(contour, point: complex) -> float:
     """Distance from the point to the contour."""
     if isinstance(contour, Circle):
         return abs(abs(point - contour.center) - contour.radius)
-    verts = contour.vertices
     best = np.inf
-    for i in range(len(verts)):
-        a, b = verts[i], verts[(i + 1) % len(verts)]
+    for a, b in _edges(contour.vertices):
         ab = b - a
         t = ((point - a) * np.conj(ab)).real / abs(ab) ** 2
         t = min(1.0, max(0.0, t))

@@ -231,10 +231,6 @@ def kernel_from_momentum(m: MomentumMatrix) -> PeriodicKernel:
     return periodic_kernel(fam, entries)
 
 
-def _canonical_reps(family: LatticeFamily) -> np.ndarray:
-    return family.coords("dual_coarse")
-
-
 def _fiber_momentum_indices(family: LatticeFamily, reps) -> np.ndarray:
     """Fine-dual flat indices of rep + l for l over the dual block.
 
@@ -242,8 +238,7 @@ def _fiber_momentum_indices(family: LatticeFamily, reps) -> np.ndarray:
     """
     lift = family.extents("dual_fine") // family.extents("dual_block")
     p = np.asarray(reps, dtype=np.int64)[:, None, :] + family.coords("dual_block") * lift
-    flat = family.indices("dual_fine", p.reshape(-1, family.spec.n_axes))
-    return flat.reshape(len(p), family.n_block)
+    return family.indices("dual_fine", p)
 
 
 def _fiber_layout(family: LatticeFamily, reps) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +274,7 @@ def bloch_fibers(kernel: PeriodicKernel, reps=None) -> list[BlochFiber]:
     """
     fam = kernel.family
     if reps is None:
-        reps = _canonical_reps(fam)
+        reps = fam.coords("dual_coarse")
     reps = [tuple(int(c) for c in r) for r in np.asarray(reps, dtype=np.int64)]
     ext_c = fam.extents("dual_coarse")
     classes = {tuple(np.asarray(r) % ext_c) for r in reps}

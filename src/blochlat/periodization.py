@@ -75,6 +75,7 @@ __all__ = [
 
 QUASI_PERIOD_RTOL = 1e-10
 PROBE_SEED = 5  # seeds the quasi-periodicity probe of every inversion
+INVERSION_CHUNK = 32  # quadrature nodes stacked per pass of the inversion
 
 AXIS_NAMES = {0: "time"}
 
@@ -112,9 +113,10 @@ def _block_coords(spec: LatticeSpec) -> np.ndarray:
 
 
 def _block_index(spec: LatticeSpec, coords: np.ndarray) -> np.ndarray:
+    """Block class of integer coords, shape (..., 1+dim) -> (...)."""
     ratios = spec.ratios()
     arr = np.asarray(coords, dtype=np.int64) % ratios
-    return np.ravel_multi_index(tuple(arr.T), tuple(int(r) for r in ratios))
+    return np.ravel_multi_index(tuple(np.moveaxis(arr, -1, 0)), tuple(int(r) for r in ratios))
 
 
 def _n_block(spec: LatticeSpec) -> int:
@@ -231,10 +233,10 @@ def periodize(a: ZKernel, family: LatticeFamily) -> PeriodicKernel:
     if family.spec != spec:
         raise ValueError("kernel and family carry different lattice specs")
     _check_window_fits(spec, a.radii, extents(spec, "fine"))
-    offsets = window_offsets(spec, a.radii)
+    cols = family.indices("fine", _block_coords(spec)[:, None, :]
+                          + window_offsets(spec, a.radii))
     rows = np.zeros((family.n_block, family.n_fine), dtype=complex)
-    for w_idx, w in enumerate(_block_coords(spec)):
-        rows[w_idx, family.indices("fine", w + offsets)] = a.entries[w_idx]
+    rows[np.arange(family.n_block)[:, None], cols] = a.entries
     return periodic_kernel(family, rows)
 
 
@@ -269,15 +271,9 @@ def transpose_z(a: ZKernel) -> ZKernel:
     """Kernel of the transposed operator, a*(u, u') = a(u', u)."""
     spec = a.spec
     offsets = window_offsets(spec, a.radii)
-    block = _block_coords(spec)
-    neg = np.asarray(
-        [int(np.flatnonzero((offsets == -d).all(axis=1))[0]) for d in offsets]
-    )
-    out = np.empty_like(np.asarray(a.entries))
-    for w_idx, w in enumerate(block):
-        rows = _block_index(spec, w + offsets)  # class of u' = w + d
-        out[w_idx] = a.entries[rows, neg]
-    return zkernel(spec, a.radii, out)
+    rows = _block_index(spec, _block_coords(spec)[:, None, :] + offsets)  # class of w + d
+    # the window is symmetric and row-major: offset -d sits at the mirrored slot
+    return zkernel(spec, a.radii, a.entries[rows, np.arange(len(offsets))[::-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +430,18 @@ def _inversion_sums(f: FiberFunction, radii: tuple[int, ...], eta,
     block = _block_coords(spec)
     d_phys = offsets * spec.spacings()
     ew = _block_phase_matrix(spec, block)
-    vmap = np.stack(
-        [_block_index(spec, w + offsets) for w in block]
-    )  # (n_block, window): block class of w + d
+    vmap = _block_index(spec, block[:, None, :] + offsets)  # class of w + d
     total = np.zeros(vmap.shape, dtype=complex)
     total_abs = np.zeros(vmap.shape)
     nodes = _quadrature_nodes(spec, grid) + 1j * np.asarray(eta, dtype=float)
-    for k in nodes:
-        s = ew.T @ np.asarray(f.matrix_at(k)) @ np.conj(ew)
-        term = np.exp(-1j * d_phys @ k) * np.take_along_axis(s, vmap, axis=1)
-        total += term
-        total_abs += np.abs(term)
+    for start in range(0, len(nodes), INVERSION_CHUNK):
+        chunk = nodes[start:start + INVERSION_CHUNK]
+        fibers = np.stack([np.asarray(f.matrix_at(k)) for k in chunk])
+        s = np.take_along_axis(ew.T @ fibers @ np.conj(ew), vmap[None], axis=2)
+        terms = np.exp(-1j * chunk @ d_phys.T)[:, None, :] * s
+        # the running totals lead each sum, so nodes add in order
+        total = np.concatenate([total[None], terms]).sum(axis=0)
+        total_abs = np.concatenate([total_abs[None], np.abs(terms)]).sum(axis=0)
     scale = spec.vol_c * len(nodes)
     return total / scale, total_abs / scale
 
@@ -475,10 +472,7 @@ def _fine_site_table(family: LatticeFamily) -> np.ndarray:
     """Fine torus index of w + x over block reps (rows) and coarse sites (cols)."""
     spec = family.spec
     block = _block_coords(spec)
-    coarse_fine = family.coords("coarse") * spec.ratios()
-    return np.stack(
-        [family.indices("fine", w + coarse_fine) for w in block]
-    )
+    return family.indices("fine", block[:, None, :] + family.coords("coarse") * spec.ratios())
 
 
 def apply_fc(family: LatticeFamily, b: ZKernelFC, psi: FieldVector) -> FieldVector:
@@ -490,7 +484,6 @@ def apply_fc(family: LatticeFamily, b: ZKernelFC, psi: FieldVector) -> FieldVect
         raise ValueError("kernel and family carry different lattice specs")
     _check_window_fits(spec, b.radii, extents(spec, "coarse"))
     table = _fine_site_table(family)
-    ext_c = family.extents("coarse")
     coarse = family.coords("coarse")
     out = np.zeros(family.n_fine, dtype=complex)
     for m_idx, m in enumerate(window_offsets(spec, b.radii)):
@@ -539,18 +532,12 @@ def zfield(spec: LatticeSpec, kind: str, coords, values) -> ZField:
     values = np.asarray(values, dtype=complex).reshape(-1)
     if len(coords) != len(values):
         raise ValueError("coords and values disagree in length")
-    # merge duplicate support points so equality tests are canonical
-    order = np.lexsort(coords.T[::-1])
-    coords, values = coords[order], values[order]
-    keep_coords, keep_values = [], []
-    for pt, val in zip(coords, values):
-        if keep_coords and (keep_coords[-1] == pt).all():
-            keep_values[-1] += val
-        else:
-            keep_coords.append(pt)
-            keep_values.append(val)
-    return ZField(spec, kind, np.asarray(keep_coords, dtype=np.int64),
-                  np.asarray(keep_values, dtype=complex))
+    # merge duplicate support points, in sorted order, so equality tests are
+    # canonical; duplicates add in the order given
+    keep, which = np.unique(coords, axis=0, return_inverse=True)
+    merged = np.zeros(len(keep), dtype=complex)
+    np.add.at(merged, which.reshape(-1), values)
+    return ZField(spec, kind, keep, merged)
 
 
 def apply_z(a: ZKernel, phi: ZField) -> ZField:
@@ -559,7 +546,6 @@ def apply_z(a: ZKernel, phi: ZField) -> ZField:
     if phi.spec != spec or phi.kind != "fine":
         raise ValueError("field must be a fine-lattice field on the same spec")
     offsets = window_offsets(spec, a.radii)
-    ratios = spec.ratios()
     acc: dict[tuple[int, ...], complex] = {}
     for pt, val in zip(phi.coords, phi.values):
         for col, d in enumerate(offsets):

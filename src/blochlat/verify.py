@@ -6,6 +6,13 @@ lattice and kernel and reported as one row per check.  Rows carry a stable
 across releases.  Equality-style checks report the relative deviation
 against its tolerance; inequality-style checks report both sides verbatim.
 Results are deterministic given (spec, kernel, seed).
+
+The torus and window oracles compare block rows: a coarse-invariant kernel
+is fixed by its rows at the block sites, so the position-space fiber
+(``lemBOkervar.d``/``.e``) and the periodization wrap sum
+(``remBOperiodization.b``) are built and compared there, by array indexing
+rather than loops over sites.  Each oracle stays independent of the FFT
+fiber route it checks.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .lattice import LatticeFamily, LatticeSpec, build_family, extents, inner, s
 from .norms import decay_norm_bound, inverse_fiber_shifted, weighted_norm
 from .opfunc import FUNCTIONS, Circle, function_norm_bound, function_of_operator
 from .periodic_op import (
+    _block_sites,
     apply_kernel,
     bloch_fibers,
     compose,
@@ -41,6 +49,7 @@ from .periodic_op import (
 )
 from .periodization import (
     ZKernel,
+    _block_index,
     apply_cf,
     apply_fc,
     apply_z,
@@ -54,6 +63,7 @@ from .periodization import (
     periodize,
     translation_invariant_zkernel,
     window_offsets,
+    window_shape,
     z_inner,
     zfield,
     zkernel,
@@ -108,15 +118,21 @@ def _le(name, anchor, lhs, rhs, witness=None) -> CheckResult:
 
 
 def _fmt_vec(v) -> str:
-    parts = []
-    for z in np.asarray(v).reshape(-1):
-        z = complex(z)
-        parts.append(f"{z.real:.6g}" if z.imag == 0 else f"{z.real:.6g}{z.imag:+.6g}j")
-    return "(" + ", ".join(parts) + ")"
+    parts = (complex(z) for z in np.asarray(v).reshape(-1))
+    return "(" + ", ".join(f"{z.real:.6g}" if z.imag == 0 else f"{z.real:.6g}{z.imag:+.6g}j"
+                           for z in parts) + ")"
 
 
 def _rel(dev, scale) -> float:
     return float(dev) / max(float(scale), 1e-300)
+
+
+def _lifted_momenta(fam: LatticeFamily):
+    """The momenta rep + l * lift, rep (rows) over the dual-coarse torus and
+    l (columns) over the dual block, and their fine-dual indices."""
+    lift = fam.extents("dual_fine") // fam.extents("dual_block")
+    moms = fam.coords("dual_coarse")[:, None, :] + fam.coords("dual_block") * lift
+    return moms, fam.indices("dual_fine", moms)
 
 
 def _complex_momenta(spec, rng, count, im_radius):
@@ -154,19 +170,19 @@ def _volume_checks(fam: LatticeFamily):
 
 
 def _definition_fiber(fam: LatticeFamily, kernel, rep):
-    """Position-space fiber sum over coarse translates, fully independent of
-    the momentum-matrix route."""
-    sites = fam.coords("fine")
-    rep = np.asarray(rep, dtype=np.int64)
-    phase_u = fam.pairing_phases("dual_coarse", rep, "fine", sites)[0]
-    out = np.zeros((fam.n_fine, fam.n_fine), dtype=complex)
-    for x in fam.coords("coarse") * fam.spec.ratios():
-        cols = fam.indices("fine", sites + x)
-        shifted = fam.pairing_phases(
-            "dual_coarse", rep, "fine", (sites + x) % fam.extents("fine")
-        )[0]
-        out += np.conj(phase_u)[:, None] * kernel.entries[:, cols] * shifted[None, :]
-    return fam.vol_c * out
+    """Block rows vol_c sum_x exp(-i k.b) A(b, v + x) exp(i k.(v + x)) of the
+    position-space fiber, x over the coarse cells, fully independent of the
+    momentum-matrix and FFT routes.  v + x runs over the coarse class of v,
+    so the sum over x is one sum over the coarse axes of the weighted rows."""
+    spec = fam.spec
+    phase = fam.pairing_phases("dual_coarse", rep, "fine", fam.coords("fine"))[0]
+    split = tuple(int(e) for pair in zip(fam.extents("coarse"), spec.ratios())
+                  for e in pair)  # each fine axis as (coarse cell, block site)
+    per_class = (kernel.rows * phase).reshape((fam.n_block,) + split).sum(
+        axis=tuple(range(1, 2 * spec.n_axes, 2))
+    ).reshape(fam.n_block, fam.n_block)
+    classes = _block_index(spec, fam.coords("fine"))
+    return fam.vol_c * np.conj(phase[_block_sites(fam)])[:, None] * per_class[:, classes]
 
 
 def _torus_checks(fam: LatticeFamily, rng):
@@ -192,14 +208,15 @@ def _torus_checks(fam: LatticeFamily, rng):
     out.append(_eq("momentum_action", "lemBOkervar.c", worst, 1e-12))
 
     sites = fam.coords("fine")
-    acc = np.zeros_like(np.asarray(a.entries))
+    block_sites = _block_sites(fam)
+    acc = np.zeros_like(np.asarray(a.rows))
     for rep in fam.coords("dual_coarse"):
         ak = _definition_fiber(fam, a, rep)
         ph = fam.pairing_phases("dual_coarse", rep, "fine", sites)[0]
-        acc += ph[:, None] * ak * np.conj(ph)[None, :]
+        acc += ph[block_sites, None] * ak * np.conj(ph)[None, :]
     acc /= fam.vol_c * fam.n_coarse
     out.append(_eq("position_fiber_reconstruction", "lemBOkervar.d",
-                   _rel(np.abs(acc - a.entries).max(), scale), 1e-12))
+                   _rel(np.abs(acc - a.rows).max(), scale), 1e-12))
 
     block_ph = fam.pairing_phases(
         "dual_block", fam.coords("dual_block"), "fine", sites
@@ -207,24 +224,17 @@ def _torus_checks(fam: LatticeFamily, rng):
     worst = 0.0
     for fiber in bloch_fibers(a)[: min(4, fam.n_coarse)]:
         direct = _definition_fiber(fam, a, fiber.rep)
-        via = block_ph.T @ fiber.entries @ np.conj(block_ph)
+        via = block_ph.T[block_sites] @ fiber.entries @ np.conj(block_ph)
         worst = max(worst, _rel(np.abs(direct - via).max(), scale * fam.n_block))
     out.append(_eq("fiber_position_definition", "lemBOkervar.e", worst, 1e-12))
 
-    at = transpose_kernel(a)
-    lift = fam.extents("dual_fine") // fam.extents("dual_block")
-    bhat = fam.coords("dual_block")
-    mscale = np.abs(m.entries).max()
-    worst = 0.0
-    for fiber_t, rep in zip(bloch_fibers(at), fam.coords("dual_coarse")):
-        expect = np.empty_like(np.asarray(fiber_t.entries))
-        for i, l_row in enumerate(bhat):
-            for j, l_col in enumerate(bhat):
-                p_row = fam.index("dual_fine", -rep - l_col * lift)
-                p_col = fam.index("dual_fine", -rep - l_row * lift)
-                expect[i, j] = m.entries[p_row, p_col]
-        worst = max(worst, _rel(np.abs(fiber_t.entries - expect).max(), mscale))
-    out.append(_eq("transpose_fiber_reflection", "lemBOkervar.f", worst, 1e-12))
+    # the fiber of the transpose at k is the k-block of M at -k - l, transposed
+    moms, _ = _lifted_momenta(fam)
+    p = fam.indices("dual_fine", -moms)
+    expect = np.swapaxes(m.entries[p[:, :, None], p[:, None, :]], 1, 2)
+    got = np.stack([fiber.entries for fiber in bloch_fibers(transpose_kernel(a))])
+    out.append(_eq("transpose_fiber_reflection", "lemBOkervar.f",
+                   _rel(np.abs(got - expect).max(), np.abs(m.entries).max()), 1e-12))
     return out
 
 
@@ -235,11 +245,14 @@ def _torus_checks(fam: LatticeFamily, rng):
 
 def _companion_radii(spec: LatticeSpec, radii) -> tuple[int, ...]:
     """Largest radii <= 1 whose sum with ``radii`` still fits the fine torus."""
-    out = []
-    for r, e in zip(radii, extents(spec, "fine")):
-        room = (int(e) - 1) // 2 - int(r)
-        out.append(max(0, min(1, room)))
-    return tuple(out)
+    return tuple(max(0, min(1, (int(e) - 1) // 2 - int(r)))
+                 for r, e in zip(radii, extents(spec, "fine")))
+
+
+def _coarse_kernel(fam: LatticeFamily, rng):
+    """Random fine-coarse kernel of radius <= 1 that fits the coarse torus."""
+    radii = tuple(min(1, (int(e) - 1) // 2) for e in fam.extents("coarse"))
+    return random_zkernel_fc(fam.spec, radii, rng)
 
 
 def _window_checks(fam: LatticeFamily, a: ZKernel, rng):
@@ -248,18 +261,20 @@ def _window_checks(fam: LatticeFamily, a: ZKernel, rng):
     scale = max(np.abs(a.entries).max(), 1e-300)
 
     torus = periodize(a, fam)
-    offsets = window_offsets(spec, a.radii)
-    sites = fam.coords("fine")
+    # a gather, apart from periodize's scatter: reduce v - b to its minimal
+    # image d, then read a(b, d) inside the window and 0 outside
     ext = fam.extents("fine")
     ratios = spec.ratios()
-    expect = np.zeros((fam.n_fine, fam.n_fine), dtype=complex)
-    for i, u in enumerate(sites):
-        w_idx = int(np.ravel_multi_index(tuple(u % ratios), tuple(int(r) for r in ratios)))
-        for di, d in enumerate(offsets):
-            j = fam.index("fine", (u + d) % ext)
-            expect[i, j] += a.entries[w_idx, di]
+    radii = np.asarray(a.radii)
+    d = (fam.coords("fine")[None, :, :] - fam.coords("block")[:, None, :]) % ext
+    d = np.where(2 * d > ext, d - ext, d)
+    inside = (np.abs(d) <= radii).all(axis=2)
+    slot = np.ravel_multi_index(
+        tuple(np.moveaxis(np.clip(d + radii, 0, 2 * radii), 2, 0)), window_shape(spec, a.radii)
+    )
+    expect = np.where(inside, np.take_along_axis(a.entries, slot, axis=1), 0.0)
     out.append(_eq("periodization_wrap_sum", "remBOperiodization.b",
-                   _rel(np.abs(torus.entries - expect).max(), scale), 1e-14))
+                   _rel(np.abs(torus.rows - expect).max(), scale), 1e-14))
 
     b = random_zkernel(spec, _companion_radii(spec, a.radii), rng)
     ab = compose_z(a, b)
@@ -343,32 +358,26 @@ def _window_checks(fam: LatticeFamily, a: ZKernel, rng):
 def _asymmetric_checks(fam: LatticeFamily, rng):
     spec = fam.spec
     out = []
-    radii = tuple(
-        min(1, (int(e) - 1) // 2) for e in fam.extents("coarse")
-    )
-    b = random_zkernel_fc(spec, radii, rng)
-    lift = fam.extents("dual_fine") // fam.extents("dual_block")
+    b = _coarse_kernel(fam, rng)
     step_c = steps(spec, "dual_coarse")
+
+    reps = fam.coords("dual_coarse")
+    _, p = _lifted_momenta(fam)
 
     psi = fam.field("coarse", random_field_values(fam, "coarse", rng))
     got = transform(fam, apply_fc(fam, b, psi)).values
     psi_hat = transform(fam, psi).values
+    coeffs = np.stack([fiber_hat_fc(b, rep * step_c) for rep in reps])
     expect = np.zeros(fam.n_fine, dtype=complex)
-    for i, rep in enumerate(fam.coords("dual_coarse")):
-        coeffs = fiber_hat_fc(b, rep * step_c)
-        for j, ell in enumerate(fam.coords("dual_block")):
-            expect[fam.index("dual_fine", rep + ell * lift)] = coeffs[j] * psi_hat[i]
+    expect[p] = coeffs * psi_hat[:, None]
     dev_fc = _rel(np.abs(got - expect).max(), max(1.0, np.abs(expect).max()))
     out.append(_eq("fc_momentum_action", "eqnPOftaction", dev_fc, 1e-12))
 
     phi = fam.field("fine", random_field_values(fam, "fine", rng))
     got = transform(fam, apply_cf(fam, b, phi)).values
     phi_hat = transform(fam, phi).values
-    expect = np.zeros(fam.n_coarse, dtype=complex)
-    for i, rep in enumerate(fam.coords("dual_coarse")):
-        coeffs = fiber_hat_cf(b, rep * step_c)
-        for j, ell in enumerate(fam.coords("dual_block")):
-            expect[i] += coeffs[j] * phi_hat[fam.index("dual_fine", rep + ell * lift)]
+    coeffs = np.stack([fiber_hat_cf(b, rep * step_c) for rep in reps])
+    expect = (coeffs * phi_hat[p]).sum(axis=1)
     dev_cf = _rel(np.abs(got - expect).max(), max(1.0, np.abs(expect).max()))
     out.append(_eq("cf_momentum_action", "eqnPOftaction", dev_cf, 1e-12))
 
@@ -395,9 +404,7 @@ def _profile_checks(fam: LatticeFamily, rng):
     out = []
     naive = naive_profile(spec)
     smooth = smooth_profile(spec, 2)
-    lift = fam.extents("dual_fine") // fam.extents("dual_block")
     step_f = steps(spec, "dual_fine")
-    step_c = steps(spec, "dual_coarse")
 
     worst = 0.0
     for _ in range(3):
@@ -425,14 +432,10 @@ def _profile_checks(fam: LatticeFamily, rng):
     via_ops = restrict_field(
         fam, smooth, prolong_field(fam, smooth, fam.field("coarse", psi))
     ).values
-    ext_c = fam.extents("coarse")
-    expect = np.zeros(fam.n_coarse, dtype=complex)
-    for i, x in enumerate(fam.coords("coarse")):
-        for off in window_offsets(spec, st_radii):
-            w = 1.0
-            for axis, o in enumerate(off):
-                w *= st_weights[axis][int(o) + st_radii[axis]]
-            expect[i] += w * psi[fam.index("coarse", (x + off) % ext_c)]
+    offs = window_offsets(spec, st_radii)
+    weights = np.prod([w[offs[:, axis] + r] for axis, (r, w)
+                       in enumerate(zip(st_radii, st_weights))], axis=0)
+    expect = psi[fam.indices("coarse", fam.coords("coarse")[:, None, :] + offs)] @ weights
     out.append(_eq("composite_average_stencil", "lemBOQ.b",
                    _rel(np.abs(via_ops - expect).max(),
                         max(1.0, np.abs(expect).max())), 1e-12))
@@ -443,17 +446,10 @@ def _profile_checks(fam: LatticeFamily, rng):
     psi = fam.field("coarse", random_field_values(fam, "coarse", rng))
     got_qs = transform(fam, prolong_field(fam, smooth, psi)).values
     psi_hat = transform(fam, psi).values
-    dev = 0.0
-    for i, rep in enumerate(fam.coords("dual_coarse")):
-        total = 0.0 + 0.0j
-        for ell in fam.coords("dual_block"):
-            p = rep + ell * lift
-            q_hat = profile_hat(smooth, p * step_f)
-            total += q_hat * phi_hat[fam.index("dual_fine", p)]
-            dev = max(dev, abs(
-                got_qs[fam.index("dual_fine", p)] - np.conj(q_hat) * psi_hat[i]
-            ))
-        dev = max(dev, abs(got_q[i] - total))
+    moms, p = _lifted_momenta(fam)
+    q_hat = np.array([[profile_hat(smooth, mom * step_f) for mom in row] for row in moms])
+    dev = max(np.abs(got_qs[p] - np.conj(q_hat) * psi_hat[:, None]).max(),
+              np.abs(got_q - (q_hat * phi_hat[p]).sum(axis=1)).max())
     out.append(_eq("averaging_momentum_formula", "lemBOfourier.a",
                    _rel(dev, max(1.0, np.abs(phi_hat).max(), np.abs(psi_hat).max())),
                    1e-12))
@@ -526,8 +522,7 @@ def _norm_checks(fam: LatticeFamily, a: ZKernel, rng):
     out.append(_eq("stokes_shift_independence", "lemBOlonelinfty.b", dev, 1e-10,
                    witness=f"eta={_fmt_vec(eta)}"))
 
-    radii = tuple(min(1, (int(e) - 1) // 2) for e in fam.extents("coarse"))
-    b = random_zkernel_fc(spec, radii, rng)
+    b = _coarse_kernel(fam, rng)
     norm_b = weighted_norm(b, MASS)
     sup = 0.0
     for k in _complex_momenta(spec, rng, 20, MASS):
@@ -621,8 +616,7 @@ def _scaling_checks(fam: LatticeFamily, a: ZKernel, rng):
                    weighted_norm(a_s, MASS),
                    weighted_norm(a, MASS * mass_transfer(s))))
 
-    radii = tuple(min(1, (int(e) - 1) // 2) for e in fam.extents("coarse"))
-    b = random_zkernel_fc(spec, radii, rng)
+    b = _coarse_kernel(fam, rng)
     b_s = scale_kernel(b, s)
     worst = 0.0
     for k in _complex_momenta(spec, rng, 5, MASS):

@@ -4,6 +4,7 @@ execution, report determinism, and the exit-code contract."""
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -327,6 +328,45 @@ def test_bad_explicit_entries_exit_two(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert "kernel.entries line 2" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                   os.pardir, "src"))
+MEMORY_CAP = 2 << 30  # address space of a CLI child that may over-allocate
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+@pytest.mark.parametrize("task, kernel, needle", [
+    ("norms", "type = explicit\nentries = {entries}", "kernel.entries line 2: support window"),
+    ("fibers", "type = explicit\nentries = {entries}", "kernel.entries line 2: a window"),
+    ("norms", "type = random\nsupport_radius = 100000",
+     "kernel.support_radius '100000': support window"),
+    ("fibers", "type = random\nsupport_radius = 100000",
+     "kernel.support_radius '100000': a window"),
+], ids=["offset_1e9_norms", "offset_1e9_fibers", "radius_1e5_norms", "radius_1e5_fibers"])
+def test_unstorable_window_is_a_config_error(tmp_path, task, kernel, needle):
+    # at full size these windows ask for 29.8 GiB (the offset) and 2.6 TiB
+    # (the radius); the child runs under an address-space cap, so a
+    # regression fails here instead of exhausting the host. Tasks that
+    # periodize reject the window by the fit rule before allocating; the
+    # others report the allocation failure with the window size.
+    entries = tmp_path / "entries.csv"
+    entries.write_text("w_0,w_1,d_0,d_1,re,im\n0,0,1e9,0,1.0,0\n")
+    config = write_config(tmp_path, REF_LINES.format(task=task).replace(
+        "type = random\nsupport_radius = 2\nseed = 7", kernel.format(entries=entries)))
+    out = subprocess.run(
+        [sys.executable, "-m", "blochlat.cli", "--config", config,
+         "--output", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
+    )
+    assert out.returncode == 2, out.stderr
+    assert needle in out.stderr
+    assert "Traceback" not in out.stderr
     assert not (tmp_path / "out" / "report.json").exists()
 
 

@@ -5,12 +5,16 @@ the CLI streams its CSVs one fiber at a time.
 Peaks are ``tracemalloc`` readings of this process.
 """
 
+import math
+import time
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from blochlat.cli import _fiber_chunks, _fiber_header, _write_csv
 from blochlat.lattice import LatticeSpec, build_family
+from blochlat.norms import decay_constant
 from blochlat.opfunc import Circle, function_of_operator, make_polynomial
 from blochlat.periodic_op import bloch_fibers, reconstruct
 from blochlat.periodization import periodize
@@ -73,3 +77,19 @@ def test_dim3_round_trip_fits_without_the_dense_kernel():
     scale = np.abs(kernel.rows).max()
     assert np.abs(back.rows - kernel.rows).max() <= 1e-12 * scale
     assert peak < 128.0
+
+
+@pytest.mark.parametrize("gap, spacings", [(0.005, (1.0,) * 3), (0.25, (1.0,) * 4)])
+def test_decay_constant_is_bounded_in_time_and_memory(gap, spacings):
+    # a 1e-15 tail needs about 1e13 (gap 0.005, 3 axes) and 4e9 (gap 0.25,
+    # 4 axes) lattice points; the box of a sum over all of them would not fit
+    start = time.perf_counter()
+    value, peak = _traced_peak_mb(lambda: decay_constant(gap, spacings))
+    assert time.perf_counter() - start < 30.0
+    assert peak < 256.0
+    # the cell argument brackets the sum by e^(-+gap delta) times the
+    # integral of exp(-gap |y|); the certified value may add at most one
+    # more integral over the shell where the ball ends
+    n, delta = len(spacings), 0.5 * math.sqrt(len(spacings))
+    integral = 2 * math.pi ** (n / 2) * math.gamma(n) / (math.gamma(n / 2) * gap**n)
+    assert math.exp(-gap * delta) * integral <= value <= 2 * math.exp(gap * delta) * integral

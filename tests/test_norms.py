@@ -1,7 +1,11 @@
 """Weighted norms, decay constants, and fiber-route decay bounds."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochlat.lattice import LatticeSpec, build_family, distance_matrix
 from blochlat.norms import (
@@ -161,6 +165,39 @@ def test_decay_constant_matches_brute_enumeration_2d():
         pts = np.hypot(jt * eps[0], jx * eps[1])
         want = float(np.prod(eps) * np.exp(-gap * pts).sum())
         assert decay_constant(gap, eps) == pytest.approx(want, rel=1e-12)
+
+
+def _plain_enumeration(gap, eps, cut):
+    """vol * sum of exp(-gap |x|) over the box |x_i| <= cut along every axis,
+    one slab of the first axis at a time."""
+    axes = [np.arange(-int(cut // e), int(cut // e) + 1) * e for e in eps]
+    sq = np.zeros(())
+    for axis in axes[1:]:
+        sq = np.add.outer(sq, axis**2)
+    return float(np.prod(eps) * sum(np.exp(-gap * np.sqrt(t * t + sq)).sum() for t in axes[0]))
+
+
+def _box_points(eps, cut):
+    return math.prod(2 * int(cut // e) + 1 for e in eps)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.floats(0.2, 5.0),
+    st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n),
+)))
+def test_decay_constant_is_a_certified_upper_bound(drawn):
+    gap, eps = drawn
+    value = decay_constant(gap, eps)
+    # a box of physical half-width 40 / gap misses below 1e-13 of the sum
+    cut = 40.0 / gap
+    if _box_points(eps, cut) <= 10**7:
+        plain = _plain_enumeration(gap, eps, cut)
+        assert plain <= value <= plain * (1.0 + 1e-9)
+    else:
+        while _box_points(eps, cut) > 10**6:
+            cut /= 2.0
+        assert _plain_enumeration(gap, eps, cut) <= value
 
 
 def test_fiber_decay_bound_dominates_entries():

@@ -75,6 +75,19 @@ def test_single_point_blocks_keep_profile_rows():
     assert PROFILE_NAMES <= {r.name for r in results}
 
 
+def test_dim3_lattice_passes_every_row():
+    # 4^4 = 256 fine sites in 16 coarse cells of 2^4 block sites
+    spec = LatticeSpec(eps_t=1.0, eps_x=1.0, l_t=2, l_x=2, big_l_t=4, big_l_x=4, dim=3)
+    kernel = random_zkernel(spec, 1, rng_from_seed(12))
+    results = verify_suite(spec, kernel, seed=12)
+    assert all_passed(results)
+    names = {r.name for r in results}
+    assert names.isdisjoint(PROFILE_NAMES)  # even ratios
+    profile_anchors = {"exBOnaive", "exBOnaiveCont", "lemBOQ.a", "lemBOQ.b",
+                       "lemBOfourier.a", "lemBOfourier.b", "remBOlessnaive"}
+    assert {r.anchor for r in results} == ANCHORS - profile_anchors
+
+
 def test_kernel_on_wrong_spec_rejected():
     other = LatticeSpec(eps_t=0.5, eps_x=1.0, l_t=3, l_x=3, big_l_t=9, big_l_x=9, dim=1)
     kernel = random_zkernel(other, (1, 1), rng_from_seed(11))
