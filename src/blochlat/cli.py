@@ -47,7 +47,6 @@ from .periodic_op import bloch_fibers
 from .periodization import (
     _check_window_fits,
     fiber_function,
-    fiber_hat,
     normalize_radii,
     periodize,
     window_offsets,
@@ -383,13 +382,10 @@ def _fiber_header(spec) -> list[str]:
 
 def _run_fibers(job: Job, outdir: str):
     spec = job.spec
-    step = steps(spec, "dual_coarse")
-    matrices = [
-        (rep, fiber_hat(job.kernel, rep * step).entries)
-        for rep in job.family.coords("dual_coarse")
-    ]
+    reps = job.family.coords("dual_coarse")
+    fibers = fiber_function(job.kernel).matrix_at(reps * steps(spec, "dual_coarse"))
     _write_csv(os.path.join(outdir, "fibers.csv"), _fiber_header(spec),
-               _fiber_chunks(spec, matrices))
+               _fiber_chunks(spec, zip(reps, fibers)))
     return []
 
 
@@ -405,9 +401,8 @@ def _run_norms(job: Job, outdir: str):
         row[:] = mass, z_norm, t_norm
         checks.append(_le(f"torus_norm_dominated[m={mass:g}]",
                           "lemBOlonelinfty.b", t_norm, z_norm))
-        sup = 0.0
-        for k in _complex_momenta(job.spec, rng, 40, mass):
-            sup = max(sup, np.abs(fiber_hat(job.kernel, k).entries).max())
+        ks = np.array(_complex_momenta(job.spec, rng, 40, mass))
+        sup = np.abs(fiber_function(job.kernel).matrix_at(ks)).max()
         checks.append(_le(f"fiber_sup_bound[m={mass:g}]",
                           "lemBOlonelinfty.a", sup, z_norm))
     _write_csv(os.path.join(outdir, "norms.csv"),

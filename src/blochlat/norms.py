@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import LatticeSpec, _coords_cache, _pair_distances
+from .lattice import LatticeFamily, LatticeSpec, _coords_cache, _pair_distances
 from .periodic_op import PeriodicKernel
 from .periodization import (
     FiberFunction,
@@ -70,18 +70,17 @@ def _block_distances(spec: LatticeSpec) -> np.ndarray:
                            _coords_cache(spec, "fine"))
 
 
-def _torus_norm(kernel: PeriodicKernel, mass: float) -> float:
-    """Row and column sums over the block rows: the row sums of A are those
-    of its block rows, and column v collects the block rows' columns in the
-    coarse class of v."""
-    fam = kernel.family
-    rows = np.abs(kernel.rows)
+def _torus_norm(fam: LatticeFamily, rows: np.ndarray, mass: float) -> np.ndarray:
+    """Torus norms of kernels given as block rows (..., n_block, n_fine): the
+    row sums of A are those of its block rows, and column v collects the
+    block rows' columns in the coarse class of v."""
+    rows = np.abs(rows)
     # weight the support only: exp(m dist) may overflow where the entry is 0
     weight = np.exp(mass * _block_distances(fam.spec), out=np.zeros(rows.shape),
                     where=rows != 0.0) * rows
-    classes = _block_index(fam.spec, fam.coords("fine"))
-    cols = np.bincount(classes, weights=weight.sum(axis=0), minlength=fam.n_block)
-    return float(fam.vol_f * max(weight.sum(axis=1).max(), cols.max()))
+    cols = np.zeros(rows.shape[:-2] + (fam.n_block,))
+    np.add.at(cols, (..., _block_index(fam.spec, fam.coords("fine"))), weight.sum(axis=-2))
+    return fam.vol_f * np.maximum(weight.sum(axis=-1).max(axis=-1), cols.max(axis=-1))
 
 
 def _z_norm(a: ZKernel, mass: float) -> float:
@@ -112,7 +111,7 @@ def weighted_norm(kernel, mass: float) -> float:
     """Exponentially weighted norm, dispatching on the kernel kind."""
     mass = float(mass)
     if isinstance(kernel, PeriodicKernel):
-        return _torus_norm(kernel, mass)
+        return float(_torus_norm(kernel.family, kernel.rows, mass))
     if isinstance(kernel, ZKernel):
         return _z_norm(kernel, mass)
     if isinstance(kernel, ZKernelFC):

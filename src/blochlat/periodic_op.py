@@ -260,9 +260,9 @@ def _fiber_layout(family: LatticeFamily, reps) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_grid(family: LatticeFamily) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Shape of the block rows stacked as (n_block, *fine extents), and the
-    axes of that stack that run over the fine torus."""
+    axes of that stack that run over the fine torus, counted from the end."""
     shape = (family.n_block, *(int(e) for e in family.extents("fine")))
-    return shape, tuple(range(1, len(shape)))
+    return shape, tuple(range(1 - len(shape), 0))
 
 
 def bloch_fibers(kernel: PeriodicKernel, reps=None) -> list[BlochFiber]:
@@ -317,13 +317,21 @@ def reconstruct(family: LatticeFamily, fibers: list[BlochFiber]) -> PeriodicKern
             f"need exactly one fiber per dual-coarse class ({family.n_coarse}), "
             f"got {len(fibers)} fibers covering {len(classes)} classes"
         )
-    idx, phases = _fiber_layout(family, [fiber.rep for fiber in fibers])
     blocks = np.stack([np.asarray(fiber.entries) for fiber in fibers])
+    return periodic_kernel(family, _fiber_rows(family, [f.rep for f in fibers], blocks))
+
+
+def _fiber_rows(family: LatticeFamily, reps, blocks: np.ndarray) -> np.ndarray:
+    """Block rows (..., n_block, n_fine) of the kernels whose fibers at
+    ``reps``, one per dual-coarse class, are ``blocks`` (..., n_coarse,
+    n_block, n_block); one FFT per row, each kernel bitwise as if alone."""
+    idx, phases = _fiber_layout(family, reps)
     # G_b(k+l') = sum_l exp(i (k+l).b) F_k[l, l'], scattered onto the fine
     # dual; the classes cover it exactly once
-    spectrum = np.empty((family.n_block, family.n_fine), dtype=complex)
-    spectrum[:, idx] = np.moveaxis(np.swapaxes(phases, 1, 2) @ blocks, 0, 1)
+    lead = blocks.shape[:-3]
+    spectrum = np.empty(lead + (family.n_block, family.n_fine), dtype=complex)
+    spectrum[..., idx] = np.moveaxis(np.swapaxes(phases, 1, 2) @ blocks, -3, -2)
     shape, axes = _row_grid(family)
-    rows = np.fft.fftn(spectrum.reshape(shape), axes=axes)
+    rows = np.fft.fftn(spectrum.reshape(lead + shape), axes=axes)
     rows /= family.vol_c * family.n_coarse
-    return periodic_kernel(family, rows.reshape(family.n_block, family.n_fine))
+    return rows.reshape(lead + (family.n_block, family.n_fine))

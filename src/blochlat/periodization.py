@@ -155,7 +155,8 @@ class ZKernelFC:
 
 @dataclass(frozen=True)
 class FiberFunction:
-    """A momentum-fiber evaluator k -> dual-block matrix.
+    """A momentum-fiber evaluator: momenta (..., n_axes) -> dual-block
+    matrices (..., n_block, n_block), so a whole stack of momenta is one call.
 
     Carries the lattice geometry so consumers can probe the quasi-periodicity
     that any legitimate fiber function must satisfy.
@@ -289,9 +290,9 @@ def _block_phase_matrix(spec: LatticeSpec, direct_coords: np.ndarray) -> np.ndar
     return np.exp(2j * np.pi * t)
 
 
-def _momentum(spec: LatticeSpec, k) -> np.ndarray:
+def _momentum(spec: LatticeSpec, k, stack: bool = False) -> np.ndarray:
     arr = np.asarray(k)
-    if arr.shape != (spec.n_axes,):
+    if arr.shape[-1:] != (spec.n_axes,) or (arr.ndim > 1 and not stack):
         raise ValueError(
             f"momentum must have {spec.n_axes} components, got shape {arr.shape}"
         )
@@ -300,32 +301,40 @@ def _momentum(spec: LatticeSpec, k) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _window_tables(spec: LatticeSpec, radii: tuple[int, ...]):
-    """The k-independent tables of ``fiber_hat``, read-only: window
-    displacements offset * eps, exp(i l.d) over the window and exp(i l.w)
-    over the block."""
+    """The k-independent tables of ``fiber_hat`` and the inversion, read-only:
+    window displacements offset * eps, exp(i l.d) over the window, exp(i l.w)
+    over the block, and the block class of w + d over (w, window)."""
     offsets = window_offsets(spec, radii)
+    block = _block_coords(spec)
     tables = (offsets * spec.spacings(), _block_phase_matrix(spec, offsets),
-              _block_phase_matrix(spec, _block_coords(spec)))
+              _block_phase_matrix(spec, block),
+              _block_index(spec, block[:, None, :] + offsets))
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-def fiber_hat(a: ZKernel, k) -> BlochFiber:
-    """Momentum fiber of an infinite-lattice kernel at (possibly complex) k."""
+def _fiber_stack(a: ZKernel, ks: np.ndarray) -> np.ndarray:
+    """Fibers at momenta (..., n_axes), shape (..., n_block, n_block); each
+    one is bitwise the single-momentum product, so stacking changes no fiber."""
     spec = a.spec
-    k = _momentum(spec, k)
-    disp, eld, ew = _window_tables(spec, normalize_radii(spec, a.radii))
-    ekd = np.exp(1j * disp @ k)  # exp(i k.d)
-    g = a.entries @ (ekd[None, :] * eld).T  # (w, l')
+    disp, eld, ew, _ = _window_tables(spec, normalize_radii(spec, a.radii))
+    ekd = np.exp((1j * disp @ ks[..., None])[..., 0])  # exp(i k.d)
+    g = a.entries @ np.swapaxes(ekd[..., None, :] * eld, -1, -2)  # (w, l')
     entries = (spec.vol_f / _n_block(spec)) * (np.conj(ew) @ (ew.T * g))
     entries.flags.writeable = False
-    return BlochFiber(k, entries, None)
+    return entries
+
+
+def fiber_hat(a: ZKernel, k) -> BlochFiber:
+    """Momentum fiber of an infinite-lattice kernel at (possibly complex) k."""
+    k = _momentum(a.spec, k)
+    return BlochFiber(k, _fiber_stack(a, k), None)
 
 
 def fiber_function(a: ZKernel) -> FiberFunction:
-    """Wrap a kernel's fiber transform as an evaluator."""
-    return FiberFunction(a.spec, lambda k: fiber_hat(a, k).entries)
+    """Wrap a kernel's fiber transform as an evaluator of momentum stacks."""
+    return FiberFunction(a.spec, lambda ks: _fiber_stack(a, _momentum(a.spec, ks, True)))
 
 
 def fiber_hat_fc(b: ZKernelFC, k) -> np.ndarray:
@@ -372,15 +381,17 @@ def _quadrature_nodes(spec: LatticeSpec, grid: tuple[int, ...]) -> np.ndarray:
 
 def _probe_quasi_periodicity(f: FiberFunction) -> None:
     """Reject f unless f(k + t p) is f(k) with both dual-block labels rolled
-    by t, at three seeded draws of k and of the reciprocal step t."""
+    by t, for t each unit vector and one seeded nonzero draw, each at a
+    seeded k; one momentum per call of f."""
     spec = f.spec
     rng = np.random.Generator(np.random.PCG64(PROBE_SEED))
     recip = steps(spec, "dual_block")
-    ratios = spec.ratios()
-    shape = tuple(int(r) for r in ratios)
-    for _ in range(3):
+    shape = tuple(int(r) for r in spec.ratios())
+    draw = np.zeros(spec.n_axes, dtype=np.int64)
+    while not draw.any():
+        draw = rng.integers(-2, 3, size=spec.n_axes)
+    for t in [*np.eye(spec.n_axes, dtype=np.int64), draw]:
         k = rng.uniform(0.0, 1.0, size=spec.n_axes) * recip
-        t = rng.integers(-2, 3, size=spec.n_axes)
         base = np.asarray(f.matrix_at(k))
         shifted = np.asarray(f.matrix_at(k + t * recip))
         scale = float(np.abs(base).max()) or 1.0
@@ -426,17 +437,13 @@ def _inversion_sums(f: FiberFunction, radii: tuple[int, ...], eta,
     are (n_block, n_window).
     """
     spec = f.spec
-    offsets = window_offsets(spec, radii)
-    block = _block_coords(spec)
-    d_phys = offsets * spec.spacings()
-    ew = _block_phase_matrix(spec, block)
-    vmap = _block_index(spec, block[:, None, :] + offsets)  # class of w + d
+    d_phys, _, ew, vmap = _window_tables(spec, radii)
     total = np.zeros(vmap.shape, dtype=complex)
     total_abs = np.zeros(vmap.shape)
     nodes = _quadrature_nodes(spec, grid) + 1j * np.asarray(eta, dtype=float)
     for start in range(0, len(nodes), INVERSION_CHUNK):
         chunk = nodes[start:start + INVERSION_CHUNK]
-        fibers = np.stack([np.asarray(f.matrix_at(k)) for k in chunk])
+        fibers = np.asarray(f.matrix_at(chunk))
         s = np.take_along_axis(ew.T @ fibers @ np.conj(ew), vmap[None], axis=2)
         terms = np.exp(-1j * chunk @ d_phys.T)[:, None, :] * s
         # the running totals lead each sum, so nodes add in order

@@ -127,6 +127,12 @@ def _rel(dev, scale) -> float:
     return float(dev) / max(float(scale), 1e-300)
 
 
+def _rel_peaks(got, expect) -> list[float]:
+    """Per matrix of two stacks: max |got - expect| over max(1, max |expect|)."""
+    return [_rel(d, max(1.0, e)) for d, e in zip(np.abs(got - expect).max(axis=(-2, -1)),
+                                                 np.abs(expect).max(axis=(-2, -1)))]
+
+
 def _lifted_momenta(fam: LatticeFamily):
     """The momenta rep + l * lift, rep (rows) over the dual-coarse torus and
     l (columns) over the dual block, and their fine-dual indices."""
@@ -284,25 +290,21 @@ def _window_checks(fam: LatticeFamily, a: ZKernel, rng):
     out.append(_eq("periodization_homomorphism", "remBOperiodization.c",
                    _rel(np.abs(lhs.entries - rhs.entries).max(), cscale), 1e-12))
 
-    eye = np.eye(fam.n_block)
-    worst = 0.0
-    for k in _complex_momenta(spec, rng, 3, MASS):
-        worst = max(worst, np.abs(fiber_hat(identity_zkernel(spec), k).entries - eye).max())
-    out.append(_eq("identity_fiber_delta", "lemBOperiodalg.a", worst, 1e-13))
+    eye = fiber_function(identity_zkernel(spec)).matrix_at(
+        np.array(_complex_momenta(spec, rng, 3, MASS)))
+    out.append(_eq("identity_fiber_delta", "lemBOperiodalg.a",
+                   np.abs(eye - np.eye(fam.n_block)).max(), 1e-13))
 
-    worst, worst_k = 0.0, None
-    momenta = _complex_momenta(spec, rng, 5, MASS)
-    momenta += [k.real for k in _complex_momenta(spec, rng, 5, MASS)]
-    for k in momenta:
-        prod = fiber_hat(a, k).entries @ fiber_hat(b, k).entries
-        dev = _rel(np.abs(fiber_hat(ab, k).entries - prod).max(),
-                   max(1.0, np.abs(prod).max()))
-        if dev > worst:
-            worst, worst_k = dev, k
-    out.append(_eq("fiber_multiplicativity", "lemBOperiodalg.b", worst, 1e-12,
-                   witness=f"worst k={_fmt_vec(worst_k)}"))
+    f = fiber_function(a)
+    ks = np.array(_complex_momenta(spec, rng, 5, MASS)
+                  + [k.real for k in _complex_momenta(spec, rng, 5, MASS)])
+    devs = _rel_peaks(fiber_function(ab).matrix_at(ks),
+                      f.matrix_at(ks) @ fiber_function(b).matrix_at(ks))
+    j = int(np.argmax(devs))
+    out.append(_eq("fiber_multiplicativity", "lemBOperiodalg.b", devs[j], 1e-12,
+                   witness=f"worst k={_fmt_vec(ks[j])}"))
 
-    back = inverse_fiber(fiber_function(a), a.radii)
+    back = inverse_fiber(f, a.radii)
     out.append(_eq("inverse_fiber_round_trip", "lemBOifkervar.a",
                    _rel(np.abs(back.entries - a.entries).max(), scale), 1e-12))
 
@@ -322,36 +324,25 @@ def _window_checks(fam: LatticeFamily, a: ZKernel, rng):
         worst = max(worst, _rel(dev, max(1.0, np.abs(alpha_hat).max())))
     out.append(_eq("translation_invariant_diagonal", "lemBOifkervar.b", worst, 1e-12))
 
-    step_c = steps(spec, "dual_coarse")
-    worst = 0.0
-    for fiber in bloch_fibers(torus):
-        sampled = fiber_hat(a, np.asarray(fiber.rep) * step_c).entries
-        worst = max(worst, _rel(np.abs(sampled - fiber.entries).max(), scale))
+    fibers = bloch_fibers(torus)
+    reps = np.array([fiber.rep for fiber in fibers])
+    sampled = f.matrix_at(reps * steps(spec, "dual_coarse"))
+    worst = _rel(np.abs(sampled - np.stack([fiber.entries for fiber in fibers])).max(), scale)
     out.append(_eq("discrete_momentum_consistency", "lemBOifkervar.c", worst, 1e-12))
 
-    f = fiber_function(a)
-    worst = 0.0
-    for k in _complex_momenta(spec, rng, 3, MASS):
-        dev = np.abs(fiber_hat(back, k).entries - f.matrix_at(k)).max()
-        worst = max(worst, _rel(dev, max(1.0, np.abs(f.matrix_at(k)).max())))
+    ks = np.array(_complex_momenta(spec, rng, 3, MASS))
+    worst = max(_rel_peaks(fiber_function(back).matrix_at(ks), f.matrix_at(ks)))
     out.append(_eq("fiber_uniqueness_round_trip", "lemBOuniqueness", worst, 1e-12))
 
     shape = tuple(int(r) for r in ratios)
     k0 = _complex_momenta(spec, rng, 1, MASS)[0]
-    base = fiber_hat(a, k0).entries
-    worst = 0.0
-    for axis in range(spec.n_axes):
-        t = np.zeros(spec.n_axes, dtype=np.int64)
-        t[axis] = 1
-        shifted = fiber_hat(a, k0 + t * 2.0 * np.pi / (eps * ratios)).entries
-        rolled = np.roll(
-            base.reshape(shape + shape),
-            shift=tuple(-t) + tuple(-t),
-            axis=tuple(range(2 * spec.n_axes)),
-        ).reshape(base.shape)
-        worst = max(worst, _rel(np.abs(shifted - rolled).max(),
-                                max(1.0, np.abs(base).max())))
-    out.append(_eq("twisted_index_shift", "remBOatwisted", worst, 1e-12))
+    units = np.eye(spec.n_axes, dtype=np.int64)
+    base, *shifted = f.matrix_at(np.vstack([k0, k0 + units * 2.0 * np.pi / (eps * ratios)]))
+    # rolling permutes the entries, so max |rolled| is max |base|
+    rolled = [np.roll(base.reshape(shape + shape), shift=tuple(-t) + tuple(-t),
+                      axis=tuple(range(2 * spec.n_axes))).reshape(base.shape) for t in units]
+    out.append(_eq("twisted_index_shift", "remBOatwisted",
+                   max(_rel_peaks(np.array(shifted), np.array(rolled))), 1e-12))
     return out
 
 
@@ -497,15 +488,13 @@ def _norm_checks(fam: LatticeFamily, a: ZKernel, rng):
     out = []
 
     norm_m = weighted_norm(a, MASS)
-    sup, worst_k = 0.0, None
-    for k in _complex_momenta(spec, rng, 40, MASS):
-        peak = np.abs(fiber_hat(a, k).entries).max()
-        if peak > sup:
-            sup, worst_k = peak, k
-    out.append(_le("fiber_sup_bound", "lemBOlonelinfty.a", sup, norm_m,
-                   witness=f"sup at k={_fmt_vec(worst_k)}"))
-
     f = fiber_function(a)
+    ks = np.array(_complex_momenta(spec, rng, 40, MASS))
+    peaks = np.abs(f.matrix_at(ks)).max(axis=(1, 2))
+    j = int(np.argmax(peaks))
+    out.append(_le("fiber_sup_bound", "lemBOlonelinfty.a", peaks[j], norm_m,
+                   witness=f"sup at k={_fmt_vec(ks[j])}"))
+
     bound = decay_norm_bound(f, a.radii, MASS_MID, MASS_LOW)
     out.append(_le("decay_bound_chain", "lemBOlonelinfty.b",
                    weighted_norm(a, MASS_LOW), bound))

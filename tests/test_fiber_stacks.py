@@ -1,0 +1,157 @@
+"""Stacked fiber evaluation: a stack of momenta, of contour nodes or of
+fiber sets is one call, and every member comes out as it would alone.
+
+The per-momentum ``fiber_hat``, single ``reconstruct`` calls and the
+per-node loop that ``function_norm_bound`` used to run are the references.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_periodic_op_properties import (
+    PROPERTY_SETTINGS,
+    REF3,
+    _shifted_reps,
+    specs_and_radii,
+)
+
+from blochlat.lattice import LatticeSpec, build_family, steps
+from blochlat.norms import _block_distances
+from blochlat.opfunc import (
+    FUNCTIONS,
+    Circle,
+    contour_length,
+    contour_nodes,
+    function_fiber,
+    function_norm_bound,
+    make_polynomial,
+    resolvent_fiber,
+)
+from blochlat.periodic_op import BlochFiber, _fiber_rows, bloch_fibers, reconstruct
+from blochlat.periodization import (
+    INVERSION_CHUNK,
+    FiberFunction,
+    _block_index,
+    _inversion_sums,
+    fiber_function,
+    fiber_hat,
+    periodize,
+)
+from blochlat.rand import random_zkernel, rng_from_seed
+from blochlat.verify import _recentered
+
+REF = LatticeSpec(1.0, 1.0, 3, 3, 9, 9, 1)
+
+
+def _momenta(spec, rng, shape, complex_k):
+    """Momenta of the given leading shape over a few Brillouin zones."""
+    ks = rng.uniform(-2.0, 2.0, size=shape + (spec.n_axes,)) * steps(spec, "dual_block")
+    if complex_k:
+        ks = ks + 1j * rng.uniform(-1.0, 1.0, size=ks.shape)
+    return ks
+
+
+@PROPERTY_SETTINGS
+@given(case=specs_and_radii(), seed=st.integers(0, 2**32 - 1), complex_k=st.booleans())
+@example(case=REF3, seed=0, complex_k=True)
+def test_matrix_at_stacks_match_single_fibers(case, seed, complex_k):
+    spec, radii = case
+    rng = rng_from_seed(seed)
+    a = random_zkernel(spec, radii, rng)
+    f = fiber_function(a)
+    for shape in ((), (5,), (2, 3)):
+        ks = _momenta(spec, rng, shape, complex_k)
+        got = f.matrix_at(ks)
+        assert got.shape == shape + (len(a.entries),) * 2
+        flat = ks.reshape(-1, spec.n_axes)
+        expect = np.stack([fiber_hat(a, k).entries for k in flat]).reshape(got.shape)
+        assert np.abs(got - expect).max() <= 1e-13 * max(np.abs(expect).max(), 1e-300)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=15)
+@given(case=specs_and_radii(), seed=st.integers(0, 2**32 - 1))
+@example(case=REF3, seed=0)
+def test_function_fiber_stack_equals_single_calls(case, seed):
+    spec, radii = case
+    rng = rng_from_seed(seed)
+    f = function_fiber(_recentered(random_zkernel(spec, radii, rng)), np.exp,
+                       Circle(10.0, 5.0))
+    ks = _momenta(spec, rng, (2,), complex_k=False)
+    got = f.matrix_at(ks)
+    for k, matrix in zip(ks, got):
+        np.testing.assert_array_equal(matrix, f.matrix_at(k))
+
+
+@PROPERTY_SETTINGS
+@given(case=specs_and_radii(), seed=st.integers(0, 2**32 - 1))
+@example(case=REF3, seed=0)
+def test_fiber_rows_of_a_stack_equal_single_reconstructs(case, seed):
+    spec, _ = case
+    rng = rng_from_seed(seed)
+    fam = build_family(spec)
+    n = fam.n_block
+    for reps in (fam.coords("dual_coarse"), _shifted_reps(fam, rng)):
+        blocks = rng.normal(size=(3, fam.n_coarse, n, n, 2)) @ [1.0, 1.0j]
+        rows = _fiber_rows(fam, reps, blocks)
+        for stack, got in zip(blocks, rows):
+            fibers = [BlochFiber(None, block, tuple(rep)) for rep, block in zip(reps, stack)]
+            np.testing.assert_array_equal(got, reconstruct(fam, fibers).rows)
+
+
+def _per_node_torus_norm(kernel, mass):
+    """The weighted torus norm of one kernel from its block rows."""
+    fam = kernel.family
+    rows = np.abs(kernel.rows)
+    weight = np.exp(mass * _block_distances(fam.spec), out=np.zeros(rows.shape),
+                    where=rows != 0.0) * rows
+    classes = _block_index(fam.spec, fam.coords("fine"))
+    cols = np.bincount(classes, weights=weight.sum(axis=0), minlength=fam.n_block)
+    return float(fam.vol_f * max(weight.sum(axis=1).max(), cols.max()))
+
+
+def _per_node_norm_bound(kernel, fn, contour, mass, nodes=64):
+    """One reconstruct and one torus norm per contour node."""
+    zs, _ = contour_nodes(contour, nodes)
+    sup_f = max(abs(complex(fn(z))) for z in zs)
+    fibers = bloch_fibers(kernel)
+    stacks = [resolvent_fiber(np.asarray(f.entries), zs) for f in fibers]
+    sup_res = max(
+        _per_node_torus_norm(reconstruct(kernel.family, [
+            BlochFiber(f.k, stack[j], f.rep) for f, stack in zip(fibers, stacks)
+        ]), mass)
+        for j in range(len(zs))
+    )
+    return contour_length(contour) / (2.0 * np.pi) * sup_f * sup_res
+
+
+@pytest.mark.parametrize("spec, radii", [
+    (REF, (2, 2)),
+    (LatticeSpec(1.0, 1.0, 3, 3, 6, 6, 2), (1, 1, 1)),
+    (LatticeSpec(0.5, 1.5, 2, 3, 8, 9, 1), (2, 1)),
+], ids=["ref", "dim2", "anisotropic"])
+@pytest.mark.parametrize("nodes", [64, 37])
+def test_norm_bound_equals_the_per_node_loop(spec, radii, nodes):
+    kernel = periodize(_recentered(random_zkernel(spec, radii, rng_from_seed(11))),
+                       build_family(spec))
+    for fn, mass in ((FUNCTIONS["exp"], 0.25), (make_polynomial([1.0, 0.5]), 0.5)):
+        got = function_norm_bound(kernel, fn, Circle(10.0, 5.0), mass, nodes=nodes)
+        assert got == _per_node_norm_bound(kernel, fn, Circle(10.0, 5.0), mass, nodes)
+
+
+@pytest.mark.parametrize("grid", [(1, 1), (5, 5), (4, 8), (5, 7), (11, 6)])
+def test_inversion_makes_one_call_per_chunk(grid):
+    a = random_zkernel(REF, (2, 2), rng_from_seed(12))
+    shapes = []
+
+    def matrix_at(ks):
+        shapes.append(np.shape(ks))
+        return fiber_function(a).matrix_at(ks)
+
+    _inversion_sums(FiberFunction(REF, matrix_at), (2, 2), 0.0, grid)
+    n = math.prod(grid)
+    assert len(shapes) == math.ceil(n / INVERSION_CHUNK)
+    assert [s[0] for s in shapes[:-1]] == [INVERSION_CHUNK] * (len(shapes) - 1)
+    assert sum(s[0] for s in shapes) == n

@@ -1,6 +1,7 @@
 """Memory guards: coarse-invariant kernels stay at their block rows on the
-periodize -> function -> fibers path, so no n_fine x n_fine array forms, and
-the CLI streams its CSVs one fiber at a time.
+periodize -> function -> fibers path, so no n_fine x n_fine array forms,
+``function_norm_bound`` holds one pass of resolvents at a time, and the CLI
+streams its CSVs one fiber at a time.
 
 Peaks are ``tracemalloc`` readings of this process.
 """
@@ -15,7 +16,7 @@ import pytest
 from blochlat.cli import _fiber_chunks, _fiber_header, _write_csv
 from blochlat.lattice import LatticeSpec, build_family
 from blochlat.norms import decay_constant
-from blochlat.opfunc import Circle, function_of_operator, make_polynomial
+from blochlat.opfunc import Circle, function_norm_bound, function_of_operator, make_polynomial
 from blochlat.periodic_op import bloch_fibers, reconstruct
 from blochlat.periodization import periodize
 from blochlat.rand import random_zkernel, rng_from_seed
@@ -44,6 +45,19 @@ def test_funcalc_path_stays_below_one_dense_kernel():
     fibers, peak = _traced_peak_mb(run)
     assert len(fibers) == fam.n_coarse
     assert peak < 8.0
+
+
+def test_function_norm_bound_holds_one_pass_of_resolvents():
+    # 972 sites, 36 fibers of 27 x 27: holding every fiber's resolvents at
+    # all 64 nodes takes 26.9 MB; a pass of 2 nodes per fiber takes 0.8 MB
+    spec = LatticeSpec(1.0, 1.0, 3, 3, 12, 9, dim=2)
+    fam = build_family(spec)
+    kernel = periodize(random_zkernel(spec, (2, 2, 2), rng_from_seed(41)), fam)
+    poly = make_polynomial([1.0, 0.5, 0.25])
+    bound, peak = _traced_peak_mb(
+        lambda: function_norm_bound(kernel, poly, Circle(0.0, 200.0), 0.25))
+    assert np.isfinite(bound) and bound > 0.0
+    assert peak < fam.n_coarse * 64 * fam.n_block**2 * 16 / 1e6
 
 
 def test_funcalc_csv_is_written_one_fiber_at_a_time(tmp_path):

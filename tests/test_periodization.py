@@ -289,7 +289,7 @@ def test_inverse_fiber_undersampling_aliases():
     assert np.abs(two.entries - b.entries).max() <= 1e-13 * bscale
 
 
-@pytest.mark.parametrize(
+EVERY_INVERSION = pytest.mark.parametrize(
     "invert",
     [
         lambda f: inverse_fiber(f, (1, 1)),
@@ -300,12 +300,27 @@ def test_inverse_fiber_undersampling_aliases():
     ids=["inverse_fiber", "inverse_fiber_shifted", "fiber_decay_bound",
          "decay_norm_bound"],
 )
+
+
+@EVERY_INVERSION
 def test_inverse_fiber_rejects_non_quasi_periodic_input(invert):
     rng = rng_from_seed(34)
     a = random_zkernel(REF, (1, 1), rng)
     bad = FiberFunction(
         REF, lambda k: fiber_hat(a, k).entries + 0.01 * np.real(k[0]) * np.eye(9)
     )
+    with pytest.raises(ValueError, match="quasi-periodic"):
+        invert(bad)
+
+
+@EVERY_INVERSION
+def test_inverse_fiber_rejects_a_violation_that_cancels_on_the_diagonal(invert):
+    # off by 0.01 * I per dual-block step along either axis, but unchanged
+    # by a shift of one step along both; single-momentum evaluator
+    a = random_zkernel(REF, (1, 1), rng_from_seed(34))
+    p = steps(REF, "dual_block")
+    bad = FiberFunction(REF, lambda k: fiber_hat(a, k).entries
+                        + 0.01 * (k[0] / p[0] - k[1] / p[1]) * np.eye(9))
     with pytest.raises(ValueError, match="quasi-periodic"):
         invert(bad)
 
