@@ -17,13 +17,13 @@ the n trapezoid nodes are exactly the even nodes of the 2n rule, so each
 doubling halves the previous sum and adds only the n new odd nodes.
 Gauss-Legendre nodes do not nest, so polylines recompute every node.
 
-Before any quadrature the spectrum of every fiber is checked against the
-contour: each eigenvalue must be enclosed with winding number one and
-must clear the contour by more than 1e-8 of the spectral scale.  Every
-resolvent also rejects shifts whose 2-norm condition number exceeds 1e14.
-A cheap upper bound on it, taken from the matrix and its computed inverse,
-clears a shift when it lies well below the limit; any other shift, or a
-stack the LU cannot factor, gets the exact SVD condition number.
+Every fiber's eigenvalues must be enclosed with winding number one and
+clear the contour by more than 1e-8 of the spectral scale, and each shift's
+2-norm condition number must stay below 1e14.  The disc |z - c| <= rho,
+c = trace / n, rho >= ||M - cI||_2, holds the spectrum, and cond_2(zeta - M)
+<= (d + rho) / (d - rho) at |zeta - c| = d > rho (Neumann series; Trefethen
+and Embree 2005).  It settles both at twice the clearance and a tenth of the
+limit; the rest fall back to eigenvalues, an inverse-based bound, the SVD.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ __all__ = [
 ]
 
 RESOLVENT_COND_LIMIT = 1e14
-# The bound clears a shift only this far below the limit: near 1e14 both the
-# bound and the SVD condition number carry rounding errors of about
-# eps * cond, roughly one percent, so the exact check decides there.
+# The bounds clear a shift only this far below the limit: near 1e14 a bound
+# and the SVD condition number carry rounding errors of about eps * cond,
+# roughly one percent, so the exact check decides there.
 COND_BOUND_ACCEPT = RESOLVENT_COND_LIMIT / 10
 # Shifts per resolvent stack in the quadrature, which caps its memory when
 # the node count doubles towards MAX_NODES.
@@ -178,33 +178,48 @@ def contour_clearance(contour, point: complex) -> float:
     return float(best)
 
 
-def _validate_spectrum(contour, eigenvalues: np.ndarray) -> None:
+def _norm2_bound(a: np.ndarray) -> np.ndarray:
+    """min(||A||_F, sqrt(||A||_1 ||A||_inf)) >= ||A||_2 per stacked |A| = ``a``."""
+    return np.minimum(np.sqrt((a * a).sum(axis=(-2, -1))),
+                      np.sqrt(a.sum(axis=-2).max(axis=-1) * a.sum(axis=-1).max(axis=-1)))
+
+
+def _spectral_disc(matrix: np.ndarray) -> tuple[complex, float]:
+    """(c, rho): c = trace / n and rho >= ||M - cI||_2, rounded up to cover its
+    own rounding; NaN or infinite for a non-finite or overflowing matrix."""
+    n = len(matrix)
+    with np.errstate(all="ignore"):
+        c = complex(np.trace(matrix)) / n
+        rho = float(_norm2_bound(np.abs(matrix - c * np.eye(n))))
+    return c, rho * (1.0 + (n * n + 8) * np.finfo(float).eps)
+
+
+def _validate_spectrum(contour, matrix: np.ndarray) -> None:
+    """Reject eigenvalues outside the contour or within 1e-8 of the spectral
+    scale of it.  A disc that is enclosed and clears the contour by 2e-8 *
+    max(1, |c| + rho) passes with no eigensolve: it is connected and holds
+    every eigenvalue, computed ones included."""
+    c, rho = _spectral_disc(matrix)
+    # a finite rho keeps c finite; clearance before encloses, which divides by
+    # zero at a Polyline vertex
+    if (np.isfinite(rho) and contour_clearance(contour, c) - rho
+            > 2.0 * CLEARANCE_RTOL * max(1.0, abs(c) + rho) and encloses(contour, c)):
+        return
+    eigenvalues = np.linalg.eigvals(matrix)
     scale = max(1.0, float(np.abs(eigenvalues).max()))
     for lam in eigenvalues:
         lam = complex(lam)
         if contour_clearance(contour, lam) <= CLEARANCE_RTOL * scale:
-            raise ValueError(
-                f"contour passes through the spectrum: eigenvalue {lam:.6g} "
-                f"clears it by less than {CLEARANCE_RTOL:.0e} * {scale:.3g}"
-            )
+            raise ValueError(f"contour passes through the spectrum: eigenvalue {lam:.6g} "
+                             f"clears it by less than {CLEARANCE_RTOL:.0e} * {scale:.3g}")
         if not encloses(contour, lam):
-            raise ValueError(
-                f"contour does not enclose the whole spectrum: eigenvalue "
-                f"{lam:.6g} lies outside"
-            )
+            raise ValueError(f"contour does not enclose the whole spectrum: eigenvalue "
+                             f"{lam:.6g} lies outside")
 
 
 def _condition_bound(shifted: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """Upper bound on the 2-norm condition number of each stacked matrix.
-
-    Uses ||A||_2 <= ||A||_F and ||A||_2 <= sqrt(||A||_1 ||A||_inf) for both
-    the matrix and its inverse, and keeps the smaller product.
-    """
-    a, b = np.abs(shifted), np.abs(inverse)
-    frobenius = np.sqrt((a * a).sum(axis=(-2, -1)) * (b * b).sum(axis=(-2, -1)))
-    one_inf = np.sqrt(a.sum(axis=-2).max(axis=-1) * a.sum(axis=-1).max(axis=-1)
-                      * b.sum(axis=-2).max(axis=-1) * b.sum(axis=-1).max(axis=-1))
-    return np.minimum(frobenius, one_inf)
+    """Upper bound on the 2-norm condition number of each stacked matrix."""
+    return _norm2_bound(np.abs(shifted)) * _norm2_bound(np.abs(inverse))
 
 
 def resolvent_fiber(matrix: np.ndarray, zeta) -> np.ndarray:
@@ -212,6 +227,8 @@ def resolvent_fiber(matrix: np.ndarray, zeta) -> np.ndarray:
 
     ``zeta`` is one shift, giving an (n, n) matrix, or a 1-D array of shifts,
     giving the (m, n, n) stack of resolvents from one batched inversion.
+    The disc bound (d + rho) / (d - rho) clears a shift when ten times below
+    the limit; the rest get ``_condition_bound``, then the SVD.
     """
     matrix = np.asarray(matrix)
     zetas = np.asarray(zeta, dtype=complex)
@@ -225,8 +242,15 @@ def resolvent_fiber(matrix: np.ndarray, zeta) -> np.ndarray:
         inverse, failure = None, exc
         unsure = np.ones(len(shifts), dtype=bool)
     else:
-        # written so that a NaN bound also goes to the exact check
-        unsure = ~(_condition_bound(shifted, inverse) <= COND_BOUND_ACCEPT)
+        c, rho = _spectral_disc(matrix)
+        with np.errstate(all="ignore"):
+            d = np.abs(shifts - c)
+            disc_bound = (d + rho) / (d - rho)
+        # written so that a NaN bound, from a non-finite d or rho, clears nothing
+        unsure = ~((d > rho) & (disc_bound <= COND_BOUND_ACCEPT))
+        if unsure.any():
+            bound = _condition_bound(shifted[unsure], inverse[unsure])
+            unsure[unsure] = ~(bound <= COND_BOUND_ACCEPT)
     if unsure.any():
         exact = np.linalg.cond(shifted[unsure])
         bad = shifts[unsure][exact > RESOLVENT_COND_LIMIT]
@@ -240,11 +264,21 @@ def resolvent_fiber(matrix: np.ndarray, zeta) -> np.ndarray:
     return inverse if zetas.ndim else inverse[0]
 
 
+def _function_values(fn, nodes: np.ndarray) -> np.ndarray:
+    """f at each node, rejecting a value that is not finite by its node."""
+    with np.errstate(all="ignore"):  # an overflow is reported below, by node
+        values = np.array([fn(z) for z in nodes], dtype=complex)
+    bad = nodes[~np.isfinite(values)]
+    if len(bad):
+        raise ValueError(f"function value at zeta={complex(bad[0]):.6g} is not finite")
+    return values
+
+
 def _node_sum(matrix: np.ndarray, fn, nodes: np.ndarray,
               weights: np.ndarray) -> np.ndarray:
     """sum_j w_j f(z_j) (z_j - M)^(-1), one resolvent stack per NODE_BATCH
     nodes."""
-    coeffs = weights * np.array([fn(z) for z in nodes], dtype=complex)
+    coeffs = weights * _function_values(fn, nodes)
     acc = np.zeros(matrix.shape, dtype=complex)
     for lo in range(0, len(nodes), NODE_BATCH):
         part = slice(lo, lo + NODE_BATCH)
@@ -254,7 +288,7 @@ def _node_sum(matrix: np.ndarray, fn, nodes: np.ndarray,
 
 def _fiber_quadrature(matrix: np.ndarray, fn, contour) -> np.ndarray:
     """Adaptive doubling of the contour rule on a single fiber matrix."""
-    _validate_spectrum(contour, np.linalg.eigvals(matrix))
+    _validate_spectrum(contour, matrix)
     n = 16
     acc = _node_sum(matrix, fn, *contour_nodes(contour, n))
     while 2 * n <= MAX_NODES:
@@ -296,7 +330,7 @@ def function_of_operator_nodes(kernel: PeriodicKernel, fn, contour,
     zs, ws = contour_nodes(contour, nodes)
 
     def per_fiber(matrix):
-        _validate_spectrum(contour, np.linalg.eigvals(matrix))
+        _validate_spectrum(contour, matrix)
         return _node_sum(matrix, fn, zs, ws)
 
     return _map_fibers(kernel, per_fiber)
@@ -312,9 +346,7 @@ def function_fiber(source, fn, contour) -> FiberFunction:
     if isinstance(source, ZKernel):
         source = fiber_function(source)
     if not isinstance(source, FiberFunction):
-        raise TypeError(
-            f"expected a ZKernel or FiberFunction, got {type(source).__name__}"
-        )
+        raise TypeError(f"expected a ZKernel or FiberFunction, got {type(source).__name__}")
 
     def matrix_at(ks):
         stack = np.asarray(source.matrix_at(ks))
@@ -334,7 +366,7 @@ def function_norm_bound(kernel: PeriodicKernel, fn, contour, mass: float,
     fiber's stack of resolvents, is resummed and measured as one stack.
     """
     zs, _ = contour_nodes(contour, nodes)
-    sup_f = max(abs(complex(fn(z))) for z in zs)
+    sup_f = max(abs(complex(v)) for v in _function_values(fn, zs))
     fam, fibers = kernel.family, bloch_fibers(kernel)
     size = -(-len(zs) // len(fibers))
     sup_res = 0.0

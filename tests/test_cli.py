@@ -249,6 +249,19 @@ contour_radius = 0.5
     assert "numerical error" in capsys.readouterr().err
 
 
+def test_funcalc_non_finite_function_value_exits_one(tmp_path, capsys):
+    # exp overflows at the contour node zeta = 800
+    config = write_config(tmp_path, REF_LINES.format(task="funcalc") + """
+[params]
+function = exp
+contour_center = 0
+contour_radius = 800
+""")
+    assert run(config, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "numerical error: function value at zeta=800+0j is not finite" in err
+
+
 def test_unknown_keys_are_rejected(tmp_path, capsys):
     base = REF_LINES.format(task="verify")
     cases = [

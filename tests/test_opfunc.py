@@ -31,8 +31,9 @@ from blochlat.periodic_op import (
     identity_kernel,
     periodic_kernel,
 )
-from blochlat.periodization import periodize
+from blochlat.periodization import FiberFunction, periodize
 from blochlat.rand import random_periodic_kernel, random_zkernel, rng_from_seed
+from blochlat.verify import _opfunc_checks
 
 REF = LatticeSpec(eps_t=1.0, eps_x=1.0, l_t=3, l_x=3, big_l_t=9, big_l_x=9, dim=1)
 FAM = build_family(REF)
@@ -322,3 +323,128 @@ def test_norm_bound_takes_the_fibers_once(monkeypatch):
     monkeypatch.setattr(opfunc, "bloch_fibers", counting_fibers)
     function_norm_bound(a, np.exp, contour, 0.5)
     assert len(calls) == 1
+
+
+def eigenvalue_check(contour, matrix):
+    """The spectrum check on the computed eigenvalues alone: the verdict the
+    disc certificate must reproduce, message included."""
+    eigenvalues = np.linalg.eigvals(matrix)
+    scale = max(1.0, float(np.abs(eigenvalues).max()))
+    for lam in eigenvalues:
+        lam = complex(lam)
+        if opfunc.contour_clearance(contour, lam) <= opfunc.CLEARANCE_RTOL * scale:
+            return (f"contour passes through the spectrum: eigenvalue {lam:.6g} "
+                    f"clears it by less than {opfunc.CLEARANCE_RTOL:.0e} * {scale:.3g}")
+        if not encloses(contour, lam):
+            return (f"contour does not enclose the whole spectrum: eigenvalue "
+                    f"{lam:.6g} lies outside")
+    return None
+
+
+def square(center, half):
+    return Polyline(tuple(center + half * v for v in (1 - 1j, 1 + 1j, -1 + 1j, -1 - 1j)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["normal", "non-normal", "triangular"]),
+       n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["circle", "square"]),
+       target=st.sampled_from(["disc", "eigenvalue", "elsewhere"]),
+       log_gap=st.floats(-12.0, 0.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_spectrum_check_gives_the_eigenvalue_verdict(kind, n, seed, shape, target,
+                                                     log_gap, sign):
+    rng = rng_from_seed(seed)
+    m = random_matrix(kind, n, rng) * 10.0 ** rng.uniform(-3, 3) \
+        + 5.0 * complex(rng.standard_normal(), rng.standard_normal()) * np.eye(n)
+    c, rho = opfunc._spectral_disc(m)
+    center = c + 1e-3 * rho * complex(rng.standard_normal(), rng.standard_normal())
+    if target == "disc":  # the disc just clears, or just misses, the certificate margin
+        margin = 2.0 * opfunc.CLEARANCE_RTOL * max(1.0, abs(c) + rho)
+        half = rho + margin * (1.0 + sign * 10.0**log_gap)
+    elif target == "eigenvalue":  # the contour runs just inside or outside an eigenvalue
+        dev = np.linalg.eigvals(m) - center
+        reach = np.abs(dev) if shape == "circle" else np.maximum(abs(dev.real), abs(dev.imag))
+        half = float(reach.max()) * (1.0 + sign * 10.0**log_gap)
+    else:  # a contour that need not enclose c
+        center = c + 3.0 * (rho + 1.0) * np.exp(2j * np.pi * rng.uniform())
+        half = (rho + 1.0) * 10.0 ** (-log_gap / 6.0)
+    if not half > 0.0:
+        return
+    contour = Circle(center, half) if shape == "circle" else square(center, half)
+    want = eigenvalue_check(contour, m)
+    if want is None:
+        opfunc._validate_spectrum(contour, m)
+    else:
+        with pytest.raises(ValueError) as info:
+            opfunc._validate_spectrum(contour, m)
+        assert str(info.value) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["normal", "non-normal", "triangular"]),
+       n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       near=st.sampled_from(["disc", "eigenvalue"]), log_gap=st.floats(-16.0, 1.0))
+def test_disc_bound_dominates_the_condition_number(kind, n, seed, near, log_gap):
+    rng = rng_from_seed(seed)
+    m = random_matrix(kind, n, rng) + 3.0 * complex(rng.standard_normal(),
+                                                    rng.standard_normal()) * np.eye(n)
+    c, rho = opfunc._spectral_disc(m)
+    turn = np.exp(2j * np.pi * rng.uniform())
+    if near == "disc":
+        zeta = c + rho * (1.0 + 10.0**log_gap) * turn
+    else:
+        zeta = np.linalg.eigvals(m)[rng.integers(n)] + 10.0**log_gap * turn
+    cond = np.linalg.cond(zeta * np.eye(n) - m)
+    try:
+        resolvent_fiber(m, zeta)
+        assert not cond > RESOLVENT_COND_LIMIT
+    except ValueError as exc:
+        assert "ill-conditioned" in str(exc) and cond > RESOLVENT_COND_LIMIT
+    d = abs(zeta - c)
+    if d > rho:
+        # as for the norm bound: the computed cond carries a relative error of
+        # order n * eps * cond, and the shifted matrix its own rounding
+        slack = 1e-12 + 4 * n * np.finfo(float).eps * cond
+        assert cond * (1.0 - slack) <= (d + rho) / (d - rho)
+
+
+def test_cleared_contours_need_no_eigensolve_and_no_condition_bound(monkeypatch):
+    calls = []
+    eigvals, condition_bound = np.linalg.eigvals, opfunc._condition_bound
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append("eigvals") or eigvals(m))
+    monkeypatch.setattr(opfunc, "_condition_bound",
+                        lambda s, i: calls.append("bound") or condition_bound(s, i))
+    spec = LatticeSpec(eps_t=1.0, eps_x=1.0, l_t=3, l_x=3, big_l_t=12, big_l_x=9, dim=2)
+    torus = periodize(random_zkernel(spec, (2, 2, 2), rng_from_seed(85)), build_family(spec))
+    function_of_operator(torus, make_polynomial([1.0, 0.5, 0.25]), Circle(0.0, 200.0))
+    rows = _opfunc_checks(FAM, random_zkernel(REF, (2, 2), rng_from_seed(86)))
+    assert all(row.passed for row in rows)
+    assert calls == []
+
+
+def constant_fibers(matrix):
+    """A fiber function whose fiber is ``matrix`` at every momentum."""
+    return FiberFunction(REF, lambda ks: np.broadcast_to(matrix, ks.shape[:-1] + matrix.shape))
+
+
+def test_spectrum_on_a_polyline_vertex_is_rejected_by_name():
+    contour = Polyline((0.0, 4.0, 4.0 + 4j, 4j))
+    at_vertex = constant_fibers((4.0 + 4j) * np.eye(9))
+    with pytest.raises(ValueError, match="contour passes through the spectrum"):
+        function_fiber(at_vertex, np.exp, contour).matrix_at(np.zeros(2))
+
+
+def test_non_finite_fiber_fails_as_the_eigensolve_does():
+    nan_fibers = constant_fibers(np.full((9, 9), np.nan))
+    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        function_fiber(nan_fibers, np.exp, Circle(0.0, 1.0)).matrix_at(np.zeros(2))
+
+
+def test_non_finite_function_value_is_named():
+    a = shifted_test_kernel(87)
+    contour = Circle(0.0, 800.0)  # exp overflows at zeta = 800
+    message = r"function value at zeta=800\+0j is not finite"
+    with pytest.raises(ValueError, match=message):
+        function_of_operator(a, np.exp, contour)
+    with pytest.raises(ValueError, match=message):
+        function_norm_bound(a, np.exp, contour, 0.5)
