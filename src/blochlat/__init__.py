@@ -28,13 +28,10 @@ from .lattice import (
     FieldVector,
     LatticeFamily,
     LatticeSpec,
-    Site,
     SpectrumVector,
     build_family,
     distance_matrix,
     inner,
-    project_dual,
-    torus_distance,
 )
 
 __all__ = [
@@ -52,12 +49,9 @@ __all__ = [
     "DUAL_TAGS",
     "LatticeSpec",
     "LatticeFamily",
-    "Site",
     "FieldVector",
     "SpectrumVector",
     "build_family",
-    "project_dual",
-    "torus_distance",
     "distance_matrix",
     "inner",
 ]

@@ -22,7 +22,9 @@ momentum fibers are rank one:
 
 with qhat the momentum response of the profile.  R P acts on the coarse
 lattice by a translation-invariant stencil, the identity for the naive
-profile.
+profile.  ``profile_hat`` and ``prolong_restrict_fiber`` take a stack of
+momenta (..., n_axes), as ``fiber_hat`` does, and return the stacked
+responses and fibers.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .periodization import (
     ZKernel,
     ZKernelFC,
     _block_coords,
+    _momentum,
     apply_cf,
     apply_fc,
     window_offsets,
@@ -132,20 +135,17 @@ def dirichlet_average(points: int, theta) -> np.ndarray:
     return acc / points
 
 
-def profile_hat(profile: Profile, k) -> complex:
-    """Momentum response sum_z q(z) exp(i k.z) at possibly complex k."""
+def profile_hat(profile: Profile, k):
+    """Momentum response sum_z q(z) exp(i k.z) at possibly complex k;
+    momenta (..., n_axes) give responses (...)."""
     spec = profile.spec
-    k = np.asarray(k)
-    if k.shape != (spec.n_axes,):
-        raise ValueError(
-            f"momentum must have {spec.n_axes} components, got shape {k.shape}"
-        )
+    k = _momentum(spec, k)
     eps = spec.spacings()
-    out = 1.0 + 0.0j
+    out = np.ones(k.shape[:-1], dtype=complex)
     for axis, (r, w) in enumerate(zip(profile.radii, profile.axis_weights)):
         z = np.arange(-r, r + 1) * eps[axis]
-        out = out * np.sum(w * np.exp(1j * k[axis] * z))
-    return complex(out)
+        out = out * np.sum(w * np.exp(1j * k[..., axis, None] * z), axis=-1)
+    return out[()]
 
 
 def _coarse_radii(profile: Profile) -> tuple[int, ...]:
@@ -236,15 +236,13 @@ def prolong_restrict_kernel(profile: Profile) -> ZKernel:
 
 
 def prolong_restrict_fiber(profile: Profile, k) -> BlochFiber:
-    """Rank-one momentum fiber of prolong-then-restrict at momentum k."""
+    """Rank-one momentum fiber of prolong-then-restrict at momentum k;
+    momenta (..., n_axes) give entries (..., n_block, n_block)."""
     spec = profile.spec
-    k = np.asarray(k, dtype=complex)
-    ratios = spec.ratios().astype(float)
-    eps = spec.spacings()
-    bhat = _block_coords(spec)
-    ells = 2.0 * np.pi * bhat / (eps * ratios)
-    left = np.array([profile_hat(profile, -(k + ell)) for ell in ells])
-    right = np.array([profile_hat(profile, k + ell) for ell in ells])
-    entries = np.outer(left, right)
+    k = _momentum(spec, k)
+    ells = 2.0 * np.pi * _block_coords(spec) / (spec.spacings() * spec.ratios())
+    lifted = k[..., None, :] + ells  # k + l over the dual block
+    entries = (profile_hat(profile, -lifted)[..., :, None]
+               * profile_hat(profile, lifted)[..., None, :])
     entries.flags.writeable = False
     return BlochFiber(k, entries, None)

@@ -401,7 +401,7 @@ def _run_norms(job: Job, outdir: str):
         row[:] = mass, z_norm, t_norm
         checks.append(_le(f"torus_norm_dominated[m={mass:g}]",
                           "lemBOlonelinfty.b", t_norm, z_norm))
-        ks = np.array(_complex_momenta(job.spec, rng, 40, mass))
+        ks = _complex_momenta(job.spec, rng, 40, mass)
         sup = np.abs(fiber_function(job.kernel).matrix_at(ks)).max()
         checks.append(_le(f"fiber_sup_bound[m={mass:g}]",
                           "lemBOlonelinfty.a", sup, z_norm))

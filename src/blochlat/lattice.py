@@ -42,12 +42,9 @@ __all__ = [
     "DIRECT_OF",
     "LatticeSpec",
     "LatticeFamily",
-    "Site",
     "FieldVector",
     "SpectrumVector",
     "build_family",
-    "project_dual",
-    "torus_distance",
     "distance_matrix",
     "inner",
 ]
@@ -191,14 +188,6 @@ def distance_matrix(spec: LatticeSpec, tag: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Site:
-    """A point of one family member, in canonical reduced coordinates."""
-
-    coords: tuple[int, ...]
-    tag: str
-
-
-@dataclass(frozen=True)
 class FieldVector:
     """Values over all sites of a direct lattice, canonical order."""
 
@@ -262,18 +251,6 @@ class LatticeFamily:
     def coords(self, tag: str) -> np.ndarray:
         """Integer coords of every site, shape (count, 1+dim), row-major."""
         return _coords_cache(self.spec, tag)
-
-    def site(self, tag: str, coords) -> Site:
-        """Canonicalize ``coords`` (any integers) onto the tagged torus."""
-        _check_tag(tag)
-        ext = extents(self.spec, tag)
-        arr = np.asarray(coords, dtype=np.int64)
-        if arr.shape != (self.spec.n_axes,):
-            raise ValueError(
-                f"expected {self.spec.n_axes} coordinates for {tag!r}, "
-                f"got shape {arr.shape}"
-            )
-        return Site(tuple(int(c) for c in arr % ext), tag)
 
     def index(self, tag: str, coords) -> int:
         """Flat canonical index of (possibly unreduced) integer coords."""
@@ -359,27 +336,6 @@ def build_family(spec: LatticeSpec) -> LatticeFamily:
         n_coarse=n_coarse,
         n_block=n_block,
     )
-
-
-def project_dual(family: LatticeFamily, p: Site) -> Site:
-    """Canonical projection of a dual-fine momentum onto the dual-coarse torus.
-
-    The kernel is exactly the dual-block lattice, and exp(i p.x) equals
-    exp(i project_dual(p).x) for every coarse site x.
-    """
-    if p.tag != "dual_fine":
-        raise ValueError(f"project_dual expects a dual_fine momentum, got {p.tag!r}")
-    ext = extents(family.spec, "dual_coarse")
-    reduced = np.asarray(p.coords, dtype=np.int64) % ext
-    return Site(tuple(int(c) for c in reduced), "dual_coarse")
-
-
-def torus_distance(family: LatticeFamily, a: Site, b: Site) -> float:
-    """Geodesic distance between two sites of the same torus, physical units."""
-    if a.tag != b.tag:
-        raise ValueError(f"sites live on different lattices: {a.tag!r} vs {b.tag!r}")
-    pair = np.asarray([a.coords, b.coords], dtype=np.int64)
-    return float(_pair_distances(family.spec, a.tag, pair[:1], pair[1:])[0, 0])
 
 
 def inner(family: LatticeFamily, f: FieldVector, g: FieldVector) -> complex:

@@ -47,7 +47,6 @@ __all__ = [
     "encloses",
     "contour_clearance",
     "resolvent_fiber",
-    "resolvent_kernel",
     "function_of_operator",
     "function_of_operator_nodes",
     "function_fiber",
@@ -184,9 +183,16 @@ def _norm2_bound(a: np.ndarray) -> np.ndarray:
                       np.sqrt(a.sum(axis=-2).max(axis=-1) * a.sum(axis=-1).max(axis=-1)))
 
 
+def _require_finite(matrix: np.ndarray) -> None:
+    """Reject a fiber with a NaN or infinite entry, naming the first one."""
+    if not np.isfinite(matrix).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(matrix))[0])
+        raise ValueError(f"fiber matrix is not finite: entry {at} is {matrix[at]}")
+
+
 def _spectral_disc(matrix: np.ndarray) -> tuple[complex, float]:
     """(c, rho): c = trace / n and rho >= ||M - cI||_2, rounded up to cover its
-    own rounding; NaN or infinite for a non-finite or overflowing matrix."""
+    own rounding; NaN or infinite for a matrix whose sums overflow."""
     n = len(matrix)
     with np.errstate(all="ignore"):
         c = complex(np.trace(matrix)) / n
@@ -199,6 +205,7 @@ def _validate_spectrum(contour, matrix: np.ndarray) -> None:
     scale of it.  A disc that is enclosed and clears the contour by 2e-8 *
     max(1, |c| + rho) passes with no eigensolve: it is connected and holds
     every eigenvalue, computed ones included."""
+    _require_finite(matrix)
     c, rho = _spectral_disc(matrix)
     # a finite rho keeps c finite; clearance before encloses, which divides by
     # zero at a Polyline vertex
@@ -218,8 +225,10 @@ def _validate_spectrum(contour, matrix: np.ndarray) -> None:
 
 
 def _condition_bound(shifted: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """Upper bound on the 2-norm condition number of each stacked matrix."""
-    return _norm2_bound(np.abs(shifted)) * _norm2_bound(np.abs(inverse))
+    """Upper bound on the 2-norm condition number of each stacked matrix;
+    an overflow gives an infinite or NaN bound, which clears nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _norm2_bound(np.abs(shifted)) * _norm2_bound(np.abs(inverse))
 
 
 def resolvent_fiber(matrix: np.ndarray, zeta) -> np.ndarray:
@@ -231,6 +240,7 @@ def resolvent_fiber(matrix: np.ndarray, zeta) -> np.ndarray:
     the limit; the rest get ``_condition_bound``, then the SVD.
     """
     matrix = np.asarray(matrix)
+    _require_finite(matrix)
     zetas = np.asarray(zeta, dtype=complex)
     if zetas.ndim > 1:
         raise ValueError(f"shifts must be a scalar or a 1-D array, got shape {zetas.shape}")
@@ -334,11 +344,6 @@ def function_of_operator_nodes(kernel: PeriodicKernel, fn, contour,
         return _node_sum(matrix, fn, zs, ws)
 
     return _map_fibers(kernel, per_fiber)
-
-
-def resolvent_kernel(kernel: PeriodicKernel, zeta: complex) -> PeriodicKernel:
-    """Torus kernel of (zeta - A)^(-1)."""
-    return _map_fibers(kernel, lambda matrix: resolvent_fiber(matrix, zeta))
 
 
 def function_fiber(source, fn, contour) -> FiberFunction:

@@ -116,11 +116,13 @@ class BlochFiber:
     ``k`` is the physical momentum vector (complex entries allowed off the
     real torus); ``rep`` carries the integer dual-coarse representative when
     the fiber belongs to a finite-torus operator, and is None for fibers of
-    infinite-lattice kernels evaluated at continuous momenta.
+    infinite-lattice kernels evaluated at continuous momenta.  From
+    ``fiber_hat`` a stacked ``k`` of shape (..., n_axes) gives stacked
+    ``entries`` of shape (..., n_block, n_block).
     """
 
     k: np.ndarray
-    entries: np.ndarray  # (n_block, n_block) complex
+    entries: np.ndarray  # (..., n_block, n_block) complex
     rep: tuple[int, ...] | None = None
 
 

@@ -18,13 +18,16 @@ the dual-block reciprocal lattice: fiber(k + p) equals fiber(k) with both
 dual-block indices shifted by p.  ``inverse_fiber`` undoes the transform by
 quadrature over the dual-coarse Brillouin zone; the integrand is a
 trigonometric polynomial, so a uniform grid of ``2 * radius + 1`` nodes per
-axis is always exact.
+axis is always exact.  Every fiber evaluator, from ``fiber_hat`` on, takes
+a stack of momenta (..., n_axes) and returns the stacked fibers (...,
+n_block, n_block); a single momentum gives a single fiber.
 
 An asymmetric kernel between the fine and coarse lattices is one
 coarse-invariant window table, ``ZKernelFC``, read in two directions: the
 ``_fc`` functions read it as b(u, x), fine rows and coarse columns, and the
 ``_cf`` functions as its transpose c(x, u) = b(u, x).  Either reading
-carries a single dual-block index in momentum space.
+carries a single dual-block index in momentum space, so its fibers at
+momenta (..., n_axes) are vectors (..., n_block).
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ __all__ = [
     "translation_invariant_zkernel",
     "periodize",
     "compose_z",
-    "transpose_z",
     "fiber_hat",
     "fiber_function",
     "fiber_hat_fc",
@@ -268,15 +270,6 @@ def compose_z(a: ZKernel, b: ZKernel) -> ZKernel:
     return zkernel(spec, radii, out.reshape(n_block, -1))
 
 
-def transpose_z(a: ZKernel) -> ZKernel:
-    """Kernel of the transposed operator, a*(u, u') = a(u', u)."""
-    spec = a.spec
-    offsets = window_offsets(spec, a.radii)
-    rows = _block_index(spec, _block_coords(spec)[:, None, :] + offsets)  # class of w + d
-    # the window is symmetric and row-major: offset -d sits at the mirrored slot
-    return zkernel(spec, a.radii, a.entries[rows, np.arange(len(offsets))[::-1]])
-
-
 # ---------------------------------------------------------------------------
 # momentum fibers
 # ---------------------------------------------------------------------------
@@ -290,9 +283,11 @@ def _block_phase_matrix(spec: LatticeSpec, direct_coords: np.ndarray) -> np.ndar
     return np.exp(2j * np.pi * t)
 
 
-def _momentum(spec: LatticeSpec, k, stack: bool = False) -> np.ndarray:
+def _momentum(spec: LatticeSpec, k) -> np.ndarray:
+    """A momentum stack (..., n_axes) as a float or complex array; the one
+    shape check of every fiber evaluator."""
     arr = np.asarray(k)
-    if arr.shape[-1:] != (spec.n_axes,) or (arr.ndim > 1 and not stack):
+    if arr.shape[-1:] != (spec.n_axes,):
         raise ValueError(
             f"momentum must have {spec.n_axes} components, got shape {arr.shape}"
         )
@@ -327,14 +322,15 @@ def _fiber_stack(a: ZKernel, ks: np.ndarray) -> np.ndarray:
 
 
 def fiber_hat(a: ZKernel, k) -> BlochFiber:
-    """Momentum fiber of an infinite-lattice kernel at (possibly complex) k."""
+    """Momentum fiber of an infinite-lattice kernel at (possibly complex) k;
+    momenta (..., n_axes) give entries (..., n_block, n_block)."""
     k = _momentum(a.spec, k)
     return BlochFiber(k, _fiber_stack(a, k), None)
 
 
 def fiber_function(a: ZKernel) -> FiberFunction:
     """Wrap a kernel's fiber transform as an evaluator of momentum stacks."""
-    return FiberFunction(a.spec, lambda ks: _fiber_stack(a, _momentum(a.spec, ks, True)))
+    return FiberFunction(a.spec, lambda ks: _fiber_stack(a, _momentum(a.spec, ks)))
 
 
 @lru_cache(maxsize=32)
@@ -350,23 +346,25 @@ def _coarse_window_tables(spec: LatticeSpec, radii: tuple[int, ...]):
 
 
 def fiber_hat_fc(b: ZKernelFC, k) -> np.ndarray:
-    """Dual-block column vector of a fine-from-coarse kernel at momentum k."""
+    """Dual-block column vector of a fine-from-coarse kernel at momentum k;
+    momenta (..., n_axes) give vectors (..., n_block)."""
     spec = b.spec
     k = _momentum(spec, k)
     disp, wdisp, ew = _coarse_window_tables(spec, normalize_radii(spec, b.radii))
-    g = b.entries @ np.exp(1j * disp @ k)  # sum over x, exp(i k.x)
-    ekw = np.exp(-1j * wdisp @ k)  # exp(-i k.w)
-    return spec.vol_f * (np.conj(ew) @ (ekw * g))
+    g = np.exp(1j * k @ disp.T) @ b.entries.T  # sum over x, exp(i k.x)
+    ekw = np.exp(-1j * k @ wdisp.T)  # exp(-i k.w)
+    return spec.vol_f * ((ekw * g) @ np.conj(ew).T)
 
 
 def fiber_hat_cf(c: ZKernelFC, k) -> np.ndarray:
-    """Dual-block row vector of a coarse-from-fine kernel at momentum k."""
+    """Dual-block row vector of a coarse-from-fine kernel at momentum k;
+    momenta (..., n_axes) give vectors (..., n_block)."""
     spec = c.spec
     k = _momentum(spec, k)
     disp, wdisp, ew = _coarse_window_tables(spec, normalize_radii(spec, c.radii))
-    g = c.entries @ np.exp(-1j * disp @ k)  # sum over x, exp(-i k.x)
-    ekw = np.exp(1j * wdisp @ k)  # exp(i k.w)
-    return spec.vol_f * (ew @ (ekw * g))
+    g = np.exp(-1j * k @ disp.T) @ c.entries.T  # sum over x, exp(-i k.x)
+    ekw = np.exp(1j * k @ wdisp.T)  # exp(i k.w)
+    return spec.vol_f * ((ekw * g) @ ew.T)
 
 
 def exact_grid_sizes(spec: LatticeSpec, radii) -> tuple[int, ...]:

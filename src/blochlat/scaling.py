@@ -14,7 +14,8 @@ fibers read at the compressed momentum:
 
 and the weighted norm at mass m is bounded by the original norm at mass
 m * max(1 / sigma_t, 1 / sigma_x), with equality when the kernel is
-supported along an axis realizing the max.
+supported along an axis realizing the max.  The ``scaled_fiber`` functions
+take a stack of momenta (..., n_axes), as ``fiber_hat`` does.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .periodization import (
     ZField,
     ZKernel,
     ZKernelFC,
+    _momentum,
     fiber_hat,
     fiber_hat_cf,
     fiber_hat_fc,
@@ -107,16 +109,12 @@ def scale_field(field: ZField, factors: ScaleFactors) -> ZField:
 
 
 def _compressed(spec: LatticeSpec, factors: ScaleFactors, k) -> np.ndarray:
-    k = np.asarray(k)
-    if k.shape != (spec.n_axes,):
-        raise ValueError(
-            f"momentum must have {spec.n_axes} components, got shape {k.shape}"
-        )
-    return k / factors.vector(spec)
+    return _momentum(spec, k) / factors.vector(spec)
 
 
 def scaled_fiber(a: ZKernel, factors: ScaleFactors, k) -> BlochFiber:
-    """Fiber of the scaled kernel evaluated through the original one."""
+    """Fiber of the scaled kernel evaluated through the original one;
+    momenta (..., n_axes) give entries (..., n_block, n_block)."""
     fiber = fiber_hat(a, _compressed(a.spec, factors, k))
     return BlochFiber(np.asarray(k), fiber.entries, fiber.rep)
 

@@ -127,10 +127,12 @@ def _rel(dev, scale) -> float:
     return float(dev) / max(float(scale), 1e-300)
 
 
-def _rel_peaks(got, expect) -> list[float]:
-    """Per matrix of two stacks: max |got - expect| over max(1, max |expect|)."""
-    return [_rel(d, max(1.0, e)) for d, e in zip(np.abs(got - expect).max(axis=(-2, -1)),
-                                                 np.abs(expect).max(axis=(-2, -1)))]
+def _rel_peaks(delta, reference) -> list[float]:
+    """Per member of two stacks (the leading axis): max |delta| over
+    max(1, max |reference|)."""
+    axes = tuple(range(1, np.ndim(reference)))
+    return [_rel(d, max(1.0, e)) for d, e in zip(np.abs(delta).max(axis=axes),
+                                                 np.abs(reference).max(axis=axes))]
 
 
 def _lifted_momenta(fam: LatticeFamily):
@@ -150,7 +152,7 @@ def _complex_momenta(spec, rng, count, im_radius):
         im = rng.normal(size=spec.n_axes)
         im *= rng.uniform(0.0, 0.99) * im_radius / max(np.linalg.norm(im), 1e-12)
         out.append(re + 1j * im)
-    return out
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +293,15 @@ def _window_checks(fam: LatticeFamily, a: ZKernel, rng):
                    _rel(np.abs(lhs.entries - rhs.entries).max(), cscale), 1e-12))
 
     eye = fiber_function(identity_zkernel(spec)).matrix_at(
-        np.array(_complex_momenta(spec, rng, 3, MASS)))
+        _complex_momenta(spec, rng, 3, MASS))
     out.append(_eq("identity_fiber_delta", "lemBOperiodalg.a",
                    np.abs(eye - np.eye(fam.n_block)).max(), 1e-13))
 
     f = fiber_function(a)
-    ks = np.array(_complex_momenta(spec, rng, 5, MASS)
-                  + [k.real for k in _complex_momenta(spec, rng, 5, MASS)])
-    devs = _rel_peaks(fiber_function(ab).matrix_at(ks),
-                      f.matrix_at(ks) @ fiber_function(b).matrix_at(ks))
+    ks = np.concatenate([_complex_momenta(spec, rng, 5, MASS),
+                         _complex_momenta(spec, rng, 5, MASS).real])
+    product = f.matrix_at(ks) @ fiber_function(b).matrix_at(ks)
+    devs = _rel_peaks(fiber_function(ab).matrix_at(ks) - product, product)
     j = int(np.argmax(devs))
     out.append(_eq("fiber_multiplicativity", "lemBOperiodalg.b", devs[j], 1e-12,
                    witness=f"worst k={_fmt_vec(ks[j])}"))
@@ -313,15 +315,12 @@ def _window_checks(fam: LatticeFamily, a: ZKernel, rng):
     ti = translation_invariant_zkernel(spec, prof_radii, profile)
     ti_offsets = window_offsets(spec, prof_radii)
     eps = spec.spacings()
-    worst = 0.0
     ells = 2.0 * np.pi * fam.coords("dual_block") / (eps * ratios)
-    for k in _complex_momenta(spec, rng, 3, MASS):
-        got = fiber_hat(ti, k).entries
-        alpha_hat = fam.vol_f * np.array(
-            [profile @ np.exp(1j * (ti_offsets * eps) @ (k + ell)) for ell in ells]
-        )
-        dev = np.abs(got - np.diag(alpha_hat)).max()
-        worst = max(worst, _rel(dev, max(1.0, np.abs(alpha_hat).max())))
+    ks = _complex_momenta(spec, rng, 3, MASS)
+    alpha_hat = fam.vol_f * (np.exp(1j * (ks[:, None, :] + ells) @ (ti_offsets * eps).T)
+                             @ profile)
+    expect = alpha_hat[:, :, None] * np.eye(fam.n_block)
+    worst = max(_rel_peaks(fiber_hat(ti, ks).entries - expect, expect))
     out.append(_eq("translation_invariant_diagonal", "lemBOifkervar.b", worst, 1e-12))
 
     fibers = bloch_fibers(torus)
@@ -330,8 +329,9 @@ def _window_checks(fam: LatticeFamily, a: ZKernel, rng):
     worst = _rel(np.abs(sampled - np.stack([fiber.entries for fiber in fibers])).max(), scale)
     out.append(_eq("discrete_momentum_consistency", "lemBOifkervar.c", worst, 1e-12))
 
-    ks = np.array(_complex_momenta(spec, rng, 3, MASS))
-    worst = max(_rel_peaks(fiber_function(back).matrix_at(ks), f.matrix_at(ks)))
+    ks = _complex_momenta(spec, rng, 3, MASS)
+    expect = f.matrix_at(ks)
+    worst = max(_rel_peaks(fiber_function(back).matrix_at(ks) - expect, expect))
     out.append(_eq("fiber_uniqueness_round_trip", "lemBOuniqueness", worst, 1e-12))
 
     shape = tuple(int(r) for r in ratios)
@@ -339,10 +339,11 @@ def _window_checks(fam: LatticeFamily, a: ZKernel, rng):
     units = np.eye(spec.n_axes, dtype=np.int64)
     base, *shifted = f.matrix_at(np.vstack([k0, k0 + units * 2.0 * np.pi / (eps * ratios)]))
     # rolling permutes the entries, so max |rolled| is max |base|
-    rolled = [np.roll(base.reshape(shape + shape), shift=tuple(-t) + tuple(-t),
-                      axis=tuple(range(2 * spec.n_axes))).reshape(base.shape) for t in units]
+    rolled = np.array([np.roll(base.reshape(shape + shape), shift=tuple(-t) + tuple(-t),
+                               axis=tuple(range(2 * spec.n_axes))).reshape(base.shape)
+                       for t in units])
     out.append(_eq("twisted_index_shift", "remBOatwisted",
-                   max(_rel_peaks(np.array(shifted), np.array(rolled))), 1e-12))
+                   max(_rel_peaks(np.array(shifted) - rolled, rolled)), 1e-12))
     return out
 
 
@@ -358,7 +359,7 @@ def _asymmetric_checks(fam: LatticeFamily, rng):
     psi = fam.field("coarse", random_field_values(fam, "coarse", rng))
     got = transform(fam, apply_fc(fam, b, psi)).values
     psi_hat = transform(fam, psi).values
-    coeffs = np.stack([fiber_hat_fc(b, rep * step_c) for rep in reps])
+    coeffs = fiber_hat_fc(b, reps * step_c)
     expect = np.zeros(fam.n_fine, dtype=complex)
     expect[p] = coeffs * psi_hat[:, None]
     dev_fc = _rel(np.abs(got - expect).max(), max(1.0, np.abs(expect).max()))
@@ -367,20 +368,17 @@ def _asymmetric_checks(fam: LatticeFamily, rng):
     phi = fam.field("fine", random_field_values(fam, "fine", rng))
     got = transform(fam, apply_cf(fam, b, phi)).values
     phi_hat = transform(fam, phi).values
-    coeffs = np.stack([fiber_hat_cf(b, rep * step_c) for rep in reps])
+    coeffs = fiber_hat_cf(b, reps * step_c)
     expect = (coeffs * phi_hat[p]).sum(axis=1)
     dev_cf = _rel(np.abs(got - expect).max(), max(1.0, np.abs(expect).max()))
     out.append(_eq("cf_momentum_action", "eqnPOftaction", dev_cf, 1e-12))
 
     shape = tuple(int(r) for r in spec.ratios())
-    worst = 0.0
-    for k in _complex_momenta(spec, rng, 3, MASS):
-        direct = fiber_hat_cf(b, k)
-        reflected = fiber_hat_fc(b, -np.asarray(k))
-        grid = np.indices(shape).reshape(spec.n_axes, -1).T
-        neg = np.ravel_multi_index(tuple((-grid % shape).T), shape)
-        dev = np.abs(direct - reflected[neg]).max()
-        worst = max(worst, _rel(dev, max(1.0, np.abs(direct).max())))
+    grid = np.indices(shape).reshape(spec.n_axes, -1).T
+    neg = np.ravel_multi_index(tuple((-grid % shape).T), shape)
+    ks = _complex_momenta(spec, rng, 3, MASS)
+    direct = fiber_hat_cf(b, ks)
+    worst = max(_rel_peaks(direct - fiber_hat_fc(b, -ks)[:, neg], direct))
     out.append(_eq("asymmetric_transpose_fiber", "eqnPOtranspose", worst, 1e-12))
     return out
 
@@ -438,7 +436,7 @@ def _profile_checks(fam: LatticeFamily, rng):
     got_qs = transform(fam, prolong_field(fam, smooth, psi)).values
     psi_hat = transform(fam, psi).values
     moms, p = _lifted_momenta(fam)
-    q_hat = np.array([[profile_hat(smooth, mom * step_f) for mom in row] for row in moms])
+    q_hat = profile_hat(smooth, moms * step_f)
     dev = max(np.abs(got_qs[p] - np.conj(q_hat) * psi_hat[:, None]).max(),
               np.abs(got_q - (q_hat * phi_hat[p]).sum(axis=1)).max())
     out.append(_eq("averaging_momentum_formula", "lemBOfourier.a",
@@ -446,19 +444,15 @@ def _profile_checks(fam: LatticeFamily, rng):
                    1e-12))
 
     kern = prolong_restrict_kernel(smooth)
-    worst = 0.0
-    for k in _complex_momenta(spec, rng, 2, MASS):
-        dev = np.abs(prolong_restrict_fiber(smooth, k).entries
-                     - fiber_hat(kern, k).entries).max()
-        worst = max(worst, dev)
+    ks = _complex_momenta(spec, rng, 2, MASS)
+    worst = np.abs(prolong_restrict_fiber(smooth, ks).entries
+                   - fiber_hat(kern, ks).entries).max()
     k_real = rng.uniform(0.0, 2.0 * np.pi, size=spec.n_axes) / (
         spec.spacings() * spec.ratios()
     )
     ells = 2.0 * np.pi * fam.coords("dual_block") / (spec.spacings() * spec.ratios())
-    rank_one = np.array(
-        [[np.conj(profile_hat(smooth, k_real + er)) * profile_hat(smooth, k_real + ec)
-          for ec in ells] for er in ells]
-    )
+    q_lifted = profile_hat(smooth, k_real + ells)
+    rank_one = np.conj(q_lifted)[:, None] * q_lifted[None, :]
     worst = max(worst, np.abs(fiber_hat(kern, k_real).entries - rank_one).max())
     out.append(_eq("projection_fiber_rank_one", "lemBOfourier.b", worst, 1e-12))
 
@@ -466,14 +460,13 @@ def _profile_checks(fam: LatticeFamily, rng):
     for w, n in zip(smooth.axis_weights, (spec.l_t,) + (spec.l_x,) * spec.dim):
         base = np.full(int(n), 1.0 / int(n))
         dev = max(dev, np.abs(w - np.convolve(base, base)).max())
-    for _ in range(3):
-        k = rng.normal(size=spec.n_axes)
-        closed = np.prod(
-            [dirichlet_average(int(n), float(k[axis] * eps)) ** 2
-             for axis, (n, eps) in enumerate(
-                 zip((spec.l_t,) + (spec.l_x,) * spec.dim, spec.spacings()))]
-        )
-        dev = max(dev, abs(profile_hat(smooth, k) - closed))
+    ks = rng.normal(size=(3, spec.n_axes))
+    closed = np.prod(
+        [dirichlet_average(int(n), ks[:, axis] * eps) ** 2
+         for axis, (n, eps) in enumerate(
+             zip((spec.l_t,) + (spec.l_x,) * spec.dim, spec.spacings()))], axis=0
+    )
+    dev = max(dev, np.abs(profile_hat(smooth, ks) - closed).max())
     out.append(_eq("smooth_profile_response", "remBOlessnaive", dev, 1e-13))
     return out
 
@@ -489,7 +482,7 @@ def _norm_checks(fam: LatticeFamily, a: ZKernel, rng):
 
     norm_m = weighted_norm(a, MASS)
     f = fiber_function(a)
-    ks = np.array(_complex_momenta(spec, rng, 40, MASS))
+    ks = _complex_momenta(spec, rng, 40, MASS)
     peaks = np.abs(f.matrix_at(ks)).max(axis=(1, 2))
     j = int(np.argmax(peaks))
     out.append(_le("fiber_sup_bound", "lemBOlonelinfty.a", peaks[j], norm_m,
@@ -513,9 +506,7 @@ def _norm_checks(fam: LatticeFamily, a: ZKernel, rng):
 
     b = _coarse_kernel(fam, rng)
     norm_b = weighted_norm(b, MASS)
-    sup = 0.0
-    for k in _complex_momenta(spec, rng, 20, MASS):
-        sup = max(sup, np.abs(fiber_hat_fc(b, k)).max())
+    sup = np.abs(fiber_hat_fc(b, _complex_momenta(spec, rng, 20, MASS))).max()
     out.append(_le("asymmetric_fiber_bound", "lemBOlonelinfty.c", sup, norm_b))
     return out
 
@@ -588,11 +579,10 @@ def _scaling_checks(fam: LatticeFamily, a: ZKernel, rng):
                max(1.0, np.abs(rhs.values).max()))
     out.append(_eq("scaling_conjugation", "lemPoPscaling.a", dev, 1e-12))
 
-    worst = 0.0
-    for k in _complex_momenta(spec, rng, 20, MASS):
-        k_s = np.asarray(k) * s.vector(spec)
-        dev = np.abs(scaled_fiber(a, s, k_s).entries - fiber_hat(a_s, k_s).entries).max()
-        worst = max(worst, _rel(dev, max(1.0, np.abs(fiber_hat(a, k).entries).max())))
+    ks = _complex_momenta(spec, rng, 20, MASS)
+    k_s = ks * s.vector(spec)
+    worst = max(_rel_peaks(scaled_fiber(a, s, k_s).entries - fiber_hat(a_s, k_s).entries,
+                           fiber_hat(a, ks).entries))
     out.append(_eq("scaling_fiber_identity", "lemPoPscaling.b", worst, 1e-12))
 
     psi = zfield(spec, "fine", coords, rng.normal(size=5) + 1j * rng.normal(size=5))
@@ -607,11 +597,10 @@ def _scaling_checks(fam: LatticeFamily, a: ZKernel, rng):
 
     b = _coarse_kernel(fam, rng)
     b_s = scale_kernel(b, s)
-    worst = 0.0
-    for k in _complex_momenta(spec, rng, 5, MASS):
-        k_s = np.asarray(k) * s.vector(spec)
-        dev = np.abs(scaled_fiber_fc(b, s, k_s) - fiber_hat_fc(b_s, k_s)).max()
-        worst = max(worst, _rel(dev, max(1.0, np.abs(fiber_hat_fc(b, k)).max())))
+    ks = _complex_momenta(spec, rng, 5, MASS)
+    k_s = ks * s.vector(spec)
+    worst = max(_rel_peaks(scaled_fiber_fc(b, s, k_s) - fiber_hat_fc(b_s, k_s),
+                           fiber_hat_fc(b, ks)))
     out.append(_eq("scaling_asymmetric_fibers", "lemPoPscalingCrs.b", worst, 1e-12))
 
     out.append(_le("scaling_asymmetric_norms", "lemPoPscalingCrs.c",

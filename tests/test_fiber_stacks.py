@@ -1,11 +1,13 @@
 """Stacked fiber evaluation: a stack of momenta, of contour nodes or of
 fiber sets is one call, and every member comes out as it would alone.
 
-The per-momentum ``fiber_hat``, single ``reconstruct`` calls and the
-per-node loop that ``function_norm_bound`` used to run are the references.
+The per-momentum calls of each evaluator, single ``reconstruct`` calls and
+the per-node loop that ``function_norm_bound`` used to run are the
+references.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from test_periodic_op_properties import (
     specs_and_radii,
 )
 
+from blochlat.averaging import Profile, profile_hat, prolong_restrict_fiber
 from blochlat.lattice import LatticeSpec, build_family, steps
 from blochlat.norms import _block_distances
 from blochlat.opfunc import (
@@ -38,10 +41,13 @@ from blochlat.periodization import (
     _inversion_sums,
     fiber_function,
     fiber_hat,
+    fiber_hat_cf,
+    fiber_hat_fc,
     periodize,
 )
-from blochlat.rand import random_zkernel, rng_from_seed
-from blochlat.verify import _recentered
+from blochlat.rand import random_zkernel, random_zkernel_fc, rng_from_seed
+from blochlat.scaling import ScaleFactors, scaled_fiber, scaled_fiber_cf, scaled_fiber_fc
+from blochlat.verify import _recentered, verify_suite
 
 REF = LatticeSpec(1.0, 1.0, 3, 3, 9, 9, 1)
 
@@ -69,6 +75,72 @@ def test_matrix_at_stacks_match_single_fibers(case, seed, complex_k):
         flat = ks.reshape(-1, spec.n_axes)
         expect = np.stack([fiber_hat(a, k).entries for k in flat]).reshape(got.shape)
         assert np.abs(got - expect).max() <= 1e-13 * max(np.abs(expect).max(), 1e-300)
+
+
+def _stacked_evaluators(spec, radii, rng):
+    """Every evaluator that takes a momentum stack, as k -> array."""
+    a = random_zkernel(spec, radii, rng)
+    b = random_zkernel_fc(spec, tuple(min(1, r) for r in radii), rng)
+    weights = (rng.uniform(0.1, 1.0, size=2 * r + 1) for r in radii)
+    profile = Profile(spec, radii, tuple(w / w.sum() for w in weights))
+    s = ScaleFactors(time=4.0, space=2.0)
+    return {
+        "fiber_hat": lambda k: fiber_hat(a, k).entries,
+        "fiber_hat_fc": lambda k: fiber_hat_fc(b, k),
+        "fiber_hat_cf": lambda k: fiber_hat_cf(b, k),
+        "profile_hat": lambda k: profile_hat(profile, k),
+        "prolong_restrict_fiber": lambda k: prolong_restrict_fiber(profile, k).entries,
+        "scaled_fiber": lambda k: scaled_fiber(a, s, k).entries,
+        "scaled_fiber_fc": lambda k: scaled_fiber_fc(b, s, k),
+        "scaled_fiber_cf": lambda k: scaled_fiber_cf(b, s, k),
+    }
+
+
+@PROPERTY_SETTINGS
+@given(case=specs_and_radii(), seed=st.integers(0, 2**32 - 1), complex_k=st.booleans())
+@example(case=REF3, seed=0, complex_k=True)
+def test_every_evaluator_stack_matches_single_momenta(case, seed, complex_k):
+    spec, radii = case
+    rng = rng_from_seed(seed)
+    for name, evaluate in _stacked_evaluators(spec, radii, rng).items():
+        for shape in ((), (5,), (2, 3)):
+            ks = _momenta(spec, rng, shape, complex_k)
+            got = np.asarray(evaluate(ks))
+            flat = ks.reshape(-1, spec.n_axes)
+            single = [np.asarray(evaluate(k)) for k in flat]
+            assert got.shape == shape + single[0].shape, name
+            expect = np.stack(single).reshape(got.shape)
+            assert np.abs(got - expect).max() <= 1e-13 * max(np.abs(expect).max(), 1e-300), name
+        for bad in (np.zeros(spec.n_axes + 1), np.zeros((2, spec.n_axes - 1))):
+            with pytest.raises(ValueError, match=f"momentum must have {spec.n_axes} components"):
+                evaluate(bad)
+
+
+def _count_calls(monkeypatch, functions):
+    """Count calls of each function, wherever a blochlat module binds it."""
+    counts = dict.fromkeys((fn.__name__ for fn in functions), 0)
+    wrapped = {}
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        wrapped[id(fn)] = counted
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "blochlat":
+            for attr, obj in list(vars(module).items()):
+                if id(obj) in wrapped:
+                    monkeypatch.setattr(module, attr, wrapped[id(obj)])
+    return counts
+
+
+def test_verify_evaluates_fibers_in_stacks(monkeypatch):
+    counts = _count_calls(monkeypatch, [profile_hat, fiber_hat, fiber_hat_fc, fiber_hat_cf,
+                                        scaled_fiber, scaled_fiber_fc, scaled_fiber_cf])
+    verify_suite(REF, random_zkernel(REF, (2, 2), rng_from_seed(7)), seed=7)
+    assert counts["profile_hat"] <= 8
+    assert counts["fiber_hat"] <= 6
+    assert counts["fiber_hat_fc"] + counts["fiber_hat_cf"] <= 8
+    assert sum(counts[name] for name in counts if name.startswith("scaled_fiber")) <= 2
 
 
 @settings(PROPERTY_SETTINGS, max_examples=15)

@@ -23,7 +23,6 @@ from blochlat.opfunc import (
     function_of_operator_nodes,
     make_polynomial,
     resolvent_fiber,
-    resolvent_kernel,
 )
 from blochlat.periodic_op import (
     bloch_fibers,
@@ -162,21 +161,6 @@ def test_contour_through_or_beside_spectrum_is_rejected():
     tiny = Circle(lam, 0.4 * float(np.abs(rest - lam).min()))
     with pytest.raises(ValueError, match="enclose"):
         function_of_operator(a, np.exp, tiny)
-
-
-def test_resolvent_kernel_inverts_the_shift():
-    a = shifted_test_kernel(77)
-    _, eigs = spectrum_circle(a)
-    zeta = complex(eigs.mean() + 2.5 * np.abs(eigs - eigs.mean()).max())
-    res = resolvent_kernel(a, zeta)
-    shifted = periodic_kernel(
-        FAM, zeta * identity_kernel(FAM).entries - np.asarray(a.entries)
-    )
-    prod = compose(shifted, res).entries
-    assert np.abs(prod - identity_kernel(FAM).entries).max() <= 1e-10
-    lam = complex(eigs[0])
-    with pytest.raises(ValueError, match="ill-conditioned"):
-        resolvent_kernel(a, lam + 1e-15)
 
 
 def test_function_fiber_matches_torus_route():
@@ -434,10 +418,27 @@ def test_spectrum_on_a_polyline_vertex_is_rejected_by_name():
         function_fiber(at_vertex, np.exp, contour).matrix_at(np.zeros(2))
 
 
-def test_non_finite_fiber_fails_as_the_eigensolve_does():
-    nan_fibers = constant_fibers(np.full((9, 9), np.nan))
-    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
-        function_fiber(nan_fibers, np.exp, Circle(0.0, 1.0)).matrix_at(np.zeros(2))
+NON_FINITE = [np.diag([np.inf] + [1.0] * 8), np.full((9, 9), np.nan)]
+
+
+@pytest.mark.parametrize("matrix", NON_FINITE, ids=["inf", "nan"])
+def test_non_finite_fiber_is_named_before_any_solve(matrix):
+    with pytest.raises(ValueError, match=r"fiber matrix is not finite: entry \(0, 0\)"):
+        function_fiber(constant_fibers(matrix), np.exp, Circle(0.0, 1.0)).matrix_at(np.zeros(2))
+
+
+@pytest.mark.parametrize("matrix", NON_FINITE, ids=["inf", "nan"])
+def test_resolvent_of_a_non_finite_fiber_is_named(matrix):
+    with pytest.raises(ValueError, match=r"fiber matrix is not finite: entry \(0, 0\)"):
+        resolvent_fiber(matrix, [5.0])
+
+
+def test_overflowing_norm_bound_falls_through_to_the_svd():
+    # both norm bounds of the shifted matrices overflow; the SVD clears them
+    m = np.diag([1e300, -1e300, 1.0]) + 1e299
+    zetas = np.array([1.0, 3.0], dtype=complex)
+    expect = np.linalg.inv(zetas[:, None, None] * np.eye(3) - m)
+    np.testing.assert_array_equal(resolvent_fiber(m, zetas), expect)
 
 
 def test_non_finite_function_value_is_named():

@@ -5,7 +5,7 @@ import pytest
 
 from blochlat.lattice import LatticeSpec, build_family, steps
 from blochlat.norms import decay_norm_bound, fiber_decay_bound, inverse_fiber_shifted
-from blochlat.periodic_op import bloch_fibers, compose, identity_kernel, transpose_kernel
+from blochlat.periodic_op import bloch_fibers, compose, identity_kernel
 from blochlat.periodization import (
     FiberFunction,
     apply_cf,
@@ -22,7 +22,6 @@ from blochlat.periodization import (
     periodize,
     shift_zkernel,
     translation_invariant_zkernel,
-    transpose_z,
     window_offsets,
     z_inner,
     zfield,
@@ -215,29 +214,6 @@ def test_compose_fibers_multiply_off_grid():
         rhs = fiber_hat(a, k).entries @ fiber_hat(b, k).entries
         scale = max(1.0, np.abs(rhs).max())
         assert np.abs(lhs - rhs).max() <= 1e-11 * scale
-
-
-def test_transpose_z_matches_torus_transpose():
-    rng = rng_from_seed(28)
-    a = random_zkernel(REF, (2, 1), rng)
-    lhs = periodize(transpose_z(a), FAM).entries
-    rhs = transpose_kernel(periodize(a, FAM)).entries
-    np.testing.assert_array_equal(lhs, rhs)
-    roundtrip = transpose_z(transpose_z(a))
-    np.testing.assert_array_equal(roundtrip.entries, a.entries)
-
-
-def test_transpose_fiber_reflection():
-    # fiber of the transpose at k = index-reversed fiber at -k, transposed
-    rng = rng_from_seed(29)
-    a = random_zkernel(REF, (1, 1), rng)
-    ratios = tuple(int(r) for r in REF.ratios())
-    neg = np.ravel_multi_index(tuple((-block_sites(REF) % ratios).T), ratios)
-    k = np.array([0.6 - 0.3j, 1.2 + 0.1j])
-    lhs = fiber_hat(transpose_z(a), k).entries
-    at_minus = fiber_hat(a, -k).entries
-    rhs = at_minus[np.ix_(neg, neg)].T
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_inverse_fiber_roundtrip_default_grid():

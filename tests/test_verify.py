@@ -35,6 +35,54 @@ PROFILE_NAMES = {
 }
 
 
+# every row of the reference run in order: (name, anchor, tolerance), with
+# None for the inequality rows, whose right-hand side is a computed bound
+ROWS = [
+    ("volume_identity_fine", "eqnBOvolhvol", 1e-14),
+    ("volume_identity_coarse", "eqnBOvolhvol", 1e-14),
+    ("momentum_round_trip", "lemBOkervar.a", 1e-12),
+    ("fiber_reconstruction", "lemBOkervar.b", 1e-12),
+    ("momentum_action", "lemBOkervar.c", 1e-12),
+    ("position_fiber_reconstruction", "lemBOkervar.d", 1e-12),
+    ("fiber_position_definition", "lemBOkervar.e", 1e-12),
+    ("transpose_fiber_reflection", "lemBOkervar.f", 1e-12),
+    ("periodization_wrap_sum", "remBOperiodization.b", 1e-14),
+    ("periodization_homomorphism", "remBOperiodization.c", 1e-12),
+    ("identity_fiber_delta", "lemBOperiodalg.a", 1e-13),
+    ("fiber_multiplicativity", "lemBOperiodalg.b", 1e-12),
+    ("inverse_fiber_round_trip", "lemBOifkervar.a", 1e-12),
+    ("translation_invariant_diagonal", "lemBOifkervar.b", 1e-12),
+    ("discrete_momentum_consistency", "lemBOifkervar.c", 1e-12),
+    ("fiber_uniqueness_round_trip", "lemBOuniqueness", 1e-12),
+    ("twisted_index_shift", "remBOatwisted", 1e-12),
+    ("fc_momentum_action", "eqnPOftaction", 1e-12),
+    ("cf_momentum_action", "eqnPOftaction", 1e-12),
+    ("asymmetric_transpose_fiber", "eqnPOtranspose", 1e-12),
+    ("naive_projection_identity", "exBOnaive", 1e-12),
+    ("block_average_spot_values", "exBOnaiveCont", 1e-14),
+    ("averaging_adjoint", "lemBOQ.a", 1e-12),
+    ("composite_average_stencil", "lemBOQ.b", 1e-12),
+    ("averaging_momentum_formula", "lemBOfourier.a", 1e-12),
+    ("projection_fiber_rank_one", "lemBOfourier.b", 1e-12),
+    ("smooth_profile_response", "remBOlessnaive", 1e-13),
+    ("fiber_sup_bound", "lemBOlonelinfty.a", None),
+    ("decay_bound_chain", "lemBOlonelinfty.b", None),
+    ("torus_norm_dominated", "lemBOlonelinfty.b", None),
+    ("stokes_shift_independence", "lemBOlonelinfty.b", 1e-10),
+    ("asymmetric_fiber_bound", "lemBOlonelinfty.c", None),
+    ("identity_function_round_trip", "eqnBOfofA", 1e-10),
+    ("square_matches_composition", "eqnBOfofA", 1e-8),
+    ("inverse_left_inverse", "eqnBOfofA", 1e-8),
+    ("function_norm_bound", "lemBOfnbnd", None),
+    ("scaling_conjugation", "lemPoPscaling.a", 1e-12),
+    ("scaling_fiber_identity", "lemPoPscaling.b", 1e-12),
+    ("scaling_inner_product", "lemPoPscaling.b", 1e-12),
+    ("scaling_norm_inequality", "lemPoPscaling.c", None),
+    ("scaling_asymmetric_fibers", "lemPoPscalingCrs.b", 1e-12),
+    ("scaling_asymmetric_norms", "lemPoPscalingCrs.c", None),
+]
+
+
 def reference_kernel():
     return random_zkernel(REF, (2, 2), rng_from_seed(7))
 
@@ -48,6 +96,14 @@ def test_reference_run_passes_and_covers_all_anchors():
     for r in results:
         assert isinstance(r, CheckResult)
         assert np.isfinite(r.lhs) and np.isfinite(r.rhs)
+
+
+def test_reference_rows_keep_name_anchor_and_tolerance():
+    results = verify_suite(REF, reference_kernel(), seed=7)
+    assert [(r.name, r.anchor) for r in results] == [row[:2] for row in ROWS]
+    for r, (_, _, tol) in zip(results, ROWS):
+        if tol is not None:
+            assert r.rhs == tol, r.name
 
 
 def test_runs_are_deterministic_per_seed():
