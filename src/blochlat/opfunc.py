@@ -1,39 +1,36 @@
 """Holomorphic functions of lattice operators via contour quadrature.
 
-For an operator A with spectrum strictly inside a closed contour,
+For an operator A with spectrum strictly inside a positively oriented
+circle,
 
     f(A) = (1 / 2 pi i) * integral f(zeta) (zeta - A)^(-1) dzeta.
 
 The momentum fibers of a coarse-invariant kernel block-diagonalize A, so
-the integral is evaluated fiber by fiber: circles use the uniform
-trapezoid rule (geometric convergence for analytic integrands), polylines
-use Gauss-Legendre nodes per segment.  Node counts double until the
-result stops moving at relative tolerance 1e-10.
+the integral is evaluated fiber by fiber with the uniform trapezoid rule,
+which converges geometrically for analytic integrands.  Node counts double
+until the result stops moving at relative tolerance 1e-10.
 
 Each fiber is handled as one batched computation over its shifts: the
 shifted matrices (zeta_j - M) are stacked and inverted by one batched LU
-(numpy has no Schur factorization to reuse across shifts).  On a circle
-the n trapezoid nodes are exactly the even nodes of the 2n rule, so each
-doubling halves the previous sum and adds only the n new odd nodes.
-Gauss-Legendre nodes do not nest, so polylines recompute every node.
+(numpy has no Schur factorization to reuse across shifts).  The n trapezoid
+nodes are exactly the even nodes of the 2n rule, so each doubling halves
+the previous sum and adds only the n new odd nodes.
 
-Every fiber's eigenvalues must be enclosed with winding number one and
-clear the contour by more than 1e-8 of the spectral scale, and each shift's
-2-norm condition number must stay below 1e14.  The disc |z - c| <= rho,
-c = trace / n, rho >= ||M - cI||_2, holds the spectrum, and cond_2(zeta - M)
+Every fiber's eigenvalues must be enclosed and clear the circle by more
+than 1e-8 of the spectral scale, and each shift's 2-norm condition number
+must stay below 1e14.  The disc |z - c| <= rho, c = trace / n,
+rho >= ||M - cI||_2, holds the spectrum, and cond_2(zeta - M)
 <= (d + rho) / (d - rho) at |zeta - c| = d > rho (Neumann series; Trefethen
 and Embree 2005).  It settles both at twice the clearance and a tenth of the
-limit; the rest fall back to eigenvalues, an inverse-based bound, the SVD.
+limit; only where it does not are the eigenvalues or the SVD computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .norms import _torus_norm
 from .periodic_op import BlochFiber, PeriodicKernel, _fiber_rows, bloch_fibers, reconstruct
@@ -41,7 +38,6 @@ from .periodization import FiberFunction, ZKernel, fiber_function
 
 __all__ = [
     "Circle",
-    "Polyline",
     "contour_nodes",
     "contour_length",
     "encloses",
@@ -56,7 +52,7 @@ __all__ = [
 ]
 
 RESOLVENT_COND_LIMIT = 1e14
-# The bounds clear a shift only this far below the limit: near 1e14 a bound
+# The disc bound clears a shift only this far below the limit: near 1e14 it
 # and the SVD condition number carry rounding errors of about eps * cond,
 # roughly one percent, so the exact check decides there.
 COND_BOUND_ACCEPT = RESOLVENT_COND_LIMIT / 10
@@ -80,101 +76,28 @@ class Circle:
             raise ValueError(f"circle radius must be positive, got {self.radius}")
 
 
-def _cross(o: complex, a: complex, b: complex) -> float:
-    return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
-
-
-def _edges(verts) -> list:
-    """The segments (a, b) of the closed polygon through ``verts``."""
-    return list(zip(verts, verts[1:] + verts[:1]))
-
-
-def _segments_cross(a, b, c, d) -> bool:
-    d1 = _cross(c, d, a)
-    d2 = _cross(c, d, b)
-    d3 = _cross(a, b, c)
-    d4 = _cross(a, b, d)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-@dataclass(frozen=True)
-class Polyline:
-    """Closed, simple, positively oriented polygonal contour.
-
-    The final vertex connects back to the first; listing the first vertex
-    again at the end is optional.
-    """
-
-    vertices: tuple
-
-    def __post_init__(self):
-        verts = tuple(complex(v) for v in self.vertices)
-        if len(verts) >= 2 and verts[0] == verts[-1]:
-            verts = verts[:-1]
-        if len(verts) < 3:
-            raise ValueError(
-                f"a closed contour needs at least 3 distinct vertices, got {len(verts)}"
-            )
-        n = len(verts)
-        edges = _edges(verts)
-        if sum(a.real * b.imag - b.real * a.imag for a, b in edges) <= 0.0:
-            raise ValueError("contour must be positively oriented (counterclockwise)")
-        for i, j in combinations(range(n), 2):
-            # adjacent segments share a vertex; only the others must not cross
-            if j - i not in (1, n - 1) and _segments_cross(*edges[i], *edges[j]):
-                raise ValueError(
-                    f"contour segments {i} and {j} intersect; the contour must be simple"
-                )
-        object.__setattr__(self, "vertices", verts)
-
-
 def contour_length(contour) -> float:
-    if isinstance(contour, Circle):
-        return 2.0 * np.pi * contour.radius
-    return float(sum(abs(b - a) for a, b in _edges(contour.vertices)))
+    return 2.0 * np.pi * contour.radius
 
 
 def contour_nodes(contour, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes and weights for (1 / 2 pi i) * contour integral.
-
-    Circles get n trapezoid nodes; polylines get n Gauss-Legendre nodes on
-    each segment.
-    """
+    """n trapezoid nodes and weights for (1 / 2 pi i) * contour integral."""
     n = int(n)
     if n < 1:
         raise ValueError(f"need at least one node, got {n}")
-    if isinstance(contour, Circle):
-        theta = 2.0 * np.pi * np.arange(n) / n
-        offs = contour.radius * np.exp(1j * theta)
-        return contour.center + offs, offs / n
-    t, w = leggauss(n)
-    nodes = []
-    weights = []
-    for a, b in _edges(contour.vertices):
-        nodes.append(a + (b - a) * (t + 1.0) / 2.0)
-        weights.append(w * (b - a) / (2.0 * 2j * np.pi))
-    return np.concatenate(nodes), np.concatenate(weights)
+    theta = 2.0 * np.pi * np.arange(n) / n
+    offs = contour.radius * np.exp(1j * theta)
+    return contour.center + offs, offs / n
 
 
 def encloses(contour, point: complex) -> bool:
-    """Whether the contour winds once around the point."""
-    if isinstance(contour, Circle):
-        return abs(point - contour.center) < contour.radius
-    total = sum(np.angle((b - point) / (a - point)) for a, b in _edges(contour.vertices))
-    return int(round(total / (2.0 * np.pi))) == 1
+    """Whether the circle winds once around the point."""
+    return abs(point - contour.center) < contour.radius
 
 
 def contour_clearance(contour, point: complex) -> float:
-    """Distance from the point to the contour."""
-    if isinstance(contour, Circle):
-        return abs(abs(point - contour.center) - contour.radius)
-    best = np.inf
-    for a, b in _edges(contour.vertices):
-        ab = b - a
-        t = ((point - a) * np.conj(ab)).real / abs(ab) ** 2
-        t = min(1.0, max(0.0, t))
-        best = min(best, abs(point - (a + t * ab)))
-    return float(best)
+    """Distance from the point to the circle."""
+    return abs(abs(point - contour.center) - contour.radius)
 
 
 def _norm2_bound(a: np.ndarray) -> np.ndarray:
@@ -207,8 +130,7 @@ def _validate_spectrum(contour, matrix: np.ndarray) -> None:
     every eigenvalue, computed ones included."""
     _require_finite(matrix)
     c, rho = _spectral_disc(matrix)
-    # a finite rho keeps c finite; clearance before encloses, which divides by
-    # zero at a Polyline vertex
+    # a finite rho keeps c finite
     if (np.isfinite(rho) and contour_clearance(contour, c) - rho
             > 2.0 * CLEARANCE_RTOL * max(1.0, abs(c) + rho) and encloses(contour, c)):
         return
@@ -224,20 +146,13 @@ def _validate_spectrum(contour, matrix: np.ndarray) -> None:
                              f"{lam:.6g} lies outside")
 
 
-def _condition_bound(shifted: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """Upper bound on the 2-norm condition number of each stacked matrix;
-    an overflow gives an infinite or NaN bound, which clears nothing."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _norm2_bound(np.abs(shifted)) * _norm2_bound(np.abs(inverse))
-
-
 def resolvent_fiber(matrix: np.ndarray, zeta) -> np.ndarray:
     """(zeta - M)^(-1), rejecting near-singular shifts.
 
     ``zeta`` is one shift, giving an (n, n) matrix, or a 1-D array of shifts,
     giving the (m, n, n) stack of resolvents from one batched inversion.
     The disc bound (d + rho) / (d - rho) clears a shift when ten times below
-    the limit; the rest get ``_condition_bound``, then the SVD.
+    the limit; the SVD decides the rest.
     """
     matrix = np.asarray(matrix)
     _require_finite(matrix)
@@ -246,21 +161,12 @@ def resolvent_fiber(matrix: np.ndarray, zeta) -> np.ndarray:
         raise ValueError(f"shifts must be a scalar or a 1-D array, got shape {zetas.shape}")
     shifts = np.atleast_1d(zetas)
     shifted = shifts[:, None, None] * np.eye(len(matrix)) - matrix
-    try:
-        inverse = np.linalg.inv(shifted)
-    except np.linalg.LinAlgError as exc:
-        inverse, failure = None, exc
-        unsure = np.ones(len(shifts), dtype=bool)
-    else:
-        c, rho = _spectral_disc(matrix)
-        with np.errstate(all="ignore"):
-            d = np.abs(shifts - c)
-            disc_bound = (d + rho) / (d - rho)
-        # written so that a NaN bound, from a non-finite d or rho, clears nothing
-        unsure = ~((d > rho) & (disc_bound <= COND_BOUND_ACCEPT))
-        if unsure.any():
-            bound = _condition_bound(shifted[unsure], inverse[unsure])
-            unsure[unsure] = ~(bound <= COND_BOUND_ACCEPT)
+    c, rho = _spectral_disc(matrix)
+    with np.errstate(all="ignore"):
+        d = np.abs(shifts - c)
+        disc_bound = (d + rho) / (d - rho)
+    # written so that a NaN bound, from a non-finite d or rho, clears nothing
+    unsure = ~((d > rho) & (disc_bound <= COND_BOUND_ACCEPT))
     if unsure.any():
         exact = np.linalg.cond(shifted[unsure])
         bad = shifts[unsure][exact > RESOLVENT_COND_LIMIT]
@@ -269,8 +175,8 @@ def resolvent_fiber(matrix: np.ndarray, zeta) -> np.ndarray:
                 f"resolvent at zeta={complex(bad[0]):.6g} is ill-conditioned; "
                 "the contour runs too close to the spectrum"
             )
-    if inverse is None:
-        raise failure
+    # checked first, so that a singular shift is named instead of failing the LU
+    inverse = np.linalg.inv(shifted)
     return inverse if zetas.ndim else inverse[0]
 
 
@@ -285,38 +191,44 @@ def _function_values(fn, nodes: np.ndarray) -> np.ndarray:
 
 
 def _node_sum(matrix: np.ndarray, fn, nodes: np.ndarray,
-              weights: np.ndarray) -> np.ndarray:
-    """sum_j w_j f(z_j) (z_j - M)^(-1), one resolvent stack per NODE_BATCH
-    nodes."""
+              weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """sum_j w_j f(z_j) (z_j - M)^(-1) and sum_j |w_j f(z_j)| max|(z_j - M)^(-1)|,
+    whose eps multiple is the rounding floor of the first; one resolvent stack
+    per NODE_BATCH nodes."""
     coeffs = weights * _function_values(fn, nodes)
-    acc = np.zeros(matrix.shape, dtype=complex)
+    acc, size = np.zeros(matrix.shape, dtype=complex), 0.0
     for lo in range(0, len(nodes), NODE_BATCH):
         part = slice(lo, lo + NODE_BATCH)
-        acc += np.tensordot(coeffs[part], resolvent_fiber(matrix, nodes[part]), axes=1)
-    return acc
+        stack = resolvent_fiber(matrix, nodes[part])
+        acc += np.tensordot(coeffs[part], stack, axes=1)
+        size += np.abs(coeffs[part]) @ np.abs(stack).max(axis=(1, 2))
+    return acc, size
 
 
 def _fiber_quadrature(matrix: np.ndarray, fn, contour) -> np.ndarray:
     """Adaptive doubling of the contour rule on a single fiber matrix."""
     _validate_spectrum(contour, matrix)
     n = 16
-    acc = _node_sum(matrix, fn, *contour_nodes(contour, n))
+    acc, size = _node_sum(matrix, fn, *contour_nodes(contour, n))
     while 2 * n <= MAX_NODES:
         n *= 2
         nodes, weights = contour_nodes(contour, n)
-        if isinstance(contour, Circle):
-            # the previous rule is this one's even nodes at twice the weight
-            new = 0.5 * acc + _node_sum(matrix, fn, nodes[1::2], weights[1::2])
-        else:
-            new = _node_sum(matrix, fn, nodes, weights)
+        # the previous rule is this one's even nodes at twice the weight
+        odd, odd_size = _node_sum(matrix, fn, nodes[1::2], weights[1::2])
+        new, size = 0.5 * acc + odd, 0.5 * size + odd_size
         dev = np.abs(new - acc).max()
         if dev <= DOUBLING_RTOL * max(1.0, np.abs(new).max()):
             return new
         acc = new
-    raise ValueError(
-        f"contour quadrature did not converge within {MAX_NODES} nodes; "
-        "the spectrum may hug the contour"
-    )
+    floor = np.finfo(float).eps * size
+    if dev <= 10.0 * floor:  # each rule carries rounding errors of about the floor
+        top = np.abs(_function_values(fn, nodes)).max()
+        raise ValueError(
+            f"contour quadrature stalled at its rounding floor: at {MAX_NODES} nodes the "
+            f"doubling deviation {dev:.2g} is within 10x the floor {floor:.2g} "
+            f"(eps * sum |w f| max|resolvent|) set by max |f| = {top:.3g} on the contour")
+    raise ValueError(f"contour quadrature did not converge within {MAX_NODES} nodes; "
+                     "the spectrum may hug the contour")
 
 
 def _map_fibers(kernel: PeriodicKernel, per_fiber) -> PeriodicKernel:
@@ -341,7 +253,7 @@ def function_of_operator_nodes(kernel: PeriodicKernel, fn, contour,
 
     def per_fiber(matrix):
         _validate_spectrum(contour, matrix)
-        return _node_sum(matrix, fn, zs, ws)
+        return _node_sum(matrix, fn, zs, ws)[0]
 
     return _map_fibers(kernel, per_fiber)
 

@@ -493,7 +493,6 @@ def apply_fc(family: LatticeFamily, b: ZKernelFC, psi: FieldVector) -> FieldVect
     spec = b.spec
     if family.spec != spec:
         raise ValueError("kernel and family carry different lattice specs")
-    _check_window_fits(spec, b.radii, extents(spec, "coarse"))
     table = _fine_site_table(family)
     coarse = family.coords("coarse")
     out = np.zeros(family.n_fine, dtype=complex)
@@ -510,7 +509,6 @@ def apply_cf(family: LatticeFamily, c: ZKernelFC, phi: FieldVector) -> FieldVect
     spec = c.spec
     if family.spec != spec:
         raise ValueError("kernel and family carry different lattice specs")
-    _check_window_fits(spec, c.radii, extents(spec, "coarse"))
     table = _fine_site_table(family)
     coarse = family.coords("coarse")
     out = np.zeros(family.n_coarse, dtype=complex)

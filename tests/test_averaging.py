@@ -236,10 +236,19 @@ def test_asymmetric_kernel_fibers_are_profile_responses():
 
 
 def test_wide_profile_wraps_and_is_rejected():
+    # the window is wider than the torus: restriction gathers every wrapped
+    # image, while periodize, which stores one image per pair, refuses it
     wide = smooth_profile(REF, 6)
     rng = rng_from_seed(58)
-    phi = FAM.field("fine", random_field_values(FAM, "fine", rng))
-    with pytest.raises(ValueError, match="exceeds torus extent"):
-        restrict_field(FAM, wide, phi)
+    phi = random_field_values(FAM, "fine", rng)
+    psi = FAM.field("coarse", random_field_values(FAM, "coarse", rng))
+    got = restrict_field(FAM, wide, FAM.field("fine", phi))
+    ratios = REF.ratios()
+    expect = [sum(q * phi[FAM.index("fine", x * ratios + np.asarray(z))]
+                  for z, q in full_weights(wide).items()) for x in FAM.coords("coarse")]
+    np.testing.assert_allclose(got.values, expect, atol=1e-13)
+    lhs = inner(FAM, got, psi)
+    rhs = inner(FAM, FAM.field("fine", phi), prolong_field(FAM, wide, psi))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
     with pytest.raises(ValueError, match="exceeds torus extent"):
         periodize(prolong_restrict_kernel(wide), FAM)

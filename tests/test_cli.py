@@ -262,6 +262,44 @@ contour_radius = 800
     assert "numerical error: function value at zeta=800+0j is not finite" in err
 
 
+def test_funcalc_rounding_floor_exits_one(tmp_path, capsys):
+    # exp reaches e^20 on this circle, which clears every eigenvalue by 14.5:
+    # the quadrature stalls at its rounding floor, and says so
+    config = write_config(tmp_path, REF_LINES.format(task="funcalc") + """
+[params]
+function = exp
+contour_center = 0
+contour_radius = 20
+""")
+    assert run(config, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "numerical error: contour quadrature stalled at its rounding floor" in err
+    assert "max |f| = 4.85e+08 on the contour" in err
+
+
+def test_verify_passes_on_a_coarse_torus_narrower_than_the_profile(tmp_path):
+    # one coarse site along space: the averaging windows wrap onto themselves
+    config = write_config(tmp_path, """
+[lattice]
+l_t = 3
+l_x = 3
+big_l_t = 9
+big_l_x = 3
+
+[kernel]
+type = random
+support_radius = 1,0
+seed = 7
+
+[task]
+name = verify
+""")
+    out = tmp_path / "out"
+    assert run(config, out) == 0
+    rows = read_report(out)["checks"]
+    assert len(rows) == 42 and all(row["pass"] for row in rows)
+
+
 def test_unknown_keys_are_rejected(tmp_path, capsys):
     base = REF_LINES.format(task="verify")
     cases = [
@@ -447,13 +485,23 @@ def test_verbose_prints_rows(tmp_path, capsys):
     assert "eqnBOvolhvol" in captured
 
 
-def test_cli_import_does_not_load_scipy():
-    # a heavy dependency on the import path dominates the start-up of every job
+def modules_after_cli_import():
+    """The names in ``sys.modules`` after ``import blochlat.cli`` in a fresh
+    interpreter."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import blochlat.cli, sys; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", "import blochlat.cli, sys; print(*sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.split())
+
+
+def test_cli_import_does_not_load_scipy():
+    # a heavy dependency on the import path dominates the start-up of every job
+    assert "scipy" not in modules_after_cli_import()
+
+
+def test_cli_import_does_not_load_numpy_polynomial():
+    # the contour rule is the trapezoid rule, which needs no quadrature tables
+    assert not [m for m in modules_after_cli_import() if m.startswith("numpy.polynomial")]

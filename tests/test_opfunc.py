@@ -9,11 +9,9 @@ from blochlat import opfunc
 from blochlat.lattice import LatticeSpec, build_family
 from blochlat.norms import weighted_norm
 from blochlat.opfunc import (
-    COND_BOUND_ACCEPT,
     FUNCTIONS,
     RESOLVENT_COND_LIMIT,
     Circle,
-    Polyline,
     contour_length,
     contour_nodes,
     encloses,
@@ -116,7 +114,6 @@ def test_trapezoid_doubling_converges_geometrically():
 
 def test_result_is_contour_independent():
     a = shifted_test_kernel(75)
-    base, eigs = spectrum_circle(a, margin=1.3)
     results = []
     for margin in (1.3, 2.0, 3.1):
         contour, _ = spectrum_circle(a, margin=margin)
@@ -124,27 +121,6 @@ def test_result_is_contour_independent():
     scale = np.abs(results[0]).max()
     assert np.abs(results[1] - results[0]).max() <= 1e-9 * scale
     assert np.abs(results[2] - results[0]).max() <= 1e-9 * scale
-    # a generous square contour around the same spectrum
-    c = complex(eigs.mean())
-    r = 2.5 * float(np.abs(eigs - c).max())
-    square = Polyline((c + r * (1 + 1j), c + r * (-1 + 1j),
-                       c + r * (-1 - 1j), c + r * (1 - 1j)))
-    via_square = function_of_operator(a, np.exp, square).entries
-    assert np.abs(via_square - results[0]).max() <= 1e-9 * scale
-
-
-def test_polyline_validation():
-    with pytest.raises(ValueError, match="at least 3"):
-        Polyline((0.0, 1.0))
-    with pytest.raises(ValueError, match="oriented"):
-        Polyline((0.0, 1j, 1.0))  # clockwise triangle
-    star = tuple(np.exp(2j * np.pi * (0.25 + 2 * k / 5)) for k in range(5))
-    with pytest.raises(ValueError, match="intersect"):
-        Polyline(star)  # pentagram: positively oriented but self-crossing
-    closed = Polyline((0.0, 1.0, 1.0 + 1j, 1j, 0.0))
-    assert len(closed.vertices) == 4
-    assert contour_length(Circle(0.0, 2.0)) == pytest.approx(4.0 * np.pi)
-    assert contour_length(closed) == pytest.approx(4.0)
 
 
 def test_contour_through_or_beside_spectrum_is_rejected():
@@ -207,6 +183,7 @@ def test_polynomial_factory_and_registry():
         make_polynomial([])
     nodes, weights = contour_nodes(Circle(0.0, 1.0), 4)
     assert len(nodes) == 4 and len(weights) == 4
+    assert contour_length(Circle(0.0, 2.0)) == pytest.approx(4.0 * np.pi)
 
 
 def random_matrix(kind, n, rng):
@@ -215,29 +192,6 @@ def random_matrix(kind, n, rng):
         q, _ = np.linalg.qr(g)
         return (q * (rng.standard_normal(n) + 1j * rng.standard_normal(n))) @ q.conj().T
     return g if kind == "non-normal" else np.triu(g)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(kind=st.sampled_from(["normal", "non-normal", "triangular"]),
-       n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
-       near=st.booleans(), log_gap=st.floats(-9.0, -3.0))
-def test_condition_bound_dominates_the_condition_number(kind, n, seed, near, log_gap):
-    rng = rng_from_seed(seed)
-    m = random_matrix(kind, n, rng)
-    if near:  # near-singular: a shift just off an eigenvalue
-        lam = np.linalg.eigvals(m)[rng.integers(n)]
-        zeta = lam + 10.0**log_gap * np.exp(2j * np.pi * rng.uniform())
-    else:
-        zeta = 3.0 * complex(rng.standard_normal(), rng.standard_normal())
-    shifted = zeta * np.eye(n) - m
-    bound = opfunc._condition_bound(shifted, np.linalg.inv(shifted))
-    cond = np.linalg.cond(shifted)
-    # Both numbers are computed: each carries a relative rounding error of
-    # order n * eps * cond on top of the last-bit error of the norms.
-    slack = 1e-12 + 4 * n * np.finfo(float).eps * cond
-    assert bound >= cond * (1.0 - slack)
-    if bound <= COND_BOUND_ACCEPT:
-        assert cond <= RESOLVENT_COND_LIMIT
 
 
 @pytest.mark.parametrize("kind", ["normal", "non-normal", "triangular"])
@@ -325,18 +279,12 @@ def eigenvalue_check(contour, matrix):
     return None
 
 
-def square(center, half):
-    return Polyline(tuple(center + half * v for v in (1 - 1j, 1 + 1j, -1 + 1j, -1 - 1j)))
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(kind=st.sampled_from(["normal", "non-normal", "triangular"]),
        n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
-       shape=st.sampled_from(["circle", "square"]),
        target=st.sampled_from(["disc", "eigenvalue", "elsewhere"]),
        log_gap=st.floats(-12.0, 0.0), sign=st.sampled_from([-1.0, 1.0]))
-def test_spectrum_check_gives_the_eigenvalue_verdict(kind, n, seed, shape, target,
-                                                     log_gap, sign):
+def test_spectrum_check_gives_the_eigenvalue_verdict(kind, n, seed, target, log_gap, sign):
     rng = rng_from_seed(seed)
     m = random_matrix(kind, n, rng) * 10.0 ** rng.uniform(-3, 3) \
         + 5.0 * complex(rng.standard_normal(), rng.standard_normal()) * np.eye(n)
@@ -346,15 +294,13 @@ def test_spectrum_check_gives_the_eigenvalue_verdict(kind, n, seed, shape, targe
         margin = 2.0 * opfunc.CLEARANCE_RTOL * max(1.0, abs(c) + rho)
         half = rho + margin * (1.0 + sign * 10.0**log_gap)
     elif target == "eigenvalue":  # the contour runs just inside or outside an eigenvalue
-        dev = np.linalg.eigvals(m) - center
-        reach = np.abs(dev) if shape == "circle" else np.maximum(abs(dev.real), abs(dev.imag))
-        half = float(reach.max()) * (1.0 + sign * 10.0**log_gap)
+        half = float(np.abs(np.linalg.eigvals(m) - center).max()) * (1.0 + sign * 10.0**log_gap)
     else:  # a contour that need not enclose c
         center = c + 3.0 * (rho + 1.0) * np.exp(2j * np.pi * rng.uniform())
         half = (rho + 1.0) * 10.0 ** (-log_gap / 6.0)
     if not half > 0.0:
         return
-    contour = Circle(center, half) if shape == "circle" else square(center, half)
+    contour = Circle(center, half)
     want = eigenvalue_check(contour, m)
     if want is None:
         opfunc._validate_spectrum(contour, m)
@@ -394,10 +340,9 @@ def test_disc_bound_dominates_the_condition_number(kind, n, seed, near, log_gap)
 
 def test_cleared_contours_need_no_eigensolve_and_no_condition_bound(monkeypatch):
     calls = []
-    eigvals, condition_bound = np.linalg.eigvals, opfunc._condition_bound
+    eigvals, cond = np.linalg.eigvals, np.linalg.cond
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append("eigvals") or eigvals(m))
-    monkeypatch.setattr(opfunc, "_condition_bound",
-                        lambda s, i: calls.append("bound") or condition_bound(s, i))
+    monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append("svd") or cond(m))
     spec = LatticeSpec(eps_t=1.0, eps_x=1.0, l_t=3, l_x=3, big_l_t=12, big_l_x=9, dim=2)
     torus = periodize(random_zkernel(spec, (2, 2, 2), rng_from_seed(85)), build_family(spec))
     function_of_operator(torus, make_polynomial([1.0, 0.5, 0.25]), Circle(0.0, 200.0))
@@ -409,13 +354,6 @@ def test_cleared_contours_need_no_eigensolve_and_no_condition_bound(monkeypatch)
 def constant_fibers(matrix):
     """A fiber function whose fiber is ``matrix`` at every momentum."""
     return FiberFunction(REF, lambda ks: np.broadcast_to(matrix, ks.shape[:-1] + matrix.shape))
-
-
-def test_spectrum_on_a_polyline_vertex_is_rejected_by_name():
-    contour = Polyline((0.0, 4.0, 4.0 + 4j, 4j))
-    at_vertex = constant_fibers((4.0 + 4j) * np.eye(9))
-    with pytest.raises(ValueError, match="contour passes through the spectrum"):
-        function_fiber(at_vertex, np.exp, contour).matrix_at(np.zeros(2))
 
 
 NON_FINITE = [np.diag([np.inf] + [1.0] * 8), np.full((9, 9), np.nan)]
@@ -449,3 +387,12 @@ def test_non_finite_function_value_is_named():
         function_of_operator(a, np.exp, contour)
     with pytest.raises(ValueError, match=message):
         function_norm_bound(a, np.exp, contour, 0.5)
+
+
+def test_contour_hugging_an_eigenvalue_is_still_named():
+    # just clear of the eigenvalue 1 for the spectrum check, so close that the
+    # trapezoid sums never settle, far above their rounding floor
+    contour = Circle(0.0, 1.0 + 2.0 * opfunc.CLEARANCE_RTOL)
+    fibers = constant_fibers(np.diag([0.0, 1.0, 0.5j]))
+    with pytest.raises(ValueError, match="did not converge .* the spectrum may hug the contour"):
+        function_fiber(fibers, np.exp, contour).matrix_at(np.zeros(2))
