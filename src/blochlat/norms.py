@@ -43,7 +43,7 @@ from .periodization import (
     _inversion_sums,
     _n_block,
     _probe_quasi_periodicity,
-    _quadrature_grid,
+    exact_grid_sizes,
     normalize_radii,
     window_offsets,
     zkernel,
@@ -197,7 +197,7 @@ def fiber_decay_bound(f: FiberFunction, radii, mass: float) -> np.ndarray:
     spec = f.spec
     radii = normalize_radii(spec, radii)
     _probe_quasi_periodicity(f)
-    grid = _quadrature_grid(spec, radii)
+    grid = exact_grid_sizes(spec, radii)
     offsets = window_offsets(spec, radii)
     units = offsets // np.maximum(np.gcd.reduce(offsets, axis=1), 1)[:, None]
     directions, which = np.unique(units, axis=0, return_inverse=True)
@@ -226,7 +226,7 @@ def inverse_fiber_shifted(f: FiberFunction, radii, eta) -> ZKernel:
             f"imaginary shift must have {spec.n_axes} components, got {eta.shape}"
         )
     _probe_quasi_periodicity(f)
-    value, _ = _inversion_sums(f, radii, eta, _quadrature_grid(spec, radii))
+    value, _ = _inversion_sums(f, radii, eta, exact_grid_sizes(spec, radii))
     return zkernel(spec, radii, value)
 
 

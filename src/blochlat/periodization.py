@@ -17,10 +17,11 @@ is an entire function of k (the sums are finite) and quasi-periodic under
 the dual-block reciprocal lattice: fiber(k + p) equals fiber(k) with both
 dual-block indices shifted by p.  ``inverse_fiber`` undoes the transform by
 quadrature over the dual-coarse Brillouin zone; the integrand is a
-trigonometric polynomial, so a uniform grid of ``2 * radius + 1`` nodes per
-axis is always exact.  Every fiber evaluator, from ``fiber_hat`` on, takes
-a stack of momenta (..., n_axes) and returns the stacked fibers (...,
-n_block, n_block); a single momentum gives a single fiber.
+trigonometric polynomial whose frequencies are multiples of the block width
+l, so the uniform grid of ``exact_grid_sizes``, N nodes per axis with
+N * l > 2 * radius, is exact.  Every fiber evaluator, from ``fiber_hat``
+on, takes a stack of momenta (..., n_axes) and returns the stacked fibers
+(..., n_block, n_block); a single momentum gives a single fiber.
 
 An asymmetric kernel between the fine and coarse lattices is one
 coarse-invariant window table, ``ZKernelFC``, read in two directions: the
@@ -412,24 +413,6 @@ def _probe_quasi_periodicity(f: FiberFunction) -> None:
             )
 
 
-def _quadrature_grid(spec: LatticeSpec, radii: tuple[int, ...],
-                     grid_points=None) -> tuple[int, ...]:
-    """Nodes per axis: ``2 * radius + 1``, which is always exact, unless
-    ``grid_points`` (a count, or one per axis) overrides it."""
-    if grid_points is None:
-        return tuple(2 * r + 1 for r in radii)
-    arr = np.asarray(grid_points, dtype=np.int64)
-    if arr.ndim == 0:
-        arr = np.full(spec.n_axes, int(arr))
-    grid = tuple(int(n) for n in arr.reshape(-1))
-    if len(grid) != spec.n_axes or any(n < 1 for n in grid):
-        raise ValueError(
-            f"quadrature grid must be {spec.n_axes} positive integers, "
-            f"got {grid_points!r}"
-        )
-    return grid
-
-
 def _inversion_sums(f: FiberFunction, radii: tuple[int, ...], eta,
                     grid: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Inversion quadrature of f along the contour shifted by i * eta.
@@ -460,16 +443,25 @@ def _inversion_sums(f: FiberFunction, radii: tuple[int, ...], eta,
 def inverse_fiber(f: FiberFunction, radii, *, grid_points=None) -> ZKernel:
     """Recover the kernel of known support from its fiber function.
 
-    The quadrature takes ``2 * radius + 1`` nodes per axis, which is always
-    exact for a kernel supported in the window.  ``grid_points`` (a count,
-    or one per axis) replaces that grid verbatim, for oversampling or for
-    deliberate undersampling experiments; a grid short of
+    The quadrature takes ``exact_grid_sizes`` nodes per axis, the fewest
+    that are exact for a kernel supported in the window.  ``grid_points`` (a
+    count, or one per axis) replaces that grid verbatim, for oversampling or
+    for deliberate undersampling experiments; a grid short of
     ``exact_grid_sizes`` along some axis carries no exactness guarantee.
     """
     spec = f.spec
     radii = normalize_radii(spec, radii)
     _probe_quasi_periodicity(f)
-    grid = _quadrature_grid(spec, radii, grid_points)
+    grid = exact_grid_sizes(spec, radii)
+    if grid_points is not None:
+        arr = np.asarray(grid_points, dtype=np.int64)
+        grid = tuple(int(n) for n in (np.full(spec.n_axes, arr) if arr.ndim == 0
+                                      else arr.reshape(-1)))
+        if len(grid) != spec.n_axes or min(grid) < 1:
+            raise ValueError(
+                f"quadrature grid must be {spec.n_axes} positive integers, "
+                f"got {grid_points!r}"
+            )
     value, _ = _inversion_sums(f, radii, 0.0, grid)
     return zkernel(spec, radii, value)
 

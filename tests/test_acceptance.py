@@ -259,7 +259,7 @@ def test_criterion_4_inverse_fiber_round_trip():
     rng = rng_from_seed(401)
     a = random_zkernel(REF, (2, 2), rng)
     f = fiber_function(a)
-    back = inverse_fiber(f, (2, 2))  # 5 quadrature nodes per axis
+    back = inverse_fiber(f, (2, 2))  # exact_grid_sizes: 2 quadrature nodes per axis
     dev = np.abs(back.entries - a.entries).max() / np.abs(a.entries).max()
     assert dev <= 1e-12
 

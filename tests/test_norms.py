@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_periodic_op_properties import PROPERTY_SETTINGS, REF3, specs_and_radii
 
 from blochlat.lattice import LatticeSpec, build_family, distance_matrix
 from blochlat.norms import (
@@ -16,6 +17,8 @@ from blochlat.norms import (
     weighted_norm,
 )
 from blochlat.periodization import (
+    FiberFunction,
+    exact_grid_sizes,
     fiber_function,
     identity_zkernel,
     inverse_fiber,
@@ -207,6 +210,54 @@ def test_fiber_decay_bound_dominates_entries():
     for mass in (0.0, 0.5, 1.0):
         bound = fiber_decay_bound(f, a.radii, mass)
         assert (np.abs(a.entries) <= bound * (1.0 + 1e-12) + 1e-15).all()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(case=specs_and_radii(), seed=st.integers(0, 2**32 - 1))
+@example(case=REF3, seed=0)
+def test_exact_grid_inverts_and_bounds_every_spec(case, seed):
+    spec, radii = case
+    a = random_zkernel(spec, radii, rng_from_seed(seed))
+    f = fiber_function(a)
+    scale = np.abs(a.entries).max()
+    assert np.abs(inverse_fiber(f, radii).entries - a.entries).max() <= 1e-12 * scale
+    for mass in (0.0, 0.5, 1.0):
+        bound = fiber_decay_bound(f, radii, mass)
+        assert (np.abs(a.entries) <= bound * (1.0 + 1e-12) + 1e-15).all()
+
+
+def _counting(f):
+    """f, and the list that collects the momenta of each of its calls."""
+    calls = []
+
+    def matrix_at(ks):
+        calls.append(np.asarray(ks))
+        return f.matrix_at(ks)
+
+    return FiberFunction(f.spec, matrix_at), calls
+
+
+def _quadrature_momenta(calls, n_axes):
+    """The momenta of the stacked calls; every other call is one probe momentum."""
+    assert all(k.shape == (n_axes,) for k in calls if k.ndim == 1)
+    return np.concatenate([k for k in calls if k.ndim > 1])
+
+
+def test_every_inversion_evaluates_the_exact_grid_only():
+    a = random_zkernel(REF, (2, 1), rng_from_seed(68))
+    nodes = math.prod(exact_grid_sizes(REF, a.radii))  # 2 x 1, not 5 x 3
+    for invert in (lambda f: inverse_fiber(f, a.radii),
+                   lambda f: inverse_fiber_shifted(f, a.radii, np.array([0.3, -0.2]))):
+        f, calls = _counting(fiber_function(a))
+        invert(f)
+        assert len(_quadrature_momenta(calls, REF.n_axes)) == nodes
+    f, calls = _counting(fiber_function(a))
+    fiber_decay_bound(f, a.radii, 0.5)
+    # each direction is one imaginary shift: the zero offset's and the 12
+    # primitive directions of the 5 x 3 window
+    _, counts = np.unique(_quadrature_momenta(calls, REF.n_axes).imag, axis=0,
+                          return_counts=True)
+    assert counts.tolist() == [nodes] * 13
 
 
 def test_fiber_decay_bound_sharp_for_shift_kernel():

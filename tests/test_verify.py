@@ -149,3 +149,17 @@ def test_kernel_on_wrong_spec_rejected():
     kernel = random_zkernel(other, (1, 1), rng_from_seed(11))
     with pytest.raises(ValueError, match="spec"):
         verify_suite(REF, kernel, seed=11)
+
+
+# valid lattices with large spacings, where fibers carry vol_c far from
+# n_block and complex-momentum fibers far from 1 in size
+@pytest.mark.parametrize("name, spec, radii, seed", [
+    ("fiber_position_definition",
+     LatticeSpec(3.8416947814215336, 3.8416947814215336, 3, 4, 3, 4, 3), (0, 0, 0, 0), 65536),
+    ("projection_fiber_rank_one",
+     LatticeSpec(1.5997265648929782, 3.6050814018999566, 3, 3, 27, 3, 2), (9, 1, 1), 17509),
+])
+def test_rows_pass_at_large_spacings(name, spec, radii, seed):
+    results = verify_suite(spec, random_zkernel(spec, radii, rng_from_seed(seed)), seed)
+    row = next(r for r in results if r.name == name)
+    assert row.passed, row
