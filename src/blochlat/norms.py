@@ -191,13 +191,16 @@ def fiber_decay_bound(f: FiberFunction, radii, mass: float) -> np.ndarray:
     Every entry of the kernel recovered by ``inverse_fiber`` is bounded in
     absolute value by the returned array.  The offsets d along one primitive
     lattice direction u = d / gcd(d) share the shift eta = -mass u / |u|, so
-    one shifted quadrature per direction bounds all of them.
+    one shifted quadrature per direction bounds all of them; at mass 0 one
+    unshifted quadrature bounds every offset.
     """
     mass = float(mass)
     spec = f.spec
     radii = normalize_radii(spec, radii)
     _probe_quasi_periodicity(f)
     grid = exact_grid_sizes(spec, radii)
+    if mass == 0.0:  # every direction's shift is 0, so one quadrature bounds all
+        return _inversion_sums(f, radii, np.zeros(spec.n_axes), grid)[1]
     offsets = window_offsets(spec, radii)
     units = offsets // np.maximum(np.gcd.reduce(offsets, axis=1), 1)[:, None]
     directions, which = np.unique(units, axis=0, return_inverse=True)

@@ -10,11 +10,18 @@ the integral is evaluated fiber by fiber with the uniform trapezoid rule,
 which converges geometrically for analytic integrands.  Node counts double
 until the result stops moving at relative tolerance 1e-10.
 
-Each fiber is handled as one batched computation over its shifts: the
-shifted matrices (zeta_j - M) are stacked and inverted by one batched LU
-(numpy has no Schur factorization to reuse across shifts).  The n trapezoid
-nodes are exactly the even nodes of the 2n rule, so each doubling halves
-the previous sum and adds only the n new odd nodes.
+On a circle |zeta - z0| = r the n-node sum has a closed form (Trefethen and
+Weideman, SIAM Review 56, 2014): with B = (M - z0) / r and fhat =
+fft(f(z_j)) / n,
+
+    sum_j w_j f(z_j) (z_j - M)^(-1) = (I - B^n)^(-1) sum_{k<n} fhat_k B^k,
+
+so a rule costs n - 1 matrix products and one solve, with no resolvent.
+The fibers go through it as one stack, CHUNK fibers per batched product,
+and f is evaluated once per node for all of them.  The n-node rule is the
+even nodes of the 2n-node rule, and the odd nodes are an n-node rule on the
+circle turned by pi / n, so each doubling adds one such rule and averages;
+a fiber retires once its sum stops moving.
 
 Every fiber's eigenvalues must be enclosed and clear the circle by more
 than 1e-8 of the spectral scale, and each shift's 2-norm condition number
@@ -56,9 +63,11 @@ RESOLVENT_COND_LIMIT = 1e14
 # and the SVD condition number carry rounding errors of about eps * cond,
 # roughly one percent, so the exact check decides there.
 COND_BOUND_ACCEPT = RESOLVENT_COND_LIMIT / 10
-# Shifts per resolvent stack in the quadrature, which caps its memory when
-# the node count doubles towards MAX_NODES.
-NODE_BATCH = 256
+# Matrices per batched product, solve or SVD in the quadrature.  A chunk's
+# working set, five stacks of CHUNK (base, power, running sum and two
+# temporaries), is that of a 16-node resolvent stack with its shifted
+# matrices and moduli.
+CHUNK = 8
 CLEARANCE_RTOL = 1e-8
 DOUBLING_RTOL = 1e-10
 MAX_NODES = 1 << 14
@@ -123,17 +132,18 @@ def _spectral_disc(matrix: np.ndarray) -> tuple[complex, float]:
     return c, rho * (1.0 + (n * n + 8) * np.finfo(float).eps)
 
 
-def _validate_spectrum(contour, matrix: np.ndarray) -> None:
+def _validate_spectrum(contour, matrix: np.ndarray) -> tuple[complex, float]:
     """Reject eigenvalues outside the contour or within 1e-8 of the spectral
-    scale of it.  A disc that is enclosed and clears the contour by 2e-8 *
-    max(1, |c| + rho) passes with no eigensolve: it is connected and holds
-    every eigenvalue, computed ones included."""
+    scale of it, and return the matrix's disc (c, rho).  A disc that is
+    enclosed and clears the contour by 2e-8 * max(1, |c| + rho) passes with
+    no eigensolve: it is connected and holds every eigenvalue, computed ones
+    included."""
     _require_finite(matrix)
     c, rho = _spectral_disc(matrix)
     # a finite rho keeps c finite
     if (np.isfinite(rho) and contour_clearance(contour, c) - rho
             > 2.0 * CLEARANCE_RTOL * max(1.0, abs(c) + rho) and encloses(contour, c)):
-        return
+        return c, rho
     eigenvalues = np.linalg.eigvals(matrix)
     scale = max(1.0, float(np.abs(eigenvalues).max()))
     for lam in eigenvalues:
@@ -144,6 +154,36 @@ def _validate_spectrum(contour, matrix: np.ndarray) -> None:
         if not encloses(contour, lam):
             raise ValueError(f"contour does not enclose the whole spectrum: eigenvalue "
                              f"{lam:.6g} lies outside")
+    return c, rho
+
+
+def _check_conditioning(stack: np.ndarray, centers: np.ndarray, rhos: np.ndarray,
+                        live: np.ndarray, shifts: np.ndarray) -> None:
+    """Reject any shift zeta at which (zeta - M) has a 2-norm condition number
+    above the limit, for each M = stack[i], i in ``live``, whose disc is
+    (centers[i], rhos[i]).
+
+    The disc bound (d + rho) / (d - rho) clears a pair when ten times below
+    the limit; the SVD decides the rest, whose shifted matrices alone are
+    built, CHUNK at a time.
+    """
+    c, rho = centers[live, None], rhos[live, None]
+    with np.errstate(all="ignore"):
+        d = np.abs(shifts - c)
+        disc_bound = (d + rho) / (d - rho)
+    # written so that a NaN bound, from a non-finite d or rho, clears nothing
+    which, at = np.nonzero(~((d > rho) & (disc_bound <= COND_BOUND_ACCEPT)))
+    which = live[which]
+    eye = np.eye(stack.shape[-1])
+    for lo in range(0, len(which), CHUNK):
+        zetas = shifts[at[lo:lo + CHUNK]]
+        exact = np.linalg.cond(zetas[:, None, None] * eye - stack[which[lo:lo + CHUNK]])
+        bad = zetas[exact > RESOLVENT_COND_LIMIT]
+        if len(bad):
+            raise ValueError(
+                f"resolvent at zeta={complex(bad[0]):.6g} is ill-conditioned; "
+                "the contour runs too close to the spectrum"
+            )
 
 
 def resolvent_fiber(matrix: np.ndarray, zeta) -> np.ndarray:
@@ -151,8 +191,6 @@ def resolvent_fiber(matrix: np.ndarray, zeta) -> np.ndarray:
 
     ``zeta`` is one shift, giving an (n, n) matrix, or a 1-D array of shifts,
     giving the (m, n, n) stack of resolvents from one batched inversion.
-    The disc bound (d + rho) / (d - rho) clears a shift when ten times below
-    the limit; the SVD decides the rest.
     """
     matrix = np.asarray(matrix)
     _require_finite(matrix)
@@ -160,23 +198,10 @@ def resolvent_fiber(matrix: np.ndarray, zeta) -> np.ndarray:
     if zetas.ndim > 1:
         raise ValueError(f"shifts must be a scalar or a 1-D array, got shape {zetas.shape}")
     shifts = np.atleast_1d(zetas)
-    shifted = shifts[:, None, None] * np.eye(len(matrix)) - matrix
     c, rho = _spectral_disc(matrix)
-    with np.errstate(all="ignore"):
-        d = np.abs(shifts - c)
-        disc_bound = (d + rho) / (d - rho)
-    # written so that a NaN bound, from a non-finite d or rho, clears nothing
-    unsure = ~((d > rho) & (disc_bound <= COND_BOUND_ACCEPT))
-    if unsure.any():
-        exact = np.linalg.cond(shifted[unsure])
-        bad = shifts[unsure][exact > RESOLVENT_COND_LIMIT]
-        if len(bad):
-            raise ValueError(
-                f"resolvent at zeta={complex(bad[0]):.6g} is ill-conditioned; "
-                "the contour runs too close to the spectrum"
-            )
     # checked first, so that a singular shift is named instead of failing the LU
-    inverse = np.linalg.inv(shifted)
+    _check_conditioning(matrix[None], np.array([c]), np.array([rho]), np.arange(1), shifts)
+    inverse = np.linalg.inv(shifts[:, None, None] * np.eye(len(matrix)) - matrix)
     return inverse if zetas.ndim else inverse[0]
 
 
@@ -190,72 +215,118 @@ def _function_values(fn, nodes: np.ndarray) -> np.ndarray:
     return values
 
 
-def _node_sum(matrix: np.ndarray, fn, nodes: np.ndarray,
-              weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """sum_j w_j f(z_j) (z_j - M)^(-1) and sum_j |w_j f(z_j)| max|(z_j - M)^(-1)|,
-    whose eps multiple is the rounding floor of the first; one resolvent stack
-    per NODE_BATCH nodes."""
-    coeffs = weights * _function_values(fn, nodes)
-    acc, size = np.zeros(matrix.shape, dtype=complex), 0.0
-    for lo in range(0, len(nodes), NODE_BATCH):
-        part = slice(lo, lo + NODE_BATCH)
-        stack = resolvent_fiber(matrix, nodes[part])
-        acc += np.tensordot(coeffs[part], stack, axes=1)
-        size += np.abs(coeffs[part]) @ np.abs(stack).max(axis=(1, 2))
-    return acc, size
+def _circle_rule(stack: np.ndarray, live: np.ndarray, contour, values: np.ndarray,
+                 odd: bool) -> np.ndarray:
+    """sum_j w_j f(z_j) (z_j - M)^(-1) for each fiber M = stack[i], i in
+    ``live``, in closed form: (I - s B^n)^(-1) sum_{k<n} s_k fhat_k B^k.
+
+    The n = len(values) nodes z_j are the n-node rule's, or with ``odd`` the
+    odd nodes of the 2n-node rule, at the n-node rule's weights.  B = (M -
+    center) / radius and fhat = fft(f(z)) / n; s_k = exp(-i pi k / n) and
+    s = -1 for the odd nodes, 1 otherwise.  The powers of B run forward,
+    n - 1 products per CHUNK fibers, and the last gives B^n for the solve.
+    """
+    n = len(values)
+    coeffs = np.fft.fft(values) / n
+    if odd:
+        coeffs *= np.exp(-1j * np.pi * np.arange(n) / n)
+    eye = np.eye(stack.shape[-1])
+    out = np.empty((len(live),) + stack.shape[1:], dtype=complex)
+    for lo in range(0, len(live), CHUNK):
+        base = (stack[live[lo:lo + CHUNK]] - contour.center * eye) / contour.radius
+        total = np.broadcast_to(coeffs[0] * eye, base.shape).copy()
+        power = base
+        for a in coeffs[1:]:
+            total += a * power
+            power = power @ base
+        out[lo:lo + CHUNK] = np.linalg.solve(eye + power if odd else eye - power, total)
+    return out
 
 
-def _fiber_quadrature(matrix: np.ndarray, fn, contour) -> np.ndarray:
-    """Adaptive doubling of the contour rule on a single fiber matrix."""
-    _validate_spectrum(contour, matrix)
+def _rounding_floor(matrix: np.ndarray, contour, mean: float) -> float:
+    """eps * mean|f| * sum_{k<h} max|B^k| * max|(I -+ B^h)^(-1)|, h = MAX_NODES / 2:
+    each FFT coefficient of the two h-node rules that the last doubling
+    compares, a mean of f times unit phases, is off by about eps * mean|f|,
+    and the power sum and the solve carry that into the result."""
+    eye = np.eye(len(matrix))
+    base = (matrix - contour.center * eye) / contour.radius
+    power, total = eye, 0.0
+    for _ in range(MAX_NODES // 2):
+        total += np.abs(power).max()
+        power = power @ base
+    gain = max(np.abs(np.linalg.inv(eye - s * power)).max() for s in (1.0, -1.0))
+    return np.finfo(float).eps * mean * total * gain
+
+
+def _fiber_quadrature(stack: np.ndarray, fn, contour, nodes: int | None = None) -> np.ndarray:
+    """f(M) for every fiber M of the (m, n, n) stack by the contour rule.
+
+    With ``nodes`` the rule has that many nodes.  Otherwise the node count
+    doubles from 16, every fiber in lockstep, each retiring once its sum
+    stops moving; f is evaluated once per node for the whole stack.
+    """
+    discs = [_validate_spectrum(contour, matrix) for matrix in stack]
+    centers = np.array([c for c, _ in discs], dtype=complex)
+    rhos = np.array([rho for _, rho in discs], dtype=float)
+
+    def rule(zs, live, odd):
+        values = _function_values(fn, zs)
+        _check_conditioning(stack, centers, rhos, live, zs)
+        return _circle_rule(stack, live, contour, values, odd), values
+
+    live = np.arange(len(stack))
+    if nodes is not None:
+        return rule(contour_nodes(contour, nodes)[0], live, False)[0]
     n = 16
-    acc, size = _node_sum(matrix, fn, *contour_nodes(contour, n))
+    acc, values = rule(contour_nodes(contour, n)[0], live, False)
+    top, size = float(np.abs(values).max()), float(np.abs(values).sum())
     while 2 * n <= MAX_NODES:
+        # the previous rule is this one's even nodes; the odd nodes are an
+        # n-node rule on the circle turned by pi / n, and the two average
+        new, values = rule(contour_nodes(contour, 2 * n)[0][1::2], live, True)
+        top, size = max(top, float(np.abs(values).max())), size + float(np.abs(values).sum())
         n *= 2
-        nodes, weights = contour_nodes(contour, n)
-        # the previous rule is this one's even nodes at twice the weight
-        odd, odd_size = _node_sum(matrix, fn, nodes[1::2], weights[1::2])
-        new, size = 0.5 * acc + odd, 0.5 * size + odd_size
-        dev = np.abs(new - acc).max()
-        if dev <= DOUBLING_RTOL * max(1.0, np.abs(new).max()):
-            return new
-        acc = new
-    floor = np.finfo(float).eps * size
+        old = acc[live]
+        new += old
+        new *= 0.5
+        old -= new
+        dev = np.abs(old).max(axis=(1, 2))
+        acc[live] = new
+        moving = dev > DOUBLING_RTOL * np.maximum(1.0, np.abs(new).max(axis=(1, 2)))
+        live, dev = live[moving], dev[moving]
+        if not len(live):
+            return acc
+    dev, floor = float(dev[0]), _rounding_floor(stack[live[0]], contour, size / n)
     if dev <= 10.0 * floor:  # each rule carries rounding errors of about the floor
-        top = np.abs(_function_values(fn, nodes)).max()
         raise ValueError(
             f"contour quadrature stalled at its rounding floor: at {MAX_NODES} nodes the "
             f"doubling deviation {dev:.2g} is within 10x the floor {floor:.2g} "
-            f"(eps * sum |w f| max|resolvent|) set by max |f| = {top:.3g} on the contour")
+            f"(eps * mean|f| * sum max|B^k| * max|(I -+ B^n)^-1|, B = (M - center) / radius) "
+            f"set by max |f| = {top:.3g} on the contour")
     raise ValueError(f"contour quadrature did not converge within {MAX_NODES} nodes; "
                      "the spectrum may hug the contour")
 
 
-def _map_fibers(kernel: PeriodicKernel, per_fiber) -> PeriodicKernel:
-    """Torus kernel whose fiber at each momentum is ``per_fiber`` of the
-    kernel's fiber matrix there."""
-    return reconstruct(kernel.family, [
-        BlochFiber(fiber.k, per_fiber(np.asarray(fiber.entries)), fiber.rep)
-        for fiber in bloch_fibers(kernel)
-    ])
+def _map_fibers(kernel: PeriodicKernel, per_stack) -> PeriodicKernel:
+    """Torus kernel whose fibers are ``per_stack`` of the kernel's fiber
+    matrices, stacked (n_coarse, n_block, n_block)."""
+    fibers = bloch_fibers(kernel)
+    values = per_stack(np.stack([np.asarray(fiber.entries) for fiber in fibers]))
+    # rebinding frees the input fibers before reconstruct
+    fibers = [BlochFiber(fiber.k, value, fiber.rep) for fiber, value in zip(fibers, values)]
+    return reconstruct(kernel.family, fibers)
 
 
 def function_of_operator(kernel: PeriodicKernel, fn: Callable[[complex], complex],
                          contour) -> PeriodicKernel:
-    """Apply a holomorphic function to a torus operator, fiber by fiber."""
-    return _map_fibers(kernel, lambda matrix: _fiber_quadrature(matrix, fn, contour))
+    """Apply a holomorphic function to a torus operator, on all its fibers."""
+    return _map_fibers(kernel, lambda stack: _fiber_quadrature(stack, fn, contour))
 
 
 def function_of_operator_nodes(kernel: PeriodicKernel, fn, contour,
                                nodes: int) -> PeriodicKernel:
     """Fixed-node variant, for convergence studies; no adaptivity."""
-    zs, ws = contour_nodes(contour, nodes)
-
-    def per_fiber(matrix):
-        _validate_spectrum(contour, matrix)
-        return _node_sum(matrix, fn, zs, ws)[0]
-
-    return _map_fibers(kernel, per_fiber)
+    return _map_fibers(kernel, lambda stack: _fiber_quadrature(stack, fn, contour, nodes))
 
 
 def function_fiber(source, fn, contour) -> FiberFunction:
@@ -268,7 +339,7 @@ def function_fiber(source, fn, contour) -> FiberFunction:
     def matrix_at(ks):
         stack = np.asarray(source.matrix_at(ks))
         flat = stack.reshape((-1,) + stack.shape[-2:])
-        return np.reshape([_fiber_quadrature(m, fn, contour) for m in flat], stack.shape)
+        return _fiber_quadrature(flat, fn, contour).reshape(stack.shape)
 
     return FiberFunction(source.spec, matrix_at)
 

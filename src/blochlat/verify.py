@@ -499,6 +499,9 @@ def _norm_checks(fam: LatticeFamily, a: ZKernel, rng):
 
     eta = np.full(spec.n_axes, 0.3)
     eta[-1] = -0.2
+    # the shift amplifies each term by up to e^(eta . d) over the window, so
+    # its reach max_a |eta_a| r_a eps_a is capped at 0.6, the reference's
+    eta *= 0.6 / max(0.6, float((np.abs(eta) * a.radii * spec.spacings()).max()))
     shifted = inverse_fiber_shifted(f, a.radii, eta)
     dev = _rel(np.abs(shifted.entries - a.entries).max(),
                max(np.abs(a.entries).max(), 1e-300))

@@ -258,6 +258,10 @@ def test_every_inversion_evaluates_the_exact_grid_only():
     _, counts = np.unique(_quadrature_momenta(calls, REF.n_axes).imag, axis=0,
                           return_counts=True)
     assert counts.tolist() == [nodes] * 13
+    # at mass 0 every direction's shift is 0: one quadrature serves them all
+    f, calls = _counting(fiber_function(a))
+    fiber_decay_bound(f, a.radii, 0.0)
+    assert len(_quadrature_momenta(calls, REF.n_axes)) == nodes
 
 
 def test_fiber_decay_bound_sharp_for_shift_kernel():

@@ -244,7 +244,7 @@ def test_circle_doubling_reuses_the_previous_nodes():
         return z * z
 
     out = function_of_operator(a, counting_square, contour)
-    assert len(calls) == 32 * len(bloch_fibers(a))
+    assert len(calls) == 32  # once per node, for every fiber at once
     want = compose(a, a).entries
     assert np.abs(out.entries - want).max() <= 1e-8 * np.abs(want).max()
 
@@ -349,6 +349,65 @@ def test_cleared_contours_need_no_eigensolve_and_no_condition_bound(monkeypatch)
     rows = _opfunc_checks(FAM, random_zkernel(REF, (2, 2), rng_from_seed(86)))
     assert all(row.passed for row in rows)
     assert calls == []
+
+
+def test_function_of_operator_inverts_no_shift(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append("inv") or inv(m))
+    monkeypatch.setattr(opfunc, "resolvent_fiber", lambda *args: calls.append("resolvent"))
+    spec = LatticeSpec(eps_t=1.0, eps_x=1.0, l_t=3, l_x=3, big_l_t=12, big_l_x=9, dim=2)
+    torus = periodize(random_zkernel(spec, (2, 2, 2), rng_from_seed(85)), build_family(spec))
+    function_of_operator(torus, make_polynomial([1.0, 0.5, 0.25]), Circle(0.0, 200.0))
+    assert calls == []
+
+
+def per_node_quadrature(matrix, fn, contour):
+    """The contour rule as its per-node resolvent sum, doubling like the
+    library; None where it does not converge within MAX_NODES."""
+    def node_sum(zs, ws):
+        return np.tensordot(ws * np.array([fn(z) for z in zs]), resolvent_fiber(matrix, zs), 1)
+
+    n = 16
+    acc = node_sum(*contour_nodes(contour, n))
+    while 2 * n <= opfunc.MAX_NODES:
+        n *= 2
+        zs, ws = contour_nodes(contour, n)
+        new = 0.5 * acc + node_sum(zs[1::2], ws[1::2])
+        if np.abs(new - acc).max() <= opfunc.DOUBLING_RTOL * max(1.0, np.abs(new).max()):
+            return new
+        acc = new
+    return None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["normal", "non-normal", "triangular"]),
+       n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       fn=st.sampled_from(["exp", "polynomial", "inverse"]),
+       around=st.sampled_from(["disc", "spectrum"]), gap=st.floats(0.02, 2.0))
+def test_closed_form_rule_matches_the_per_node_resolvent_sum(kind, n, seed, fn, around, gap):
+    rng = rng_from_seed(seed)
+    m = random_matrix(kind, n, rng)
+    m -= np.trace(m) / n * np.eye(n)
+    m /= max(opfunc._spectral_disc(m)[1], 1e-300)  # disc radius about 1
+    c, rho = opfunc._spectral_disc(m)
+    reach = rho if around == "disc" else float(np.abs(np.linalg.eigvals(m) - c).max())
+    offset = 0.1 * reach * complex(rng.standard_normal(), rng.standard_normal())
+    radius = (reach + abs(offset)) * (1.0 + gap)
+    if fn == "inverse":  # the pole at 0 stays well outside the circle
+        m += 3.0 * radius * np.exp(2j * np.pi * rng.uniform()) * np.eye(n)
+    contour = Circle(np.trace(m) / n + offset, radius)
+    f = {"exp": np.exp, "polynomial": make_polynomial([1.0, -0.5, 0.25, 2.0]),
+         "inverse": FUNCTIONS["inverse"]}[fn]
+    try:
+        got = opfunc._fiber_quadrature(m[None], f, contour)[0]
+    except ValueError as exc:
+        assert "contour quadrature" in str(exc)
+        got = None
+    want = per_node_quadrature(m, f, contour)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
 def constant_fibers(matrix):

@@ -152,12 +152,17 @@ def test_kernel_on_wrong_spec_rejected():
 
 
 # valid lattices with large spacings, where fibers carry vol_c far from
-# n_block and complex-momentum fibers far from 1 in size
+# n_block and complex-momentum fibers far from 1 in size, or with a long
+# reach r * eps, where a fixed imaginary shift amplifies the window's terms
 @pytest.mark.parametrize("name, spec, radii, seed", [
     ("fiber_position_definition",
      LatticeSpec(3.8416947814215336, 3.8416947814215336, 3, 4, 3, 4, 3), (0, 0, 0, 0), 65536),
     ("projection_fiber_rank_one",
      LatticeSpec(1.5997265648929782, 3.6050814018999566, 3, 3, 27, 3, 2), (9, 1, 1), 17509),
+    ("stokes_shift_independence",
+     LatticeSpec(2.0958109246353502, 3.786572925980937, 1, 4, 1, 12, 2), (0, 5, 4), 11071),
+    ("stokes_shift_independence",
+     LatticeSpec(3.177519616875811, 0.25, 2, 2, 56, 2, 2), (16, 0, 0), 797),
 ])
 def test_rows_pass_at_large_spacings(name, spec, radii, seed):
     results = verify_suite(spec, random_zkernel(spec, radii, rng_from_seed(seed)), seed)
