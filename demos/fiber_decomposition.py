@@ -34,8 +34,8 @@ print(f"momentum matrix: {m.entries.shape[0]}x{m.entries.shape[1]}, "
       f"{nonzero} nonzero entries "
       f"({nonzero // fam.n_coarse} per coarse momentum class)")
 
-fibers = bloch_fibers(a)
-print(f"fibers: {len(fibers)} matrices of shape {fibers[0].entries.shape}")
+fibers = bloch_fibers(a)  # one stack, a 9x9 fiber per coarse momentum class
+print(f"fibers: stack of shape {fibers.entries.shape}")
 
 back = reconstruct(fam, fibers)
 print(f"reconstruction from fibers, max deviation: "
@@ -56,9 +56,7 @@ for fa, fb, fab in zip(fibers, bloch_fibers(b), bloch_fibers(ab)):
     worst = max(worst, np.abs(fa.entries @ fb.entries - fab.entries).max())
 print(f"composition is fiber-wise multiplication, max deviation: {worst:.3e}")
 
-eigenvalues = np.sort_complex(np.concatenate(
-    [np.linalg.eigvals(f.entries) for f in fibers]
-))
+eigenvalues = np.sort_complex(np.linalg.eigvals(fibers.entries).ravel())
 dense = np.sort_complex(np.linalg.eigvals(fam.vol_f * np.asarray(a.entries)))
 print(f"spectrum from 9 small eigenproblems vs one dense 81x81 solve, "
       f"max deviation: {np.abs(eigenvalues - dense).max():.3e}")

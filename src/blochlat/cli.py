@@ -437,9 +437,9 @@ def _run_decay(job: Job, outdir: str):
 
 def _run_funcalc(job: Job, outdir: str):
     result = function_of_operator(job.torus, job.fn, job.contour)
-    matrices = [(fiber.rep, fiber.entries) for fiber in bloch_fibers(result)]
+    fibers = bloch_fibers(result)
     _write_csv(os.path.join(outdir, "funcalc.csv"), _fiber_header(job.spec),
-               _fiber_chunks(job.spec, matrices))
+               _fiber_chunks(job.spec, zip(fibers.rep, fibers.entries)))
     checks = []
     mass = job.mass
     if mass is not None:

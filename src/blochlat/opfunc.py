@@ -34,13 +34,13 @@ limit; only where it does not are the eigenvalues or the SVD computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .norms import _torus_norm
-from .periodic_op import BlochFiber, PeriodicKernel, _fiber_rows, bloch_fibers, reconstruct
+from .periodic_op import PeriodicKernel, _fiber_rows, bloch_fibers, reconstruct
 from .periodization import FiberFunction, ZKernel, fiber_function
 
 __all__ = [
@@ -71,6 +71,8 @@ CHUNK = 8
 CLEARANCE_RTOL = 1e-8
 DOUBLING_RTOL = 1e-10
 MAX_NODES = 1 << 14
+# Contour nodes at which function_norm_bound samples its suprema.
+NORM_BOUND_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -309,11 +311,10 @@ def _fiber_quadrature(stack: np.ndarray, fn, contour, nodes: int | None = None) 
 
 def _map_fibers(kernel: PeriodicKernel, per_stack) -> PeriodicKernel:
     """Torus kernel whose fibers are ``per_stack`` of the kernel's fiber
-    matrices, stacked (n_coarse, n_block, n_block)."""
+    stack (n_coarse, n_block, n_block)."""
     fibers = bloch_fibers(kernel)
-    values = per_stack(np.stack([np.asarray(fiber.entries) for fiber in fibers]))
     # rebinding frees the input fibers before reconstruct
-    fibers = [BlochFiber(fiber.k, value, fiber.rep) for fiber, value in zip(fibers, values)]
+    fibers = replace(fibers, entries=per_stack(fibers.entries))
     return reconstruct(kernel.family, fibers)
 
 
@@ -344,24 +345,24 @@ def function_fiber(source, fn, contour) -> FiberFunction:
     return FiberFunction(source.spec, matrix_at)
 
 
-def function_norm_bound(kernel: PeriodicKernel, fn, contour, mass: float,
-                        *, nodes: int = 64) -> float:
+def function_norm_bound(kernel: PeriodicKernel, fn, contour, mass: float) -> float:
     """length / (2 pi) * sup |f| * sup |resolvent norm| over the contour.
 
-    The suprema are sampled at the quadrature nodes; with analytic data and
-    a clear contour this dominates the weighted norm of f(A).  The fibers
-    are taken once; each pass of ceil(nodes / n_fibers) nodes, about one
-    fiber's stack of resolvents, is resummed and measured as one stack.
+    The suprema are sampled at NORM_BOUND_NODES quadrature nodes; with
+    analytic data and a clear contour this dominates the weighted norm of
+    f(A).  The fibers are taken once; each pass of ceil(NORM_BOUND_NODES /
+    n_fibers) nodes, about one fiber's stack of resolvents, is resummed and
+    measured as one stack.
     """
-    zs, _ = contour_nodes(contour, nodes)
+    zs, _ = contour_nodes(contour, NORM_BOUND_NODES)
     sup_f = max(abs(complex(v)) for v in _function_values(fn, zs))
     fam, fibers = kernel.family, bloch_fibers(kernel)
     size = -(-len(zs) // len(fibers))
     sup_res = 0.0
     for lo in range(0, len(zs), size):
-        blocks = np.stack([resolvent_fiber(np.asarray(f.entries), zs[lo:lo + size])
-                           for f in fibers], axis=1)  # (node, fiber, l, l')
-        rows = _fiber_rows(fam, [f.rep for f in fibers], blocks)
+        blocks = np.stack([resolvent_fiber(matrix, zs[lo:lo + size])
+                           for matrix in fibers.entries], axis=1)  # (node, fiber, l, l')
+        rows = _fiber_rows(fam, blocks)
         sup_res = max(sup_res, float(_torus_norm(fam, rows, float(mass)).max()))
     return contour_length(contour) / (2.0 * np.pi) * sup_f * sup_res
 

@@ -14,8 +14,10 @@ block; ``reconstruct`` resums them into the kernel,
     A(u, u') = 1 / (vol_c * n_coarse) * sum_{k, l, l'}
                exp(i l.u) A_hat(k+l, k+l') exp(-i l'.u') exp(i k.(u-u')),
 
-one summand per dual-coarse class, independent of the chosen class
-representatives.
+one summand per dual-coarse class.  The fibers of a kernel are one field
+over the dual-coarse torus and are stored as one canonical stack: a
+``BlochFiber`` whose ``entries`` are (n_coarse, n_block, n_block), with k
+running over ``family.coords("dual_coarse")`` in that order.
 
 Both directions run on the block rows A(b, .), b over the block sites,
 which fix the kernel by coarse translation (the Bloch-Floquet reduction).
@@ -48,7 +50,7 @@ and ``lemBOkervar.f`` compares fibers against their diagonal blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -111,19 +113,24 @@ class MomentumMatrix:
 
 @dataclass(frozen=True)
 class BlochFiber:
-    """One momentum fiber: a dual-block matrix attached to momentum ``k``.
-
-    ``k`` is the physical momentum vector (complex entries allowed off the
-    real torus); ``rep`` carries the integer dual-coarse representative when
-    the fiber belongs to a finite-torus operator, and is None for fibers of
-    infinite-lattice kernels evaluated at continuous momenta.  From
-    ``fiber_hat`` a stacked ``k`` of shape (..., n_axes) gives stacked
-    ``entries`` of shape (..., n_block, n_block).
+    """Momentum fibers: dual-block matrices at physical momenta ``k``
+    (..., n_axes), complex off the real torus.  ``bloch_fibers`` returns a
+    torus kernel's canonical stack, with integer ``rep`` =
+    ``family.coords("dual_coarse")`` and k = rep * steps; ``rep`` is None
+    for infinite-lattice kernels at continuous momenta.  ``len``, indexing
+    and iteration run over the leading axis: ``fibers[i]`` is one fiber.
     """
 
     k: np.ndarray
     entries: np.ndarray  # (..., n_block, n_block) complex
-    rep: tuple[int, ...] | None = None
+    rep: np.ndarray | None = None  # (..., n_axes) int
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, i) -> BlochFiber:
+        return BlochFiber(self.k[i], self.entries[i],
+                          None if self.rep is None else self.rep[i])
 
 
 def _coarse_shift_permutation(family: LatticeFamily, axis: int) -> np.ndarray:
@@ -233,31 +240,25 @@ def kernel_from_momentum(m: MomentumMatrix) -> PeriodicKernel:
     return periodic_kernel(fam, entries)
 
 
-def _fiber_momentum_indices(family: LatticeFamily, reps) -> np.ndarray:
-    """Fine-dual flat indices of rep + l for l over the dual block.
+@lru_cache(maxsize=8)
+def _fiber_layout(family: LatticeFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Where each fiber sits on the fine dual, and its block phases, read-only.
 
-    One row per representative, shape (len(reps), n_block).
+    Returns the flat dual-fine indices of p = k + l, shape (n_coarse,
+    n_block), for k over ``family.coords("dual_coarse")`` and l over the
+    dual block, and exp(i p.b) over block sites b, shape (n_coarse,
+    n_block, n_block) indexed [k, l, b].
     """
     lift = family.extents("dual_fine") // family.extents("dual_block")
-    p = np.asarray(reps, dtype=np.int64)[:, None, :] + family.coords("dual_block") * lift
-    return family.indices("dual_fine", p)
-
-
-def _fiber_layout(family: LatticeFamily, reps) -> tuple[np.ndarray, np.ndarray]:
-    """Where each fiber sits on the fine dual, and its block phases.
-
-    Returns the flat dual-fine indices of p = rep + l (see
-    :func:`_fiber_momentum_indices`) and exp(i p.b) over block sites b,
-    shape (len(reps), n_block, n_block) indexed [rep, l, b].  The phases are
-    taken at the canonical momentum of each index, so an unreduced
-    representative gets the phases of its reduced one.
-    """
-    idx = _fiber_momentum_indices(family, reps)
+    p = family.coords("dual_coarse")[:, None, :] + family.coords("dual_block") * lift
+    idx = family.indices("dual_fine", p)
     phases = family.pairing_phases(
         "dual_fine", family.coords("dual_fine")[idx.reshape(-1)],
         "block", family.coords("block"),
-    )
-    return idx, phases.reshape(idx.shape + (family.n_block,))
+    ).reshape(idx.shape + (family.n_block,))
+    idx.flags.writeable = False
+    phases.flags.writeable = False
+    return idx, phases
 
 
 def _row_grid(family: LatticeFamily) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -267,26 +268,15 @@ def _row_grid(family: LatticeFamily) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return shape, tuple(range(1 - len(shape), 0))
 
 
-def bloch_fibers(kernel: PeriodicKernel, reps=None) -> list[BlochFiber]:
-    """Extract the momentum fibers, one per dual-coarse class.
+def bloch_fibers(kernel: PeriodicKernel) -> BlochFiber:
+    """The kernel's momentum fibers as one canonical, read-only stack.
 
-    ``reps`` may list arbitrary integer representatives (not necessarily
-    reduced); exactly one per dual-coarse class is required.  The fibers are
-    computed from the block rows, one inverse FFT per row.
+    ``entries[i]`` is the fiber at the dual-coarse momentum ``rep[i]``, with
+    ``rep`` = ``family.coords("dual_coarse")``, one per class.  They come
+    from the block rows, one inverse FFT per row.
     """
     fam = kernel.family
-    if reps is None:
-        reps = fam.coords("dual_coarse")
-    reps = [tuple(int(c) for c in r) for r in np.asarray(reps, dtype=np.int64)]
-    ext_c = fam.extents("dual_coarse")
-    classes = {tuple(np.asarray(r) % ext_c) for r in reps}
-    if len(classes) != fam.n_coarse or len(reps) != fam.n_coarse:
-        raise ValueError(
-            f"need exactly one representative per dual-coarse class "
-            f"({fam.n_coarse} classes), got {len(reps)} reps covering "
-            f"{len(classes)} classes"
-        )
-    idx, phases = _fiber_layout(fam, reps)
+    idx, phases = _fiber_layout(fam)
     shape, axes = _row_grid(fam)
     # R_b(p) = sum_v A(b, v) exp(i p.v): the unnormalized inverse transform
     r_b = np.fft.ifftn(kernel.rows.reshape(shape), axes=axes, norm="forward")
@@ -295,39 +285,31 @@ def bloch_fibers(kernel: PeriodicKernel, reps=None) -> list[BlochFiber]:
     entries = np.conj(phases) @ np.moveaxis(r_b[:, idx], 0, 1)
     entries *= fam.vol_f / fam.n_block
     entries.flags.writeable = False
-    k_steps = fam.steps("dual_coarse")
-    return [BlochFiber(np.asarray(rep) * k_steps, block, rep)
-            for rep, block in zip(reps, entries)]
+    reps = fam.coords("dual_coarse")
+    return BlochFiber(reps * fam.steps("dual_coarse"), entries, reps)
 
 
-def reconstruct(family: LatticeFamily, fibers: list[BlochFiber]) -> PeriodicKernel:
-    """Resum fibers into the position-space kernel.
+def reconstruct(family: LatticeFamily, fibers: BlochFiber) -> PeriodicKernel:
+    """Resum the canonical fiber stack of ``bloch_fibers`` into the kernel.
 
-    The result does not depend on which representative each fiber was
-    extracted at: shifting a representative by a dual-block-lattice vector
-    permutes the fiber entries and the compensating phases below cancel.
     The block rows come from one FFT per row and are the stored kernel.
     """
-    ext_c = family.extents("dual_coarse")
-    classes = set()
-    for fiber in fibers:
-        if fiber.rep is None:
-            raise ValueError("reconstruct needs fibers carrying integer reps")
-        classes.add(tuple(np.asarray(fiber.rep, dtype=np.int64) % ext_c))
-    if len(classes) != family.n_coarse or len(fibers) != family.n_coarse:
+    if len(fibers) != family.n_coarse:
         raise ValueError(
             f"need exactly one fiber per dual-coarse class ({family.n_coarse}), "
-            f"got {len(fibers)} fibers covering {len(classes)} classes"
+            f"got {len(fibers)} fibers"
         )
-    blocks = np.stack([np.asarray(fiber.entries) for fiber in fibers])
-    return periodic_kernel(family, _fiber_rows(family, [f.rep for f in fibers], blocks))
+    if fibers.rep is None or not np.array_equal(fibers.rep, family.coords("dual_coarse")):
+        raise ValueError("reconstruct needs the canonical fiber stack: rep must be "
+                         "family.coords('dual_coarse'), in that order")
+    return periodic_kernel(family, _fiber_rows(family, fibers.entries))
 
 
-def _fiber_rows(family: LatticeFamily, reps, blocks: np.ndarray) -> np.ndarray:
-    """Block rows (..., n_block, n_fine) of the kernels whose fibers at
-    ``reps``, one per dual-coarse class, are ``blocks`` (..., n_coarse,
-    n_block, n_block); one FFT per row, each kernel bitwise as if alone."""
-    idx, phases = _fiber_layout(family, reps)
+def _fiber_rows(family: LatticeFamily, blocks: np.ndarray) -> np.ndarray:
+    """Block rows (..., n_block, n_fine) of the kernels whose canonical fiber
+    stacks are ``blocks`` (..., n_coarse, n_block, n_block); one FFT per
+    row, each kernel bitwise as if alone."""
+    idx, phases = _fiber_layout(family)
     # G_b(k+l') = sum_l exp(i (k+l).b) F_k[l, l'], scattered onto the fine
     # dual; the classes cover it exactly once
     lead = blocks.shape[:-3]

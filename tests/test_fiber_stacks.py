@@ -8,23 +8,20 @@ references.
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_periodic_op_properties import (
-    PROPERTY_SETTINGS,
-    REF3,
-    _shifted_reps,
-    specs_and_radii,
-)
+from test_periodic_op_properties import PROPERTY_SETTINGS, REF3, specs_and_radii
 
 from blochlat.averaging import Profile, profile_hat, prolong_restrict_fiber
 from blochlat.lattice import LatticeSpec, build_family, steps
 from blochlat.norms import _block_distances
 from blochlat.opfunc import (
     FUNCTIONS,
+    NORM_BOUND_NODES,
     Circle,
     contour_length,
     contour_nodes,
@@ -165,12 +162,11 @@ def test_fiber_rows_of_a_stack_equal_single_reconstructs(case, seed):
     rng = rng_from_seed(seed)
     fam = build_family(spec)
     n = fam.n_block
-    for reps in (fam.coords("dual_coarse"), _shifted_reps(fam, rng)):
-        blocks = rng.normal(size=(3, fam.n_coarse, n, n, 2)) @ [1.0, 1.0j]
-        rows = _fiber_rows(fam, reps, blocks)
-        for stack, got in zip(blocks, rows):
-            fibers = [BlochFiber(None, block, tuple(rep)) for rep, block in zip(reps, stack)]
-            np.testing.assert_array_equal(got, reconstruct(fam, fibers).rows)
+    blocks = rng.normal(size=(3, fam.n_coarse, n, n, 2)) @ [1.0, 1.0j]
+    rows = _fiber_rows(fam, blocks)
+    for stack, got in zip(blocks, rows):
+        fibers = BlochFiber(None, stack, fam.coords("dual_coarse"))
+        np.testing.assert_array_equal(got, reconstruct(fam, fibers).rows)
 
 
 def _per_node_torus_norm(kernel, mass):
@@ -184,17 +180,16 @@ def _per_node_torus_norm(kernel, mass):
     return float(fam.vol_f * max(weight.sum(axis=1).max(), cols.max()))
 
 
-def _per_node_norm_bound(kernel, fn, contour, mass, nodes=64):
+def _per_node_norm_bound(kernel, fn, contour, mass, nodes):
     """One reconstruct and one torus norm per contour node."""
     zs, _ = contour_nodes(contour, nodes)
     sup_f = max(abs(complex(fn(z))) for z in zs)
     fibers = bloch_fibers(kernel)
-    stacks = [resolvent_fiber(np.asarray(f.entries), zs) for f in fibers]
+    per_node = np.stack([resolvent_fiber(matrix, zs) for matrix in fibers.entries],
+                        axis=1)  # (node, fiber, l, l')
     sup_res = max(
-        _per_node_torus_norm(reconstruct(kernel.family, [
-            BlochFiber(f.k, stack[j], f.rep) for f, stack in zip(fibers, stacks)
-        ]), mass)
-        for j in range(len(zs))
+        _per_node_torus_norm(reconstruct(kernel.family, replace(fibers, entries=stack)), mass)
+        for stack in per_node
     )
     return contour_length(contour) / (2.0 * np.pi) * sup_f * sup_res
 
@@ -204,12 +199,13 @@ def _per_node_norm_bound(kernel, fn, contour, mass, nodes=64):
     (LatticeSpec(1.0, 1.0, 3, 3, 6, 6, 2), (1, 1, 1)),
     (LatticeSpec(0.5, 1.5, 2, 3, 8, 9, 1), (2, 1)),
 ], ids=["ref", "dim2", "anisotropic"])
-@pytest.mark.parametrize("nodes", [64, 37])
+@pytest.mark.parametrize("nodes", [NORM_BOUND_NODES])
 def test_norm_bound_equals_the_per_node_loop(spec, radii, nodes):
+    # the anisotropic spec has 12 fibers: passes of 6 nodes, the last uneven
     kernel = periodize(_recentered(random_zkernel(spec, radii, rng_from_seed(11))),
                        build_family(spec))
     for fn, mass in ((FUNCTIONS["exp"], 0.25), (make_polynomial([1.0, 0.5]), 0.5)):
-        got = function_norm_bound(kernel, fn, Circle(10.0, 5.0), mass, nodes=nodes)
+        got = function_norm_bound(kernel, fn, Circle(10.0, 5.0), mass)
         assert got == _per_node_norm_bound(kernel, fn, Circle(10.0, 5.0), mass, nodes)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochlat import opfunc
-from blochlat.lattice import LatticeSpec, build_family
+from blochlat.lattice import LatticeFamily, LatticeSpec, build_family
 from blochlat.norms import weighted_norm
 from blochlat.opfunc import (
     FUNCTIONS,
@@ -261,6 +261,22 @@ def test_norm_bound_takes_the_fibers_once(monkeypatch):
     monkeypatch.setattr(opfunc, "bloch_fibers", counting_fibers)
     function_norm_bound(a, np.exp, contour, 0.5)
     assert len(calls) == 1
+
+
+def test_function_of_operator_computes_the_fiber_phases_once(monkeypatch):
+    # the 972-site dim=2 torus; bloch_fibers and reconstruct share one layout
+    spec = LatticeSpec(1.0, 1.0, 3, 3, 12, 9, 2)
+    torus = periodize(random_zkernel(spec, (2, 2, 2), rng_from_seed(0)), build_family(spec))
+    original = LatticeFamily.pairing_phases
+    calls = []
+
+    def counting_phases(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(LatticeFamily, "pairing_phases", counting_phases)
+    function_of_operator(torus, make_polynomial([1.0, 0.5, 0.25]), Circle(0.0, 200.0))
+    assert len(calls) <= 1
 
 
 def eigenvalue_check(contour, matrix):

@@ -16,7 +16,13 @@ from blochlat.periodic_op import (
     reconstruct,
     transpose_kernel,
 )
-from blochlat.rand import random_field_values, random_periodic_kernel, rng_from_seed
+from blochlat.periodization import fiber_hat
+from blochlat.rand import (
+    random_field_values,
+    random_periodic_kernel,
+    random_zkernel,
+    rng_from_seed,
+)
 
 REF = LatticeSpec(eps_t=1.0, eps_x=1.0, l_t=3, l_x=3, big_l_t=9, big_l_x=9, dim=1)
 FAM = build_family(REF)
@@ -163,48 +169,31 @@ def test_reconstruct_from_definition_fibers():
     assert np.abs(acc - a.entries).max() <= 1e-12 * scale
 
 
-def test_reconstruct_independent_of_representatives():
-    rng = rng_from_seed(9)
-    a = random_periodic_kernel(FAM, rng)
-    reps = FAM.coords("dual_coarse").copy()
-    lift = FAM.extents("dual_fine") // FAM.extents("dual_block")
-    reps[0] = reps[0] + lift  # unreduced representative of the same class
-    reps[4] = reps[4] - 2 * lift
-    back = reconstruct(FAM, bloch_fibers(a, reps))
-    scale = np.abs(a.entries).max()
-    assert np.abs(back.entries - a.entries).max() <= 1e-12 * scale
-
-
-def reps_with(fam, rep):
-    """Canonical representative list with the one in rep's class replaced."""
-    cls = tuple(np.asarray(rep) % fam.extents("dual_coarse"))
-    out = [r for r in fam.coords("dual_coarse") if tuple(r) != cls]
-    return [np.asarray(rep)] + out
-
-
-def test_fiber_quasi_periodicity_index_shift():
-    rng = rng_from_seed(10)
-    a = random_periodic_kernel(FAM, rng)
-    rep = np.array([1, 2])
-    lift = FAM.extents("dual_fine") // FAM.extents("dual_block")
-    t = np.array([1, -1])
-    base = bloch_fibers(a, reps_with(FAM, rep))[0]
-    shifted = bloch_fibers(a, reps_with(FAM, rep + t * lift))[0]
-    shape = tuple(FAM.extents("dual_block")) * 2
-    rolled = np.roll(
-        base.entries.reshape(shape), shift=tuple(-t) + tuple(-t), axis=(0, 1, 2, 3)
-    ).reshape(base.entries.shape)
-    np.testing.assert_allclose(shifted.entries, rolled, atol=1e-12)
+def test_fibers_are_one_read_only_stack():
+    a = random_periodic_kernel(FAM, rng_from_seed(9))
+    fibers = bloch_fibers(a)
+    assert fibers.entries.shape == (FAM.n_coarse, FAM.n_block, FAM.n_block)
+    assert not fibers.entries.flags.writeable
+    np.testing.assert_array_equal(fibers.rep, FAM.coords("dual_coarse"))
+    np.testing.assert_array_equal(fibers.k, fibers.rep * FAM.steps("dual_coarse"))
+    assert len(fibers) == FAM.n_coarse
+    for i, fiber in enumerate(fibers):
+        np.testing.assert_array_equal(fiber.rep, fibers.rep[i])
+        assert fibers[i].entries.tobytes() == fibers.entries[i].tobytes()
+        assert fiber.entries.tobytes() == fibers.entries[i].tobytes()
 
 
 def test_reconstruct_requires_full_class_cover():
     rng = rng_from_seed(11)
     a = random_periodic_kernel(FAM, rng)
     fibers = bloch_fibers(a)
-    with pytest.raises(ValueError, match="class"):
+    with pytest.raises(ValueError, match="one fiber per dual-coarse class"):
         reconstruct(FAM, fibers[:-1])
-    with pytest.raises(ValueError, match="class"):
-        bloch_fibers(a, [FAM.coords("dual_coarse")[0]] * FAM.n_coarse)
+    # fiber_hat at the same momenta: the stack carries no reps
+    window = fiber_hat(random_zkernel(REF, (2, 2), rng_from_seed(11)), fibers.k)
+    assert window.rep is None and len(window) == FAM.n_coarse
+    with pytest.raises(ValueError, match="canonical fiber stack"):
+        reconstruct(FAM, window)
 
 
 def test_compose_fibers_multiply():
@@ -229,8 +218,9 @@ def test_transpose_fiber_relation():
     lift = FAM.extents("dual_fine") // FAM.extents("dual_block")
     bhat = FAM.coords("dual_block")
     scale = np.abs(m.entries).max()
+    fibers_t = bloch_fibers(at)
     for rep in [np.array([0, 0]), np.array([1, 2]), np.array([2, 1])]:
-        fiber_t = bloch_fibers(at, reps_with(FAM, rep))[0]
+        fiber_t = fibers_t[FAM.index("dual_coarse", rep)]
         expect = np.empty_like(np.asarray(fiber_t.entries))
         for i, l_row in enumerate(bhat):
             for j, l_col in enumerate(bhat):

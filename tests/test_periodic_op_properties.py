@@ -2,7 +2,7 @@
 over drawn lattice specs.
 
 ``momentum_matrix`` is the independent oracle: its dual-coarse diagonal
-blocks are the fibers, whatever representatives ``bloch_fibers`` is given.
+blocks are the fibers of the canonical ``bloch_fibers`` stack.
 The dense fill loops and the dense norm formula below are the references
 for the row storage.  Sizes stay at or below 256 fine sites.
 """
@@ -54,15 +54,6 @@ def _kernels(spec, radii, rng):
     return fam, (window, random_periodic_kernel(fam, rng))
 
 
-def _shifted_reps(fam, rng):
-    """Canonical reps moved by dual-coarse extents and dual-block vectors."""
-    reps = fam.coords("dual_coarse")
-    lift = fam.extents("dual_fine") // fam.extents("dual_block")
-    shift_c = rng.integers(-2, 3, size=reps.shape) * fam.extents("dual_coarse")
-    shift_l = rng.integers(-2, 3, size=reps.shape) * lift
-    return reps + shift_c + shift_l
-
-
 REF3 = (LatticeSpec(1.0, 0.5, 2, 2, 4, 4, 3), (1, 1, 1, 1))
 
 
@@ -78,11 +69,10 @@ def test_fibers_match_momentum_matrix_blocks(case, seed):
     for a in kernels:
         m = momentum_matrix(a).entries
         scale = np.abs(m).max()
-        for reps in (None, _shifted_reps(fam, rng)):
-            for fiber in bloch_fibers(a, reps):
-                idx = fam.indices("dual_fine", np.asarray(fiber.rep) + ell)
-                dev = np.abs(fiber.entries - m[np.ix_(idx, idx)]).max()
-                assert dev <= 1e-12 * scale
+        fibers = bloch_fibers(a)
+        idx = fam.indices("dual_fine", fibers.rep[:, None, :] + ell)
+        dev = np.abs(fibers.entries - m[idx[:, :, None], idx[:, None, :]]).max()
+        assert dev <= 1e-12 * scale
 
 
 @PROPERTY_SETTINGS
@@ -94,9 +84,8 @@ def test_reconstruct_inverts_fibers(case, seed):
     fam, kernels = _kernels(spec, radii, rng)
     for a in kernels:
         scale = np.abs(a.entries).max()
-        for reps in (None, _shifted_reps(fam, rng)):
-            back = reconstruct(fam, bloch_fibers(a, reps))
-            assert np.abs(back.entries - a.entries).max() <= 1e-12 * scale
+        back = reconstruct(fam, bloch_fibers(a))
+        assert np.abs(back.entries - a.entries).max() <= 1e-12 * scale
 
 
 @PROPERTY_SETTINGS
@@ -106,15 +95,16 @@ def test_class_cover_errors(case, seed):
     spec, _ = case
     fam = build_family(spec)
     a = random_periodic_kernel(fam, rng_from_seed(seed))
-    reps = fam.coords("dual_coarse")
-    twice = np.vstack([reps, reps[:1] + fam.extents("dual_coarse")])
-    with pytest.raises(ValueError, match="class"):
-        bloch_fibers(a, twice)
     fibers = bloch_fibers(a)
-    with pytest.raises(ValueError, match="class"):
+    cover = "one fiber per dual-coarse class"
+    with pytest.raises(ValueError, match=cover):
         reconstruct(fam, fibers[:-1])
-    with pytest.raises(ValueError, match="class"):
-        reconstruct(fam, fibers + fibers[:1])
+    order = np.arange(fam.n_coarse)
+    with pytest.raises(ValueError, match=cover):
+        reconstruct(fam, fibers[np.append(order, 0)])
+    if fam.n_coarse > 1:
+        with pytest.raises(ValueError, match="canonical fiber stack"):
+            reconstruct(fam, fibers[np.roll(order, 1)])
 
 
 # -- block-row storage ---------------------------------------------------
