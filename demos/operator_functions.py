@@ -31,13 +31,13 @@ rng = rng_from_seed(11)
 # random kernel rescaled and shifted so the spectrum sits in |z - 10| <= 2
 raw = random_zkernel(spec, (2, 2), rng)
 scaled = np.asarray(raw.entries) * (2.0 / weighted_norm(raw, 0.0))
-a = periodic_kernel(fam, periodize(zkernel(spec, raw.radii, scaled), fam).entries
-                    + 10.0 * np.asarray(identity_kernel(fam).entries))
+a = periodic_kernel(fam, periodize(zkernel(spec, raw.radii, scaled), fam).rows
+                    + 10.0 * identity_kernel(fam).rows)
 contour = Circle(10.0, 4.0)
 print("operator with spectrum inside |z - 10| <= 2, contour |z - 10| = 4")
 
 back = function_of_operator(a, FUNCTIONS["identity"], contour)
-print(f"f(z) = z reproduces A:      {np.abs(back.entries - a.entries).max():.3e}")
+print(f"f(z) = z reproduces A:      {np.abs(back.rows - a.rows).max():.3e}")
 
 sq = function_of_operator(a, FUNCTIONS["square"], contour)
 print(f"f(z) = z^2 vs A o A:        "
@@ -50,18 +50,16 @@ print(f"f(z) = 1/z gives A^-1:      {np.abs(residual).max():.3e}")
 p = make_polynomial([1.0, -2.0, 0.5])  # 1 - 2z + z^2/2
 direct = function_of_operator(a, p, contour)
 explicit = periodic_kernel(
-    fam,
-    identity_kernel(fam).entries - 2.0 * np.asarray(a.entries)
-    + 0.5 * compose(a, a).entries,
+    fam, identity_kernel(fam).rows - 2.0 * a.rows + 0.5 * compose(a, a).rows
 )
 print(f"polynomial vs explicit sum: "
-      f"{np.abs(direct.entries - explicit.entries).max():.3e}")
+      f"{np.abs(direct.rows - explicit.rows).max():.3e}")
 
 print("\ntrapezoid convergence for f = exp (node doubling):")
 reference = function_of_operator_nodes(a, FUNCTIONS["exp"], contour, 4096)
 for nodes in (8, 16, 32, 64):
     approx = function_of_operator_nodes(a, FUNCTIONS["exp"], contour, nodes)
-    err = np.abs(approx.entries - reference.entries).max()
+    err = np.abs(approx.rows - reference.rows).max()
     print(f"  {nodes:4d} nodes: max error {err:.3e}")
 
 mass = 0.25

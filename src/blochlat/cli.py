@@ -273,7 +273,10 @@ def _build_kernel(spec: LatticeSpec, section, kind: str, seed: int, fit: bool):
             )
         except ValueError:
             raise ConfigError(f"kernel.support_radius invalid: {radius!r}")
-        rng = rng_from_seed(_get_int(section, "seed", seed))
+        kernel_seed = _get_int(section, "seed", seed)
+        if kernel_seed < 0:
+            raise ConfigError(f"kernel.seed must be a non-negative integer, got {kernel_seed}")
+        rng = rng_from_seed(kernel_seed)
         try:
             if fit:
                 _check_window_fits(spec, radii, spec.fine_extents())
@@ -292,6 +295,8 @@ class Job:
     """A validated run: lattice, kernel, task, parameters."""
 
     def __init__(self, parser: configparser.ConfigParser, seed: int):
+        if seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
         for name in ("lattice", "kernel", "task"):
             if not parser.has_section(name):
                 raise ConfigError(f"missing section [{name}]")
@@ -331,6 +336,10 @@ class Job:
             self.mass = self._optional_float("mass")
             self.contour = self._build_contour()
             self.fn_name, self.fn = self._build_function()
+            if self.fn_name == "inverse" and abs(self.contour.center) < self.contour.radius:
+                raise ConfigError(  # its residue there would cancel A^-1 exactly
+                    f"params.function = inverse has its pole at 0 inside the contour "
+                    f"{self.contour}; the disc must exclude 0")
 
     def _optional_float(self, key: str) -> float | None:
         return _get_float(self.params, key) if key in self.params else None

@@ -33,18 +33,18 @@ fiber(k)[l, l'] fills the fine dual once over all classes, and
 is one forward FFT per row.
 
 A ``PeriodicKernel`` stores exactly those rows, shape (n_block, n_fine),
-read-only; its dense ``entries`` are expanded on first use, one
-``np.roll`` of the rows per coarse cell, and cached.  ``periodic_kernel``
-takes either the dense (n_fine, n_fine) kernel, which it checks for
-coarse-translation invariance and keeps as ``entries``, or the block rows,
-which define an invariant kernel and need no check.  ``periodize``,
-``reconstruct``, ``bloch_fibers`` and the torus weighted norm work on the
-rows and never form the dense kernel; ``apply_kernel``, ``compose`` and
-``transpose_kernel`` act on ``entries``.  ``momentum_matrix`` and
-``kernel_from_momentum`` evaluate the two-sided displays above with dense
-n_fine x n_fine phase tables.  No fiber computation goes through them; they
-are the independent oracle: the ``lemBOkervar.a``/``.c`` checks run on them,
-and ``lemBOkervar.f`` compares fibers against their diagonal blocks.
+read-only; ``periodic_kernel`` takes nothing else.  The dense ``entries``
+are expanded on first use and cached.  Coarse translation by x maps row b to
+the row of b + x, so the kernel acts from its rows by a gather over coarse
+cells,
+
+    (A phi)(b + x) = vol_f * sum_w A(b, w) phi(w + x),
+
+and its transpose has the rows A*(b, c + x) = A(c, b - x), c over the block
+sites.  ``periodize``, ``reconstruct``, ``bloch_fibers``, ``apply_kernel``,
+``transpose_kernel`` and the torus weighted norm work on the rows and never
+form the dense kernel; ``compose`` multiplies the dense kernels and keeps
+the product as its ``entries``.
 """
 
 from __future__ import annotations
@@ -58,20 +58,15 @@ from .lattice import FieldVector, LatticeFamily
 
 __all__ = [
     "PeriodicKernel",
-    "MomentumMatrix",
     "BlochFiber",
     "periodic_kernel",
     "identity_kernel",
     "apply_kernel",
     "compose",
-    "momentum_matrix",
-    "kernel_from_momentum",
     "bloch_fibers",
     "reconstruct",
     "transpose_kernel",
 ]
-
-PERIODICITY_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -89,26 +84,14 @@ class PeriodicKernel:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The dense kernel: A(b + x, v + x) = A(b, v) over coarse steps x."""
+        """The dense kernel: A(b + x, v) = A(b, v - x) over coarse steps x."""
         fam = self.family
-        shape, axes = _row_grid(fam)
-        grid = self.rows.reshape(shape)
-        block = fam.coords("block")
+        orbits, neg = _coarse_orbits(fam)
         out = np.empty((fam.n_fine, fam.n_fine), dtype=complex)
-        for x in fam.coords("coarse") * fam.spec.ratios():
-            out[fam.indices("fine", block + x)] = np.roll(
-                grid, tuple(int(c) for c in x), axis=axes
-            ).reshape(fam.n_block, fam.n_fine)
+        for plus, minus in zip(orbits[_block_sites(fam)].T, orbits[:, neg].T):
+            out[plus] = self.rows[:, minus]
         out.flags.writeable = False
         return out
-
-
-@dataclass(frozen=True)
-class MomentumMatrix:
-    """Momentum-space matrix over the fine dual, canonical order."""
-
-    family: LatticeFamily
-    entries: np.ndarray  # (n_fine, n_fine) complex
 
 
 @dataclass(frozen=True)
@@ -133,111 +116,86 @@ class BlochFiber:
                           None if self.rep is None else self.rep[i])
 
 
-def _coarse_shift_permutation(family: LatticeFamily, axis: int) -> np.ndarray:
-    """Fine-site index permutation for translation by one coarse step."""
-    shift = np.zeros(family.spec.n_axes, dtype=np.int64)
-    shift[axis] = family.spec.ratios()[axis]
-    return family.indices("fine", family.coords("fine") + shift)
-
-
 def _block_sites(family: LatticeFamily) -> np.ndarray:
     """Fine-site indices of the block sites, in block order."""
     return family.indices("fine", family.coords("block"))
 
 
-def periodic_kernel(family: LatticeFamily, entries,
-                    check: bool = True) -> PeriodicKernel:
-    """Wrap a coarse-invariant kernel given densely or by its block rows.
+@lru_cache(maxsize=8)
+def _coarse_orbits(family: LatticeFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Fine-site indices of u + x, u over the fine sites (rows) and x over
+    the coarse cells in ``family.coords("coarse")`` order (columns), and the
+    column of -x for each column x; read-only."""
+    shifts = family.coords("coarse") * family.spec.ratios()
+    orbits = family.indices("fine", family.coords("fine")[:, None, :] + shifts)
+    neg = family.indices("coarse", -family.coords("coarse"))
+    orbits.flags.writeable = False
+    neg.flags.writeable = False
+    return orbits, neg
 
-    Dense (n_fine, n_fine) entries are kept as the kernel's ``entries``;
-    with ``check`` their invariance is verified on the coarse generators
-    only (they generate the group) to relative tolerance 1e-10 of the
-    largest entry.  Block rows (n_block, n_fine), row b = A(b, .) in
-    ``family.coords("block")`` order, define an invariant kernel and are
-    not checked.  With a single coarse cell both shapes, and both orders,
-    coincide.
+
+def periodic_kernel(family: LatticeFamily, rows) -> PeriodicKernel:
+    """Wrap the block rows of a coarse-invariant kernel.
+
+    ``rows`` has shape (n_block, n_fine), row b = A(b, .) with b in
+    ``family.coords("block")`` order; any rows define an invariant kernel.
+    With a single coarse cell the rows are the whole kernel.
     """
-    arr = np.array(entries, dtype=complex)
-    n = family.n_fine
-    if arr.shape == (family.n_block, n) and family.n_coarse > 1:
-        arr.flags.writeable = False
-        return PeriodicKernel(family, arr)
-    if arr.shape != (n, n):
-        raise ValueError(
-            f"expected entries of shape ({n}, {n}) or block rows of shape "
-            f"({family.n_block}, {n}), got {arr.shape}"
-        )
-    if check:
-        scale = float(np.abs(arr).max()) or 1.0
-        for axis in range(family.spec.n_axes):
-            perm = _coarse_shift_permutation(family, axis)
-            dev = float(np.abs(arr[np.ix_(perm, perm)] - arr).max())
-            if dev > PERIODICITY_RTOL * scale:
-                raise ValueError(
-                    "kernel is not invariant under coarse translations: "
-                    f"axis {axis} deviation {dev:.3e} exceeds "
-                    f"{PERIODICITY_RTOL:.0e} * max|A| = {PERIODICITY_RTOL * scale:.3e}"
-                )
+    arr = np.array(rows, dtype=complex)
+    shape = (family.n_block, family.n_fine)
+    if arr.shape != shape:
+        dense = " (a dense kernel: pass its block rows)" if arr.shape == (
+            family.n_fine, family.n_fine) else ""
+        raise ValueError(f"expected block rows of shape {shape}, got {arr.shape}{dense}")
     arr.flags.writeable = False
-    rows = arr[_block_sites(family)]
-    rows.flags.writeable = False
-    kernel = PeriodicKernel(family, rows)
-    kernel.__dict__["entries"] = arr  # the dense form is at hand: cache it
-    return kernel
+    return PeriodicKernel(family, arr)
 
 
 def identity_kernel(family: LatticeFamily) -> PeriodicKernel:
     """Kernel of the identity operator, (1/vol_f) on the diagonal."""
     rows = np.zeros((family.n_block, family.n_fine), dtype=complex)
     rows[np.arange(family.n_block), _block_sites(family)] = 1.0 / family.vol_f
-    return periodic_kernel(family, rows, check=False)
+    return periodic_kernel(family, rows)
 
 
 def apply_kernel(kernel: PeriodicKernel, field: FieldVector) -> FieldVector:
-    """Position-space action vol_f * sum_u' A(u, u') phi(u')."""
+    """Position-space action vol_f * sum_u' A(u, u') phi(u'), from the rows:
+    (A phi)(b + x) = vol_f * sum_w A(b, w) phi(w + x)."""
+    fam = kernel.family
     if field.tag != "fine":
         raise ValueError(f"kernel acts on fine-lattice fields, got {field.tag!r}")
-    fam = kernel.family
-    return fam.field("fine", fam.vol_f * kernel.entries @ field.values)
+    if field.values.shape != (fam.n_fine,):
+        raise ValueError(f"kernel acts on fields of {fam.n_fine} fine sites, "
+                         f"got values of shape {field.values.shape}")
+    orbits, _ = _coarse_orbits(fam)
+    out = np.empty(fam.n_fine, dtype=complex)
+    out[orbits[_block_sites(fam)]] = fam.vol_f * kernel.rows @ field.values[orbits]
+    return fam.field("fine", out)
 
 
 def compose(a: PeriodicKernel, b: PeriodicKernel) -> PeriodicKernel:
-    """Kernel of the operator product, vol_f * sum_u'' A(u,u'') B(u'',u')."""
+    """Kernel of the operator product, vol_f * sum_u'' A(u,u'') B(u'',u').
+
+    The product is taken densely and kept as the result's ``entries``."""
     if a.family.spec != b.family.spec:
         raise ValueError("kernels live on different lattice families")
-    return periodic_kernel(
-        a.family, a.family.vol_f * a.entries @ b.entries, check=False
-    )
+    fam = a.family
+    dense = fam.vol_f * a.entries @ b.entries
+    dense.flags.writeable = False
+    out = periodic_kernel(fam, dense[_block_sites(fam)])
+    out.__dict__["entries"] = dense  # the dense form is at hand: cache it
+    return out
 
 
 def transpose_kernel(a: PeriodicKernel) -> PeriodicKernel:
-    """Kernel of the transposed operator, A*(u, u') = A(u', u)."""
-    return periodic_kernel(a.family, a.entries.T, check=False)
-
-
-def _site_phases(family: LatticeFamily) -> np.ndarray:
-    """exp(i p.u) with momenta as rows, fine sites as columns."""
-    return family.pairing_phases(
-        "dual_fine", family.coords("dual_fine"), "fine", family.coords("fine")
-    )
-
-
-def momentum_matrix(kernel: PeriodicKernel) -> MomentumMatrix:
-    """Two-sided transform of the kernel into momentum space."""
-    fam = kernel.family
-    ph = _site_phases(fam)
-    out = (fam.vol_f / fam.n_fine) * (np.conj(ph) @ kernel.entries @ ph.T)
-    out.flags.writeable = False
-    return MomentumMatrix(fam, out)
-
-
-def kernel_from_momentum(m: MomentumMatrix) -> PeriodicKernel:
-    """Invert :func:`momentum_matrix` by the double momentum sum."""
-    fam = m.family
-    ph = _site_phases(fam)
-    factor = fam.hvol_f / (2.0 * np.pi) ** (1 + fam.spec.dim)
-    entries = factor * (ph.T @ m.entries @ np.conj(ph))
-    return periodic_kernel(fam, entries)
+    """Kernel of the transposed operator, A*(u, u') = A(u', u), from the
+    rows: A*(b, c + x) = A(c, b - x)."""
+    fam = a.family
+    orbits, neg = _coarse_orbits(fam)
+    block = orbits[_block_sites(fam)]  # c + x, (n_block, n_coarse)
+    rows = np.empty_like(a.rows)
+    rows[:, block] = np.swapaxes(a.rows[:, block[:, neg]], 0, 1)
+    return periodic_kernel(fam, rows)
 
 
 @lru_cache(maxsize=8)

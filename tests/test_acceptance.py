@@ -12,6 +12,7 @@ import json
 import time
 
 import numpy as np
+from test_periodic_op import dense_momentum_matrix
 
 from blochlat.averaging import (
     dirichlet_average,
@@ -44,8 +45,6 @@ from blochlat.periodic_op import (
     bloch_fibers,
     compose,
     identity_kernel,
-    kernel_from_momentum,
-    momentum_matrix,
     periodic_kernel,
     reconstruct,
     transpose_kernel,
@@ -83,7 +82,7 @@ from blochlat.scaling import (
     scaled_fiber_cf,
     scaled_fiber_fc,
 )
-from blochlat.verify import verify_suite
+from blochlat.verify import _band, _band_rows, _lifted_momenta, verify_suite
 
 REF = LatticeSpec(1.0, 1.0, 3, 3, 9, 9, dim=1)
 
@@ -152,24 +151,25 @@ def test_criterion_2_torus_fiber_decomposition():
     rng = rng_from_seed(201)
     started = time.perf_counter()
     worst = 0.0
+    moms, _ = _lifted_momenta(fam)
     for _ in range(10):
         a = random_periodic_kernel(fam, rng)
         tol = 1e-12 * np.abs(a.entries).max()
 
-        back = kernel_from_momentum(momentum_matrix(a))
-        dev_a = np.abs(back.entries - a.entries).max()
+        back = _band_rows(fam, _band(fam, a.rows, moms))
+        dev_a = np.abs(back - a.rows).max()
         assert dev_a <= tol
 
         back = reconstruct(fam, bloch_fibers(a))
         dev_b = np.abs(back.entries - a.entries).max()
         assert dev_b <= tol
 
-        m = momentum_matrix(a)
+        m = dense_momentum_matrix(a)
         dev_c = 0.0
         for _ in range(5):
             phi = fam.field("fine", random_field_values(fam, "fine", rng))
             lhs = transform(fam, apply_kernel(a, phi)).values
-            rhs = m.entries @ transform(fam, phi).values
+            rhs = m @ transform(fam, phi).values
             dev_c = max(dev_c, np.abs(lhs - rhs).max())
         assert dev_c <= tol
 
@@ -201,7 +201,7 @@ def test_criterion_2_torus_fiber_decomposition():
                 for j, l_col in enumerate(bhat):
                     p_row = fam.index("dual_fine", -rep - l_col * lift)
                     p_col = fam.index("dual_fine", -rep - l_row * lift)
-                    expect[i, j] = m.entries[p_row, p_col]
+                    expect[i, j] = m[p_row, p_col]
             dev_f = max(dev_f, np.abs(fiber_t.entries - expect).max())
         assert dev_f <= tol
         worst = max(worst, dev_a, dev_b, dev_c, dev_d, dev_e, dev_f)
@@ -394,9 +394,7 @@ def _spread_spectrum_kernel(fam, rng, shift=10.0, width=2.0):
     a = random_zkernel(fam.spec, (2, 2), rng)
     scaled = np.asarray(a.entries) * (width / weighted_norm(a, 0.0))
     torus = periodize(zkernel(fam.spec, a.radii, scaled), fam)
-    return periodic_kernel(
-        fam, torus.entries + shift * np.asarray(identity_kernel(fam).entries)
-    )
+    return periodic_kernel(fam, torus.rows + shift * identity_kernel(fam).rows)
 
 
 def test_criterion_7_operator_functions():

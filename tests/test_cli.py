@@ -249,6 +249,35 @@ contour_radius = 0.5
     assert "numerical error" in capsys.readouterr().err
 
 
+def test_funcalc_inverse_with_its_pole_inside_the_contour_exits_two(tmp_path, capsys):
+    # the residue of 1/z at 0 cancels A^-1: without the check the run exits
+    # 0 with every entry near 1e-19
+    config = write_config(tmp_path, REF_LINES.format(task="funcalc") + """
+[params]
+function = inverse
+contour_center = 0
+contour_radius = 200
+""")
+    assert run(config, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "pole at 0 inside the contour Circle(center=0j, radius=200.0)" in err
+    assert not (tmp_path / "out" / "funcalc.csv").exists()
+
+
+@pytest.mark.parametrize("task", ["verify", "norms", "fibers", "decay"])
+def test_negative_seeds_are_config_errors(tmp_path, capsys, task):
+    config = write_config(tmp_path, REF_LINES.format(task=task))
+    assert run(config, tmp_path / "out", "--seed", "-1") == 2
+    assert "config error: --seed must be a non-negative integer, got -1" in (
+        capsys.readouterr().err)
+    config = write_config(tmp_path, REF_LINES.format(task=task).replace(
+        "seed = 7", "seed = -3"))
+    assert run(config, tmp_path / "out") == 2
+    assert "config error: kernel.seed must be a non-negative integer, got -3" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_funcalc_non_finite_function_value_exits_one(tmp_path, capsys):
     # exp overflows at the contour node zeta = 800
     config = write_config(tmp_path, REF_LINES.format(task="funcalc") + """

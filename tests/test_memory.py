@@ -1,7 +1,7 @@
 """Memory guards: coarse-invariant kernels stay at their block rows on the
-periodize -> function -> fibers path, so no n_fine x n_fine array forms,
-``function_norm_bound`` holds one pass of resolvents at a time, and the CLI
-streams its CSVs one fiber at a time.
+periodize -> function -> fibers path and in the torus rows of ``verify``,
+so no n_fine x n_fine array forms, ``function_norm_bound`` holds one pass
+of resolvents at a time, and the CLI streams its CSVs one fiber at a time.
 
 Peaks are ``tracemalloc`` readings of this process.
 """
@@ -20,6 +20,7 @@ from blochlat.opfunc import Circle, function_norm_bound, function_of_operator, m
 from blochlat.periodic_op import bloch_fibers, reconstruct
 from blochlat.periodization import periodize
 from blochlat.rand import random_zkernel, rng_from_seed
+from blochlat.verify import _torus_checks
 
 
 def _traced_peak_mb(run):
@@ -91,6 +92,16 @@ def test_dim3_round_trip_fits_without_the_dense_kernel():
     scale = np.abs(kernel.rows).max()
     assert np.abs(back.rows - kernel.rows).max() <= 1e-12 * scale
     assert peak < 128.0
+
+
+def test_verify_torus_rows_stay_at_the_block_rows():
+    # 15^3 = 3375 sites in 125 coarse cells; one dense complex kernel is
+    # 182 MB, and the dense momentum matrix needs several of that size
+    spec = LatticeSpec(1.0, 1.0, 3, 3, 15, 15, dim=2)
+    fam = build_family(spec)
+    rows, peak = _traced_peak_mb(lambda: _torus_checks(fam, rng_from_seed(0)))
+    assert len(rows) == 6 and all(row.passed for row in rows)
+    assert peak < 60.0
 
 
 @pytest.mark.parametrize("gap, spacings", [(0.005, (1.0,) * 3), (0.25, (1.0,) * 4)])

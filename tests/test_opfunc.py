@@ -39,8 +39,7 @@ FAM = build_family(REF)
 def shifted_test_kernel(seed, scale=0.3, shift=10.0):
     """Random kernel scaled down and recentred so its spectrum avoids 0."""
     a = random_periodic_kernel(FAM, rng_from_seed(seed))
-    entries = scale * np.asarray(a.entries) + shift * np.eye(FAM.n_fine) / FAM.vol_f
-    return periodic_kernel(FAM, entries)
+    return periodic_kernel(FAM, scale * a.rows + shift * identity_kernel(FAM).rows)
 
 
 def operator_matrix(kernel):

@@ -1,17 +1,20 @@
-"""Torus operators: momentum matrices, fibers, reconstructions, transpose."""
+"""Torus operators: block rows, fibers, reconstructions, transpose.
+
+``dense_momentum_matrix`` is the two-sided transform of the dense kernel,
+the independent reference for block diagonality and for the band oracle
+of the ``verify`` suite."""
 
 import numpy as np
 import pytest
 
 from blochlat.fourier import transform
-from blochlat.lattice import LatticeSpec, build_family
+from blochlat.lattice import FieldVector, LatticeSpec, build_family
 from blochlat.periodic_op import (
+    _block_sites,
     apply_kernel,
     bloch_fibers,
     compose,
     identity_kernel,
-    kernel_from_momentum,
-    momentum_matrix,
     periodic_kernel,
     reconstruct,
     transpose_kernel,
@@ -23,9 +26,20 @@ from blochlat.rand import (
     random_zkernel,
     rng_from_seed,
 )
+from blochlat.verify import _band, _band_rows, _lifted_momenta
 
 REF = LatticeSpec(eps_t=1.0, eps_x=1.0, l_t=3, l_x=3, big_l_t=9, big_l_x=9, dim=1)
 FAM = build_family(REF)
+
+
+def dense_momentum_matrix(kernel):
+    """A_hat(p, p') = vol_f / n_fine sum_{u, u'} exp(-i p.u) A(u, u')
+    exp(i p'.u') over the whole fine dual, from the dense kernel."""
+    fam = kernel.family
+    ph = fam.pairing_phases(
+        "dual_fine", fam.coords("dual_fine"), "fine", fam.coords("fine")
+    )
+    return (fam.vol_f / fam.n_fine) * (np.conj(ph) @ kernel.entries @ ph.T)
 
 
 def fiber_by_definition(fam, kernel, rep):
@@ -54,8 +68,8 @@ def fiber_by_definition(fam, kernel, rep):
 
 
 def test_identity_kernel_momentum_is_identity():
-    m = momentum_matrix(identity_kernel(FAM))
-    np.testing.assert_allclose(m.entries, np.eye(FAM.n_fine), atol=1e-13)
+    m = dense_momentum_matrix(identity_kernel(FAM))
+    np.testing.assert_allclose(m, np.eye(FAM.n_fine), atol=1e-13)
 
 
 def test_identity_fibers_are_identity():
@@ -71,27 +85,39 @@ def test_apply_identity_and_translation():
     # kernel of translation by one coarse step along the time axis
     shift = np.array([REF.l_t, 0])
     perm = FAM.indices("fine", FAM.coords("fine") + shift)
-    entries = np.zeros((FAM.n_fine, FAM.n_fine), dtype=complex)
-    entries[np.arange(FAM.n_fine), perm] = 1.0 / FAM.vol_f
-    shift_k = periodic_kernel(FAM, entries)
+    rows = np.zeros((FAM.n_block, FAM.n_fine), dtype=complex)
+    rows[np.arange(FAM.n_block), perm[_block_sites(FAM)]] = 1.0 / FAM.vol_f
+    shift_k = periodic_kernel(FAM, rows)
     out = apply_kernel(shift_k, phi)
     np.testing.assert_allclose(out.values, phi.values[perm], atol=1e-14)
 
 
 def test_non_invariant_kernel_rejected():
+    # a dense kernel is rejected by its shape, whether invariant or not
     entries = np.zeros((FAM.n_fine, FAM.n_fine), dtype=complex)
     entries[0, 1] = 1.0
-    with pytest.raises(ValueError, match="not invariant"):
+    with pytest.raises(ValueError, match=r"dense kernel: pass its block rows"):
         periodic_kernel(FAM, entries)
+    with pytest.raises(ValueError, match=r"dense kernel: pass its block rows"):
+        periodic_kernel(FAM, identity_kernel(FAM).entries)
+
+
+def test_apply_rejects_a_field_of_another_length_or_lattice():
+    a = random_periodic_kernel(FAM, rng_from_seed(1))
+    short = FieldVector(np.zeros(FAM.n_fine - 1, dtype=complex), "fine")
+    with pytest.raises(ValueError, match=f"fields of {FAM.n_fine} fine sites"):
+        apply_kernel(a, short)
+    with pytest.raises(ValueError, match="fine-lattice fields"):
+        apply_kernel(a, FAM.field("coarse", np.zeros(FAM.n_coarse)))
 
 
 def test_momentum_matrix_block_diagonal():
     rng = rng_from_seed(2)
-    m = momentum_matrix(random_periodic_kernel(FAM, rng))
-    scale = np.abs(m.entries).max()
+    m = dense_momentum_matrix(random_periodic_kernel(FAM, rng))
+    scale = np.abs(m).max()
     classes = FAM.coords("dual_fine") % FAM.extents("dual_coarse")
     same = (classes[:, None, :] == classes[None, :, :]).all(axis=-1)
-    assert np.abs(m.entries[~same]).max() <= 1e-12 * scale
+    assert np.abs(m[~same]).max() <= 1e-12 * scale
 
 
 def test_translation_invariant_kernel_has_diagonal_momentum_matrix():
@@ -102,32 +128,34 @@ def test_translation_invariant_kernel_has_diagonal_momentum_matrix():
     diff_idx = np.stack(
         [FAM.indices("fine", sites - sites[j]) for j in range(FAM.n_fine)], axis=1
     )
-    kernel = periodic_kernel(FAM, alpha[diff_idx])
-    m = momentum_matrix(kernel)
+    kernel = periodic_kernel(FAM, alpha[diff_idx][_block_sites(FAM)])
+    m = dense_momentum_matrix(kernel)
     alpha_hat = transform(FAM, FAM.field("fine", alpha)).values
-    np.testing.assert_allclose(np.diag(m.entries), alpha_hat, atol=1e-11)
-    off = m.entries - np.diag(np.diag(m.entries))
+    np.testing.assert_allclose(np.diag(m), alpha_hat, atol=1e-11)
+    off = m - np.diag(np.diag(m))
     assert np.abs(off).max() <= 1e-12 * max(1.0, np.abs(alpha_hat).max())
 
 
 def test_momentum_roundtrip_reconstructs_kernel():
+    # the band's inverse, the oracle of the momentum_round_trip row
     rng = rng_from_seed(4)
+    moms, _ = _lifted_momenta(FAM)
     for _ in range(3):
         a = random_periodic_kernel(FAM, rng)
-        back = kernel_from_momentum(momentum_matrix(a))
-        scale = np.abs(a.entries).max()
-        assert np.abs(back.entries - a.entries).max() <= 1e-12 * scale
+        back = _band_rows(FAM, _band(FAM, a.rows, moms))
+        scale = np.abs(a.rows).max()
+        assert np.abs(back - a.rows).max() <= 1e-12 * scale
 
 
 def test_momentum_action_identity():
     # (A phi)^(p) = sum_p' A_hat(p, p') phi_hat(p'), both routes independent
     rng = rng_from_seed(5)
     a = random_periodic_kernel(FAM, rng)
-    m = momentum_matrix(a)
+    m = dense_momentum_matrix(a)
     for _ in range(5):
         phi = FAM.field("fine", random_field_values(FAM, "fine", rng))
         lhs = transform(FAM, apply_kernel(a, phi)).values
-        rhs = m.entries @ transform(FAM, phi).values
+        rhs = m @ transform(FAM, phi).values
         scale = max(1.0, np.abs(lhs).max())
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
@@ -213,11 +241,11 @@ def test_transpose_fiber_relation():
     # fiber of A* at k, entry (l, l'), equals A_hat(-k-l', -k-l)
     rng = rng_from_seed(13)
     a = random_periodic_kernel(FAM, rng)
-    m = momentum_matrix(a)
+    m = dense_momentum_matrix(a)
     at = transpose_kernel(a)
     lift = FAM.extents("dual_fine") // FAM.extents("dual_block")
     bhat = FAM.coords("dual_block")
-    scale = np.abs(m.entries).max()
+    scale = np.abs(m).max()
     fibers_t = bloch_fibers(at)
     for rep in [np.array([0, 0]), np.array([1, 2]), np.array([2, 1])]:
         fiber_t = fibers_t[FAM.index("dual_coarse", rep)]
@@ -226,7 +254,7 @@ def test_transpose_fiber_relation():
             for j, l_col in enumerate(bhat):
                 p_row = FAM.index("dual_fine", -rep - l_col * lift)
                 p_col = FAM.index("dual_fine", -rep - l_row * lift)
-                expect[i, j] = m.entries[p_row, p_col]
+                expect[i, j] = m[p_row, p_col]
         assert np.abs(fiber_t.entries - expect).max() <= 1e-12 * scale
     # involution and symmetry fixed point
     np.testing.assert_array_equal(transpose_kernel(at).entries, a.entries)

@@ -1,29 +1,37 @@
-"""Property tests for the block-row kernel storage and the FFT fiber route
-over drawn lattice specs.
+"""Property tests for the block-row kernel storage, the row actions and
+the FFT fiber route over drawn lattice specs.
 
-``momentum_matrix`` is the independent oracle: its dual-coarse diagonal
-blocks are the fibers of the canonical ``bloch_fibers`` stack.
-The dense fill loops and the dense norm formula below are the references
-for the row storage.  Sizes stay at or below 256 fine sites.
+The dense two-sided momentum transform of ``test_periodic_op`` is the
+independent reference: its dual-coarse diagonal blocks are both the fibers
+of the canonical ``bloch_fibers`` stack and the band of the ``verify``
+oracle, and it vanishes off them.  The dense fill loops, the dense kernel
+products and the dense norm formula below are the references for the row
+storage.  Sizes stay at or below 256 fine sites.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_periodic_op import dense_momentum_matrix
 
 from blochlat.lattice import LatticeSpec, build_family, distance_matrix
 from blochlat.norms import weighted_norm
 from blochlat.periodic_op import (
-    _coarse_shift_permutation,
+    apply_kernel,
     bloch_fibers,
     identity_kernel,
-    momentum_matrix,
-    periodic_kernel,
     reconstruct,
+    transpose_kernel,
 )
 from blochlat.periodization import periodize, window_offsets
-from blochlat.rand import random_periodic_kernel, random_zkernel, rng_from_seed
+from blochlat.rand import (
+    random_field_values,
+    random_periodic_kernel,
+    random_zkernel,
+    rng_from_seed,
+)
+from blochlat.verify import _band, _band_rows, _lifted_momenta
 
 MAX_SITES = 256
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True,
@@ -55,24 +63,39 @@ def _kernels(spec, radii, rng):
 
 
 REF3 = (LatticeSpec(1.0, 0.5, 2, 2, 4, 4, 3), (1, 1, 1, 1))
+# one coarse cell, and single-site blocks along time
+ONE_CELL = (LatticeSpec(1.0, 1.0, 3, 3, 3, 3, 1), (1, 1))
+THIN_BLOCK = (LatticeSpec(2.0, 0.5, 1, 3, 5, 6, 1), (2, 1))
 
 
-@PROPERTY_SETTINGS
-@given(case=specs_and_radii(), seed=st.integers(0, 2**32 - 1))
-@example(case=REF3, seed=0)
+def row_cases(test):
+    """Drawn specs and seeds, with the edge cases always among them."""
+    for case in (REF3, ONE_CELL, THIN_BLOCK):
+        test = example(case=case, seed=0)(test)
+    return PROPERTY_SETTINGS(given(case=specs_and_radii(),
+                                   seed=st.integers(0, 2**32 - 1))(test))
+
+
+@row_cases
 def test_fibers_match_momentum_matrix_blocks(case, seed):
+    # the fibers and the verify band are the diagonal blocks of the dense
+    # momentum matrix, which vanishes off them
     spec, radii = case
     rng = rng_from_seed(seed)
     fam, kernels = _kernels(spec, radii, rng)
-    lift = fam.extents("dual_fine") // fam.extents("dual_block")
-    ell = fam.coords("dual_block") * lift
+    moms, idx = _lifted_momenta(fam)
+    classes = fam.coords("dual_fine") % fam.extents("dual_coarse")
+    off_band = ~(classes[:, None, :] == classes[None, :, :]).all(axis=-1)
     for a in kernels:
-        m = momentum_matrix(a).entries
+        m = dense_momentum_matrix(a)
         scale = np.abs(m).max()
+        blocks = m[idx[:, :, None], idx[:, None, :]]
         fibers = bloch_fibers(a)
-        idx = fam.indices("dual_fine", fibers.rep[:, None, :] + ell)
-        dev = np.abs(fibers.entries - m[idx[:, :, None], idx[:, None, :]]).max()
-        assert dev <= 1e-12 * scale
+        np.testing.assert_array_equal(fibers.rep, moms[:, 0])
+        assert np.abs(fibers.entries - blocks).max() <= 1e-12 * scale
+        assert np.abs(_band(fam, a.rows, moms) - blocks).max() <= 1e-12 * scale
+        if fam.n_coarse > 1:
+            assert np.abs(m[off_band]).max() <= 1e-12 * scale
 
 
 @PROPERTY_SETTINGS
@@ -105,6 +128,30 @@ def test_class_cover_errors(case, seed):
     if fam.n_coarse > 1:
         with pytest.raises(ValueError, match="canonical fiber stack"):
             reconstruct(fam, fibers[np.roll(order, 1)])
+
+
+@row_cases
+def test_band_inverse_gives_back_the_rows(case, seed):
+    spec, radii = case
+    fam, kernels = _kernels(spec, radii, rng_from_seed(seed))
+    moms, _ = _lifted_momenta(fam)
+    for a in kernels:
+        back = _band_rows(fam, _band(fam, a.rows, moms))
+        assert np.abs(back - a.rows).max() <= 1e-12 * np.abs(a.rows).max()
+
+
+@row_cases
+def test_row_actions_match_the_dense_kernel(case, seed):
+    spec, radii = case
+    rng = rng_from_seed(seed)
+    fam, kernels = _kernels(spec, radii, rng)
+    for a in kernels:
+        phi = fam.field("fine", random_field_values(fam, "fine", rng))
+        expect = fam.vol_f * a.entries @ phi.values
+        got = apply_kernel(a, phi).values
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+        np.testing.assert_array_equal(_bits(transpose_kernel(a).entries),
+                                      _bits(a.entries.T))
 
 
 # -- block-row storage ---------------------------------------------------
@@ -145,10 +192,10 @@ def _assert_row_form(fam, k):
     assert not k.rows.flags.writeable and not k.entries.flags.writeable
     block = fam.indices("fine", fam.coords("block"))
     np.testing.assert_array_equal(_bits(k.rows), _bits(k.entries[block]))
-    dense = periodic_kernel(fam, k.entries)
-    np.testing.assert_array_equal(_bits(dense.entries), _bits(k.entries))
     for axis in range(fam.spec.n_axes):
-        perm = _coarse_shift_permutation(fam, axis)
+        shift = np.zeros(fam.spec.n_axes, dtype=np.int64)
+        shift[axis] = fam.spec.ratios()[axis]
+        perm = fam.indices("fine", fam.coords("fine") + shift)
         assert np.abs(k.entries[np.ix_(perm, perm)] - k.entries).max() == 0.0
 
 
