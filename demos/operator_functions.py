@@ -3,9 +3,9 @@
 f(A) is the contour integral of f(z) against the resolvent, evaluated fiber
 by fiber with the trapezoid rule.  On a circle the rule converges
 geometrically for analytic integrands, so a handful of nodes already gives
-machine precision.  The same nodes give a bound on the weighted norm of f(A)
-whose suprema over the contour are sampled at the nodes, so it is an
-estimate between them, not a certified bound.
+machine precision.  Arcs around the same nodes give a certified bound on
+the weighted norm of f(A): on each arc the resolvent's norm is bounded from
+its value at the node, and |f| by the function's closed-form certificate.
 """
 
 import numpy as np
@@ -64,11 +64,13 @@ for nodes in (8, 16, 32, 64):
 
 mass = 0.25
 exp_a = function_of_operator(a, FUNCTIONS["exp"], contour)
-print(f"\nsampled norm bound: ||exp(A)||_{mass} = {weighted_norm(exp_a, mass):.4e}"
-      f" <= {function_norm_bound(a, FUNCTIONS['exp'], contour, mass):.4e}")
+bound = function_norm_bound(a, FUNCTIONS["exp"], contour, mass)
+print(f"\ncertified norm bound: ||exp(A)||_{mass} = {weighted_norm(exp_a, mass):.4e}"
+      f" <= {bound:.4e} ({bound.arcs} arcs)")
 
-# a contour that slices through the spectrum is refused, not silently wrong
+# a contour that slices through the spectrum (|z - 10| <= 0.49) is refused,
+# not silently wrong
 try:
-    function_of_operator(a, FUNCTIONS["exp"], Circle(10.0, 1.0))
+    function_of_operator(a, FUNCTIONS["exp"], Circle(10.0, 0.25))
 except ValueError as exc:
     print(f"\ncontour through the spectrum is rejected: {exc}")

@@ -334,12 +334,19 @@ class Job:
                 )
         if task == "funcalc":
             self.mass = self._optional_float("mass")
+            if self.mass is not None and self.mass < 0:
+                raise ConfigError(  # the weighted norm is submultiplicative for m >= 0 only
+                    f"params.mass must be non-negative, got {self.mass:g}")
             self.contour = self._build_contour()
             self.fn_name, self.fn = self._build_function()
-            if self.fn_name == "inverse" and abs(self.contour.center) < self.contour.radius:
-                raise ConfigError(  # its residue there would cancel A^-1 exactly
-                    f"params.function = inverse has its pole at 0 inside the contour "
-                    f"{self.contour}; the disc must exclude 0")
+            gap = abs(self.contour.center) - self.contour.radius
+            if self.fn_name == "inverse" and gap <= 0:
+                # inside, its residue would cancel A^-1 exactly; on the contour,
+                # the quadrature would never settle
+                raise ConfigError(
+                    f"params.function = inverse has its pole at 0 "
+                    f"{'inside' if gap < 0 else 'on'} the contour {self.contour}; "
+                    f"the disc must exclude 0")
 
     def _optional_float(self, key: str) -> float | None:
         return _get_float(self.params, key) if key in self.params else None
@@ -452,11 +459,10 @@ def _run_funcalc(job: Job, outdir: str):
     checks = []
     mass = job.mass
     if mass is not None:
-        checks.append(_le(
-            f"function_norm_bound[m={mass:g}]", "lemBOfnbnd",
-            weighted_norm(result, mass),
-            function_norm_bound(job.torus, job.fn, job.contour, mass),
-            witness=f"function={job.fn_name}"))
+        direct = weighted_norm(result, mass)
+        bound = function_norm_bound(job.torus, job.fn, job.contour, mass)
+        checks.append(_le(f"function_norm_bound[m={mass:g}]", "lemBOfnbnd", direct, bound,
+                          witness=f"function={job.fn_name}; arcs={bound.arcs}"))
     return checks
 
 

@@ -30,6 +30,13 @@ rho >= ||M - cI||_2, holds the spectrum, and cond_2(zeta - M)
 <= (d + rho) / (d - rho) at |zeta - c| = d > rho (Neumann series; Trefethen
 and Embree 2005).  It settles both at twice the clearance and a tenth of the
 limit; only where it does not are the eigenvalues or the SVD computed.
+
+``function_norm_bound`` certifies an upper bound on the weighted norm of
+f(A): the circle is cut into arcs around the nodes, the resolvent identity
+bounds the resolvent's norm on each arc from its norm at the node, and the
+function carries a closed-form sup of |f| on a disc (``CertifiedFunction``;
+every entry of ``FUNCTIONS`` and every ``make_polynomial`` is one).  The
+quadrature takes any callable.
 """
 
 from __future__ import annotations
@@ -39,14 +46,13 @@ from typing import Callable
 
 import numpy as np
 
-from .norms import _torus_norm
+from .norms import _block_distances, _torus_norm
 from .periodic_op import PeriodicKernel, _fiber_rows, bloch_fibers, reconstruct
 from .periodization import FiberFunction, ZKernel, fiber_function
 
 __all__ = [
     "Circle",
     "contour_nodes",
-    "contour_length",
     "encloses",
     "contour_clearance",
     "resolvent_fiber",
@@ -55,6 +61,8 @@ __all__ = [
     "function_fiber",
     "function_norm_bound",
     "make_polynomial",
+    "CertifiedFunction",
+    "NormBound",
     "FUNCTIONS",
 ]
 
@@ -71,8 +79,10 @@ CHUNK = 8
 CLEARANCE_RTOL = 1e-8
 DOUBLING_RTOL = 1e-10
 MAX_NODES = 1 << 14
-# Contour nodes at which function_norm_bound samples its suprema.
-NORM_BOUND_NODES = 64
+# Arcs that function_norm_bound starts from, and the entries of the (node,
+# fiber) resolvent stack that one of its passes may hold.
+NORM_BOUND_ARCS = 16
+NORM_BOUND_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -85,10 +95,6 @@ class Circle:
     def __post_init__(self):
         if not self.radius > 0.0:
             raise ValueError(f"circle radius must be positive, got {self.radius}")
-
-
-def contour_length(contour) -> float:
-    return 2.0 * np.pi * contour.radius
 
 
 def contour_nodes(contour, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -345,29 +351,42 @@ def function_fiber(source, fn, contour) -> FiberFunction:
     return FiberFunction(source.spec, matrix_at)
 
 
-def function_norm_bound(kernel: PeriodicKernel, fn, contour, mass: float) -> float:
-    """length / (2 pi) * sup |f| * sup |resolvent norm| over the contour.
+@dataclass(frozen=True)
+class CertifiedFunction:
+    """A contour-calculus function that carries a closed-form bound on |f|.
 
-    The suprema are sampled at NORM_BOUND_NODES quadrature nodes; with
-    analytic data and a clear contour this dominates the weighted norm of
-    f(A).  The fibers are taken once; each pass of ceil(NORM_BOUND_NODES /
-    n_fibers) nodes, about one fiber's stack of resolvents, is resummed and
-    measured as one stack.
+    Calling it calls ``fn``.  ``disc_sup(c, h)`` bounds |f| on the disc
+    |z - c| <= h, elementwise over an array of centres c, and is inf where
+    the disc may hold a pole.
     """
-    zs, _ = contour_nodes(contour, NORM_BOUND_NODES)
-    sup_f = max(abs(complex(v)) for v in _function_values(fn, zs))
-    fam, fibers = kernel.family, bloch_fibers(kernel)
-    size = -(-len(zs) // len(fibers))
-    sup_res = 0.0
-    for lo in range(0, len(zs), size):
-        blocks = np.stack([resolvent_fiber(matrix, zs[lo:lo + size])
-                           for matrix in fibers.entries], axis=1)  # (node, fiber, l, l')
-        rows = _fiber_rows(fam, blocks)
-        sup_res = max(sup_res, float(_torus_norm(fam, rows, float(mass)).max()))
-    return contour_length(contour) / (2.0 * np.pi) * sup_f * sup_res
+
+    fn: Callable[[complex], complex]
+    disc_sup: Callable[[np.ndarray, float], np.ndarray]
+
+    def __call__(self, z):
+        return self.fn(z)
 
 
-def make_polynomial(coeffs) -> Callable[[complex], complex]:
+def _polynomial_sup(coeffs) -> Callable[[np.ndarray, float], np.ndarray]:
+    """sum_j |a_j| (|c| + h)^j, by Horner's rule."""
+    moduli = [abs(a) for a in coeffs]
+
+    def sup(c, h):
+        t, acc = np.abs(c) + h, 0.0
+        for a in reversed(moduli):
+            acc = acc * t + a
+        return acc
+
+    return sup
+
+
+def _inverse_sup(c, h):
+    """1 / (|c| - h), inf where the disc reaches the pole at 0."""
+    gap = np.abs(c) - h
+    return np.where(gap > 0.0, 1.0 / np.where(gap > 0.0, gap, 1.0), np.inf)
+
+
+def make_polynomial(coeffs) -> CertifiedFunction:
     """Polynomial sum_j coeffs[j] * z**j as a contour-calculus function."""
     coeffs = [complex(c) for c in coeffs]
     if not coeffs:
@@ -379,12 +398,119 @@ def make_polynomial(coeffs) -> Callable[[complex], complex]:
             acc = acc * z + c
         return acc
 
-    return poly
+    return CertifiedFunction(poly, _polynomial_sup(coeffs))
 
 
-FUNCTIONS: dict[str, Callable[[complex], complex]] = {
-    "identity": lambda z: z,
-    "square": lambda z: z * z,
-    "inverse": lambda z: 1.0 / z,
-    "exp": np.exp,
+FUNCTIONS: dict[str, CertifiedFunction] = {
+    "identity": CertifiedFunction(lambda z: z, _polynomial_sup([0.0, 1.0])),
+    "square": CertifiedFunction(lambda z: z * z, _polynomial_sup([0.0, 0.0, 1.0])),
+    "inverse": CertifiedFunction(lambda z: 1.0 / z, _inverse_sup),
+    "exp": CertifiedFunction(np.exp, lambda c, h: np.exp(np.real(c) + h)),
 }
+
+
+class NormBound(float):
+    """A certified norm bound that also records the contour arcs it took."""
+
+    arcs: int
+
+    def __new__(cls, value: float, arcs: int):
+        bound = super().__new__(cls, value)
+        bound.arcs = arcs
+        return bound
+
+
+def _resolvent_norms(fam, stack, centers, rhos, zs, mass: float):
+    """(||R(z)||_m, b(z)) at each node z, R(z) = (z - A)^(-1) on the torus
+    and b(z) >= ||R(z)||_2, the largest norm bound of its fibers.  The nodes
+    go in passes whose (node, fiber) resolvent stack holds at most
+    NORM_BOUND_BUDGET entries: per pass one conditioning check, one batched
+    inversion, one row FFT and one norm."""
+    size = max(1, NORM_BOUND_BUDGET // stack.size)
+    eye, live = np.eye(stack.shape[-1]), np.arange(len(stack))
+    norms, spectral = np.empty(len(zs)), np.empty(len(zs))
+    for lo in range(0, len(zs), size):
+        shifts = zs[lo:lo + size]
+        _check_conditioning(stack, centers, rhos, live, shifts)
+        blocks = np.linalg.inv(shifts[:, None, None, None] * eye - stack)  # (node, fiber, l, l')
+        spectral[lo:lo + size] = _norm2_bound(np.abs(blocks)).max(axis=1)
+        blocks = _fiber_rows(fam, blocks)  # rebinding frees the fibers before the norm
+        norms[lo:lo + size] = _torus_norm(fam, blocks, mass)
+    return norms, spectral
+
+
+def function_norm_bound(kernel: PeriodicKernel, fn: CertifiedFunction, contour,
+                        mass: float) -> NormBound:
+    """Certified upper bound on the weighted norm ||f(A)||_m, m >= 0.
+
+    The circle is cut into n arcs centred on the nodes z_j; every point of
+    arc j lies within h = 2 r sin(pi / 2n) of z_j.  The torus norm is
+    submultiplicative with ||I||_m = 1, so the resolvent identity gives
+    ||R(z)||_m <= N_j = ||R_j||_m / (1 - h ||R_j||_m) on the arc, R_j =
+    (z_j - A)^(-1), and
+
+        ||f(A)||_m <= (r / n) sum_j S_j N_j,
+
+    with S_j = ``fn.disc_sup(z_j, h)`` >= |f| on |z - z_j| <= h.  From
+    NORM_BOUND_ARCS arcs, n doubles, reusing the old nodes as the even ones,
+    until every h ||R_j||_m <= 1/2 and every S_j is finite.
+
+    Where that would take more than MAX_NODES arcs (a weight e^(m d) that
+    makes ||R_j||_m huge), the arcs stop doubling once h b_j <= 1/2 for
+    b_j >= ||R_j||_2, and an arc with h ||R_j||_m > 1/2 takes N_j = ||R_j||_m
+    + h W b_j^2 / (1 - h b_j) instead: R(z) = R_j + (z_j - z) R(z) R_j,
+    every entry of an operator is at most its 2-norm, and W = max_x sum_y
+    e^(m d(x, y)).
+
+    The spectrum must lie inside the contour and f must be bounded on its
+    closed disc, so that the integral is f(A).  The bound holds in exact
+    arithmetic on the computed resolvents; ``arcs`` on the result is n.
+    """
+    if not isinstance(fn, CertifiedFunction):
+        raise TypeError(f"function_norm_bound needs a CertifiedFunction, which carries "
+                        f"its disc sup; got {getattr(fn, '__name__', repr(fn))}")
+    mass = float(mass)
+    if not mass >= 0.0:
+        raise ValueError(f"function_norm_bound needs mass >= 0, where the weighted norm "
+                         f"is submultiplicative; got {mass}")
+    fam, stack = kernel.family, bloch_fibers(kernel).entries
+    discs = [_validate_spectrum(contour, matrix) for matrix in stack]
+    centers = np.array([c for c, _ in discs], dtype=complex)
+    rhos = np.array([rho for _, rho in discs], dtype=float)
+    n = NORM_BOUND_ARCS
+    zs = contour_nodes(contour, n)[0]
+    _function_values(fn, zs)  # a value that is not finite is named by its node
+    with np.errstate(over="ignore"):
+        if not np.isfinite(fn.disc_sup(contour.center, contour.radius)):
+            raise ValueError(f"function_norm_bound: f has no finite sup on the closed disc "
+                             f"of the contour {contour}: a pole lies on or inside it, "
+                             f"or |f| overflows there")
+    norms, spectral = _resolvent_norms(fam, stack, centers, rhos, zs, mass)
+    while True:
+        h = 2.0 * contour.radius * np.sin(np.pi / (2 * n))
+        with np.errstate(over="ignore"):
+            sups = np.asarray(fn.disc_sup(zs, h), dtype=float)
+        neumann = h * norms <= 0.5
+        # doubling about halves h, so the norm route needs about this many arcs
+        out_of_reach = 2 * n * h * norms.max() > MAX_NODES
+        if np.isfinite(sups).all() and (neumann.all() or (
+                out_of_reach and (h * spectral).max() <= 0.5)):
+            break
+        if 2 * n > MAX_NODES:
+            raise ValueError(
+                f"function_norm_bound: no certificate on the contour {contour} within "
+                f"{MAX_NODES} arcs: max h * ||R(z_j)||_2 = {(h * spectral).max():.3g} "
+                f"> 1/2 or an infinite sup of |f| on an arc")
+        zs = contour_nodes(contour, 2 * n)[0]
+        more = _resolvent_norms(fam, stack, centers, rhos, zs[1::2], mass)
+        norms, spectral = (np.stack([old, new], axis=1).reshape(-1)
+                           for old, new in zip((norms, spectral), more))
+        n *= 2
+    with np.errstate(all="ignore"):  # the arcs where this is not finite are replaced
+        arc_norms = norms / (1.0 - h * norms)
+        if not neumann.all():
+            weight = np.exp(mass * _block_distances(fam.spec)).sum(axis=1).max()
+            arc_norms[~neumann] = (norms + h * weight * spectral**2
+                                   / (1.0 - h * spectral))[~neumann]
+    total = contour.radius / n * float((sups * arc_norms).sum())
+    return NormBound(total, n)

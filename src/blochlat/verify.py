@@ -589,7 +589,8 @@ def _opfunc_checks(fam: LatticeFamily, a: ZKernel):
     exp_t = function_of_operator(t, FUNCTIONS["exp"], contour)
     direct_norm = weighted_norm(exp_t, MASS_LOW)
     bound = function_norm_bound(t, FUNCTIONS["exp"], contour, MASS_LOW)
-    out.append(_le("function_norm_bound", "lemBOfnbnd", direct_norm, bound))
+    out.append(_le("function_norm_bound", "lemBOfnbnd", direct_norm, bound,
+                   witness=f"function=exp; arcs={bound.arcs}"))
     return out
 
 

@@ -549,7 +549,7 @@ type = naive_qstarq
 name = funcalc
 
 [params]
-function = inverse
+function = exp
 contour_center = 0.5
 contour_radius = 0.5
 """)

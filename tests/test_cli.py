@@ -241,7 +241,7 @@ type = naive_qstarq
 name = funcalc
 
 [params]
-function = inverse
+function = exp
 contour_center = 0.5
 contour_radius = 0.5
 """)
@@ -262,6 +262,49 @@ contour_radius = 200
     err = capsys.readouterr().err
     assert "pole at 0 inside the contour Circle(center=0j, radius=200.0)" in err
     assert not (tmp_path / "out" / "funcalc.csv").exists()
+
+
+def test_funcalc_inverse_with_its_pole_on_the_contour_exits_two(tmp_path, capsys):
+    # the trapezoid sums would double to MAX_NODES and then blame the spectrum
+    config = write_config(tmp_path, REF_LINES.format(task="funcalc") + """
+[params]
+function = inverse
+contour_center = 10
+contour_radius = 10
+""")
+    assert run(config, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "pole at 0 on the contour Circle(center=(10+0j), radius=10.0)" in err
+    assert not (tmp_path / "out" / "funcalc.csv").exists()
+
+
+def test_funcalc_negative_mass_exits_two(tmp_path, capsys):
+    # the weighted norm is submultiplicative only for mass >= 0, so the
+    # function_norm_bound row would claim what its argument does not give
+    config = write_config(tmp_path, REF_LINES.format(task="funcalc")
+                          + FUNCALC_PARAMS.format(center="10", mass="-0.5"))
+    assert run(config, tmp_path / "out") == 2
+    assert "config error: params.mass must be non-negative, got -0.5" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_funcalc_bound_names_its_arcs(tmp_path):
+    # the averaging projection, spectrum {0, 1}, well inside |z - 0.5| = 2
+    config = write_config(tmp_path, REF_LINES.format(task="funcalc").replace(
+        "type = random\nsupport_radius = 2\nseed = 7", "type = naive_qstarq") + """
+[params]
+function = identity
+contour_center = 0.5
+contour_radius = 2.0
+mass = 0.25
+""")
+    assert run(config, tmp_path / "out") == 0
+    first = (tmp_path / "out" / "report.json").read_bytes()
+    (row,) = read_report(tmp_path / "out")["checks"]
+    assert row["name"] == "function_norm_bound[m=0.25]"
+    assert row["witness"] == "function=identity; arcs=16"
+    assert run(config, tmp_path / "again") == 0
+    assert (tmp_path / "again" / "report.json").read_bytes() == first
 
 
 @pytest.mark.parametrize("task", ["verify", "norms", "fibers", "decay"])

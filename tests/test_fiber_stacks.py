@@ -2,7 +2,7 @@
 fiber sets is one call, and every member comes out as it would alone.
 
 The per-momentum calls of each evaluator, single ``reconstruct`` calls and
-the per-node loop that ``function_norm_bound`` used to run are the
+a per-node loop over the arcs of ``function_norm_bound`` are the
 references.
 """
 
@@ -14,16 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_periodic_op_properties import PROPERTY_SETTINGS, REF3, specs_and_radii
+from test_periodic_op_properties import PROPERTY_SETTINGS, REF3, _dense_norm, specs_and_radii
 
 from blochlat.averaging import Profile, profile_hat, prolong_restrict_fiber
 from blochlat.lattice import LatticeSpec, build_family, steps
-from blochlat.norms import _block_distances
 from blochlat.opfunc import (
     FUNCTIONS,
-    NORM_BOUND_NODES,
     Circle,
-    contour_length,
     contour_nodes,
     function_fiber,
     function_norm_bound,
@@ -34,7 +31,6 @@ from blochlat.periodic_op import BlochFiber, _fiber_rows, bloch_fibers, reconstr
 from blochlat.periodization import (
     INVERSION_CHUNK,
     FiberFunction,
-    _block_index,
     _inversion_sums,
     fiber_function,
     fiber_hat,
@@ -169,29 +165,26 @@ def test_fiber_rows_of_a_stack_equal_single_reconstructs(case, seed):
         np.testing.assert_array_equal(got, reconstruct(fam, fibers).rows)
 
 
-def _per_node_torus_norm(kernel, mass):
-    """The weighted torus norm of one kernel from its block rows."""
-    fam = kernel.family
-    rows = np.abs(kernel.rows)
-    weight = np.exp(mass * _block_distances(fam.spec), out=np.zeros(rows.shape),
-                    where=rows != 0.0) * rows
-    classes = _block_index(fam.spec, fam.coords("fine"))
-    cols = np.bincount(classes, weights=weight.sum(axis=0), minlength=fam.n_block)
-    return float(fam.vol_f * max(weight.sum(axis=1).max(), cols.max()))
-
-
-def _per_node_norm_bound(kernel, fn, contour, mass, nodes):
-    """One reconstruct and one torus norm per contour node."""
-    zs, _ = contour_nodes(contour, nodes)
-    sup_f = max(abs(complex(fn(z))) for z in zs)
+def _per_arc_norm_bound(kernel, fn, contour, mass):
+    """The certified sum over arcs, node by node: per node one resolvent per
+    fiber, one reconstruct and the dense norm; the arcs double from 16
+    until each has h ||R(z_j)|| <= 1/2."""
     fibers = bloch_fibers(kernel)
-    per_node = np.stack([resolvent_fiber(matrix, zs) for matrix in fibers.entries],
-                        axis=1)  # (node, fiber, l, l')
-    sup_res = max(
-        _per_node_torus_norm(reconstruct(kernel.family, replace(fibers, entries=stack)), mass)
-        for stack in per_node
-    )
-    return contour_length(contour) / (2.0 * np.pi) * sup_f * sup_res
+
+    def resolvent_norm(z):
+        stack = np.stack([resolvent_fiber(matrix, z) for matrix in fibers.entries])
+        return _dense_norm(reconstruct(kernel.family, replace(fibers, entries=stack)), mass)
+
+    n = 16
+    while True:
+        h = 2.0 * contour.radius * math.sin(math.pi / (2 * n))
+        zs, _ = contour_nodes(contour, n)
+        norms = [resolvent_norm(z) for z in zs]
+        if max(norms) * h <= 0.5:
+            break
+        n *= 2
+    total = sum(fn.disc_sup(z, h) * r / (1.0 - h * r) for z, r in zip(zs, norms))
+    return contour.radius / n * total, n
 
 
 @pytest.mark.parametrize("spec, radii", [
@@ -199,14 +192,17 @@ def _per_node_norm_bound(kernel, fn, contour, mass, nodes):
     (LatticeSpec(1.0, 1.0, 3, 3, 6, 6, 2), (1, 1, 1)),
     (LatticeSpec(0.5, 1.5, 2, 3, 8, 9, 1), (2, 1)),
 ], ids=["ref", "dim2", "anisotropic"])
-@pytest.mark.parametrize("nodes", [NORM_BOUND_NODES])
-def test_norm_bound_equals_the_per_node_loop(spec, radii, nodes):
-    # the anisotropic spec has 12 fibers: passes of 6 nodes, the last uneven
+def test_norm_bound_equals_the_per_arc_loop(spec, radii):
     kernel = periodize(_recentered(random_zkernel(spec, radii, rng_from_seed(11))),
                        build_family(spec))
-    for fn, mass in ((FUNCTIONS["exp"], 0.25), (make_polynomial([1.0, 0.5]), 0.5)):
-        got = function_norm_bound(kernel, fn, Circle(10.0, 5.0), mass)
-        assert got == _per_node_norm_bound(kernel, fn, Circle(10.0, 5.0), mass, nodes)
+    # the tight circle needs one doubling, which reuses the first 16 nodes
+    for fn, mass, contour in ((FUNCTIONS["exp"], 0.25, Circle(10.0, 5.0)),
+                              (make_polynomial([1.0, 0.5]), 0.5, Circle(10.0, 5.0)),
+                              (FUNCTIONS["inverse"], 0.5, Circle(10.0, 0.35))):
+        got = function_norm_bound(kernel, fn, contour, mass)
+        want, arcs = _per_arc_norm_bound(kernel, fn, contour, mass)
+        assert got.arcs == arcs == (32 if contour.radius < 1.0 else 16)
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("grid", [(1, 1), (5, 5), (4, 8), (5, 7), (11, 6)])

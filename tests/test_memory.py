@@ -50,7 +50,7 @@ def test_funcalc_path_stays_below_one_dense_kernel():
 
 def test_function_norm_bound_holds_one_pass_of_resolvents():
     # 972 sites, 36 fibers of 27 x 27: holding every fiber's resolvents at
-    # all 64 nodes takes 26.9 MB; a pass of 2 nodes per fiber takes 0.8 MB
+    # 64 nodes takes 26.9 MB; a pass of 4 nodes per fiber takes 1.7 MB
     spec = LatticeSpec(1.0, 1.0, 3, 3, 12, 9, dim=2)
     fam = build_family(spec)
     kernel = periodize(random_zkernel(spec, (2, 2, 2), rng_from_seed(41)), fam)

@@ -1,5 +1,8 @@
 """Contour calculus: resolvents, operator functions, convergence, bounds."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,6 @@ from blochlat.opfunc import (
     FUNCTIONS,
     RESOLVENT_COND_LIMIT,
     Circle,
-    contour_length,
     contour_nodes,
     encloses,
     function_fiber,
@@ -27,10 +29,12 @@ from blochlat.periodic_op import (
     compose,
     identity_kernel,
     periodic_kernel,
+    reconstruct,
+    transpose_kernel,
 )
 from blochlat.periodization import FiberFunction, periodize
 from blochlat.rand import random_periodic_kernel, random_zkernel, rng_from_seed
-from blochlat.verify import _opfunc_checks
+from blochlat.verify import _opfunc_checks, _recentered
 
 REF = LatticeSpec(eps_t=1.0, eps_x=1.0, l_t=3, l_x=3, big_l_t=9, big_l_x=9, dim=1)
 FAM = build_family(REF)
@@ -164,7 +168,7 @@ def test_norm_bound_dominates_direct_norm():
     out = function_of_operator(a, np.exp, contour)
     for mass in (0.0, 0.5):
         direct = weighted_norm(out, mass)
-        bound = function_norm_bound(a, np.exp, contour, mass)
+        bound = function_norm_bound(a, FUNCTIONS["exp"], contour, mass)
         assert direct <= bound * (1.0 + 1e-12)
 
 
@@ -182,7 +186,6 @@ def test_polynomial_factory_and_registry():
         make_polynomial([])
     nodes, weights = contour_nodes(Circle(0.0, 1.0), 4)
     assert len(nodes) == 4 and len(weights) == 4
-    assert contour_length(Circle(0.0, 2.0)) == pytest.approx(4.0 * np.pi)
 
 
 def random_matrix(kind, n, rng):
@@ -258,8 +261,120 @@ def test_norm_bound_takes_the_fibers_once(monkeypatch):
         return bloch_fibers(kernel)
 
     monkeypatch.setattr(opfunc, "bloch_fibers", counting_fibers)
-    function_norm_bound(a, np.exp, contour, 0.5)
+    function_norm_bound(a, FUNCTIONS["exp"], contour, 0.5)
     assert len(calls) == 1
+
+
+def test_norm_bound_takes_one_disc_per_fiber_and_one_pass_on_ref(monkeypatch):
+    a = periodize(_recentered(random_zkernel(REF, (2, 2), rng_from_seed(0))), FAM)
+    calls = {name: 0 for name in ("_spectral_disc", "_fiber_rows", "_torus_norm")}
+    for name in calls:
+        def counted(*args, _fn=getattr(opfunc, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(opfunc, name, counted)
+    shapes = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda m: shapes.append(m.shape) or inv(m))
+    monkeypatch.setattr(opfunc, "resolvent_fiber", lambda *args: shapes.append("resolvent"))
+    bound = function_norm_bound(a, FUNCTIONS["exp"], Circle(10.0, 5.0), 0.25)
+    assert bound.arcs == opfunc.NORM_BOUND_ARCS == 16
+    assert calls == {"_spectral_disc": FAM.n_coarse, "_fiber_rows": 1, "_torus_norm": 1}
+    assert shapes == [(16, FAM.n_coarse, FAM.n_block, FAM.n_block)]
+
+
+def test_norm_bound_refuses_what_it_cannot_certify():
+    a = shifted_test_kernel(88)
+    contour, _ = spectrum_circle(a, margin=2.0)
+    for plain, name in ((lambda z: z, "<lambda>"), (np.exp, "exp")):
+        with pytest.raises(TypeError, match=f"CertifiedFunction.*got {name}"):
+            function_norm_bound(a, plain, contour, 0.5)
+    with pytest.raises(ValueError, match=r"mass >= 0.*got -0.5"):
+        function_norm_bound(a, FUNCTIONS["exp"], contour, -0.5)
+    # the circle runs through the pole of 1/z at 0 and encloses the spectrum
+    through = Circle(10.0, 10.0)
+    with pytest.raises(ValueError, match=re.escape(f"the contour {through}: a pole")):
+        function_norm_bound(a, FUNCTIONS["inverse"], through, 0.5)
+
+
+@pytest.mark.parametrize("name", ["identity", "square", "inverse", "exp", "polynomial"])
+def test_disc_sups_dominate_the_function_on_the_disc(name):
+    f = FUNCTIONS.get(name) or make_polynomial([1.0, -0.5j, 0.25, 2.0])
+    rng = rng_from_seed(90)
+    centers = 3.0 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+    for h in (0.1, 1.0, 2.5):
+        sups = f.disc_sup(centers, h)
+        for c, sup in zip(centers, sups):
+            if not np.isfinite(sup):  # only a disc that reaches the pole of 1/z
+                assert name == "inverse" and abs(c) <= h
+                continue
+            # the maximum principle puts the sup on the boundary circle
+            zs = c + h * np.exp(2j * np.pi * np.arange(256) / 256)
+            assert max(abs(f(z)) for z in zs) <= sup * (1.0 + 1e-12)
+
+
+def normal_or_not(kind, rng):
+    """A random torus kernel of unit norm, made self-adjoint for ``normal``."""
+    a = random_periodic_kernel(FAM, rng)
+    if kind == "normal":
+        a = periodic_kernel(FAM, 0.5 * (a.rows + np.conj(transpose_kernel(a).rows)))
+    return periodic_kernel(FAM, a.rows / weighted_norm(a, 0.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["normal", "non-normal"]), seed=st.integers(0, 2**32 - 1),
+       fn=st.sampled_from(["exp", "polynomial", "inverse"]),
+       mass=st.sampled_from([0.0, 0.25, 0.5]), scale=st.floats(0.05, 1.0),
+       margin=st.floats(1.5, 3.0))
+def test_norm_bound_dominates_the_weighted_norm(kind, seed, fn, mass, scale, margin):
+    a = normal_or_not(kind, rng_from_seed(seed))
+    contour, _ = spectrum_circle(periodic_kernel(FAM, scale * a.rows), margin)
+    # for 1/z, shifted so that the closed disc of the contour keeps clear of 0
+    shift = 2.0 * (abs(contour.center) + contour.radius) + 1.0 if fn == "inverse" else 0.0
+    kernel = periodic_kernel(FAM, scale * a.rows + shift * identity_kernel(FAM).rows)
+    contour = Circle(contour.center + shift, contour.radius)
+    f = FUNCTIONS[fn] if fn != "polynomial" else make_polynomial([1.0, -0.5j, 0.25, 2.0])
+    bound = function_norm_bound(kernel, f, contour, mass)
+    assert weighted_norm(function_of_operator(kernel, f, contour), mass) <= bound * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("fn", ["exp", "polynomial", "inverse"])
+@pytest.mark.parametrize("kind", ["normal", "non-normal"])
+def test_two_norm_route_dominates_the_weighted_norm(monkeypatch, kind, fn):
+    # with MAX_NODES at the 16 starting arcs, an arc that the norm route
+    # does not certify there is out of its reach, and the 2-norm route
+    # carries it
+    a = normal_or_not(kind, rng_from_seed(89))
+    contour, _ = spectrum_circle(periodic_kernel(FAM, 0.5 * a.rows), 3.0)
+    kernel = periodic_kernel(FAM, 0.5 * a.rows + 20.0 * identity_kernel(FAM).rows)
+    contour = Circle(contour.center + 20.0, contour.radius)
+    f = FUNCTIONS[fn] if fn != "polynomial" else make_polynomial([1.0, -0.5j, 0.25, 2.0])
+    result = function_of_operator(kernel, f, contour)
+    monkeypatch.setattr(opfunc, "MAX_NODES", 16)
+    for mass in (0.0, 0.25, 0.5):
+        bound = function_norm_bound(kernel, f, contour, mass)
+        assert bound.arcs == 16
+        assert weighted_norm(result, mass) <= bound
+
+
+def test_norm_bound_carries_arcs_beyond_reach_by_the_two_norm():
+    # spacing 3.18 along a 56-site time axis and a reach of 16 sites: the
+    # weights reach e^22, ||R(z_j)||_m is near 3e4, and h ||R(z_j)||_m <= 1/2
+    # would take about a million arcs
+    spec = LatticeSpec(3.177519616875811, 0.25, 2, 2, 56, 2, 2)
+    fam = build_family(spec)
+    kernel = periodize(_recentered(random_zkernel(spec, (16, 0, 0), rng_from_seed(797))), fam)
+    contour = Circle(10.0, 5.0)
+    bound = function_norm_bound(kernel, FUNCTIONS["exp"], contour, 0.25)
+    assert bound.arcs == 16
+    z = contour_nodes(contour, 16)[0][0]
+    fibers = bloch_fibers(kernel)
+    resolvent = reconstruct(fam, replace(fibers, entries=np.stack(
+        [resolvent_fiber(m, z) for m in fibers.entries])))
+    h = 2.0 * contour.radius * np.sin(np.pi / 32)
+    assert h * weighted_norm(resolvent, 0.25) > 1e4
+    direct = weighted_norm(function_of_operator(kernel, FUNCTIONS["exp"], contour), 0.25)
+    assert np.isfinite(bound) and direct <= bound
 
 
 def test_function_of_operator_computes_the_fiber_phases_once(monkeypatch):
@@ -460,7 +575,7 @@ def test_non_finite_function_value_is_named():
     with pytest.raises(ValueError, match=message):
         function_of_operator(a, np.exp, contour)
     with pytest.raises(ValueError, match=message):
-        function_norm_bound(a, np.exp, contour, 0.5)
+        function_norm_bound(a, FUNCTIONS["exp"], contour, 0.5)
 
 
 def test_contour_hugging_an_eigenvalue_is_still_named():

@@ -20,6 +20,7 @@ from blochlat.norms import weighted_norm
 from blochlat.periodic_op import (
     apply_kernel,
     bloch_fibers,
+    compose,
     identity_kernel,
     reconstruct,
     transpose_kernel,
@@ -249,3 +250,20 @@ def test_torus_norm_matches_the_dense_formula(case, seed):
     # stays below the float range
     if 200.0 * reach <= 650.0:
         assert np.isfinite(weighted_norm(window, 200.0))
+
+
+@PROPERTY_SETTINGS
+@given(case=specs_and_radii(), seed=st.integers(0, 2**32 - 1))
+@example(case=REF3, seed=0)
+@example(case=ONE_CELL, seed=0)
+def test_torus_norm_is_submultiplicative_with_a_unit_identity(case, seed):
+    # the premises of the certified function_norm_bound, for m >= 0
+    spec, radii = case
+    rng = rng_from_seed(seed)
+    fam, (window, dense) = _kernels(spec, radii, rng)
+    for mass in (0.0, 0.5):
+        for a, b in ((window, dense), (dense, window), (dense, dense)):
+            product = weighted_norm(compose(a, b), mass)
+            assert product <= weighted_norm(a, mass) * weighted_norm(b, mass) * (1 + 1e-12)
+        # 1, up to the rounding of vol_f * (1 / vol_f)
+        assert weighted_norm(identity_kernel(fam), mass) == pytest.approx(1.0, rel=1e-15)
