@@ -1,42 +1,30 @@
 """Holomorphic functions of lattice operators via contour quadrature.
 
 For an operator A with spectrum strictly inside a positively oriented
-circle,
+circle, f(A) = (1 / 2 pi i) * integral f(zeta) (zeta - A)^(-1) dzeta, which
+the momentum fibers of a coarse-invariant kernel split fiber by fiber.  On
+a circle |zeta - z0| = r the n-node trapezoid rule has a closed form
+(Trefethen and Weideman, SIAM Review 56, 2014): with B = (M - z0) / r and
+fhat = fft(f(z_j)) / n, it is (I - B^n)^(-1) sum_{k<n} fhat_k B^k, n - 1
+matrix products and one solve per fiber, with f evaluated once per node.
 
-    f(A) = (1 / 2 pi i) * integral f(zeta) (zeta - A)^(-1) dzeta.
-
-The momentum fibers of a coarse-invariant kernel block-diagonalize A, so
-the integral is evaluated fiber by fiber with the uniform trapezoid rule,
-which converges geometrically for analytic integrands.  Node counts double
-until the result stops moving at relative tolerance 1e-10.
-
-On a circle |zeta - z0| = r the n-node sum has a closed form (Trefethen and
-Weideman, SIAM Review 56, 2014): with B = (M - z0) / r and fhat =
-fft(f(z_j)) / n,
-
-    sum_j w_j f(z_j) (z_j - M)^(-1) = (I - B^n)^(-1) sum_{k<n} fhat_k B^k,
-
-so a rule costs n - 1 matrix products and one solve, with no resolvent.
-The fibers go through it as one stack, CHUNK fibers per batched product,
-and f is evaluated once per node for all of them.  The n-node rule is the
-even nodes of the 2n-node rule, and the odd nodes are an n-node rule on the
-circle turned by pi / n, so each doubling adds one such rule and averages;
-a fiber retires once its sum stops moving.
+The node count comes from a certified error bound: a majorant ||B^j||_2 <=
+K gamma^j per fiber, from its norm disc or computed powers of B; Cauchy
+bounds on the Taylor coefficients of f about z0, from the closed-form sups
+of a ``CertifiedFunction`` (every entry of ``FUNCTIONS`` and every
+``make_polynomial`` is one); and a first-order rounding term.  Each
+fiber's certified error is at most 1e-10 * max(1, max|f(M)|), or the
+quadrature stops and names the fiber.
 
 Every fiber's eigenvalues must be enclosed and clear the circle by more
-than 1e-8 of the spectral scale, and each shift's 2-norm condition number
-must stay below 1e14.  The disc |z - c| <= rho, c = trace / n,
-rho >= ||M - cI||_2, holds the spectrum, and cond_2(zeta - M)
-<= (d + rho) / (d - rho) at |zeta - c| = d > rho (Neumann series; Trefethen
-and Embree 2005).  It settles both at twice the clearance and a tenth of the
-limit; only where it does not are the eigenvalues or the SVD computed.
+than 1e-8 of the spectral scale.  The disc |z - c| <= rho, c = trace / n,
+rho >= ||M - cI||_2, holds the spectrum and bounds cond_2(zeta - M) by
+(d + rho) / (d - rho) at |zeta - c| = d > rho (Trefethen and Embree 2005);
+only where it settles neither are the eigenvalues or the SVD computed.
 
 ``function_norm_bound`` certifies an upper bound on the weighted norm of
-f(A): the circle is cut into arcs around the nodes, the resolvent identity
-bounds the resolvent's norm on each arc from its norm at the node, and the
-function carries a closed-form sup of |f| on a disc (``CertifiedFunction``;
-every entry of ``FUNCTIONS`` and every ``make_polynomial`` is one).  The
-quadrature takes any callable.
+f(A): the resolvent identity bounds the resolvent's norm on arcs around
+the nodes from its norm at each node, and f's sup bounds |f| on each arc.
 """
 
 from __future__ import annotations
@@ -51,36 +39,22 @@ from .periodic_op import PeriodicKernel, _fiber_rows, bloch_fibers, reconstruct
 from .periodization import FiberFunction, ZKernel, fiber_function
 
 __all__ = [
-    "Circle",
-    "contour_nodes",
-    "encloses",
-    "contour_clearance",
-    "resolvent_fiber",
-    "function_of_operator",
-    "function_of_operator_nodes",
-    "function_fiber",
-    "function_norm_bound",
-    "make_polynomial",
-    "CertifiedFunction",
-    "NormBound",
-    "FUNCTIONS",
+    "Circle", "contour_nodes", "encloses", "contour_clearance", "resolvent_fiber",
+    "function_of_operator", "function_fiber", "function_norm_bound", "make_polynomial",
+    "CertifiedFunction", "NormBound", "FUNCTIONS",
 ]
 
 RESOLVENT_COND_LIMIT = 1e14
-# The disc bound clears a shift only this far below the limit: near 1e14 it
-# and the SVD condition number carry rounding errors of about eps * cond,
-# roughly one percent, so the exact check decides there.
+# The disc bound clears a shift only this far below the limit: near 1e14 it and the
+# SVD condition number carry rounding errors near one percent, so the SVD decides.
 COND_BOUND_ACCEPT = RESOLVENT_COND_LIMIT / 10
-# Matrices per batched product, solve or SVD in the quadrature.  A chunk's
-# working set, five stacks of CHUNK (base, power, running sum and two
-# temporaries), is that of a 16-node resolvent stack with its shifted
-# matrices and moduli.
+# Matrices per batched product, solve or SVD in the quadrature: a chunk's
+# five stacks (base, power, sum, two temporaries) match a 16-node resolvent stack.
 CHUNK = 8
 CLEARANCE_RTOL = 1e-8
-DOUBLING_RTOL = 1e-10
+QUADRATURE_RTOL = 1e-10  # per fiber, relative to max(1, max|f(M)|)
 MAX_NODES = 1 << 14
-# Arcs that function_norm_bound starts from, and the entries of the (node,
-# fiber) resolvent stack that one of its passes may hold.
+# function_norm_bound's first arcs, and the (node, fiber) resolvent entries of a pass
 NORM_BOUND_ARCS = 16
 NORM_BOUND_BUDGET = 1 << 17
 
@@ -166,32 +140,25 @@ def _validate_spectrum(contour, matrix: np.ndarray) -> tuple[complex, float]:
 
 
 def _check_conditioning(stack: np.ndarray, centers: np.ndarray, rhos: np.ndarray,
-                        live: np.ndarray, shifts: np.ndarray) -> None:
+                        shifts: np.ndarray) -> None:
     """Reject any shift zeta at which (zeta - M) has a 2-norm condition number
-    above the limit, for each M = stack[i], i in ``live``, whose disc is
-    (centers[i], rhos[i]).
-
-    The disc bound (d + rho) / (d - rho) clears a pair when ten times below
-    the limit; the SVD decides the rest, whose shifted matrices alone are
-    built, CHUNK at a time.
-    """
-    c, rho = centers[live, None], rhos[live, None]
+    above the limit, for each fiber M = stack[i] with disc (centers[i],
+    rhos[i]).  The disc bound (d + rho) / (d - rho) clears a pair when ten
+    times below the limit; the SVD decides the rest, CHUNK at a time."""
+    c, rho = centers[:, None], rhos[:, None]
     with np.errstate(all="ignore"):
         d = np.abs(shifts - c)
         disc_bound = (d + rho) / (d - rho)
     # written so that a NaN bound, from a non-finite d or rho, clears nothing
     which, at = np.nonzero(~((d > rho) & (disc_bound <= COND_BOUND_ACCEPT)))
-    which = live[which]
     eye = np.eye(stack.shape[-1])
     for lo in range(0, len(which), CHUNK):
         zetas = shifts[at[lo:lo + CHUNK]]
         exact = np.linalg.cond(zetas[:, None, None] * eye - stack[which[lo:lo + CHUNK]])
         bad = zetas[exact > RESOLVENT_COND_LIMIT]
         if len(bad):
-            raise ValueError(
-                f"resolvent at zeta={complex(bad[0]):.6g} is ill-conditioned; "
-                "the contour runs too close to the spectrum"
-            )
+            raise ValueError(f"resolvent at zeta={complex(bad[0]):.6g} is ill-conditioned; "
+                             "the contour runs too close to the spectrum")
 
 
 def resolvent_fiber(matrix: np.ndarray, zeta) -> np.ndarray:
@@ -208,7 +175,7 @@ def resolvent_fiber(matrix: np.ndarray, zeta) -> np.ndarray:
     shifts = np.atleast_1d(zetas)
     c, rho = _spectral_disc(matrix)
     # checked first, so that a singular shift is named instead of failing the LU
-    _check_conditioning(matrix[None], np.array([c]), np.array([rho]), np.arange(1), shifts)
+    _check_conditioning(matrix[None], np.array([c]), np.array([rho]), shifts)
     inverse = np.linalg.inv(shifts[:, None, None] * np.eye(len(matrix)) - matrix)
     return inverse if zetas.ndim else inverse[0]
 
@@ -223,121 +190,169 @@ def _function_values(fn, nodes: np.ndarray) -> np.ndarray:
     return values
 
 
-def _circle_rule(stack: np.ndarray, live: np.ndarray, contour, values: np.ndarray,
-                 odd: bool) -> np.ndarray:
-    """sum_j w_j f(z_j) (z_j - M)^(-1) for each fiber M = stack[i], i in
-    ``live``, in closed form: (I - s B^n)^(-1) sum_{k<n} s_k fhat_k B^k.
+def _require_certified(fn, caller: str) -> None:
+    if not isinstance(fn, CertifiedFunction):
+        raise TypeError(f"{caller} needs a CertifiedFunction, which carries its disc sup; "
+                        f"got {getattr(fn, '__name__', repr(fn))}")
 
-    The n = len(values) nodes z_j are the n-node rule's, or with ``odd`` the
-    odd nodes of the 2n-node rule, at the n-node rule's weights.  B = (M -
-    center) / radius and fhat = fft(f(z)) / n; s_k = exp(-i pi k / n) and
-    s = -1 for the odd nodes, 1 otherwise.  The powers of B run forward,
-    n - 1 products per CHUNK fibers, and the last gives B^n for the solve.
-    """
-    n = len(values)
-    coeffs = np.fft.fft(values) / n
-    if odd:
-        coeffs *= np.exp(-1j * np.pi * np.arange(n) / n)
+
+def _contour_setup(stack: np.ndarray, fn, contour) -> tuple[np.ndarray, np.ndarray, float]:
+    """(centers, rhos, sup): each fiber's disc from ``_validate_spectrum``,
+    and the sup of |f| on the closed disc of the contour, which must be
+    finite; a value of f that is not finite at a node is named first."""
+    discs = np.array([_validate_spectrum(contour, matrix) for matrix in stack], dtype=complex)
+    centers, rhos = discs.reshape(-1, 2).T
+    sup = float(fn.disc_sup(np.array([complex(contour.center)]), contour.radius)[0])
+    if not np.isfinite(sup):
+        _function_values(fn, contour_nodes(contour, NORM_BOUND_ARCS)[0])
+        raise ValueError(f"f has no finite sup on the closed disc of the contour "
+                         f"{contour}: a pole lies on or inside it, or |f| overflows there")
+    return centers, rhos.real, sup
+
+
+def _circle_rule(stack: np.ndarray, contour, values: np.ndarray) -> np.ndarray:
+    """The n-node rule sum_j w_j f(z_j) (z_j - M)^(-1), n = len(values), for
+    each fiber M of the stack, in closed form; the powers of B run forward,
+    and the last gives B^n for the solve."""
+    coeffs = np.fft.fft(values) / len(values)
     eye = np.eye(stack.shape[-1])
-    out = np.empty((len(live),) + stack.shape[1:], dtype=complex)
-    for lo in range(0, len(live), CHUNK):
-        base = (stack[live[lo:lo + CHUNK]] - contour.center * eye) / contour.radius
-        total = np.broadcast_to(coeffs[0] * eye, base.shape).copy()
-        power = base
+    out = np.empty(stack.shape, dtype=complex)
+    for lo in range(0, len(stack), CHUNK):
+        base = (stack[lo:lo + CHUNK] - contour.center * eye) / contour.radius
+        total, power = np.broadcast_to(coeffs[0] * eye, base.shape).copy(), base
         for a in coeffs[1:]:
             total += a * power
             power = power @ base
-        out[lo:lo + CHUNK] = np.linalg.solve(eye + power if odd else eye - power, total)
+        out[lo:lo + CHUNK] = np.linalg.solve(eye - power, total)
     return out
 
 
-def _rounding_floor(matrix: np.ndarray, contour, mean: float) -> float:
-    """eps * mean|f| * sum_{k<h} max|B^k| * max|(I -+ B^h)^(-1)|, h = MAX_NODES / 2:
-    each FFT coefficient of the two h-node rules that the last doubling
-    compares, a mean of f times unit phases, is off by about eps * mean|f|,
-    and the power sum and the solve carry that into the result."""
-    eye = np.eye(len(matrix))
-    base = (matrix - contour.center * eye) / contour.radius
-    power, total = eye, 0.0
-    for _ in range(MAX_NODES // 2):
-        total += np.abs(power).max()
-        power = power @ base
-    gain = max(np.abs(np.linalg.inv(eye - s * power)).max() for s in (1.0, -1.0))
-    return np.finfo(float).eps * mean * total * gain
+def _majorants(stack: np.ndarray, centers, rhos, contour) -> np.ndarray:
+    """(K, gamma, S) per fiber: ||B^j||_2 <= K gamma^j, gamma < 1, and S >=
+    sum_j ||B^j||_2, for B = (M - center) / radius.  t_1 = beta = (|c -
+    center| + rho) / radius bounds ||B||_2 by the disc; from beta = 1/2 on,
+    t_p >= ||B^p||_2, p = 2^k <= MAX_NODES, bounds the squared powers with
+    twice their first-order rounding.  As j is a multiple of p plus powers of
+    two below p, t_p < 1 gives gamma = t_p^(1/p), K = prod_(i<k) max(1,
+    t_(2^i) / gamma^(2^i)) and S = prod_(i<k) (1 + t_(2^i)) / (1 - t_p); the
+    p with the fewest nodes by log(K / (1 - gamma) / QUADRATURE_RTOL) /
+    log(1 / gamma) is taken."""
+    n, u = stack.shape[-1], np.finfo(float).eps / 2
+    beta = (np.abs(centers - contour.center) + rhos) / contour.radius * (1.0 + 4 * u)
+    major = np.array([np.ones_like(beta), beta, 1.0 / (1.0 - beta)])
+    big, p = np.flatnonzero(~(beta < 0.5)), 1 << np.arange(MAX_NODES.bit_length())
+    t = np.empty((len(p), len(big)))
+    power = (stack[big] - contour.center * np.eye(n)) / contour.radius
+    modulus = _norm2_bound(np.abs(power))  # >= || |B| ||_2
+    with np.errstate(all="ignore"):  # an overflowing power certifies nothing
+        for k in range(len(p) if len(big) else 0):
+            power = power @ power if k else power
+            bound = _norm2_bound(np.abs(power)) + 4 * p[k] * (n + 3) * u * modulus ** p[k]
+            t[k] = np.fmin(bound * (1.0 + (n * n + 8) * u), t[k - 1] ** 2 if k else beta[big])
+        log_t = np.log(np.maximum(t, np.finfo(float).tiny))  # (level i, fiber)
+        log_gamma = log_t / p[:, None]  # (candidate k, fiber)
+        below = np.tri(len(p), k=-1, dtype=bool)[..., None]  # i < k
+        log_k = np.where(below, np.maximum(log_t - p[:, None] * log_gamma[:, None], 0), 0).sum(1)
+        log_s = np.where(below, np.log1p(t), 0.0).sum(axis=1) - np.log1p(-np.minimum(t, 1.0))
+        nodes = (log_k - np.log1p(-np.exp(log_gamma)) - np.log(QUADRATURE_RTOL)) / -log_gamma
+        nodes[~(t < 1.0) | np.isnan(nodes)] = np.inf
+        best, fibers = nodes.argmin(axis=0), np.arange(len(big))
+        major[:, big] = np.exp([log_k, log_gamma, log_s])[:, best, fibers]
+    for i in big[np.isinf(nodes[best, fibers])][:1]:
+        raise ValueError(f"contour quadrature did not converge at fiber {i}: no B^p, p <= "
+                         f"{MAX_NODES}, has norm below 1; the spectrum may hug the contour")
+    return major
 
 
-def _fiber_quadrature(stack: np.ndarray, fn, contour, nodes: int | None = None) -> np.ndarray:
-    """f(M) for every fiber M of the (m, n, n) stack by the contour rule.
-
-    With ``nodes`` the rule has that many nodes.  Otherwise the node count
-    doubles from 16, every fiber in lockstep, each retiring once its sum
-    stops moving; f is evaluated once per node for the whole stack.
-    """
-    discs = [_validate_spectrum(contour, matrix) for matrix in stack]
-    centers = np.array([c for c, _ in discs], dtype=complex)
-    rhos = np.array([rho for _, rho in discs], dtype=float)
-
-    def rule(zs, live, odd):
-        values = _function_values(fn, zs)
-        _check_conditioning(stack, centers, rhos, live, zs)
-        return _circle_rule(stack, live, contour, values, odd), values
-
-    live = np.arange(len(stack))
-    if nodes is not None:
-        return rule(contour_nodes(contour, nodes)[0], live, False)[0]
-    n = 16
-    acc, values = rule(contour_nodes(contour, n)[0], live, False)
-    top, size = float(np.abs(values).max()), float(np.abs(values).sum())
-    while 2 * n <= MAX_NODES:
-        # the previous rule is this one's even nodes; the odd nodes are an
-        # n-node rule on the circle turned by pi / n, and the two average
-        new, values = rule(contour_nodes(contour, 2 * n)[0][1::2], live, True)
-        top, size = max(top, float(np.abs(values).max())), size + float(np.abs(values).sum())
-        n *= 2
-        old = acc[live]
-        new += old
-        new *= 0.5
-        old -= new
-        dev = np.abs(old).max(axis=(1, 2))
-        acc[live] = new
-        moving = dev > DOUBLING_RTOL * np.maximum(1.0, np.abs(new).max(axis=(1, 2)))
-        live, dev = live[moving], dev[moving]
-        if not len(live):
-            return acc
-    dev, floor = float(dev[0]), _rounding_floor(stack[live[0]], contour, size / n)
-    if dev <= 10.0 * floor:  # each rule carries rounding errors of about the floor
-        raise ValueError(
-            f"contour quadrature stalled at its rounding floor: at {MAX_NODES} nodes the "
-            f"doubling deviation {dev:.2g} is within 10x the floor {floor:.2g} "
-            f"(eps * mean|f| * sum max|B^k| * max|(I -+ B^n)^-1|, B = (M - center) / radius) "
-            f"set by max |f| = {top:.3g} on the contour")
-    raise ValueError(f"contour quadrature did not converge within {MAX_NODES} nodes; "
-                     "the spectrum may hug the contour")
+def _rule_errors(major, n, fn, contour, top, n_block) -> tuple[np.ndarray, np.ndarray]:
+    """(truncation, rounding) in 2-norm of the n-node rule per fiber (row) and
+    count n (column).  With F = sup |f| on |z - center| <= R = radius / s,
+    for the ladder R = radius * 2^(k/8), k = 1..96, Cauchy gives |c_j| <= F
+    s^j for f(center + radius w) = sum_j c_j w^j, and the rule, whose fhat_k
+    is sum_p c_(k+pn), misses f(M) = sum_j c_j B^j by at most K min_R F (s^n
+    / (1 - s^n) + g^n / (1 - g^n)) / (1 - s g), g = gamma.  An error e in the
+    FFT coefficients, the power sum or the solve reaches the result as at
+    most e S: rounding adds u (n + n_block) max|f| S / (1 - g^n)."""
+    factor, gamma, total = (row[:, None] for row in major)
+    ladder = 2.0 ** (np.arange(1, 97) / 8.0)
+    sups = fn.disc_sup(np.array([complex(contour.center)]), contour.radius * ladder)
+    ladder, sups = ladder[np.isfinite(sups)], sups[np.isfinite(sups), None]
+    n = np.asarray(n, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowing bound certifies nothing
+        # x^n / (1 - x^n) for x = gamma and x = s
+        tail = 1.0 / np.expm1(-np.log(np.maximum(gamma, np.finfo(float).tiny)) * n)
+        trunc = (sups * (1.0 / np.expm1(np.log(ladder)[:, None] * n) + tail[:, None])
+                 / (1.0 - gamma[:, None] / ladder[:, None]))
+        return (factor * trunc.min(axis=1, initial=np.inf),
+                np.finfo(float).eps / 2 * (n + n_block) * top * total * (1.0 + tail))
 
 
-def _map_fibers(kernel: PeriodicKernel, per_stack) -> PeriodicKernel:
-    """Torus kernel whose fibers are ``per_stack`` of the kernel's fiber
-    stack (n_coarse, n_block, n_block)."""
+def _node_count(major, target, rows, fn, contour, top, n_block, fallback: bool) -> int:
+    """The least n <= MAX_NODES whose truncation plus rounding meets
+    ``target`` on every fiber of ``rows``, or with ``fallback``, where the
+    rounding misses, whose truncation does; a fiber it misses stops."""
+    # a fiber with no larger (K, gamma, S) and no smaller target needs no more nodes
+    keep, todo = [], rows[np.lexsort((-major[1, rows], target[rows]))]
+    while len(todo):
+        keep.append(todo[0])
+        todo = todo[~(major[:, todo] <= major[:, todo[:1]]).all(axis=0)]
+    alone, both = np.zeros((2, len(keep)), dtype=int)
+    for lo in range(1, MAX_NODES + 1, 64):
+        n = np.arange(lo, lo + 64)
+        trunc, rounding = _rule_errors(major[:, keep], n, fn, contour, top, n_block)
+        for counts, ok in ((alone, trunc <= target[keep, None]),
+                           (both, trunc + rounding <= target[keep, None])):
+            counts[:] = np.where((counts > 0) | ~ok.any(axis=1), counts, n[ok.argmax(axis=1)])
+        if both.all():
+            break
+    for i, enough, reached in zip(keep, both, alone):
+        factor, gamma, total = major[:, i]
+        if not (enough or fallback and reached):
+            raise ValueError("contour quadrature " + (
+                f"stalled at its rounding floor at fiber {i}: the rounding term u (n + n_block) "
+                f"max|f| S / (1 - gamma^n), S = {total:.3g}, keeps every n <= {MAX_NODES} "
+                f"above {target[i]:.2g}, set by max |f| = {top:.3g} on the contour" if reached
+                else f"did not converge within {MAX_NODES} nodes at fiber {i}: its truncation "
+                f"bound stays above {target[i]:.2g} (K = {factor:.3g}, 1 - gamma = "
+                f"{1.0 - gamma:.2g}); the spectrum may hug the contour"))
+    return int(np.where(both > 0, both, alone).max(initial=1))
+
+
+def _fiber_quadrature(stack: np.ndarray, fn, contour) -> np.ndarray:
+    """f(M) for every fiber of the (m, n, n) stack, each certified to
+    QUADRATURE_RTOL * max(1, max|f(M)|): one rule at the count for the scale
+    |f(center)|, and one more for the fibers whose results are smaller."""
+    centers, rhos, top = _contour_setup(stack, fn, contour)
+    major, n_block = _majorants(stack, centers, rhos, contour), stack.shape[-1]
+    scale = abs(_function_values(fn, np.array([contour.center]))[0])
+    target = np.full(len(stack), QUADRATURE_RTOL * max(1.0, scale))
+    n = _node_count(major, target, np.arange(len(stack)), fn, contour, top, n_block, True)
+    values = _function_values(fn, contour_nodes(contour, n)[0])
+    out, top = _circle_rule(stack, contour, values), float(np.abs(values).max())
+    error = sum(_rule_errors(major, [n], fn, contour, top, n_block))[:, 0]
+    # max|f(M)| >= max|result| - error, so this target holds for f(M)
+    target = QUADRATURE_RTOL * np.maximum(1.0, np.abs(out).max(axis=(1, 2)) - error)
+    again = np.flatnonzero(error > target)
+    if len(again):
+        n = _node_count(major, target, again, fn, contour, top, n_block, False)
+        out[again] = _circle_rule(stack[again], contour,
+                                  _function_values(fn, contour_nodes(contour, n)[0]))
+    return out
+
+
+def function_of_operator(kernel: PeriodicKernel, fn: CertifiedFunction,
+                         contour) -> PeriodicKernel:
+    """Apply a holomorphic function to a torus operator, on all its fibers."""
+    _require_certified(fn, "function_of_operator")
     fibers = bloch_fibers(kernel)
     # rebinding frees the input fibers before reconstruct
-    fibers = replace(fibers, entries=per_stack(fibers.entries))
+    fibers = replace(fibers, entries=_fiber_quadrature(fibers.entries, fn, contour))
     return reconstruct(kernel.family, fibers)
 
 
-def function_of_operator(kernel: PeriodicKernel, fn: Callable[[complex], complex],
-                         contour) -> PeriodicKernel:
-    """Apply a holomorphic function to a torus operator, on all its fibers."""
-    return _map_fibers(kernel, lambda stack: _fiber_quadrature(stack, fn, contour))
-
-
-def function_of_operator_nodes(kernel: PeriodicKernel, fn, contour,
-                               nodes: int) -> PeriodicKernel:
-    """Fixed-node variant, for convergence studies; no adaptivity."""
-    return _map_fibers(kernel, lambda stack: _fiber_quadrature(stack, fn, contour, nodes))
-
-
-def function_fiber(source, fn, contour) -> FiberFunction:
+def function_fiber(source, fn: CertifiedFunction, contour) -> FiberFunction:
     """Momentum-fiber evaluator of f(A) for an infinite-lattice kernel."""
+    _require_certified(fn, "function_fiber")
     if isinstance(source, ZKernel):
         source = fiber_function(source)
     if not isinstance(source, FiberFunction):
@@ -356,8 +371,8 @@ class CertifiedFunction:
     """A contour-calculus function that carries a closed-form bound on |f|.
 
     Calling it calls ``fn``.  ``disc_sup(c, h)`` bounds |f| on the disc
-    |z - c| <= h, elementwise over an array of centres c, and is inf where
-    the disc may hold a pole.
+    |z - c| <= h, elementwise over centres c and radii h that broadcast, and
+    is inf where the disc may hold a pole or the bound overflows.
     """
 
     fn: Callable[[complex], complex]
@@ -371,15 +386,17 @@ def _polynomial_sup(coeffs) -> Callable[[np.ndarray, float], np.ndarray]:
     """sum_j |a_j| (|c| + h)^j, by Horner's rule."""
     moduli = [abs(a) for a in coeffs]
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow is an infinite sup
     def sup(c, h):
         t, acc = np.abs(c) + h, 0.0
         for a in reversed(moduli):
             acc = acc * t + a
-        return acc
+        return np.where(np.isnan(acc), np.inf, acc)  # 0 * inf from an infinite |c| + h
 
     return sup
 
 
+@np.errstate(over="ignore")  # an overflow is an infinite sup
 def _inverse_sup(c, h):
     """1 / (|c| - h), inf where the disc reaches the pole at 0."""
     gap = np.abs(c) - h
@@ -405,7 +422,8 @@ FUNCTIONS: dict[str, CertifiedFunction] = {
     "identity": CertifiedFunction(lambda z: z, _polynomial_sup([0.0, 1.0])),
     "square": CertifiedFunction(lambda z: z * z, _polynomial_sup([0.0, 0.0, 1.0])),
     "inverse": CertifiedFunction(lambda z: 1.0 / z, _inverse_sup),
-    "exp": CertifiedFunction(np.exp, lambda c, h: np.exp(np.real(c) + h)),
+    "exp": CertifiedFunction(np.exp, np.errstate(over="ignore")(
+        lambda c, h: np.exp(np.real(c) + h))),
 }
 
 
@@ -422,16 +440,14 @@ class NormBound(float):
 
 def _resolvent_norms(fam, stack, centers, rhos, zs, mass: float):
     """(||R(z)||_m, b(z)) at each node z, R(z) = (z - A)^(-1) on the torus
-    and b(z) >= ||R(z)||_2, the largest norm bound of its fibers.  The nodes
-    go in passes whose (node, fiber) resolvent stack holds at most
-    NORM_BOUND_BUDGET entries: per pass one conditioning check, one batched
-    inversion, one row FFT and one norm."""
+    and b(z) >= ||R(z)||_2, the largest norm bound of its fibers, in passes
+    of at most NORM_BOUND_BUDGET (node, fiber) resolvent entries."""
     size = max(1, NORM_BOUND_BUDGET // stack.size)
-    eye, live = np.eye(stack.shape[-1]), np.arange(len(stack))
+    eye = np.eye(stack.shape[-1])
     norms, spectral = np.empty(len(zs)), np.empty(len(zs))
     for lo in range(0, len(zs), size):
         shifts = zs[lo:lo + size]
-        _check_conditioning(stack, centers, rhos, live, shifts)
+        _check_conditioning(stack, centers, rhos, shifts)
         blocks = np.linalg.inv(shifts[:, None, None, None] * eye - stack)  # (node, fiber, l, l')
         spectral[lo:lo + size] = _norm2_bound(np.abs(blocks)).max(axis=1)
         blocks = _fiber_rows(fam, blocks)  # rebinding frees the fibers before the norm
@@ -447,49 +463,30 @@ def function_norm_bound(kernel: PeriodicKernel, fn: CertifiedFunction, contour,
     arc j lies within h = 2 r sin(pi / 2n) of z_j.  The torus norm is
     submultiplicative with ||I||_m = 1, so the resolvent identity gives
     ||R(z)||_m <= N_j = ||R_j||_m / (1 - h ||R_j||_m) on the arc, R_j =
-    (z_j - A)^(-1), and
-
-        ||f(A)||_m <= (r / n) sum_j S_j N_j,
-
-    with S_j = ``fn.disc_sup(z_j, h)`` >= |f| on |z - z_j| <= h.  From
-    NORM_BOUND_ARCS arcs, n doubles, reusing the old nodes as the even ones,
-    until every h ||R_j||_m <= 1/2 and every S_j is finite.
+    (z_j - A)^(-1), and ||f(A)||_m <= (r / n) sum_j S_j N_j with S_j =
+    ``fn.disc_sup(z_j, h)`` >= |f| on |z - z_j| <= h.  From NORM_BOUND_ARCS
+    arcs, n doubles, reusing the old nodes, until every h ||R_j||_m <= 1/2.
 
     Where that would take more than MAX_NODES arcs (a weight e^(m d) that
     makes ||R_j||_m huge), the arcs stop doubling once h b_j <= 1/2 for
     b_j >= ||R_j||_2, and an arc with h ||R_j||_m > 1/2 takes N_j = ||R_j||_m
     + h W b_j^2 / (1 - h b_j) instead: R(z) = R_j + (z_j - z) R(z) R_j,
     every entry of an operator is at most its 2-norm, and W = max_x sum_y
-    e^(m d(x, y)).
-
-    The spectrum must lie inside the contour and f must be bounded on its
-    closed disc, so that the integral is f(A).  The bound holds in exact
-    arithmetic on the computed resolvents; ``arcs`` on the result is n.
+    e^(m d(x, y)).  The bound holds in exact arithmetic on the computed
+    resolvents; ``arcs`` on the result is n.
     """
-    if not isinstance(fn, CertifiedFunction):
-        raise TypeError(f"function_norm_bound needs a CertifiedFunction, which carries "
-                        f"its disc sup; got {getattr(fn, '__name__', repr(fn))}")
+    _require_certified(fn, "function_norm_bound")
     mass = float(mass)
     if not mass >= 0.0:
         raise ValueError(f"function_norm_bound needs mass >= 0, where the weighted norm "
                          f"is submultiplicative; got {mass}")
     fam, stack = kernel.family, bloch_fibers(kernel).entries
-    discs = [_validate_spectrum(contour, matrix) for matrix in stack]
-    centers = np.array([c for c, _ in discs], dtype=complex)
-    rhos = np.array([rho for _, rho in discs], dtype=float)
-    n = NORM_BOUND_ARCS
-    zs = contour_nodes(contour, n)[0]
-    _function_values(fn, zs)  # a value that is not finite is named by its node
-    with np.errstate(over="ignore"):
-        if not np.isfinite(fn.disc_sup(contour.center, contour.radius)):
-            raise ValueError(f"function_norm_bound: f has no finite sup on the closed disc "
-                             f"of the contour {contour}: a pole lies on or inside it, "
-                             f"or |f| overflows there")
+    centers, rhos, _ = _contour_setup(stack, fn, contour)
+    n, zs = NORM_BOUND_ARCS, contour_nodes(contour, NORM_BOUND_ARCS)[0]
     norms, spectral = _resolvent_norms(fam, stack, centers, rhos, zs, mass)
     while True:
         h = 2.0 * contour.radius * np.sin(np.pi / (2 * n))
-        with np.errstate(over="ignore"):
-            sups = np.asarray(fn.disc_sup(zs, h), dtype=float)
+        sups = np.asarray(fn.disc_sup(zs, h), dtype=float)
         neumann = h * norms <= 0.5
         # doubling about halves h, so the norm route needs about this many arcs
         out_of_reach = 2 * n * h * norms.max() > MAX_NODES

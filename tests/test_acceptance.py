@@ -10,6 +10,7 @@ three space dimensions.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 from test_periodic_op import dense_momentum_matrix
@@ -36,9 +37,10 @@ from blochlat.norms import (
 from blochlat.opfunc import (
     FUNCTIONS,
     Circle,
+    _circle_rule,
+    contour_nodes,
     function_norm_bound,
     function_of_operator,
-    function_of_operator_nodes,
 )
 from blochlat.periodic_op import (
     apply_kernel,
@@ -425,15 +427,16 @@ def test_criterion_7_operator_functions():
         bound = function_norm_bound(a, fn, contour, 0.25)
         assert direct <= bound * (1.0 + 1e-12), name
 
-    reference = function_of_operator_nodes(a, FUNCTIONS["exp"], contour, 4096)
-    floor = 1e-12 * np.abs(reference.entries).max()
-    errors = [
-        np.abs(
-            function_of_operator_nodes(a, FUNCTIONS["exp"], contour, n).entries
-            - reference.entries
-        ).max()
-        for n in (8, 16, 32, 64, 128)
-    ]
+    fibers = bloch_fibers(a)
+
+    def fixed_rule(n):
+        values = np.exp(contour_nodes(contour, n)[0])
+        rule = _circle_rule(fibers.entries, contour, values)
+        return reconstruct(fam, replace(fibers, entries=rule)).entries
+
+    reference = fixed_rule(4096)
+    floor = 1e-12 * np.abs(reference).max()
+    errors = [np.abs(fixed_rule(n) - reference).max() for n in (8, 16, 32, 64, 128)]
     checked = 0
     for coarse_err, fine_err in zip(errors, errors[1:]):
         if coarse_err <= floor:

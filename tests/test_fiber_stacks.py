@@ -142,7 +142,7 @@ def test_verify_evaluates_fibers_in_stacks(monkeypatch):
 def test_function_fiber_stack_equals_single_calls(case, seed):
     spec, radii = case
     rng = rng_from_seed(seed)
-    f = function_fiber(_recentered(random_zkernel(spec, radii, rng)), np.exp,
+    f = function_fiber(_recentered(random_zkernel(spec, radii, rng)), FUNCTIONS["exp"],
                        Circle(10.0, 5.0))
     ks = _momenta(spec, rng, (2,), complex_k=False)
     got = f.matrix_at(ks)

@@ -14,13 +14,13 @@ from blochlat.norms import weighted_norm
 from blochlat.opfunc import (
     FUNCTIONS,
     RESOLVENT_COND_LIMIT,
+    CertifiedFunction,
     Circle,
     contour_nodes,
     encloses,
     function_fiber,
     function_norm_bound,
     function_of_operator,
-    function_of_operator_nodes,
     make_polynomial,
     resolvent_fiber,
 )
@@ -94,7 +94,7 @@ def test_inverse_function_inverts_the_operator():
 def test_exp_matches_dense_eigendecomposition():
     a = shifted_test_kernel(73)
     contour, _ = spectrum_circle(a)
-    out = function_of_operator(a, np.exp, contour)
+    out = function_of_operator(a, FUNCTIONS["exp"], contour)
     want = dense_oracle(a, np.exp)
     scale = np.abs(want).max()
     assert np.abs(out.entries - want).max() <= 1e-9 * scale
@@ -105,9 +105,12 @@ def test_trapezoid_doubling_converges_geometrically():
     contour, _ = spectrum_circle(a, margin=2.0)
     reference = dense_oracle(a, np.exp)
     scale = np.abs(reference).max()
+    fibers = bloch_fibers(a)
     devs = []
     for nodes in (8, 16, 32, 64, 128, 256):
-        got = function_of_operator_nodes(a, np.exp, contour, nodes).entries
+        values = np.exp(contour_nodes(contour, nodes)[0])
+        rule = opfunc._circle_rule(fibers.entries, contour, values)
+        got = reconstruct(FAM, replace(fibers, entries=rule)).entries
         devs.append(np.abs(got - reference).max())
     for small, big in zip(devs[1:], devs[:-1]):
         if big <= 1e-12 * scale:
@@ -120,7 +123,7 @@ def test_result_is_contour_independent():
     results = []
     for margin in (1.3, 2.0, 3.1):
         contour, _ = spectrum_circle(a, margin=margin)
-        results.append(function_of_operator(a, np.exp, contour).entries)
+        results.append(function_of_operator(a, FUNCTIONS["exp"], contour).entries)
     scale = np.abs(results[0]).max()
     assert np.abs(results[1] - results[0]).max() <= 1e-9 * scale
     assert np.abs(results[2] - results[0]).max() <= 1e-9 * scale
@@ -134,12 +137,12 @@ def test_contour_through_or_beside_spectrum_is_rejected():
     # encloses everything except the extreme eigenvalue, which it touches
     through = Circle(center, abs(lam - center))
     with pytest.raises(ValueError, match="through the spectrum"):
-        function_of_operator(a, np.exp, through)
+        function_of_operator(a, FUNCTIONS["exp"], through)
     # a tight circle around one eigenvalue leaves the rest outside
     rest = eigs[np.abs(eigs - lam) > 1e-8]
     tiny = Circle(lam, 0.4 * float(np.abs(rest - lam).min()))
     with pytest.raises(ValueError, match="enclose"):
-        function_of_operator(a, np.exp, tiny)
+        function_of_operator(a, FUNCTIONS["exp"], tiny)
 
 
 def test_function_fiber_matches_torus_route():
@@ -151,8 +154,8 @@ def test_function_fiber_matches_torus_route():
 
     z = zkernel(REF, (1, 1), entries)
     contour = Circle(10.0, 7.0)
-    f = function_fiber(z, np.exp, contour)
-    torus = function_of_operator(periodize(z, FAM), np.exp, contour)
+    f = function_fiber(z, FUNCTIONS["exp"], contour)
+    torus = function_of_operator(periodize(z, FAM), FUNCTIONS["exp"], contour)
     fibers = bloch_fibers(torus)
     from blochlat.lattice import steps
 
@@ -165,7 +168,7 @@ def test_function_fiber_matches_torus_route():
 def test_norm_bound_dominates_direct_norm():
     a = shifted_test_kernel(79)
     contour, _ = spectrum_circle(a, margin=2.0)
-    out = function_of_operator(a, np.exp, contour)
+    out = function_of_operator(a, FUNCTIONS["exp"], contour)
     for mass in (0.0, 0.5):
         direct = weighted_norm(out, mass)
         bound = function_norm_bound(a, FUNCTIONS["exp"], contour, mass)
@@ -236,17 +239,20 @@ def test_stacked_resolvents_match_one_shift_at_a_time():
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def test_circle_doubling_reuses_the_previous_nodes():
+def test_rule_evaluates_f_once_per_certified_node():
     a = shifted_test_kernel(83)
-    contour, _ = spectrum_circle(a, margin=8.0)  # converges at 32 nodes
+    contour, _ = spectrum_circle(a, margin=8.0)
     calls = []
 
     def counting_square(z):
         calls.append(z)
         return z * z
 
-    out = function_of_operator(a, counting_square, contour)
-    assert len(calls) == 32  # once per node, for every fiber at once
+    square = CertifiedFunction(counting_square, FUNCTIONS["square"].disc_sup)
+    out = function_of_operator(a, square, contour)
+    # f at the centre for the scale, then once per node for every fiber at
+    # once: 22 certified nodes, where doubling evaluated 32
+    assert len(calls) == 1 + 22
     want = compose(a, a).entries
     assert np.abs(out.entries - want).max() <= 1e-8 * np.abs(want).max()
 
@@ -311,6 +317,19 @@ def test_disc_sups_dominate_the_function_on_the_disc(name):
             # the maximum principle puts the sup on the boundary circle
             zs = c + h * np.exp(2j * np.pi * np.arange(256) / 256)
             assert max(abs(f(z)) for z in zs) <= sup * (1.0 + 1e-12)
+    # a bound that overflows is an infinite sup, with no RuntimeWarning
+    c, h = {"inverse": (1e-308, 0.9999e-308), "exp": (10.0, 1000.0)}.get(name, (1e308, 1e308))
+    assert np.isinf(f.disc_sup(np.array([c + 0j]), h)).all()
+
+
+@pytest.mark.parametrize("caller", [function_of_operator, function_fiber])
+def test_plain_callables_are_refused_by_name(caller):
+    a = shifted_test_kernel(88)
+    contour, _ = spectrum_circle(a, margin=2.0)
+    for plain, name in ((lambda z: z, "<lambda>"), (np.exp, "exp")):
+        message = f"{caller.__name__} needs a CertifiedFunction.*got {name}"
+        with pytest.raises(TypeError, match=message):
+            caller(a, plain, contour)  # refused before the source is looked at
 
 
 def normal_or_not(kind, rng):
@@ -492,30 +511,15 @@ def test_function_of_operator_inverts_no_shift(monkeypatch):
     assert calls == []
 
 
-def per_node_quadrature(matrix, fn, contour):
-    """The contour rule as its per-node resolvent sum, doubling like the
-    library; None where it does not converge within MAX_NODES."""
-    def node_sum(zs, ws):
-        return np.tensordot(ws * np.array([fn(z) for z in zs]), resolvent_fiber(matrix, zs), 1)
-
-    n = 16
-    acc = node_sum(*contour_nodes(contour, n))
-    while 2 * n <= opfunc.MAX_NODES:
-        n *= 2
-        zs, ws = contour_nodes(contour, n)
-        new = 0.5 * acc + node_sum(zs[1::2], ws[1::2])
-        if np.abs(new - acc).max() <= opfunc.DOUBLING_RTOL * max(1.0, np.abs(new).max()):
-            return new
-        acc = new
-    return None
+POLYNOMIAL = [1.0, -0.5, 0.25, 2.0]
+SWEEP_FUNCTIONS = {"exp": FUNCTIONS["exp"], "polynomial": make_polynomial(POLYNOMIAL),
+                   "inverse": FUNCTIONS["inverse"]}
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(kind=st.sampled_from(["normal", "non-normal", "triangular"]),
-       n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
-       fn=st.sampled_from(["exp", "polynomial", "inverse"]),
-       around=st.sampled_from(["disc", "spectrum"]), gap=st.floats(0.02, 2.0))
-def test_closed_form_rule_matches_the_per_node_resolvent_sum(kind, n, seed, fn, around, gap):
+def drawn_fiber(kind, n, seed, fn, around, gap):
+    """(M, contour): a random fiber with disc radius about 1 and a circle that
+    clears its disc (``around="disc"``, so beta < 1) or only its eigenvalues,
+    by the relative ``gap``; for 1/z the pole at 0 stays well outside."""
     rng = rng_from_seed(seed)
     m = random_matrix(kind, n, rng)
     m -= np.trace(m) / n * np.eye(n)
@@ -524,20 +528,89 @@ def test_closed_form_rule_matches_the_per_node_resolvent_sum(kind, n, seed, fn, 
     reach = rho if around == "disc" else float(np.abs(np.linalg.eigvals(m) - c).max())
     offset = 0.1 * reach * complex(rng.standard_normal(), rng.standard_normal())
     radius = (reach + abs(offset)) * (1.0 + gap)
-    if fn == "inverse":  # the pole at 0 stays well outside the circle
+    if fn == "inverse":
         m += 3.0 * radius * np.exp(2j * np.pi * rng.uniform()) * np.eye(n)
-    contour = Circle(np.trace(m) / n + offset, radius)
-    f = {"exp": np.exp, "polynomial": make_polynomial([1.0, -0.5, 0.25, 2.0]),
-         "inverse": FUNCTIONS["inverse"]}[fn]
+    return m, Circle(np.trace(m) / n + offset, radius)
+
+
+RULE_NODES = 64
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["normal", "non-normal", "triangular"]),
+       n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       fn=st.sampled_from(["exp", "polynomial", "inverse"]),
+       around=st.sampled_from(["disc", "spectrum"]), gap=st.floats(0.02, 2.0))
+def test_closed_form_rule_matches_the_per_node_resolvent_sum(kind, n, seed, fn, around, gap):
+    m, contour = drawn_fiber(kind, n, seed, fn, around, gap)
+    f = SWEEP_FUNCTIONS[fn]
+    zs, ws = contour_nodes(contour, RULE_NODES)
+    values = np.array([f(z) for z in zs])
+    got = opfunc._circle_rule(m[None], contour, values)[0]
+    want = np.tensordot(ws * values, resolvent_fiber(m, zs), 1)
+    assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+def function_of_fiber(kind, m, fn, contour):
+    """f(M) without a contour: by the eigendecomposition, or for a triangular
+    fiber, whose eigenvectors may be nearly parallel, by the Taylor sum about
+    the contour's centre (which for a polynomial is finite)."""
+    if kind != "triangular":
+        vals, vecs = np.linalg.eig(m)
+        return vecs @ np.diag([SWEEP_FUNCTIONS[fn](v) for v in vals]) @ np.linalg.inv(vecs)
+    eye = np.eye(len(m))
+    total = np.zeros_like(m)
+    if fn == "polynomial":
+        for a in reversed(POLYNOMIAL):
+            total = total @ m + a * eye
+        return total
+    z0 = contour.center
+    shift = m - z0 * eye
+    # term j is c_j (M - z0)^j, c_j = e^z0 / j! or (-1)^j / z0^(j+1)
+    term = np.exp(z0) * eye if fn == "exp" else eye / z0
+    for j in range(1, 2000):
+        total += term
+        if np.abs(term).max() <= 1e-20 * np.abs(total).max():
+            break
+        term = term @ shift / (j if fn == "exp" else -z0)
+    return total
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["normal", "non-normal", "triangular"]),
+       n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       fn=st.sampled_from(["exp", "polynomial", "inverse"]),
+       around=st.sampled_from(["disc", "spectrum"]), gap=st.floats(0.02, 2.0))
+def test_certified_error_dominates_the_rule_error(kind, n, seed, fn, around, gap):
+    m, contour = drawn_fiber(kind, n, seed, fn, around, gap)
+    f = SWEEP_FUNCTIONS[fn]
+    want = function_of_fiber(kind, m, fn, contour)
     try:
         got = opfunc._fiber_quadrature(m[None], f, contour)[0]
     except ValueError as exc:
-        assert "contour quadrature" in str(exc)
-        got = None
-    want = per_node_quadrature(m, f, contour)
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+        assert "at fiber 0" in str(exc)
+        return
+    assert np.abs(got - want).max() <= opfunc.QUADRATURE_RTOL * max(1.0, np.abs(want).max())
+    centers, rhos, _ = opfunc._contour_setup(m[None], f, contour)
+    major = opfunc._majorants(m[None], centers, rhos, contour)
+    for nodes in (2, 4, 8, 16, 32, 64, 128):
+        values = np.array([f(z) for z in contour_nodes(contour, nodes)[0]])
+        rule = opfunc._circle_rule(m[None], contour, values)[0]
+        error = sum(opfunc._rule_errors(major, [nodes], f, contour, np.abs(values).max(), n))
+        assert np.abs(rule - want).max() <= error[0, 0]
+
+
+def test_a_fiber_below_the_centre_scale_takes_one_more_rule():
+    # exp(M) is about e^5.5 here, so the first rule, certified for the scale
+    # e^8 of the centre, misses the fiber's own target
+    m = np.diag([5.0, 5.5 + 0.2j]) + np.triu(np.full((2, 2), 0.1), 1)
+    contour = Circle(8.0, 4.5)
+    calls = []
+    f = CertifiedFunction(lambda z: calls.append(z) or np.exp(z), FUNCTIONS["exp"].disc_sup)
+    got = opfunc._fiber_quadrature(m[None], f, contour)[0]
+    assert calls.count(contour.center + contour.radius) == 2  # node 0 of each rule
+    want = function_of_fiber("non-normal", m, "exp", contour)
+    assert np.abs(got - want).max() <= opfunc.QUADRATURE_RTOL * np.abs(want).max()
 
 
 def constant_fibers(matrix):
@@ -551,7 +624,8 @@ NON_FINITE = [np.diag([np.inf] + [1.0] * 8), np.full((9, 9), np.nan)]
 @pytest.mark.parametrize("matrix", NON_FINITE, ids=["inf", "nan"])
 def test_non_finite_fiber_is_named_before_any_solve(matrix):
     with pytest.raises(ValueError, match=r"fiber matrix is not finite: entry \(0, 0\)"):
-        function_fiber(constant_fibers(matrix), np.exp, Circle(0.0, 1.0)).matrix_at(np.zeros(2))
+        function_fiber(constant_fibers(matrix), FUNCTIONS["exp"],
+                       Circle(0.0, 1.0)).matrix_at(np.zeros(2))
 
 
 @pytest.mark.parametrize("matrix", NON_FINITE, ids=["inf", "nan"])
@@ -573,15 +647,17 @@ def test_non_finite_function_value_is_named():
     contour = Circle(0.0, 800.0)  # exp overflows at zeta = 800
     message = r"function value at zeta=800\+0j is not finite"
     with pytest.raises(ValueError, match=message):
-        function_of_operator(a, np.exp, contour)
+        function_of_operator(a, FUNCTIONS["exp"], contour)
     with pytest.raises(ValueError, match=message):
         function_norm_bound(a, FUNCTIONS["exp"], contour, 0.5)
 
 
 def test_contour_hugging_an_eigenvalue_is_still_named():
-    # just clear of the eigenvalue 1 for the spectrum check, so close that the
-    # trapezoid sums never settle, far above their rounding floor
+    # just clear of the eigenvalue 1 for the spectrum check, so close that no
+    # rule within MAX_NODES certifies, far above the rounding floor
     contour = Circle(0.0, 1.0 + 2.0 * opfunc.CLEARANCE_RTOL)
     fibers = constant_fibers(np.diag([0.0, 1.0, 0.5j]))
-    with pytest.raises(ValueError, match="did not converge .* the spectrum may hug the contour"):
-        function_fiber(fibers, np.exp, contour).matrix_at(np.zeros(2))
+    hug = "did not converge .* the spectrum may hug the contour"
+    with pytest.raises(ValueError, match=hug) as info:
+        function_fiber(fibers, FUNCTIONS["exp"], contour).matrix_at(np.zeros(2))
+    assert "at fiber 0" in str(info.value)
