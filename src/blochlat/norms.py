@@ -15,10 +15,10 @@ imaginary momentum eta picks up a factor exp(eta . d) on the offset-d
 entry; choosing eta of size m against the direction of d therefore bounds
 every entry by exp(-m |d|) times a sup of the shifted fiber over the real
 quadrature grid.  All offsets along one primitive lattice direction share
-that eta, so the bound takes one shifted quadrature per offset direction,
-the same ``periodization._inversion_sums`` that ``inverse_fiber`` runs at
-eta = 0.  Since the quadrature is exact, the resulting inequality is a
-theorem, not a heuristic: summing it against exp(m' |d|) controls |a|_{m'}
+that eta, so the bound is one multi-shift ``periodization._inversion_sums``,
+each offset summed along its direction's shift (``inverse_fiber`` runs it
+with the one shift eta = 0).  The quadrature is exact, so the inequality is
+a theorem, not a heuristic: summed against exp(m' |d|) it controls |a|_{m'}
 by ``decay_constant(m - m') / vol_c`` times that sup.  ``decay_constant``
 is itself a certified upper bound on its lattice sum, an exact sum over a
 ball plus an analytic majorant of the rest, in bounded memory, so
@@ -41,7 +41,6 @@ from .periodization import (
     _block_coords,
     _block_index,
     _inversion_sums,
-    _n_block,
     _probe_quasi_periodicity,
     exact_grid_sizes,
     normalize_radii,
@@ -190,9 +189,9 @@ def fiber_decay_bound(f: FiberFunction, radii, mass: float) -> np.ndarray:
 
     Every entry of the kernel recovered by ``inverse_fiber`` is bounded in
     absolute value by the returned array.  The offsets d along one primitive
-    lattice direction u = d / gcd(d) share the shift eta = -mass u / |u|, so
-    one shifted quadrature per direction bounds all of them; at mass 0 one
-    unshifted quadrature bounds every offset.
+    lattice direction u = d / gcd(d) share the shift eta = -mass u / |u|,
+    and one multi-shift quadrature runs every direction's shift; at mass 0
+    one unshifted quadrature bounds every offset.
     """
     mass = float(mass)
     spec = f.spec
@@ -200,18 +199,14 @@ def fiber_decay_bound(f: FiberFunction, radii, mass: float) -> np.ndarray:
     _probe_quasi_periodicity(f)
     grid = exact_grid_sizes(spec, radii)
     if mass == 0.0:  # every direction's shift is 0, so one quadrature bounds all
-        return _inversion_sums(f, radii, np.zeros(spec.n_axes), grid)[1]
+        return _inversion_sums(f, radii, np.zeros((1, spec.n_axes)), grid)[1]
     offsets = window_offsets(spec, radii)
     units = offsets // np.maximum(np.gcd.reduce(offsets, axis=1), 1)[:, None]
     directions, which = np.unique(units, axis=0, return_inverse=True)
-    which = which.reshape(-1)
-    bound = np.zeros((_n_block(spec), len(offsets)))
-    for j, u in enumerate(directions * spec.spacings()):
-        eta = -mass * u / (np.linalg.norm(u) or 1.0)  # 0 for the zero offset
-        _, abs_sum = _inversion_sums(f, radii, eta, grid)
-        cols = which == j
-        bound[:, cols] = abs_sum[:, cols]
-    return bound
+    # 0 for the zero offset; a norm per row, as the axis form rounds otherwise
+    etas = [-mass * u / (np.linalg.norm(u) or 1.0)
+            for u in directions * spec.spacings()]
+    return _inversion_sums(f, radii, np.array(etas), grid, which.reshape(-1))[1]
 
 
 def inverse_fiber_shifted(f: FiberFunction, radii, eta) -> ZKernel:
@@ -229,7 +224,7 @@ def inverse_fiber_shifted(f: FiberFunction, radii, eta) -> ZKernel:
             f"imaginary shift must have {spec.n_axes} components, got {eta.shape}"
         )
     _probe_quasi_periodicity(f)
-    value, _ = _inversion_sums(f, radii, eta, exact_grid_sizes(spec, radii))
+    value, _ = _inversion_sums(f, radii, eta[None], exact_grid_sizes(spec, radii))
     return zkernel(spec, radii, value)
 
 

@@ -23,12 +23,18 @@ N * l > 2 * radius, is exact.  Every fiber evaluator, from ``fiber_hat``
 on, takes a stack of momenta (..., n_axes) and returns the stacked fibers
 (..., n_block, n_block); a single momentum gives a single fiber.
 
+The quadrature runs along a stack of imaginary shifts at once, each window
+offset along its own, so ``norms.fiber_decay_bound`` is one inversion.
+
 An asymmetric kernel between the fine and coarse lattices is one
 coarse-invariant window table, ``ZKernelFC``, read in two directions: the
 ``_fc`` functions read it as b(u, x), fine rows and coarse columns, and the
 ``_cf`` functions as its transpose c(x, u) = b(u, x).  Either reading
 carries a single dual-block index in momentum space, so its fibers at
 momenta (..., n_axes) are vectors (..., n_block).
+
+The window operations are table gathers, with no loop over points or offsets;
+``apply_z`` and ``compose_z`` add the per-entry sum's terms in its order.
 """
 
 from __future__ import annotations
@@ -47,7 +53,8 @@ from .lattice import (
     extents,
     steps,
 )
-from .periodic_op import BlochFiber, PeriodicKernel, periodic_kernel
+from .periodic_op import (BlochFiber, PeriodicKernel, _block_sites, _coarse_orbits,
+                          periodic_kernel)
 
 __all__ = [
     "ZKernel",
@@ -250,25 +257,18 @@ def compose_z(a: ZKernel, b: ZKernel) -> ZKernel:
     if b.spec != spec:
         raise ValueError("kernels carry different lattice specs")
     radii = tuple(ra + rb for ra, rb in zip(a.radii, b.radii))
-    shape_c = window_shape(spec, radii)
-    shape_b = window_shape(spec, b.radii)
-    block = _block_coords(spec)
     offs_a = window_offsets(spec, a.radii)
-    n_block = _n_block(spec)
-    out = np.zeros((n_block,) + shape_c, dtype=complex)
-    b_grid = b.entries.reshape((n_block,) + shape_b)
-    for w_idx, w in enumerate(block):
-        mids = _block_index(spec, w + offs_a)
-        for a_val, d_mid, mid_idx in zip(a.entries[w_idx], offs_a, mids):
-            if a_val == 0.0:
-                continue
-            # b row at the block class of w + d_mid, shifted by d_mid
-            corner = tuple(
-                slice(rc + dm - rb, rc + dm + rb + 1)
-                for rc, dm, rb in zip(radii, d_mid, b.radii)
-            )
-            out[w_idx][corner] += spec.vol_f * a_val * b_grid[mid_idx]
-    return zkernel(spec, radii, out.reshape(n_block, -1))
+    # vol_f a(w, w + d_a) b(w + d_a, .) at offsets d_a + d_b of row w, for the
+    # nonzero a(w, w + d_a) in row-major order, which np.add.at keeps
+    w, d_a = np.nonzero(a.entries != 0.0)
+    mids = _block_index(spec, _block_coords(spec)[w] + offs_a[d_a])
+    products = (spec.vol_f * a.entries[w, d_a])[:, None] * b.entries[mids]
+    strides = np.cumprod((1,) + window_shape(spec, radii)[::-1])[::-1]  # out[w, d_c]
+    rows = np.column_stack([w, offs_a[d_a] + a.radii]) @ strides
+    out = np.zeros(_n_block(spec) * int(strides[0]), dtype=complex)
+    cols = (window_offsets(spec, b.radii) + b.radii) @ strides[1:]
+    np.add.at(out, rows[:, None] + cols, products)
+    return zkernel(spec, radii, out)
 
 
 # ---------------------------------------------------------------------------
@@ -413,30 +413,44 @@ def _probe_quasi_periodicity(f: FiberFunction) -> None:
             )
 
 
-def _inversion_sums(f: FiberFunction, radii: tuple[int, ...], eta,
-                    grid: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Inversion quadrature of f along the contour shifted by i * eta.
+def _inversion_sums(f: FiberFunction, radii: tuple[int, ...], etas,
+                    grid: tuple[int, ...], owner=None) -> tuple[np.ndarray, np.ndarray]:
+    """Inversion quadrature of f along the contours shifted by i * eta.
 
-    Sums the terms exp(-i kc.d) f(kc)[w, class of w + d] / (vol_c * N) over
-    the N nodes kc = k + i * eta of the uniform ``grid``.  Returns that sum,
-    which is the kernel entry a(w, w + d) whenever the grid is exact, and the
-    sum of the absolute values of its terms, which bounds the entry; both
-    are (n_block, n_window).
+    Window column d sums the terms exp(-i kc.d) f(kc)[w, class of w + d] /
+    (vol_c * N) over the N nodes kc = k + i * eta of the uniform ``grid``,
+    eta the row ``owner[d]`` (default 0) of ``etas`` (m, n_axes), adding its
+    nodes in order; a term that is not finite raises, naming its shift.  Returns
+    that sum, the kernel entry a(w, w + d) whenever the grid is exact, and the
+    sum of its terms' absolute values, which bounds the entry; both (n_block, n_window).
     """
     spec = f.spec
     d_phys, _, ew, vmap = _window_tables(spec, radii)
+    owner = np.zeros(vmap.shape[1], dtype=np.int64) if owner is None else owner
+    base = _quadrature_nodes(spec, grid)
+    nodes = (base + 1j * etas[:, None, :]).reshape(-1, spec.n_axes)
+    shift = np.repeat(np.arange(len(etas)), len(base))
     total = np.zeros(vmap.shape, dtype=complex)
     total_abs = np.zeros(vmap.shape)
-    nodes = _quadrature_nodes(spec, grid) + 1j * np.asarray(eta, dtype=float)
     for start in range(0, len(nodes), INVERSION_CHUNK):
         chunk = nodes[start:start + INVERSION_CHUNK]
-        fibers = np.asarray(f.matrix_at(chunk))
-        s = np.take_along_axis(ew.T @ fibers @ np.conj(ew), vmap[None], axis=2)
-        terms = np.exp(-1j * chunk @ d_phys.T)[:, None, :] * s
+        # numpy sends a lone row to gemv, which rounds it unlike gemm in a pass
+        rows = chunk if len(chunk) > 1 else np.repeat(chunk, 2, axis=0)
+        own = owner == shift[start:start + len(chunk), None]  # (pass, n_window)
+        with np.errstate(all="ignore"):  # a term that is not finite is named below
+            fibers = np.asarray(f.matrix_at(chunk))
+            s = np.take_along_axis(ew.T @ fibers @ np.conj(ew), vmap[None], axis=2)
+            terms = np.exp(-1j * rows @ d_phys.T)[:len(chunk), None, :] * s
+        terms = np.where(own[:, None, :], terms, 0.0)
+        bad = ~np.isfinite(terms).all(axis=(1, 2))
+        if bad.any():
+            eta = ", ".join(f"{x:.6g}" for x in etas[shift[start + int(np.argmax(bad))]])
+            raise ValueError(f"inversion quadrature is not finite along the shift "
+                             f"eta=({eta}): the shifted fiber or its phase overflows")
         # the running totals lead each sum, so nodes add in order
         total = np.concatenate([total[None], terms]).sum(axis=0)
         total_abs = np.concatenate([total_abs[None], np.abs(terms)]).sum(axis=0)
-    scale = spec.vol_c * len(nodes)
+    scale = spec.vol_c * len(base)
     return total / scale, total_abs / scale
 
 
@@ -462,20 +476,13 @@ def inverse_fiber(f: FiberFunction, radii, *, grid_points=None) -> ZKernel:
                 f"quadrature grid must be {spec.n_axes} positive integers, "
                 f"got {grid_points!r}"
             )
-    value, _ = _inversion_sums(f, radii, 0.0, grid)
+    value, _ = _inversion_sums(f, radii, np.zeros((1, spec.n_axes)), grid)
     return zkernel(spec, radii, value)
 
 
 # ---------------------------------------------------------------------------
 # torus actions of asymmetric kernels
 # ---------------------------------------------------------------------------
-
-
-def _fine_site_table(family: LatticeFamily) -> np.ndarray:
-    """Fine torus index of w + x over block reps (rows) and coarse sites (cols)."""
-    spec = family.spec
-    block = _block_coords(spec)
-    return family.indices("fine", block[:, None, :] + family.coords("coarse") * spec.ratios())
 
 
 def apply_fc(family: LatticeFamily, b: ZKernelFC, psi: FieldVector) -> FieldVector:
@@ -485,12 +492,12 @@ def apply_fc(family: LatticeFamily, b: ZKernelFC, psi: FieldVector) -> FieldVect
     spec = b.spec
     if family.spec != spec:
         raise ValueError("kernel and family carry different lattice specs")
-    table = _fine_site_table(family)
-    coarse = family.coords("coarse")
+    # psi at x + m over (window, coarse cell): wrapped images add in the product
+    cols = family.indices("coarse", family.coords("coarse")
+                          + window_offsets(spec, b.radii)[:, None, :])
     out = np.zeros(family.n_fine, dtype=complex)
-    for m_idx, m in enumerate(window_offsets(spec, b.radii)):
-        vals = psi.values[family.indices("coarse", coarse + m)]
-        out[table] += family.vol_c * np.outer(b.entries[:, m_idx], vals)
+    out[_coarse_orbits(family)[0][_block_sites(family)]] = (  # the sites w + x
+        family.vol_c * (b.entries @ psi.values[cols]))
     return family.field("fine", out)
 
 
@@ -501,13 +508,11 @@ def apply_cf(family: LatticeFamily, c: ZKernelFC, phi: FieldVector) -> FieldVect
     spec = c.spec
     if family.spec != spec:
         raise ValueError("kernel and family carry different lattice specs")
-    table = _fine_site_table(family)
-    coarse = family.coords("coarse")
-    out = np.zeros(family.n_coarse, dtype=complex)
-    for m_idx, m in enumerate(window_offsets(spec, c.radii)):
-        cols = family.indices("coarse", coarse - m)
-        gathered = phi.values[table[:, cols]]  # (n_block, n_coarse)
-        out += family.vol_f * c.entries[:, m_idx] @ gathered
+    cols = family.indices("coarse", family.coords("coarse")
+                          - window_offsets(spec, c.radii)[:, None, :])
+    # phi at w + (x - m) over (block site, window, coarse cell)
+    gathered = phi.values[_coarse_orbits(family)[0][_block_sites(family)][:, cols]]
+    out = family.vol_f * (c.entries.reshape(-1) @ gathered.reshape(-1, family.n_coarse))
     return family.field("coarse", out)
 
 
@@ -541,27 +546,27 @@ def zfield(spec: LatticeSpec, kind: str, coords, values) -> ZField:
     return ZField(spec, kind, keep, merged)
 
 
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y by the textbook formula, as numpy multiplies complex scalars;
+    its vectorised complex product may fuse the multiply-adds."""
+    re, im = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+    return np.stack([re, im], axis=-1).view(complex)[..., 0]
+
+
 def apply_z(a: ZKernel, phi: ZField) -> ZField:
     """(a phi)(u) = vol_f * sum_u' a(u, u') phi(u'), finite support in, out."""
     spec = a.spec
     if phi.spec != spec or phi.kind != "fine":
         raise ValueError("field must be a fine-lattice field on the same spec")
     offsets = window_offsets(spec, a.radii)
-    acc: dict[tuple[int, ...], complex] = {}
-    for pt, val in zip(phi.coords, phi.values):
-        for col, d in enumerate(offsets):
-            u = pt - d
-            w_idx = int(_block_index(spec, u[None, :])[0])
-            a_val = a.entries[w_idx, col]
-            if a_val == 0.0:
-                continue
-            key = tuple(int(c) for c in u)
-            acc[key] = acc.get(key, 0.0) + spec.vol_f * a_val * val
-    if not acc:
+    u = phi.coords[:, None, :] - offsets  # (support point, offset) pairs
+    a_vals = a.entries[_block_index(spec, u), np.arange(len(offsets))]
+    # the nonzero terms, point-major: zfield adds them in this order
+    pt, col = np.nonzero(a_vals != 0.0)
+    if not len(pt):
         return zfield(spec, "fine", np.zeros((1, spec.n_axes), dtype=np.int64), [0.0])
-    coords = np.asarray(list(acc.keys()), dtype=np.int64)
-    values = np.asarray(list(acc.values()), dtype=complex)
-    return zfield(spec, "fine", coords, values)
+    return zfield(spec, "fine", u[pt, col],
+                  _cmul(spec.vol_f * a_vals[pt, col], phi.values[pt]))
 
 
 def z_inner(a: ZField, b: ZField) -> complex:
@@ -569,10 +574,10 @@ def z_inner(a: ZField, b: ZField) -> complex:
     if a.spec != b.spec or a.kind != b.kind:
         raise ValueError("fields live on different lattices")
     vol = a.spec.vol_c if a.kind == "coarse" else a.spec.vol_f
-    lookup = {tuple(int(c) for c in pt): val for pt, val in zip(b.coords, b.values)}
-    total = 0.0 + 0.0j
-    for pt, val in zip(a.coords, a.values):
-        other = lookup.get(tuple(int(c) for c in pt))
-        if other is not None:
-            total += np.conj(val) * other
-    return complex(vol * total)
+    # one structured key per row compares lexicographically, zfield's order
+    row = [(f"f{i}", np.int64) for i in range(a.spec.n_axes)]
+    keys, mine = b.coords.view(row)[:, 0], a.coords.view(row)[:, 0]
+    pos = np.searchsorted(keys, mine)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == mine[hit]
+    return complex(vol * np.vdot(a.values[hit], b.values[pos[hit]]))

@@ -334,6 +334,37 @@ contour_radius = 800
     assert "numerical error: function value at zeta=800+0j is not finite" in err
 
 
+@pytest.mark.parametrize("mass", ["300", "400"])
+def test_decay_overflowing_shift_exits_one(tmp_path, capsys, mass):
+    # the shifted fibers of this 9^3 kernel overflow at these masses; the
+    # task names the shift and writes no NaN
+    config = write_config(tmp_path, f"""
+[lattice]
+l_t = 3
+l_x = 3
+big_l_t = 9
+big_l_x = 9
+dim = 2
+
+[kernel]
+type = random
+support_radius = 2,2,1
+
+[task]
+name = decay
+
+[params]
+mass = {mass}
+target_mass = 0.25
+""")
+    out = tmp_path / "out"
+    assert run(config, out, "--seed", "1") == 1
+    err = capsys.readouterr().err
+    assert "numerical error: inversion quadrature is not finite along the shift eta=(" in err
+    assert not (out / "decay.csv").exists()
+    assert not (out / "report.json").exists()
+
+
 def test_funcalc_rounding_floor_exits_one(tmp_path, capsys):
     # exp reaches e^20 on this circle, which clears every eigenvalue by 14.5:
     # the quadrature stalls at its rounding floor, and says so

@@ -1,7 +1,8 @@
 """Memory guards: coarse-invariant kernels stay at their block rows on the
 periodize -> function -> fibers path and in the torus rows of ``verify``,
 so no n_fine x n_fine array forms, ``function_norm_bound`` holds one pass
-of resolvents at a time, and the CLI streams its CSVs one fiber at a time.
+of resolvents and ``fiber_decay_bound`` one pass of shifted fibers at a
+time, and the CLI streams its CSVs one fiber at a time.
 
 Peaks are ``tracemalloc`` readings of this process.
 """
@@ -15,10 +16,16 @@ import pytest
 
 from blochlat.cli import _fiber_chunks, _fiber_header, _write_csv
 from blochlat.lattice import LatticeSpec, build_family
-from blochlat.norms import decay_constant
+from blochlat.norms import decay_constant, fiber_decay_bound
 from blochlat.opfunc import Circle, function_norm_bound, function_of_operator, make_polynomial
 from blochlat.periodic_op import bloch_fibers, reconstruct
-from blochlat.periodization import periodize
+from blochlat.periodization import (
+    INVERSION_CHUNK,
+    exact_grid_sizes,
+    fiber_function,
+    periodize,
+    window_offsets,
+)
 from blochlat.rand import random_zkernel, rng_from_seed
 from blochlat.verify import _torus_checks
 
@@ -59,6 +66,23 @@ def test_function_norm_bound_holds_one_pass_of_resolvents():
         lambda: function_norm_bound(kernel, poly, Circle(0.0, 200.0), 0.25))
     assert np.isfinite(bound) and bound > 0.0
     assert peak < fam.n_coarse * 64 * fam.n_block**2 * 16 / 1e6
+
+
+def test_fiber_decay_bound_holds_one_pass_of_shifted_fibers():
+    # 9 x 9 x 9 sites, radius 2: 99 directions of 8 nodes, 792 shifted
+    # fibers; a pass works on a few (INVERSION_CHUNK, 27, 125) complex
+    # arrays of 1.7 MB, and all 792 at once take 138 MB
+    spec = LatticeSpec(1.0, 1.0, 3, 3, 9, 9, dim=2)
+    radii = (2, 2, 2)
+    f = fiber_function(random_zkernel(spec, radii, rng_from_seed(41)))
+    offsets = window_offsets(spec, radii)
+    units = offsets // np.maximum(np.gcd.reduce(offsets, axis=1), 1)[:, None]
+    pairs = len(np.unique(units, axis=0)) * math.prod(exact_grid_sizes(spec, radii))
+    assert pairs >= 20 * INVERSION_CHUNK
+    bound, peak = _traced_peak_mb(lambda: fiber_decay_bound(f, radii, 0.5))
+    assert np.isfinite(bound).all()
+    n_block = int(np.prod(spec.ratios()))
+    assert peak < 8 * INVERSION_CHUNK * n_block * len(offsets) * 16 / 1e6
 
 
 def test_funcalc_csv_is_written_one_fiber_at_a_time(tmp_path):

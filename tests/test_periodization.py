@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from test_periodic_op_properties import PROPERTY_SETTINGS, specs_and_radii
 
 from blochlat.lattice import LatticeSpec, build_family, steps
 from blochlat.norms import decay_norm_bound, fiber_decay_bound, inverse_fiber_shifted
@@ -475,3 +478,162 @@ def test_zfield_merges_duplicates_and_z_inner_weights():
     assert z_inner(fc, gc) == pytest.approx(FAM.vol_c * np.conj(2.0j) * (1.0 + 1.0j))
     with pytest.raises(ValueError, match="different lattices"):
         z_inner(f, fc)
+
+
+# ---------------------------------------------------------------------------
+# the window operations against their per-entry loops
+# ---------------------------------------------------------------------------
+
+
+def loop_apply_z(a, phi):
+    """One term per (support point, offset), merged in a dict."""
+    spec = a.spec
+    offsets = window_offsets(spec, a.radii)
+    ratios = tuple(int(r) for r in spec.ratios())
+    acc = {}
+    for pt, val in zip(phi.coords, phi.values):
+        for col, d in enumerate(offsets):
+            u = pt - d
+            a_val = a.entries[int(np.ravel_multi_index(tuple(u % ratios), ratios)), col]
+            if a_val == 0.0:
+                continue
+            key = tuple(int(c) for c in u)
+            acc[key] = acc.get(key, 0.0) + spec.vol_f * a_val * val
+    if not acc:
+        return zfield(spec, "fine", np.zeros((1, spec.n_axes), dtype=np.int64), [0.0])
+    return zfield(spec, "fine", list(acc.keys()), list(acc.values()))
+
+
+def loop_compose_z(a, b):
+    """One shifted b row per nonzero entry of a, added into its window."""
+    spec = a.spec
+    ratios = tuple(int(r) for r in spec.ratios())
+    radii = tuple(ra + rb for ra, rb in zip(a.radii, b.radii))
+    n_block = int(np.prod(ratios))
+    offs_a = window_offsets(spec, a.radii)
+    out = np.zeros((n_block,) + tuple(2 * r + 1 for r in radii), dtype=complex)
+    b_grid = b.entries.reshape((n_block,) + tuple(2 * r + 1 for r in b.radii))
+    for w_idx, w in enumerate(block_sites(spec)):
+        for a_val, d_mid in zip(a.entries[w_idx], offs_a):
+            if a_val == 0.0:
+                continue
+            mid = int(np.ravel_multi_index(tuple((w + d_mid) % ratios), ratios))
+            corner = tuple(slice(rc + dm - rb, rc + dm + rb + 1)
+                           for rc, dm, rb in zip(radii, d_mid, b.radii))
+            out[w_idx][corner] += spec.vol_f * a_val * b_grid[mid]
+    return zkernel(spec, radii, out.reshape(n_block, -1))
+
+
+def loop_z_inner(a, b):
+    """The inner product through a dict of b's support points."""
+    lookup = {tuple(int(c) for c in pt): val for pt, val in zip(b.coords, b.values)}
+    total = sum(np.conj(val) * lookup[tuple(int(c) for c in pt)]
+                for pt, val in zip(a.coords, a.values)
+                if tuple(int(c) for c in pt) in lookup)
+    return complex((a.spec.vol_c if a.kind == "coarse" else a.spec.vol_f) * total)
+
+
+def fine_site_table(fam):
+    """Fine torus index of w + x over block sites (rows) and coarse cells."""
+    spec = fam.spec
+    return fam.indices("fine", block_sites(spec)[:, None, :]
+                       + fam.coords("coarse") * spec.ratios())
+
+
+def loop_apply_fc(fam, b, psi):
+    """One outer product per coarse offset m."""
+    table, coarse = fine_site_table(fam), fam.coords("coarse")
+    out = np.zeros(fam.n_fine, dtype=complex)
+    for m_idx, m in enumerate(window_offsets(fam.spec, b.radii)):
+        vals = psi.values[fam.indices("coarse", coarse + m)]
+        out[table] += fam.vol_c * np.outer(b.entries[:, m_idx], vals)
+    return out
+
+
+def loop_apply_cf(fam, c, phi):
+    """One gathered block of phi per coarse offset m."""
+    table, coarse = fine_site_table(fam), fam.coords("coarse")
+    out = np.zeros(fam.n_coarse, dtype=complex)
+    for m_idx, m in enumerate(window_offsets(fam.spec, c.radii)):
+        gathered = phi.values[table[:, fam.indices("coarse", coarse - m)]]
+        out += fam.vol_f * c.entries[:, m_idx] @ gathered
+    return out
+
+
+def assert_bitwise(got, want):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    got = np.ascontiguousarray(got, dtype=complex).view(np.float64)
+    want = np.ascontiguousarray(want, dtype=complex).view(np.float64)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
+
+
+def assert_close_where_finite(got, want, rtol):
+    """Non-finite at the same entries, and within rtol of the largest finite
+    entry elsewhere."""
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(np.isfinite(got), finite)
+    if finite.any():
+        scale = max(np.abs(want[finite]).max(), 1e-300)
+        assert np.abs(got[finite] - want[finite]).max() <= rtol * scale
+
+
+SPECIALS = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0),
+                     np.inf, complex(0.0, -np.inf), np.nan, complex(1.0, np.nan)])
+
+
+def _with_entries(kernel, kind, rng, make):
+    """``kernel`` with a quarter of its entries, at least one, replaced:
+    signed zeros for "zeros", and also infinities and NaNs for "non_finite"."""
+    entries = np.array(kernel.entries)
+    if kind != "random":
+        pool = SPECIALS[:4] if kind == "zeros" else SPECIALS
+        hit = rng.random(entries.shape) < 0.25
+        hit.flat[rng.integers(entries.size)] = True
+        entries[hit] = rng.choice(pool, size=int(hit.sum()))
+    return make(kernel.spec, kernel.radii, entries)
+
+
+# a fine-coarse window of 5 x 5 coarse steps on the 3 x 3 coarse torus: every
+# coarse cell is hit by several offsets, so wrapped images must add up
+WRAPPED = (REF, (2, 2))
+
+
+@PROPERTY_SETTINGS
+@given(case=specs_and_radii(), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "zeros", "non_finite"]))
+@example(case=WRAPPED, seed=0, kind="random")
+@example(case=WRAPPED, seed=1, kind="zeros")
+@example(case=WRAPPED, seed=2, kind="non_finite")
+@np.errstate(all="ignore")  # non-finite entries make non-finite products
+def test_window_operations_match_their_loops(case, seed, kind):
+    # apply_z and compose_z keep the loops' arithmetic and order, so they
+    # match bit for bit; apply_fc and apply_cf sum in another order
+    spec, radii = case
+    fam = build_family(spec)
+    rng = rng_from_seed(seed)
+    a = _with_entries(random_zkernel(spec, radii, rng), kind, rng, zkernel)
+    b = _with_entries(random_zkernel(spec, tuple(min(r, 1) for r in radii), rng),
+                      kind, rng, zkernel)
+    phi = zfield(spec, "fine", rng.integers(-4, 5, size=(6, spec.n_axes)),
+                 rng.normal(size=6) + 1j * rng.normal(size=6))
+    got, want = apply_z(a, phi), loop_apply_z(a, phi)
+    np.testing.assert_array_equal(got.coords, want.coords)
+    assert_bitwise(got.values, want.values)
+    # phi's support meets that of a phi in some points only
+    assert_close_where_finite(np.array([z_inner(phi, got)]),
+                              np.array([loop_z_inner(phi, want)]), 1e-13)
+    got, want = compose_z(a, b), loop_compose_z(a, b)
+    assert got.radii == want.radii
+    assert_bitwise(got.entries, want.entries)
+    # radii in coarse steps: along most drawn axes the window wraps the
+    # coarse torus
+    fc = _with_entries(random_zkernel_fc(spec, radii, rng), kind, rng, zkernel_fc)
+    psi = fam.field("coarse", random_field_values(fam, "coarse", rng))
+    fine = fam.field("fine", random_field_values(fam, "fine", rng))
+    assert_close_where_finite(apply_fc(fam, fc, psi).values,
+                              loop_apply_fc(fam, fc, psi), 1e-13)
+    assert_close_where_finite(apply_cf(fam, fc, fine).values,
+                              loop_apply_cf(fam, fc, fine), 1e-13)
