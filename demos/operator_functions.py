@@ -54,10 +54,10 @@ print(f"f(z) = z reproduces A:      {np.abs(back.rows - a.rows).max():.3e}")
 
 sq = function_of_operator(a, FUNCTIONS["square"], contour)
 print(f"f(z) = z^2 vs A o A:        "
-      f"{np.abs(sq.entries - compose(a, a).entries).max():.3e}")
+      f"{np.abs(sq.rows - compose(a, a).rows).max():.3e}")
 
 inv = function_of_operator(a, FUNCTIONS["inverse"], contour)
-residual = compose(a, inv).entries - identity_kernel(fam).entries
+residual = compose(a, inv).rows - identity_kernel(fam).rows
 print(f"f(z) = 1/z gives A^-1:      {np.abs(residual).max():.3e}")
 
 p = make_polynomial([1.0, -2.0, 0.5])  # 1 - 2z + z^2/2

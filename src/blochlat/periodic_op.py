@@ -33,18 +33,16 @@ fiber(k)[l, l'] fills the fine dual once over all classes, and
 is one forward FFT per row.
 
 A ``PeriodicKernel`` stores exactly those rows, shape (n_block, n_fine),
-read-only; ``periodic_kernel`` takes nothing else.  The dense ``entries``
-are expanded on first use and cached.  Coarse translation by x maps row b to
-the row of b + x, so the kernel acts from its rows by a gather over coarse
-cells,
+read-only; ``periodic_kernel`` takes nothing else.  Coarse translation by x
+maps row b to the row of b + x, so the kernel acts from its rows by a gather
+over coarse cells,
 
     (A phi)(b + x) = vol_f * sum_w A(b, w) phi(w + x),
 
-and its transpose has the rows A*(b, c + x) = A(c, b - x), c over the block
-sites.  ``periodize``, ``reconstruct``, ``bloch_fibers``, ``apply_kernel``,
-``transpose_kernel`` and the torus weighted norm work on the rows and never
-form the dense kernel; ``compose`` multiplies the dense kernels and keeps
-the product as its ``entries``.
+its transpose has the rows A*(b, c + x) = A(c, b - x), c over the block
+sites, and ``compose`` takes row b of A B as B* acting on the row A(b, .).
+Every operation works on the rows.  The dense ``entries`` view is kept for
+test oracles only: it is expanded on first use, and no library path reads it.
 """
 
 from __future__ import annotations
@@ -75,8 +73,9 @@ class PeriodicKernel:
 
     Stored as its block rows: ``rows[b]`` is A(b, .) over the fine sites,
     with b running over ``family.coords("block")``; coarse translation
-    gives every other row.  ``entries`` is the dense (n_fine, n_fine)
-    kernel, expanded from the rows on first use and cached read-only.
+    gives every other row.  ``entries`` is the dense (n_fine, n_fine) view,
+    kept for test oracles: expanded from the rows on first use and cached
+    read-only, it is read by no library path.
     """
 
     family: LatticeFamily
@@ -176,15 +175,14 @@ def apply_kernel(kernel: PeriodicKernel, field: FieldVector) -> FieldVector:
 def compose(a: PeriodicKernel, b: PeriodicKernel) -> PeriodicKernel:
     """Kernel of the operator product, vol_f * sum_u'' A(u,u'') B(u'',u').
 
-    The product is taken densely and kept as the result's ``entries``."""
+    Row b of the product is the transpose of B acting on the row A(b, .),
+    one row at a time; the dense ``entries`` are never read."""
     if a.family.spec != b.family.spec:
         raise ValueError("kernels live on different lattice families")
     fam = a.family
-    dense = fam.vol_f * a.entries @ b.entries
-    dense.flags.writeable = False
-    out = periodic_kernel(fam, dense[_block_sites(fam)])
-    out.__dict__["entries"] = dense  # the dense form is at hand: cache it
-    return out
+    bt = transpose_kernel(b)
+    return periodic_kernel(fam, [apply_kernel(bt, fam.field("fine", row)).values
+                                 for row in a.rows])
 
 
 def transpose_kernel(a: PeriodicKernel) -> PeriodicKernel:

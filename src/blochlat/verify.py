@@ -13,7 +13,8 @@ its band only, the entries A_hat(p, p') with p and p' in one dual-coarse
 class (``lemBOkervar.a``/``.c``/``.f``), by a direct phase-matrix DFT per
 fine axis; the position-space fiber (``lemBOkervar.d``/``.e``) and the
 periodization wrap sum (``remBOperiodization.b``) are built by indexing.
-Each oracle stays independent of the FFT fiber route it checks.
+Each oracle stays independent of the FFT fiber route it checks.  The product
+rows compare block rows as well: no check reads a dense kernel.
 """
 
 from __future__ import annotations
@@ -320,9 +321,9 @@ def _window_checks(fam: LatticeFamily, a: ZKernel, rng):
     ab = compose_z(a, b)
     lhs = periodize(ab, fam)
     rhs = compose(torus, periodize(b, fam))
-    cscale = max(np.abs(rhs.entries).max(), 1e-300)
+    cscale = max(np.abs(rhs.rows).max(), 1e-300)
     out.append(_eq("periodization_homomorphism", "remBOperiodization.c",
-                   _rel(np.abs(lhs.entries - rhs.entries).max(), cscale), 1e-12))
+                   _rel(np.abs(lhs.rows - rhs.rows).max(), cscale), 1e-12))
 
     eye = fiber_function(identity_zkernel(spec)).matrix_at(
         _complex_momenta(spec, rng, 3, MASS))
@@ -576,15 +577,15 @@ def _opfunc_checks(fam: LatticeFamily, a: ZKernel):
     sq = function_of_operator(t, FUNCTIONS["square"], contour)
     direct = compose(t, t)
     out.append(_eq("square_matches_composition", "eqnBOfofA",
-                   _rel(np.abs(sq.entries - direct.entries).max(),
-                        np.abs(direct.entries).max()), 1e-8))
+                   _rel(np.abs(sq.rows - direct.rows).max(),
+                        np.abs(direct.rows).max()), 1e-8))
 
     inv = function_of_operator(t, FUNCTIONS["inverse"], contour)
     unit = compose(t, inv)
     eye = identity_kernel(fam)
     out.append(_eq("inverse_left_inverse", "eqnBOfofA",
-                   _rel(np.abs(unit.entries - eye.entries).max(),
-                        np.abs(eye.entries).max()), 1e-8))
+                   _rel(np.abs(unit.rows - eye.rows).max(),
+                        np.abs(eye.rows).max()), 1e-8))
 
     exp_t = function_of_operator(t, FUNCTIONS["exp"], contour)
     direct_norm = weighted_norm(exp_t, MASS_LOW)

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from blochlat.cli import _write_csv, main
 from blochlat.lattice import LatticeSpec, steps
+from blochlat.periodic_op import PeriodicKernel
 from blochlat.periodization import fiber_hat, window_offsets, zkernel
 
 REF_LINES = """
@@ -195,6 +196,27 @@ target_mass = 0.25
     assert rows[0][:4] == ["w_index_0", "w_index_1", "d_index_0", "d_index_1"]
     # 9 block sites, 5x5 window
     assert len(rows) - 1 == 9 * 25
+
+
+TASK_PARAMS = {
+    "verify": "",
+    "fibers": "",
+    "norms": "",
+    "decay": "\n[params]\nmass = 0.5\ntarget_mass = 0.25\n",
+    "funcalc": "\n[params]\nfunction = polynomial\ncoefficients = 1,0.5,0.25\n"
+               "contour_center = 0\ncontour_radius = 200\nmass = 0.25\n",
+}
+
+
+@pytest.mark.parametrize("task", TASK_PARAMS)
+def test_no_task_reads_the_dense_kernel(tmp_path, monkeypatch, task):
+    # the dense view of a torus kernel is for test oracles only
+    def dense(self):
+        raise AssertionError("a library path read PeriodicKernel.entries")
+
+    monkeypatch.setattr(PeriodicKernel, "entries", property(dense))
+    config = write_config(tmp_path, REF_LINES.format(task=task) + TASK_PARAMS[task])
+    assert run(config, tmp_path / "out") == 0
 
 
 def test_funcalc_projection_spectrum(tmp_path):

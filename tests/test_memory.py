@@ -1,8 +1,9 @@
 """Memory guards: coarse-invariant kernels stay at their block rows on the
-periodize -> function -> fibers path and in the torus rows of ``verify``,
-so no n_fine x n_fine array forms, ``function_norm_bound`` holds one pass
-of resolvents and ``fiber_decay_bound`` one pass of shifted fibers at a
-time, and the CLI streams its CSVs one fiber at a time.
+periodize -> function -> fibers path, in ``compose`` and in the torus,
+window and function rows of ``verify``, so no n_fine x n_fine array forms,
+``function_norm_bound`` holds one pass of resolvents and
+``fiber_decay_bound`` one pass of shifted fibers at a time, and the CLI
+streams its CSVs one fiber at a time.
 
 Peaks are ``tracemalloc`` readings of this process.
 """
@@ -27,7 +28,7 @@ from blochlat.periodization import (
     window_offsets,
 )
 from blochlat.rand import random_zkernel, rng_from_seed
-from blochlat.verify import _torus_checks
+from blochlat.verify import _opfunc_checks, _torus_checks, _window_checks
 
 
 def _traced_peak_mb(run):
@@ -125,6 +126,19 @@ def test_verify_torus_rows_stay_at_the_block_rows():
     fam = build_family(spec)
     rows, peak = _traced_peak_mb(lambda: _torus_checks(fam, rng_from_seed(0)))
     assert len(rows) == 6 and all(row.passed for row in rows)
+    assert peak < 60.0
+
+
+@pytest.mark.parametrize("section", [_window_checks, _opfunc_checks])
+def test_verify_product_rows_stay_at_the_block_rows(section):
+    # 3375 sites: one dense complex kernel is 182 MB, and the dense products
+    # behind the product rows need several of that size
+    spec = LatticeSpec(1.0, 1.0, 3, 3, 15, 15, dim=2)
+    fam = build_family(spec)
+    z = random_zkernel(spec, (2, 2, 2), rng_from_seed(0))
+    args = (fam, z, rng_from_seed(0)) if section is _window_checks else (fam, z)
+    rows, peak = _traced_peak_mb(lambda: section(*args))
+    assert rows and all(row.passed for row in rows)
     assert peak < 60.0
 
 

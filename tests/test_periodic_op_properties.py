@@ -153,6 +153,9 @@ def test_row_actions_match_the_dense_kernel(case, seed):
         assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
         np.testing.assert_array_equal(_bits(transpose_kernel(a).entries),
                                       _bits(a.entries.T))
+    a, b = kernels
+    expect = fam.vol_f * a.entries @ b.entries
+    assert np.abs(compose(a, b).entries - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 # -- block-row storage ---------------------------------------------------
@@ -213,7 +216,7 @@ def test_row_storage_expands_to_the_dense_kernel(case, seed):
     np.testing.assert_array_equal(_bits(drawn.entries),
                                   _bits(_dense_random_kernel(fam, seed)))
     for k in (window, drawn, identity_kernel(fam),
-              reconstruct(fam, bloch_fibers(drawn))):
+              reconstruct(fam, bloch_fibers(drawn)), compose(window, drawn)):
         _assert_row_form(fam, k)
 
 
