@@ -326,17 +326,12 @@ class Job:
             except ValueError as exc:
                 raise ConfigError(f"kernel does not fit the torus: {exc}")
         if task == "decay":
-            self.mass = _get_float(self.params, "mass", 0.5)
-            self.target_mass = self._optional_float("target_mass")
+            self.mass = self._mass("mass", 0.5)
+            self.target_mass = self._mass("target_mass")
             if self.target_mass is not None and self.target_mass >= self.mass:
-                raise ConfigError(
-                    "params.target_mass must be smaller than params.mass"
-                )
+                raise ConfigError("params.target_mass must be smaller than params.mass")
         if task == "funcalc":
-            self.mass = self._optional_float("mass")
-            if self.mass is not None and self.mass < 0:
-                raise ConfigError(  # the weighted norm is submultiplicative for m >= 0 only
-                    f"params.mass must be non-negative, got {self.mass:g}")
+            self.mass = self._mass("mass")
             self.contour = self._build_contour()
             self.fn_name, self.fn = self._build_function()
             gap = abs(self.contour.center) - self.contour.radius
@@ -348,8 +343,12 @@ class Job:
                     f"{'inside' if gap < 0 else 'on'} the contour {self.contour}; "
                     f"the disc must exclude 0")
 
-    def _optional_float(self, key: str) -> float | None:
-        return _get_float(self.params, key) if key in self.params else None
+    def _mass(self, key: str, default: float | None = None) -> float | None:
+        # the weighted norm is submultiplicative for m >= 0 only
+        mass = _get_float(self.params, key) if key in self.params else default
+        if mass is not None and mass < 0:
+            raise ConfigError(f"params.{key} must be non-negative, got {mass:g}")
+        return mass
 
     def _build_contour(self) -> Circle:
         center_raw = self.params.get("contour_center", "10")

@@ -10,17 +10,16 @@ between row and column sites (geodesic on the torus, Euclidean on the
 infinite lattices).  It is submultiplicative under operator composition.
 
 A kernel of known support radius can be bounded through its momentum
-fibers.  Writing the inversion quadrature along the contour shifted by an
-imaginary momentum eta picks up a factor exp(eta . d) on the offset-d
-entry; choosing eta of size m against the direction of d therefore bounds
-every entry by exp(-m |d|) times a sup of the shifted fiber over the real
-quadrature grid.  All offsets along one primitive lattice direction share
-that eta, so the bound is one multi-shift ``periodization._inversion_sums``,
-each offset summed along its direction's shift (``inverse_fiber`` runs it
-with the one shift eta = 0).  The quadrature is exact, so the inequality is
-a theorem, not a heuristic: summed against exp(m' |d|) it controls |a|_{m'}
-by ``decay_constant(m - m') / vol_c`` times that sup.  ``decay_constant``
-is itself a certified upper bound on its lattice sum, an exact sum over a
+fibers.  Along the contour shifted by an imaginary momentum eta, the phase
+of the inversion quadrature's offset-d term has modulus exp(eta . d), so
+eta of size m against the direction of d bounds every entry by
+exp(-m |d|) times the mean modulus of the shifted fiber over the real
+quadrature grid.  The offsets along one primitive lattice direction share
+that eta, so the bound is one sum of fiber moduli per shift, with no value
+quadrature.  The quadrature is exact, so the inequality is a theorem:
+summed against exp(m' |d|) it controls |a|_{m'} by
+``decay_constant(m - m') / vol_c`` times that mean.  ``decay_constant`` is
+itself a certified upper bound on its lattice sum, an exact sum over a
 ball plus an analytic majorant of the rest, in bounded memory, so
 ``decay_norm_bound`` is a theorem at any number of axes.
 """
@@ -41,6 +40,7 @@ from .periodization import (
     _block_coords,
     _block_index,
     _inversion_sums,
+    _modulus_sums,
     _probe_quasi_periodicity,
     exact_grid_sizes,
     normalize_radii,
@@ -190,42 +190,37 @@ def fiber_decay_bound(f: FiberFunction, radii, mass: float) -> np.ndarray:
     Every entry of the kernel recovered by ``inverse_fiber`` is bounded in
     absolute value by the returned array.  The offsets d along one primitive
     lattice direction u = d / gcd(d) share the shift eta = -mass u / |u|,
-    and one multi-shift quadrature runs every direction's shift; at mass 0
-    one unshifted quadrature bounds every offset.
+    where the inversion phase has modulus exp(eta.d) = exp(-mass |d|): each
+    distinct shift is one sum of fiber moduli, and at mass 0 one sum bounds all.
     """
     mass = float(mass)
     spec = f.spec
     radii = normalize_radii(spec, radii)
     _probe_quasi_periodicity(f)
-    grid = exact_grid_sizes(spec, radii)
-    if mass == 0.0:  # every direction's shift is 0, so one quadrature bounds all
-        return _inversion_sums(f, radii, np.zeros((1, spec.n_axes)), grid)[1]
     offsets = window_offsets(spec, radii)
-    units = offsets // np.maximum(np.gcd.reduce(offsets, axis=1), 1)[:, None]
-    directions, which = np.unique(units, axis=0, return_inverse=True)
-    # 0 for the zero offset; a norm per row, as the axis form rounds otherwise
-    etas = [-mass * u / (np.linalg.norm(u) or 1.0)
-            for u in directions * spec.spacings()]
-    return _inversion_sums(f, radii, np.array(etas), grid, which.reshape(-1))[1]
+    units = offsets // np.maximum(np.gcd.reduce(offsets, axis=1), 1)[:, None] * spec.spacings()
+    lengths = np.linalg.norm(units, axis=1, keepdims=True)
+    # u / |u| first, so that a huge mass leaves the shift finite; 0 for d = 0
+    etas, owner = np.unique(-mass * (units / np.where(lengths > 0, lengths, 1.0)),
+                            axis=0, return_inverse=True)
+    sums = _modulus_sums(f, radii, etas, exact_grid_sizes(spec, radii), owner.reshape(-1))
+    return np.exp(-mass * np.linalg.norm(offsets * spec.spacings(), axis=1)) * sums
 
 
 def inverse_fiber_shifted(f: FiberFunction, radii, eta) -> ZKernel:
     """Invert the fiber transform along the contour shifted by i * eta.
 
-    Analyticity and quasi-periodicity make the result independent of eta;
-    comparing against the real-contour inversion is a quantitative check of
-    both.
+    Analyticity and quasi-periodicity make the result independent of eta,
+    so comparing it with the real-contour inversion checks both.
     """
     spec = f.spec
     radii = normalize_radii(spec, radii)
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (spec.n_axes,):
-        raise ValueError(
-            f"imaginary shift must have {spec.n_axes} components, got {eta.shape}"
-        )
+        raise ValueError(f"imaginary shift must have {spec.n_axes} components, "
+                         f"got {eta.shape}")
     _probe_quasi_periodicity(f)
-    value, _ = _inversion_sums(f, radii, eta[None], exact_grid_sizes(spec, radii))
-    return zkernel(spec, radii, value)
+    return zkernel(spec, radii, _inversion_sums(f, radii, eta, exact_grid_sizes(spec, radii)))
 
 
 def decay_norm_bound(f: FiberFunction, radii, mass: float,
@@ -238,19 +233,16 @@ def decay_norm_bound(f: FiberFunction, radii, mass: float,
     mass = float(mass)
     target_mass = float(target_mass)
     if mass <= target_mass:
-        raise ValueError(
-            f"need a positive mass gap, got mass={mass} <= target={target_mass}"
-        )
+        raise ValueError(f"need a positive mass gap, got mass={mass} <= "
+                         f"target={target_mass}")
     bound = fiber_decay_bound(f, radii, mass)
     return _decay_norm_from_bound(f.spec, radii, bound, mass, target_mass)
 
 
 def _decay_norm_from_bound(spec, radii, bound: np.ndarray, mass: float,
                            target_mass: float) -> float:
-    """:func:`decay_norm_bound` from a :func:`fiber_decay_bound` at ``mass``.
-
-    The caller guarantees mass > target_mass.
-    """
+    """:func:`decay_norm_bound` from a :func:`fiber_decay_bound` at ``mass``;
+    the caller guarantees mass > target_mass."""
     offsets = window_offsets(spec, radii)
     lengths = np.linalg.norm(offsets * spec.spacings(), axis=1)
     # peel the decay factor back off: envelope = sup of the averaged |fiber|

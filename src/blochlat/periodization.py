@@ -23,8 +23,8 @@ N * l > 2 * radius, is exact.  Every fiber evaluator, from ``fiber_hat``
 on, takes a stack of momenta (..., n_axes) and returns the stacked fibers
 (..., n_block, n_block); a single momentum gives a single fiber.
 
-The quadrature runs along a stack of imaginary shifts at once, each window
-offset along its own, so ``norms.fiber_decay_bound`` is one inversion.
+The value quadrature runs along one imaginary shift; ``norms.fiber_decay_bound``
+needs only one sum of fiber moduli per shift, whose passes every shift shares.
 
 An asymmetric kernel between the fine and coarse lattices is one
 coarse-invariant window table, ``ZKernelFC``, read in two directions: the
@@ -413,45 +413,55 @@ def _probe_quasi_periodicity(f: FiberFunction) -> None:
             )
 
 
-def _inversion_sums(f: FiberFunction, radii: tuple[int, ...], etas,
-                    grid: tuple[int, ...], owner=None) -> tuple[np.ndarray, np.ndarray]:
-    """Inversion quadrature of f along the contours shifted by i * eta.
+def _finite_sums(sums: np.ndarray, etas) -> np.ndarray:
+    """Return ``sums`` (shift, ...); one that is not finite, as any with such a term, raises."""
+    bad = ~np.isfinite(sums.reshape(len(etas), -1)).all(axis=1)
+    if bad.any():
+        eta = ", ".join(f"{x:.6g}" for x in etas[int(np.argmax(bad))])
+        raise ValueError(f"inversion quadrature is not finite along the shift "
+                         f"eta=({eta}): the shifted fiber or its phase overflows")
+    return sums
 
-    Window column d sums the terms exp(-i kc.d) f(kc)[w, class of w + d] /
-    (vol_c * N) over the N nodes kc = k + i * eta of the uniform ``grid``,
-    eta the row ``owner[d]`` (default 0) of ``etas`` (m, n_axes), adding its
-    nodes in order; a term that is not finite raises, naming its shift.  Returns
-    that sum, the kernel entry a(w, w + d) whenever the grid is exact, and the
-    sum of its terms' absolute values, which bounds the entry; both (n_block, n_window).
-    """
+
+def _inversion_sums(f: FiberFunction, radii: tuple[int, ...], eta,
+                    grid: tuple[int, ...]) -> np.ndarray:
+    """Inversion quadrature of f along the contour shifted by i * eta: window
+    column d sums exp(-i kc.d) f(kc)[w, class of w + d] / (vol_c * N) over
+    the N nodes kc = k + i * eta of the uniform ``grid`` in order, which is
+    the kernel entry a(w, w + d) whenever the grid is exact."""
     spec = f.spec
     d_phys, _, ew, vmap = _window_tables(spec, radii)
-    owner = np.zeros(vmap.shape[1], dtype=np.int64) if owner is None else owner
-    base = _quadrature_nodes(spec, grid)
-    nodes = (base + 1j * etas[:, None, :]).reshape(-1, spec.n_axes)
-    shift = np.repeat(np.arange(len(etas)), len(base))
+    nodes = _quadrature_nodes(spec, grid) + 1j * eta
     total = np.zeros(vmap.shape, dtype=complex)
-    total_abs = np.zeros(vmap.shape)
     for start in range(0, len(nodes), INVERSION_CHUNK):
         chunk = nodes[start:start + INVERSION_CHUNK]
-        # numpy sends a lone row to gemv, which rounds it unlike gemm in a pass
-        rows = chunk if len(chunk) > 1 else np.repeat(chunk, 2, axis=0)
-        own = owner == shift[start:start + len(chunk), None]  # (pass, n_window)
-        with np.errstate(all="ignore"):  # a term that is not finite is named below
+        with np.errstate(all="ignore"):  # a sum that is not finite is named below
             fibers = np.asarray(f.matrix_at(chunk))
             s = np.take_along_axis(ew.T @ fibers @ np.conj(ew), vmap[None], axis=2)
-            terms = np.exp(-1j * rows @ d_phys.T)[:len(chunk), None, :] * s
-        terms = np.where(own[:, None, :], terms, 0.0)
-        bad = ~np.isfinite(terms).all(axis=(1, 2))
-        if bad.any():
-            eta = ", ".join(f"{x:.6g}" for x in etas[shift[start + int(np.argmax(bad))]])
-            raise ValueError(f"inversion quadrature is not finite along the shift "
-                             f"eta=({eta}): the shifted fiber or its phase overflows")
-        # the running totals lead each sum, so nodes add in order
-        total = np.concatenate([total[None], terms]).sum(axis=0)
-        total_abs = np.concatenate([total_abs[None], np.abs(terms)]).sum(axis=0)
-    scale = spec.vol_c * len(base)
-    return total / scale, total_abs / scale
+            terms = np.exp(-1j * chunk @ d_phys.T)[:, None, :] * s
+            # the running total leads the sum, so nodes add in order
+            total = np.concatenate([total[None], terms]).sum(axis=0)
+    return _finite_sums(total, eta[None]) / (spec.vol_c * len(nodes))
+
+
+def _modulus_sums(f: FiberFunction, radii: tuple[int, ...], etas,
+                  grid: tuple[int, ...], owner) -> np.ndarray:
+    """Per row eta of ``etas``, the sum of |f(k + i eta)| in block position
+    over the N real nodes k of ``grid``, over vol_c * N; window column d
+    reads entry [w, class of w + d] of the sum of its shift ``owner[d]``."""
+    spec = f.spec
+    _, _, ew, vmap = _window_tables(spec, radii)
+    base = _quadrature_nodes(spec, grid)
+    nodes = (base + 1j * etas[:, None, :]).reshape(-1, spec.n_axes)
+    sums = np.zeros((len(etas), len(ew), len(ew)))
+    for start in range(0, len(nodes), INVERSION_CHUNK):  # the shifts share passes
+        own = np.arange(start, min(start + INVERSION_CHUNK, len(nodes))) // len(base)
+        first = np.flatnonzero(np.diff(own, prepend=-1))  # where each shift starts
+        with np.errstate(all="ignore"):  # a sum that is not finite is named below
+            fibers = np.asarray(f.matrix_at(nodes[start:start + INVERSION_CHUNK]))
+            sums[own[first]] += np.add.reduceat(np.abs(ew.T @ fibers @ np.conj(ew)), first)
+    sums = _finite_sums(sums, etas)[owner, np.arange(len(ew))[:, None], vmap]
+    return sums / (spec.vol_c * len(base))
 
 
 def inverse_fiber(f: FiberFunction, radii, *, grid_points=None) -> ZKernel:
@@ -476,8 +486,7 @@ def inverse_fiber(f: FiberFunction, radii, *, grid_points=None) -> ZKernel:
                 f"quadrature grid must be {spec.n_axes} positive integers, "
                 f"got {grid_points!r}"
             )
-    value, _ = _inversion_sums(f, radii, np.zeros((1, spec.n_axes)), grid)
-    return zkernel(spec, radii, value)
+    return zkernel(spec, radii, _inversion_sums(f, radii, np.zeros(spec.n_axes), grid))
 
 
 # ---------------------------------------------------------------------------

@@ -356,10 +356,10 @@ contour_radius = 800
     assert "numerical error: function value at zeta=800+0j is not finite" in err
 
 
-@pytest.mark.parametrize("mass", ["300", "400"])
+@pytest.mark.parametrize("mass", ["300", "400", "1e308"])
 def test_decay_overflowing_shift_exits_one(tmp_path, capsys, mass):
     # the shifted fibers of this 9^3 kernel overflow at these masses; the
-    # task names the shift and writes no NaN
+    # task names the shift, warns of nothing and writes no NaN
     config = write_config(tmp_path, f"""
 [lattice]
 l_t = 3
@@ -472,13 +472,17 @@ mass = {mass}
     (REF_LINES.format(task="verify").replace("eps_t = 1.0", "eps_t = inf"),
      "lattice.eps_t"),
     (REF_LINES.format(task="decay") + "\n[params]\nmass = nan\n", "params.mass"),
+    (REF_LINES.format(task="decay") + "\n[params]\nmass = -0.5\ntarget_mass = -1\n",
+     "params.mass"),
+    (REF_LINES.format(task="decay") + "\n[params]\ntarget_mass = -1e308\n",
+     "params.target_mass"),
     (REF_LINES.format(task="funcalc") + FUNCALC_PARAMS.format(center="10", mass="nan"),
      "params.mass"),
     (REF_LINES.format(task="norms") + "\n[params]\nmasses = 1,nan\n", "params.masses"),
     (REF_LINES.format(task="funcalc") + FUNCALC_PARAMS.format(center="nan", mass="0.25"),
      "params.contour_center"),
-], ids=["target_mass_abc", "eps_t_inf", "decay_mass_nan", "funcalc_mass_nan",
-        "masses_nan", "contour_center_nan"])
+], ids=["target_mass_abc", "eps_t_inf", "decay_mass_nan", "decay_mass_negative",
+        "target_mass_negative", "funcalc_mass_nan", "masses_nan", "contour_center_nan"])
 def test_malformed_and_non_finite_numbers_exit_two(tmp_path, capsys, text, key):
     config = write_config(tmp_path, text)
     assert run(config, tmp_path / "out") == 2

@@ -214,7 +214,7 @@ def test_inversion_makes_one_call_per_chunk(grid):
         shapes.append(np.shape(ks))
         return fiber_function(a).matrix_at(ks)
 
-    _inversion_sums(FiberFunction(REF, matrix_at), (2, 2), np.zeros((1, 2)), grid)
+    _inversion_sums(FiberFunction(REF, matrix_at), (2, 2), np.zeros(2), grid)
     n = math.prod(grid)
     assert len(shapes) == math.ceil(n / INVERSION_CHUNK)
     assert [s[0] for s in shapes[:-1]] == [INVERSION_CHUNK] * (len(shapes) - 1)

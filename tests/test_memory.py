@@ -71,19 +71,23 @@ def test_function_norm_bound_holds_one_pass_of_resolvents():
 
 def test_fiber_decay_bound_holds_one_pass_of_shifted_fibers():
     # 9 x 9 x 9 sites, radius 2: 99 directions of 8 nodes, 792 shifted
-    # fibers; a pass works on a few (INVERSION_CHUNK, 27, 125) complex
-    # arrays of 1.7 MB, and all 792 at once take 138 MB
+    # fibers of 27 x 27, 9.2 MB at once.  A pass holds INVERSION_CHUNK of
+    # them, 0.37 MB, a few times over (the evaluator's own (pass, 27, 125)
+    # product is 1.7 MB), and the 99 per-shift sums of moduli take 0.58 MB;
+    # each window-sized (pass, 27, 125) array of terms would add 1.7 MB
     spec = LatticeSpec(1.0, 1.0, 3, 3, 9, 9, dim=2)
     radii = (2, 2, 2)
     f = fiber_function(random_zkernel(spec, radii, rng_from_seed(41)))
     offsets = window_offsets(spec, radii)
     units = offsets // np.maximum(np.gcd.reduce(offsets, axis=1), 1)[:, None]
-    pairs = len(np.unique(units, axis=0)) * math.prod(exact_grid_sizes(spec, radii))
-    assert pairs >= 20 * INVERSION_CHUNK
+    shifts = len(np.unique(units, axis=0))
+    assert shifts * math.prod(exact_grid_sizes(spec, radii)) >= 20 * INVERSION_CHUNK
     bound, peak = _traced_peak_mb(lambda: fiber_decay_bound(f, radii, 0.5))
     assert np.isfinite(bound).all()
     n_block = int(np.prod(spec.ratios()))
-    assert peak < 8 * INVERSION_CHUNK * n_block * len(offsets) * 16 / 1e6
+    one_pass = INVERSION_CHUNK * n_block**2 * 16 / 1e6
+    sums = shifts * n_block**2 * 8 / 1e6
+    assert peak < 8 * one_pass + 2 * sums
 
 
 def test_funcalc_csv_is_written_one_fiber_at_a_time(tmp_path):
