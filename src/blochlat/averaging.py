@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import FieldVector, LatticeFamily, LatticeSpec
+from .lattice import FieldVector, LatticeFamily, LatticeSpec, _frozen
 from .periodic_op import BlochFiber
 from .periodization import (
     ZKernel,
@@ -80,12 +80,6 @@ class Profile:
         for w in self.axis_weights[1:]:
             grid = np.multiply.outer(grid, w)
         return grid.reshape(-1)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 def naive_profile(spec: LatticeSpec) -> Profile:
@@ -244,5 +238,4 @@ def prolong_restrict_fiber(profile: Profile, k) -> BlochFiber:
     lifted = k[..., None, :] + ells  # k + l over the dual block
     entries = (profile_hat(profile, -lifted)[..., :, None]
                * profile_hat(profile, lifted)[..., None, :])
-    entries.flags.writeable = False
-    return BlochFiber(k, entries, None)
+    return BlochFiber(k, _frozen(entries), None)

@@ -221,7 +221,7 @@ def _read_explicit_entries(spec: LatticeSpec, path: str, fit: bool):
     radii = tuple(radii)
     try:
         offsets = window_offsets(spec, radii)
-        entries = np.zeros((int(np.prod(ratios)), len(offsets)), dtype=complex)
+        entries = np.zeros((spec.n_block, len(offsets)), dtype=complex)
     except MemoryError:
         widest = max(rows, key=lambda row: max(map(abs, row[1][n:2 * n])))[0]
         raise ConfigError(f"kernel.entries line {widest}: {_unstorable(radii)}")
@@ -381,7 +381,7 @@ class Job:
 
 def _fiber_chunks(spec, matrices):
     """``_write_csv`` chunks per fiber: labels "k indices,row,col,", values re, im."""
-    n = int(np.prod(spec.ratios()))
+    n = spec.n_block
     suffixes = [f"{i},{j}," for i in range(n) for j in range(n)]
     for rep, matrix in matrices:
         base = "".join(f"{int(c)}," for c in rep)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import DUAL_OF, DIRECT_OF, FieldVector, LatticeFamily, SpectrumVector
+from .lattice import DUAL_OF, DIRECT_OF, FieldVector, LatticeFamily, SpectrumVector, _shape
 
 __all__ = ["transform", "inverse_transform", "plancherel_pairing"]
 
@@ -30,7 +30,7 @@ def transform(family: LatticeFamily, field: FieldVector) -> SpectrumVector:
     """Forward transform of a field; returns values on the dual lattice."""
     if field.tag not in DUAL_OF:
         raise ValueError(f"transform expects a direct-lattice field, got {field.tag!r}")
-    ext = tuple(int(e) for e in family.extents(field.tag))
+    ext = _shape(family.spec, field.tag)
     grid = np.asarray(field.values, dtype=complex).reshape(ext)
     out = _direct_volume(family, field.tag) * np.fft.fftn(grid)
     return family.spectrum(DUAL_OF[field.tag], out.reshape(-1))
@@ -43,7 +43,7 @@ def inverse_transform(family: LatticeFamily, spectrum: SpectrumVector) -> FieldV
             f"inverse_transform expects a dual-lattice spectrum, got {spectrum.tag!r}"
         )
     direct_tag = DIRECT_OF[spectrum.tag]
-    ext = tuple(int(e) for e in family.extents(direct_tag))
+    ext = _shape(family.spec, direct_tag)
     grid = np.asarray(spectrum.values, dtype=complex).reshape(ext)
     # hvol/(2*pi)**(1+dim) * count == 1/vol for each of the three pairs
     out = np.fft.ifftn(grid) / _direct_volume(family, direct_tag)
@@ -61,7 +61,7 @@ def plancherel_pairing(family: LatticeFamily, f_hat: SpectrumVector,
             f"spectra live on different lattices: {f_hat.tag!r} vs {g_hat.tag!r}"
         )
     direct_tag = DIRECT_OF[f_hat.tag]
-    ext = tuple(int(e) for e in family.extents(direct_tag))
+    ext = _shape(family.spec, direct_tag)
     count = family.count(direct_tag)
     grid = np.asarray(f_hat.values, dtype=complex).reshape(ext)
     # reverse each axis modulo the extent: index p -> -p

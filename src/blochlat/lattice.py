@@ -25,10 +25,15 @@ dual_block     2*pi / (eps * l)                       l
 
 where ``eps``/``l``/``big_l`` stand for the time value on axis 0 and the
 space value on the remaining axes.
+
+The geometry accessors (``spacings``, ``ratios``, ``fine_extents``,
+``extents``, ``steps``, ``coords``) are built once per spec and tag and
+return shared read-only arrays: copy one before writing to it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,12 +66,20 @@ def _check_tag(tag: str) -> None:
         raise ValueError(f"unknown lattice tag {tag!r}; expected one of {TAGS}")
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Geometry parameters: spacings, coarsening ratios, torus extents.
 
     ``big_l_t`` must be divisible by ``l_t`` and ``big_l_x`` by ``l_x`` so
-    that the coarse sublattice closes on the torus.
+    that the coarse sublattice closes on the torus, and every cell and
+    dual-cell volume must be finite and positive.  The site counts
+    ``n_fine``, ``n_coarse``, ``n_block`` and the dual cell volumes
+    ``hvol_f``, ``hvol_b`` are computed once, with the per-axis arrays.
     """
 
     eps_t: float
@@ -80,12 +93,13 @@ class LatticeSpec:
     def __post_init__(self) -> None:
         for name in ("eps_t", "eps_x"):
             value = getattr(self, name)
-            if not (value > 0.0):
-                raise ValueError(f"{name} must be strictly positive, got {value}")
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
         for name in ("l_t", "l_x", "big_l_t", "big_l_x", "dim"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value <= 0:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+                    or not 0 < value < 2**63):
+                raise ValueError(f"{name} must be a positive integer below 2**63, got {value!r}")
         if self.big_l_t % self.l_t != 0:
             raise ValueError(
                 f"l_t={self.l_t} does not divide big_l_t={self.big_l_t}"
@@ -94,6 +108,26 @@ class LatticeSpec:
             raise ValueError(
                 f"l_x={self.l_x} does not divide big_l_x={self.big_l_x}"
             )
+        d, two_pi_pow = self.dim, 2.0 * np.pi
+        try:  # a float power that overflows raises, and so does a division by 0
+            two_pi_pow **= 1 + d
+            volumes = {"vol_f": self.vol_f, "vol_c": self.vol_c, "hvol_f": two_pi_pow / (
+                (self.eps_t * self.big_l_t) * (self.eps_x * self.big_l_x) ** d)}
+            volumes["hvol_b"] = two_pi_pow / volumes["vol_c"]
+        except (OverflowError, ZeroDivisionError):
+            volumes = {"a volume": math.inf}
+        for name, value in volumes.items():
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"eps_t={self.eps_t!r}, eps_x={self.eps_x!r} and dim={d} give "
+                                 f"{name} = {value!r}, not a finite positive (dual) cell volume")
+        for name, value in (
+                ("hvol_f", volumes["hvol_f"]), ("hvol_b", volumes["hvol_b"]),
+                ("n_fine", self.big_l_t * self.big_l_x**d), ("n_block", self.l_t * self.l_x**d),
+                ("n_coarse", (self.big_l_t // self.l_t) * (self.big_l_x // self.l_x) ** d),
+                ("_spacings", _frozen(np.array([self.eps_t] + [self.eps_x] * d, dtype=float))),
+                ("_ratios", _frozen(np.array([self.l_t] + [self.l_x] * d, dtype=np.int64))),
+                ("_fine", _frozen(np.array([self.big_l_t] + [self.big_l_x] * d, dtype=np.int64)))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_axes(self) -> int:
@@ -110,40 +144,54 @@ class LatticeSpec:
         return (self.eps_t * self.l_t) * (self.eps_x * self.l_x) ** self.dim
 
     def spacings(self) -> np.ndarray:
-        """Fine lattice step per axis, shape (1+dim,)."""
-        return np.array([self.eps_t] + [self.eps_x] * self.dim, dtype=float)
+        """Fine lattice step per axis, shape (1+dim,), shared read-only."""
+        return self._spacings
 
     def ratios(self) -> np.ndarray:
-        """Coarsening ratio per axis (block extent), shape (1+dim,)."""
-        return np.array([self.l_t] + [self.l_x] * self.dim, dtype=np.int64)
+        """Coarsening ratio per axis (block extent), shape (1+dim,), shared read-only."""
+        return self._ratios
 
     def fine_extents(self) -> np.ndarray:
-        """Fine torus extent in steps per axis, shape (1+dim,)."""
-        return np.array([self.big_l_t] + [self.big_l_x] * self.dim, dtype=np.int64)
+        """Fine torus extent in steps per axis, shape (1+dim,), shared read-only."""
+        return self._fine
 
 
+@lru_cache(maxsize=256)
 def extents(spec: LatticeSpec, tag: str) -> np.ndarray:
-    """Number of sites along each axis of the tagged lattice."""
+    """Number of sites along each axis of the tagged lattice, shared read-only."""
     _check_tag(tag)
-    fine = spec.fine_extents()
     if tag in ("fine", "dual_fine"):
-        return fine
+        return spec.fine_extents()
     if tag in ("coarse", "dual_coarse"):
-        return fine // spec.ratios()
-    return spec.ratios().copy()
+        return _frozen(spec.fine_extents() // spec.ratios())
+    return spec.ratios()
 
 
+@lru_cache(maxsize=256)
+def _shape(spec: LatticeSpec, tag: str) -> tuple[int, ...]:
+    """:func:`extents` as a tuple of ints."""
+    return tuple(int(e) for e in extents(spec, tag))
+
+
+@lru_cache(maxsize=256)
 def steps(spec: LatticeSpec, tag: str) -> np.ndarray:
-    """Physical step along each axis of the tagged lattice."""
+    """Physical step along each axis of the tagged lattice, shared read-only."""
     _check_tag(tag)
     eps = spec.spacings()
     if tag in ("fine", "block"):
         return eps
     if tag == "coarse":
-        return eps * spec.ratios()
+        return _frozen(eps * spec.ratios())
     if tag in ("dual_fine", "dual_coarse"):
-        return 2.0 * np.pi / (eps * spec.fine_extents())
-    return 2.0 * np.pi / (eps * spec.ratios())
+        return _frozen(2.0 * np.pi / (eps * spec.fine_extents()))
+    return _frozen(2.0 * np.pi / (eps * spec.ratios()))
+
+
+def _wrapped_indices(spec: LatticeSpec, tag: str, coords) -> np.ndarray:
+    """Flat canonical indices of integer coords (..., 1+dim), each wrapped
+    onto the tagged torus; ``.T`` splits off the coordinate axis as views."""
+    arr = np.asarray(coords, dtype=np.int64)
+    return np.ravel_multi_index(tuple(arr.T), _shape(spec, tag), mode="wrap").T
 
 
 def _fine_unit_factor(spec: LatticeSpec, tag: str) -> np.ndarray:
@@ -157,16 +205,13 @@ def _fine_unit_factor(spec: LatticeSpec, tag: str) -> np.ndarray:
         return np.ones(spec.n_axes, dtype=np.int64)
     if tag == "coarse":
         return spec.ratios()
-    return spec.fine_extents() // spec.ratios()  # dual_block
+    return extents(spec, "coarse")  # dual_block
 
 
 @lru_cache(maxsize=64)
 def _coords_cache(spec: LatticeSpec, tag: str) -> np.ndarray:
-    ext = extents(spec, tag)
-    grids = np.indices(tuple(int(e) for e in ext)).reshape(spec.n_axes, -1).T
-    out = np.ascontiguousarray(grids.astype(np.int64))
-    out.flags.writeable = False
-    return out
+    grids = np.indices(_shape(spec, tag)).reshape(spec.n_axes, -1).T
+    return _frozen(np.ascontiguousarray(grids.astype(np.int64)))
 
 
 def _pair_distances(spec: LatticeSpec, tag: str, rows: np.ndarray,
@@ -175,9 +220,7 @@ def _pair_distances(spec: LatticeSpec, tag: str, rows: np.ndarray,
     ext = extents(spec, tag)
     delta = (rows[:, None, :] - cols[None, :, :]) % ext
     delta = np.minimum(delta, ext - delta).astype(float) * steps(spec, tag)
-    out = np.sqrt((delta**2).sum(axis=-1))
-    out.flags.writeable = False
-    return out
+    return _frozen(np.sqrt((delta**2).sum(axis=-1)))
 
 
 @lru_cache(maxsize=4)
@@ -232,7 +275,7 @@ class LatticeFamily:
         return steps(self.spec, tag)
 
     def count(self, tag: str) -> int:
-        return int(np.prod(extents(self.spec, tag)))
+        return math.prod(_shape(self.spec, tag))
 
     def volume(self, tag: str) -> float:
         """Cell volume of the tagged lattice (block cells are fine cells)."""
@@ -259,9 +302,7 @@ class LatticeFamily:
     def indices(self, tag: str, coords) -> np.ndarray:
         """Vectorized :meth:`index`: coords of shape (..., 1+dim) give
         indices of shape (...)."""
-        ext = extents(self.spec, tag)
-        arr = np.asarray(coords, dtype=np.int64) % ext
-        return np.ravel_multi_index(tuple(np.moveaxis(arr, -1, 0)), tuple(int(e) for e in ext))
+        return _wrapped_indices(self.spec, tag, coords)
 
     def positions(self, tag: str, coords=None) -> np.ndarray:
         """Physical coordinates; all sites when ``coords`` is omitted."""
@@ -312,29 +353,21 @@ class LatticeFamily:
             raise ValueError(
                 f"expected {self.count(tag)} values for {tag!r}, got shape {arr.shape}"
             )
-        arr.flags.writeable = False
-        return arr
+        return _frozen(arr)
 
 
 def build_family(spec: LatticeSpec) -> LatticeFamily:
     """Construct the six-lattice family with its cell volumes."""
-    d = spec.dim
-    two_pi_pow = (2.0 * np.pi) ** (1 + d)
-    hvol_f = two_pi_pow / ((spec.eps_t * spec.big_l_t) * (spec.eps_x * spec.big_l_x) ** d)
-    hvol_b = two_pi_pow / spec.vol_c
-    n_fine = spec.big_l_t * spec.big_l_x**d
-    n_coarse = (spec.big_l_t // spec.l_t) * (spec.big_l_x // spec.l_x) ** d
-    n_block = spec.l_t * spec.l_x**d
     return LatticeFamily(
         spec=spec,
         vol_f=spec.vol_f,
         vol_c=spec.vol_c,
-        hvol_f=hvol_f,
-        hvol_c=hvol_f,
-        hvol_b=hvol_b,
-        n_fine=n_fine,
-        n_coarse=n_coarse,
-        n_block=n_block,
+        hvol_f=spec.hvol_f,
+        hvol_c=spec.hvol_f,
+        hvol_b=spec.hvol_b,
+        n_fine=spec.n_fine,
+        n_coarse=spec.n_coarse,
+        n_block=spec.n_block,
     )
 
 

@@ -31,14 +31,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import LatticeFamily, LatticeSpec, _coords_cache, _pair_distances
+from .lattice import (LatticeFamily, LatticeSpec, _coords_cache, _pair_distances,
+                      _wrapped_indices)
 from .periodic_op import PeriodicKernel
 from .periodization import (
     FiberFunction,
     ZKernel,
     ZKernelFC,
     _block_coords,
-    _block_index,
     _inversion_sums,
     _modulus_sums,
     _probe_quasi_periodicity,
@@ -78,7 +78,8 @@ def _torus_norm(fam: LatticeFamily, rows: np.ndarray, mass: float) -> np.ndarray
     weight = np.exp(mass * _block_distances(fam.spec), out=np.zeros(rows.shape),
                     where=rows != 0.0) * rows
     cols = np.zeros(rows.shape[:-2] + (fam.n_block,))
-    np.add.at(cols, (..., _block_index(fam.spec, fam.coords("fine"))), weight.sum(axis=-2))
+    classes = _wrapped_indices(fam.spec, "block", fam.coords("fine"))
+    np.add.at(cols, (..., classes), weight.sum(axis=-2))
     return fam.vol_f * np.maximum(weight.sum(axis=-1).max(axis=-1), cols.max(axis=-1))
 
 
@@ -88,7 +89,8 @@ def _z_norm(a: ZKernel, mass: float) -> float:
     dist = np.linalg.norm(offsets * spec.spacings(), axis=1)
     weight = np.exp(mass * dist)
     rows = (np.abs(a.entries) * weight).sum(axis=1).max()
-    src = _block_index(spec, _block_coords(spec)[:, None, :] - offsets)  # class of v - d
+    # the block class of v - d
+    src = _wrapped_indices(spec, "block", _block_coords(spec)[:, None, :] - offsets)
     cols = (np.abs(a.entries[src, np.arange(len(offsets))]) * weight).sum(axis=1).max()
     return float(spec.vol_f * max(rows, cols))
 
@@ -164,10 +166,15 @@ def decay_constant(gap: float, spacings) -> float:
            and np.prod(2 * (1.1 * rho // eps) + 1) <= DECAY_POINT_BUDGET):
         rho *= 1.1
     m = (rho // eps).astype(np.int64)
-    cross = np.zeros(1)  # squared norms over the axes after the first
+    # squared norms over one orthant of the axes after the first, each with
+    # its 2^(nonzero coordinates) mirror images; a power of two multiplies exactly
+    cross, mult = np.zeros(1), np.ones(1)
     for mi, e in zip(m[1:], eps[1:]):
-        cross = (cross[:, None] + (np.arange(-mi, mi + 1) * e) ** 2).ravel()
-        cross = cross[cross <= rho * rho]
+        c = np.arange(mi + 1)
+        cross = (cross[:, None] + (c * e) ** 2).ravel()
+        mult = (mult[:, None] * np.where(c == 0, 1.0, 2.0)).ravel()
+        keep = cross <= rho * rho
+        cross, mult = cross[keep], mult[keep]
     u = float(np.finfo(float).eps)
     slope = gap * (1.0 - (n + 6) * u)  # |x| is computed within (n + 6) / 2 ulps
     sums, step = [], max(1, DECAY_CHUNK // len(cross))
@@ -175,7 +182,7 @@ def decay_constant(gap: float, spacings) -> float:
         j = np.arange(start, min(start + step, m[0] + 1))
         sq = ((j * eps[0]) ** 2)[:, None] + cross
         terms = np.exp(-slope * np.sqrt(sq), where=sq <= rho * rho, out=np.zeros(sq.shape))
-        mirror = np.where(j == 0, 1.0, 2.0)[:, None]  # slabs j and -j
+        mirror = np.where(j == 0, 1.0, 2.0)[:, None] * mult  # slabs j and -j
         sums.append(float((mirror * terms).sum()))  # pairwise, with no axis
     # exp is within 4 ulps, numpy's pairwise sum of a chunk (at most 2^26
     # terms) rounds at most 40 times, and fsum and the products a few more

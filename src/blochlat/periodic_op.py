@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import FieldVector, LatticeFamily
+from .lattice import FieldVector, LatticeFamily, _frozen, _shape
 
 __all__ = [
     "PeriodicKernel",
@@ -89,8 +89,7 @@ class PeriodicKernel:
         out = np.empty((fam.n_fine, fam.n_fine), dtype=complex)
         for plus, minus in zip(orbits[_block_sites(fam)].T, orbits[:, neg].T):
             out[plus] = self.rows[:, minus]
-        out.flags.writeable = False
-        return out
+        return _frozen(out)
 
 
 @dataclass(frozen=True)
@@ -115,9 +114,10 @@ class BlochFiber:
                           None if self.rep is None else self.rep[i])
 
 
+@lru_cache(maxsize=8)
 def _block_sites(family: LatticeFamily) -> np.ndarray:
-    """Fine-site indices of the block sites, in block order."""
-    return family.indices("fine", family.coords("block"))
+    """Fine-site indices of the block sites, in block order; read-only."""
+    return _frozen(family.indices("fine", family.coords("block")))
 
 
 @lru_cache(maxsize=8)
@@ -128,9 +128,7 @@ def _coarse_orbits(family: LatticeFamily) -> tuple[np.ndarray, np.ndarray]:
     shifts = family.coords("coarse") * family.spec.ratios()
     orbits = family.indices("fine", family.coords("fine")[:, None, :] + shifts)
     neg = family.indices("coarse", -family.coords("coarse"))
-    orbits.flags.writeable = False
-    neg.flags.writeable = False
-    return orbits, neg
+    return _frozen(orbits), _frozen(neg)
 
 
 def periodic_kernel(family: LatticeFamily, rows) -> PeriodicKernel:
@@ -146,8 +144,7 @@ def periodic_kernel(family: LatticeFamily, rows) -> PeriodicKernel:
         dense = " (a dense kernel: pass its block rows)" if arr.shape == (
             family.n_fine, family.n_fine) else ""
         raise ValueError(f"expected block rows of shape {shape}, got {arr.shape}{dense}")
-    arr.flags.writeable = False
-    return PeriodicKernel(family, arr)
+    return PeriodicKernel(family, _frozen(arr))
 
 
 def identity_kernel(family: LatticeFamily) -> PeriodicKernel:
@@ -212,15 +209,14 @@ def _fiber_layout(family: LatticeFamily) -> tuple[np.ndarray, np.ndarray]:
         "dual_fine", family.coords("dual_fine")[idx.reshape(-1)],
         "block", family.coords("block"),
     ).reshape(idx.shape + (family.n_block,))
-    idx.flags.writeable = False
-    phases.flags.writeable = False
-    return idx, phases
+    return _frozen(idx), _frozen(phases)
 
 
+@lru_cache(maxsize=8)
 def _row_grid(family: LatticeFamily) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Shape of the block rows stacked as (n_block, *fine extents), and the
     axes of that stack that run over the fine torus, counted from the end."""
-    shape = (family.n_block, *(int(e) for e in family.extents("fine")))
+    shape = (family.n_block, *_shape(family.spec, "fine"))
     return shape, tuple(range(1 - len(shape), 0))
 
 
@@ -240,9 +236,8 @@ def bloch_fibers(kernel: PeriodicKernel) -> BlochFiber:
     # fiber[l, l'] = vol_f / n_block * sum_b exp(-i (k+l).b) R_b(k+l')
     entries = np.conj(phases) @ np.moveaxis(r_b[:, idx], 0, 1)
     entries *= fam.vol_f / fam.n_block
-    entries.flags.writeable = False
     reps = fam.coords("dual_coarse")
-    return BlochFiber(reps * fam.steps("dual_coarse"), entries, reps)
+    return BlochFiber(reps * fam.steps("dual_coarse"), _frozen(entries), reps)
 
 
 def reconstruct(family: LatticeFamily, fibers: BlochFiber) -> PeriodicKernel:

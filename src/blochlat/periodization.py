@@ -50,6 +50,9 @@ from .lattice import (
     LatticeFamily,
     LatticeSpec,
     _coords_cache,
+    _frozen,
+    _shape,
+    _wrapped_indices,
     extents,
     steps,
 )
@@ -95,42 +98,42 @@ def _axis_name(axis: int) -> str:
 
 
 def normalize_radii(spec: LatticeSpec, radii) -> tuple[int, ...]:
-    """Broadcast a scalar support radius to one value per axis."""
-    arr = np.asarray(radii, dtype=np.int64)
+    """Broadcast a scalar support radius to one value per axis; a tuple of
+    ints that is already canonical comes back unchanged."""
+    if type(radii) is tuple and len(radii) == spec.n_axes and all(
+            type(r) is int and r >= 0 for r in radii):
+        return radii
+    arr = np.asarray(radii, dtype=object)
     if arr.ndim == 0:
-        arr = np.full(spec.n_axes, int(arr), dtype=np.int64)
-    if arr.shape != (spec.n_axes,) or (arr < 0).any():
+        arr = np.full(spec.n_axes, radii, dtype=object)
+    if arr.shape != (spec.n_axes,) or not all(isinstance(r, (int, np.integer))
+                                              and not isinstance(r, bool) and r >= 0 for r in arr):
         raise ValueError(
             f"support radii must be {spec.n_axes} nonnegative integers, got {radii!r}"
         )
     return tuple(int(r) for r in arr)
 
 
+@lru_cache(maxsize=64)
+def _window(spec: LatticeSpec, radii: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    shape = tuple(2 * r + 1 for r in radii)
+    grids = np.indices(shape).reshape(spec.n_axes, -1).T
+    return shape, _frozen(grids.astype(np.int64) - np.asarray(radii, dtype=np.int64))
+
+
 def window_shape(spec: LatticeSpec, radii) -> tuple[int, ...]:
-    return tuple(2 * r + 1 for r in normalize_radii(spec, radii))
+    return _window(spec, normalize_radii(spec, radii))[0]
 
 
 def window_offsets(spec: LatticeSpec, radii) -> np.ndarray:
-    """Integer offsets of the support window, shape (prod(2r+1), 1+dim)."""
-    radii = normalize_radii(spec, radii)
-    grids = np.indices(window_shape(spec, radii)).reshape(spec.n_axes, -1).T
-    return grids.astype(np.int64) - np.asarray(radii, dtype=np.int64)
+    """Integer offsets of the support window, shape (prod(2r+1), 1+dim),
+    shared read-only."""
+    return _window(spec, normalize_radii(spec, radii))[1]
 
 
 def _block_coords(spec: LatticeSpec) -> np.ndarray:
     """Block site coords, canonical order; the cached read-only table."""
     return _coords_cache(spec, "block")
-
-
-def _block_index(spec: LatticeSpec, coords: np.ndarray) -> np.ndarray:
-    """Block class of integer coords, shape (..., 1+dim) -> (...)."""
-    ratios = spec.ratios()
-    arr = np.asarray(coords, dtype=np.int64) % ratios
-    return np.ravel_multi_index(tuple(np.moveaxis(arr, -1, 0)), tuple(int(r) for r in ratios))
-
-
-def _n_block(spec: LatticeSpec) -> int:
-    return int(np.prod(spec.ratios()))
 
 
 @dataclass(frozen=True)
@@ -179,9 +182,7 @@ class FiberFunction:
 def _wrap_entries(spec: LatticeSpec, radii, entries) -> tuple[tuple[int, ...], np.ndarray]:
     radii = normalize_radii(spec, radii)
     n_window = int(np.prod(window_shape(spec, radii)))
-    arr = np.array(entries, dtype=complex).reshape(_n_block(spec), n_window)
-    arr.flags.writeable = False
-    return radii, arr
+    return radii, _frozen(np.array(entries, dtype=complex).reshape(spec.n_block, n_window))
 
 
 def zkernel(spec: LatticeSpec, radii, entries) -> ZKernel:
@@ -196,7 +197,7 @@ def zkernel_fc(spec: LatticeSpec, radii, entries) -> ZKernelFC:
 
 def identity_zkernel(spec: LatticeSpec) -> ZKernel:
     """Kernel of the identity operator: (1/vol_f) at zero offset."""
-    entries = np.zeros((_n_block(spec), 1), dtype=complex)
+    entries = np.zeros((spec.n_block, 1), dtype=complex)
     entries[:, 0] = 1.0 / spec.vol_f
     return zkernel(spec, 0, entries)
 
@@ -206,7 +207,7 @@ def shift_zkernel(spec: LatticeSpec, shift) -> ZKernel:
     shift = np.asarray(shift, dtype=np.int64)
     radii = tuple(int(abs(s)) for s in shift)
     offsets = window_offsets(spec, radii)
-    entries = np.zeros((_n_block(spec), len(offsets)), dtype=complex)
+    entries = np.zeros((spec.n_block, len(offsets)), dtype=complex)
     entries[:, int(np.flatnonzero((offsets == shift).all(axis=1))[0])] = 1.0 / spec.vol_f
     return zkernel(spec, radii, entries)
 
@@ -215,7 +216,7 @@ def translation_invariant_zkernel(spec: LatticeSpec, radii, profile) -> ZKernel:
     """Kernel a(u, u') = alpha(u' - u) from a window of profile values."""
     radii = normalize_radii(spec, radii)
     row = np.asarray(profile, dtype=complex).reshape(-1)
-    entries = np.tile(row, (_n_block(spec), 1))
+    entries = np.tile(row, (spec.n_block, 1))
     return zkernel(spec, radii, entries)
 
 
@@ -261,11 +262,11 @@ def compose_z(a: ZKernel, b: ZKernel) -> ZKernel:
     # vol_f a(w, w + d_a) b(w + d_a, .) at offsets d_a + d_b of row w, for the
     # nonzero a(w, w + d_a) in row-major order, which np.add.at keeps
     w, d_a = np.nonzero(a.entries != 0.0)
-    mids = _block_index(spec, _block_coords(spec)[w] + offs_a[d_a])
+    mids = _wrapped_indices(spec, "block", _block_coords(spec)[w] + offs_a[d_a])
     products = (spec.vol_f * a.entries[w, d_a])[:, None] * b.entries[mids]
     strides = np.cumprod((1,) + window_shape(spec, radii)[::-1])[::-1]  # out[w, d_c]
     rows = np.column_stack([w, offs_a[d_a] + a.radii]) @ strides
-    out = np.zeros(_n_block(spec) * int(strides[0]), dtype=complex)
+    out = np.zeros(spec.n_block * int(strides[0]), dtype=complex)
     cols = (window_offsets(spec, b.radii) + b.radii) @ strides[1:]
     np.add.at(out, rows[:, None] + cols, products)
     return zkernel(spec, radii, out)
@@ -304,10 +305,8 @@ def _window_tables(spec: LatticeSpec, radii: tuple[int, ...]):
     block = _block_coords(spec)
     tables = (offsets * spec.spacings(), _block_phase_matrix(spec, offsets),
               _block_phase_matrix(spec, block),
-              _block_index(spec, block[:, None, :] + offsets))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+              _wrapped_indices(spec, "block", block[:, None, :] + offsets))
+    return tuple(map(_frozen, tables))
 
 
 def _fiber_stack(a: ZKernel, ks: np.ndarray) -> np.ndarray:
@@ -317,9 +316,7 @@ def _fiber_stack(a: ZKernel, ks: np.ndarray) -> np.ndarray:
     disp, eld, ew, _ = _window_tables(spec, normalize_radii(spec, a.radii))
     ekd = np.exp((1j * disp @ ks[..., None])[..., 0])  # exp(i k.d)
     g = a.entries @ np.swapaxes(ekd[..., None, :] * eld, -1, -2)  # (w, l')
-    entries = (spec.vol_f / _n_block(spec)) * (np.conj(ew) @ (ew.T * g))
-    entries.flags.writeable = False
-    return entries
+    return _frozen((spec.vol_f / spec.n_block) * (np.conj(ew) @ (ew.T * g)))
 
 
 def fiber_hat(a: ZKernel, k) -> BlochFiber:
@@ -341,9 +338,7 @@ def _coarse_window_tables(spec: LatticeSpec, radii: tuple[int, ...]):
     block = _block_coords(spec)
     tables = (window_offsets(spec, radii) * spec.ratios() * spec.spacings(),
               block * spec.spacings(), _block_phase_matrix(spec, block))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return tuple(map(_frozen, tables))
 
 
 def fiber_hat_fc(b: ZKernelFC, k) -> np.ndarray:
@@ -384,21 +379,28 @@ def _quadrature_nodes(spec: LatticeSpec, grid: tuple[int, ...]) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-def _probe_quasi_periodicity(f: FiberFunction) -> None:
-    """Reject f unless f(k + t p) is f(k) with both dual-block labels rolled
-    by t, for t each unit vector and one seeded nonzero draw, each at a
-    seeded k; one momentum per call of f."""
-    spec = f.spec
+@lru_cache(maxsize=32)
+def _probe_momenta(spec: LatticeSpec) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The probe's (t, k, k + t p) triples: t each unit vector and one seeded
+    nonzero draw, each at a seeded k."""
     rng = np.random.Generator(np.random.PCG64(PROBE_SEED))
     recip = steps(spec, "dual_block")
-    shape = tuple(int(r) for r in spec.ratios())
     draw = np.zeros(spec.n_axes, dtype=np.int64)
     while not draw.any():
         draw = rng.integers(-2, 3, size=spec.n_axes)
-    for t in [*np.eye(spec.n_axes, dtype=np.int64), draw]:
-        k = rng.uniform(0.0, 1.0, size=spec.n_axes) * recip
+    ts = [*np.eye(spec.n_axes, dtype=np.int64), draw]
+    ks = [rng.uniform(0.0, 1.0, size=spec.n_axes) * recip for _ in ts]
+    return tuple(tuple(_frozen(x) for x in (t, k, k + t * recip)) for t, k in zip(ts, ks))
+
+
+def _probe_quasi_periodicity(f: FiberFunction) -> None:
+    """Reject f unless f(k + t p) is f(k) with both dual-block labels rolled
+    by t, at the momenta of ``_probe_momenta``; one momentum per call of f."""
+    spec = f.spec
+    shape = _shape(spec, "block")
+    for t, k, k_shifted in _probe_momenta(spec):
         base = np.asarray(f.matrix_at(k))
-        shifted = np.asarray(f.matrix_at(k + t * recip))
+        shifted = np.asarray(f.matrix_at(k_shifted))
         scale = float(np.abs(base).max()) or 1.0
         # index shift of both dual-block labels by t, modulo the block
         grid = base.reshape(shape + shape)
@@ -569,7 +571,7 @@ def apply_z(a: ZKernel, phi: ZField) -> ZField:
         raise ValueError("field must be a fine-lattice field on the same spec")
     offsets = window_offsets(spec, a.radii)
     u = phi.coords[:, None, :] - offsets  # (support point, offset) pairs
-    a_vals = a.entries[_block_index(spec, u), np.arange(len(offsets))]
+    a_vals = a.entries[_wrapped_indices(spec, "block", u), np.arange(len(offsets))]
     # the nonzero terms, point-major: zfield adds them in this order
     pt, col = np.nonzero(a_vals != 0.0)
     if not len(pt):

@@ -40,7 +40,7 @@ def _uniform(rng, shape) -> np.ndarray:
 
 
 def _window_values(spec, radii, rng):
-    return _uniform(rng, (spec.l_t * spec.l_x**spec.dim,) + window_shape(spec, radii))
+    return _uniform(rng, (spec.n_block,) + window_shape(spec, radii))
 
 
 def random_zkernel(spec, radii, rng) -> ZKernel:

@@ -35,7 +35,8 @@ from .averaging import (
     smooth_profile,
 )
 from .fourier import transform
-from .lattice import LatticeFamily, LatticeSpec, build_family, extents, inner, steps
+from .lattice import (LatticeFamily, LatticeSpec, _wrapped_indices, build_family, extents,
+                      inner, steps)
 from .norms import decay_norm_bound, inverse_fiber_shifted, weighted_norm
 from .opfunc import FUNCTIONS, Circle, function_norm_bound, function_of_operator
 from .periodic_op import (
@@ -49,7 +50,6 @@ from .periodic_op import (
 )
 from .periodization import (
     ZKernel,
-    _block_index,
     apply_cf,
     apply_fc,
     apply_z,
@@ -189,7 +189,7 @@ def _definition_fiber(fam: LatticeFamily, kernel, rep):
     per_class = (kernel.rows * phase).reshape((fam.n_block,) + split).sum(
         axis=tuple(range(1, 2 * spec.n_axes, 2))
     ).reshape(fam.n_block, fam.n_block)
-    classes = _block_index(spec, fam.coords("fine"))
+    classes = _wrapped_indices(spec, "block", fam.coords("fine"))
     return fam.vol_c * np.conj(phase[_block_sites(fam)])[:, None] * per_class[:, classes]
 
 

@@ -1,9 +1,14 @@
 """Lattice family construction, duals, projection, distances."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochlat.lattice import (
+    TAGS,
     LatticeSpec,
     _coords_cache,
     build_family,
@@ -12,7 +17,7 @@ from blochlat.lattice import (
     inner,
     steps,
 )
-from blochlat.periodization import _block_coords
+from blochlat.periodization import _block_coords, normalize_radii, window_offsets, window_shape
 
 REF = LatticeSpec(eps_t=1.0, eps_x=1.0, l_t=3, l_x=3, big_l_t=9, big_l_x=9, dim=1)
 
@@ -60,6 +65,88 @@ def test_positivity_rejected():
         LatticeSpec(eps_t=0.0, eps_x=1.0, l_t=3, l_x=3, big_l_t=9, big_l_x=9)
     with pytest.raises(ValueError, match="dim"):
         LatticeSpec(eps_t=1.0, eps_x=1.0, l_t=3, l_x=3, big_l_t=9, big_l_x=9, dim=0)
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"eps_t": np.inf}, "eps_t"),
+    ({"eps_x": -np.inf}, "eps_x"),
+    ({"eps_x": np.nan}, "eps_x"),
+    ({"eps_x": 1e-320}, "eps_x"),  # the dual cell volume hvol_f overflows
+    ({"eps_t": 1e200, "eps_x": 1e200, "dim": 2}, "eps_x"),  # eps_x ** 2 overflows
+    ({"eps_t": 1e-200, "eps_x": 1e-200}, "eps_x"),  # the cell volume underflows to 0
+    ({"l_t": True}, "l_t"),
+    ({"dim": True}, "dim"),
+    ({"big_l_x": np.bool_(True), "l_x": 1}, "big_l_x"),
+    ({"big_l_x": 9 * 2**63}, "big_l_x"),
+    ({"dim": 400}, "dim"),  # (2 pi) ** 401 overflows
+])
+def test_non_finite_volumes_and_non_integers_rejected_by_name(fields, name):
+    values = dict(eps_t=1.0, eps_x=1.0, l_t=3, l_x=3, big_l_t=9, big_l_x=9, dim=1)
+    with pytest.raises(ValueError, match=name):
+        LatticeSpec(**{**values, **fields})
+
+
+@pytest.mark.parametrize("radii", [2.7, True, np.True_, (2, -0.5), (2, 2.0), (True, 2), "2"])
+def test_non_integral_radii_rejected_with_the_value(radii):
+    with pytest.raises(ValueError, match=re.escape(f"got {radii!r}")):
+        normalize_radii(REF, radii)
+
+
+@st.composite
+def specs(draw):
+    """A lattice spec with at most 12 sites per axis and spacings off 1."""
+    dim = draw(st.integers(1, 3))
+    l_t, l_x = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    eps = st.floats(0.25, 4.0)
+    return LatticeSpec(draw(eps), draw(eps), l_t, l_x, l_t * draw(st.integers(1, 3)),
+                       l_x * draw(st.integers(1, 3)), dim)
+
+
+def _read_only(arr):
+    with pytest.raises(ValueError, match="read-only"):
+        arr[...] = 0
+    return True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec=specs(), data=st.data())
+def test_cached_geometry_equals_a_fresh_computation_and_is_read_only(spec, data):
+    n = spec.n_axes
+    ratios = np.array([spec.l_t] + [spec.l_x] * spec.dim)
+    fine = np.array([spec.big_l_t] + [spec.big_l_x] * spec.dim)
+    eps = np.array([spec.eps_t] + [spec.eps_x] * spec.dim)
+    fresh_extents = {"fine": fine, "coarse": fine // ratios, "block": ratios}
+    fresh_steps = {"fine": eps, "coarse": eps * ratios, "block": eps,
+                   "dual_fine": 2.0 * np.pi / (eps * fine),
+                   "dual_coarse": 2.0 * np.pi / (eps * fine),
+                   "dual_block": 2.0 * np.pi / (eps * ratios)}
+    for arr, want in ((spec.spacings(), eps), (spec.ratios(), ratios),
+                      (spec.fine_extents(), fine)):
+        np.testing.assert_array_equal(arr, want)
+        assert _read_only(arr)
+    assert (spec.n_fine, spec.n_coarse, spec.n_block) == (
+        fine.prod(), (fine // ratios).prod(), ratios.prod())
+    fam = build_family(spec)
+    for tag in TAGS:
+        ext = fresh_extents[tag.removeprefix("dual_")]
+        np.testing.assert_array_equal(extents(spec, tag), ext)
+        np.testing.assert_array_equal(steps(spec, tag), fresh_steps[tag])
+        assert _read_only(extents(spec, tag)) and _read_only(steps(spec, tag))
+        assert fam.count(tag) == ext.prod()
+        # negative and out-of-range coords wrap onto the torus
+        coords = data.draw(st.lists(st.integers(-3, 3), min_size=2 * n, max_size=2 * n))
+        coords = np.reshape(coords, (2, n)) * ext + np.arange(2)[:, None] * 7 - 3
+        want = np.ravel_multi_index(tuple(np.moveaxis(coords % ext, -1, 0)), tuple(ext))
+        np.testing.assert_array_equal(fam.indices(tag, coords), want)
+        assert fam.index(tag, coords[1]) == want[1]
+    radii = tuple(data.draw(st.integers(0, 3)) for _ in range(n))
+    shape = tuple(2 * r + 1 for r in radii)
+    offsets = np.indices(shape).reshape(n, -1).T - np.array(radii)
+    for given_radii in (radii, list(radii), np.array(radii)):
+        assert window_shape(spec, given_radii) == shape
+        np.testing.assert_array_equal(window_offsets(spec, given_radii), offsets)
+        assert window_offsets(spec, given_radii) is window_offsets(spec, radii)
+    assert _read_only(window_offsets(spec, radii))
 
 
 def test_extents_and_steps_tables():

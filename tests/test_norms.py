@@ -10,6 +10,9 @@ from test_periodic_op_properties import PROPERTY_SETTINGS, REF3, specs_and_radii
 
 from blochlat.lattice import LatticeSpec, build_family, distance_matrix
 from blochlat.norms import (
+    DECAY_POINT_BUDGET,
+    DECAY_TAIL_RTOL,
+    _log_tail,
     decay_constant,
     decay_norm_bound,
     fiber_decay_bound,
@@ -204,6 +207,46 @@ def test_decay_constant_is_a_certified_upper_bound(drawn):
         while _box_points(eps, cut) > 10**6:
             cut /= 2.0
         assert _plain_enumeration(gap, eps, cut) <= value
+
+
+def _full_box_decay_constant(gap, spacings):
+    """``decay_constant`` summing every point of its ball by itself: the same
+    radius and tail, but the axes after the first over their full box, with
+    no orthant and no mirror multiplicities."""
+    eps = np.sort(np.asarray(spacings, dtype=float))
+    n, vol, delta = len(eps), float(np.prod(eps)), 0.5 * float(np.linalg.norm(eps))
+    log_target = math.log(DECAY_TAIL_RTOL) + max(
+        math.log(vol), _log_tail(gap, n, delta, 0.0) - 2.0 * gap * delta)
+    rho = float(eps[0])
+    while (_log_tail(gap, n, delta, rho) > log_target
+           and np.prod(2 * (1.1 * rho // eps) + 1) <= DECAY_POINT_BUDGET):
+        rho *= 1.1
+    m = (rho // eps).astype(np.int64)
+    cross = np.zeros(1)
+    for mi, e in zip(m[1:], eps[1:]):
+        cross = (cross[:, None] + (np.arange(-mi, mi + 1) * e) ** 2).ravel()
+        cross = cross[cross <= rho * rho]
+    u = float(np.finfo(float).eps)
+    slope = gap * (1.0 - (n + 6) * u)
+    sums = []
+    for j in range(m[0] + 1):
+        sq = (j * eps[0]) ** 2 + cross
+        terms = np.exp(-slope * np.sqrt(sq), where=sq <= rho * rho, out=np.zeros(sq.shape))
+        sums.append(float((1.0 if j == 0 else 2.0) * terms.sum()))
+    return float(vol * math.fsum(sums) * (1.0 + 80.0 * u)
+                 + math.exp(_log_tail(gap, n, delta, rho)))
+
+
+@pytest.mark.parametrize("gap, spacings", [
+    (1.5, (0.7, 1.3)), (0.4, (1.3, 0.6)), (1.0, (0.6, 1.1, 1.7)),
+    (0.25, (1.0, 1.0, 1.0)), (2.5, (0.5, 0.8, 1.2, 1.9)), (0.7, (1.9, 0.5, 1.2, 0.8)),
+])
+def test_decay_constant_orthant_sum_matches_the_full_box(gap, spacings):
+    # both sums carry the 80 u allowance decay_constant certifies for its
+    # rounding, and the same tail, so they may differ by twice that at most
+    u = float(np.finfo(float).eps)
+    full = _full_box_decay_constant(gap, spacings)
+    assert abs(decay_constant(gap, spacings) - full) <= 160.0 * u * full
 
 
 def test_fiber_decay_bound_dominates_entries():
