@@ -304,12 +304,6 @@ class LatticeFamily:
         indices of shape (...)."""
         return _wrapped_indices(self.spec, tag, coords)
 
-    def positions(self, tag: str, coords=None) -> np.ndarray:
-        """Physical coordinates; all sites when ``coords`` is omitted."""
-        if coords is None:
-            coords = self.coords(tag)
-        return np.asarray(coords, dtype=float) * steps(self.spec, tag)
-
     # -- pairing phases --------------------------------------------------
 
     def pairing_phases(self, dual_tag: str, dual_coords, direct_tag: str,

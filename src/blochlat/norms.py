@@ -108,9 +108,17 @@ def _asym_sums(spec, radii, entries, mass: float) -> tuple[float, float]:
     return float(spec.vol_c * row_sums.max()), float(sum(spec.vol_f * row_sums))
 
 
+def _finite(name: str, value) -> np.ndarray:
+    """``value`` as floats; a ValueError naming ``name`` unless all are finite."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return arr
+
+
 def weighted_norm(kernel, mass: float) -> float:
     """Exponentially weighted norm, dispatching on the kernel kind."""
-    mass = float(mass)
+    mass = float(_finite("mass", mass))
     if isinstance(kernel, PeriodicKernel):
         return float(_torus_norm(kernel.family, kernel.rows, mass))
     if isinstance(kernel, ZKernel):
@@ -200,7 +208,7 @@ def fiber_decay_bound(f: FiberFunction, radii, mass: float) -> np.ndarray:
     where the inversion phase has modulus exp(eta.d) = exp(-mass |d|): each
     distinct shift is one sum of fiber moduli, and at mass 0 one sum bounds all.
     """
-    mass = float(mass)
+    mass = float(_finite("mass", mass))
     spec = f.spec
     radii = normalize_radii(spec, radii)
     _probe_quasi_periodicity(f)
@@ -222,7 +230,7 @@ def inverse_fiber_shifted(f: FiberFunction, radii, eta) -> ZKernel:
     """
     spec = f.spec
     radii = normalize_radii(spec, radii)
-    eta = np.asarray(eta, dtype=float)
+    eta = _finite("eta", eta)
     if eta.shape != (spec.n_axes,):
         raise ValueError(f"imaginary shift must have {spec.n_axes} components, "
                          f"got {eta.shape}")
@@ -237,8 +245,7 @@ def decay_norm_bound(f: FiberFunction, radii, mass: float,
     Combines the entrywise fiber bound at ``mass`` with the summed decay
     constant at the mass gap; requires mass > target_mass.
     """
-    mass = float(mass)
-    target_mass = float(target_mass)
+    mass, target_mass = float(_finite("mass", mass)), float(_finite("target_mass", target_mass))
     if mass <= target_mass:
         raise ValueError(f"need a positive mass gap, got mass={mass} <= "
                          f"target={target_mass}")

@@ -34,7 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .norms import _block_distances, _torus_norm
+from .lattice import _shape
+from .norms import _block_distances, _finite, _torus_norm
 from .periodic_op import PeriodicKernel, _fiber_rows, bloch_fibers, reconstruct
 from .periodization import FiberFunction, ZKernel, fiber_function
 
@@ -450,7 +451,7 @@ def _resolvent_norms(fam, stack, centers, rhos, zs, mass: float):
         _check_conditioning(stack, centers, rhos, shifts)
         blocks = np.linalg.inv(shifts[:, None, None, None] * eye - stack)  # (node, fiber, l, l')
         spectral[lo:lo + size] = _norm2_bound(np.abs(blocks)).max(axis=1)
-        blocks = _fiber_rows(fam, blocks)  # rebinding frees the fibers before the norm
+        blocks = _fiber_rows(fam.spec, _shape(fam.spec, "coarse"), blocks)  # frees the fibers
         norms[lo:lo + size] = _torus_norm(fam, blocks, mass)
     return norms, spectral
 
@@ -476,7 +477,7 @@ def function_norm_bound(kernel: PeriodicKernel, fn: CertifiedFunction, contour,
     resolvents; ``arcs`` on the result is n.
     """
     _require_certified(fn, "function_norm_bound")
-    mass = float(mass)
+    mass = float(_finite("mass", mass))
     if not mass >= 0.0:
         raise ValueError(f"function_norm_bound needs mass >= 0, where the weighted norm "
                          f"is submultiplicative; got {mass}")

@@ -30,7 +30,10 @@ fiber(k)[l, l'] fills the fine dual once over all classes, and
 
     A(b, v) = 1 / (vol_c * n_coarse) * sum_p G_b(p) exp(-i p.v)
 
-is one forward FFT per row.
+is one forward FFT per row.  The block phases are stored as their two
+factors exp(i k.b) and exp(i l.b).  The inverse runs on the torus of N * l
+sites per axis for any grid of N dual-coarse momenta per axis, which is how
+``periodization.inverse_fiber`` recovers a window kernel from its samples.
 
 A ``PeriodicKernel`` stores exactly those rows, shape (n_block, n_fine),
 read-only; ``periodic_kernel`` takes nothing else.  Coarse translation by x
@@ -47,12 +50,13 @@ test oracles only: it is expanded on first use, and no library path reads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import FieldVector, LatticeFamily, _frozen, _shape
+from .lattice import FieldVector, LatticeFamily, LatticeSpec, _coords_cache, _frozen, _shape
 
 __all__ = [
     "PeriodicKernel",
@@ -193,31 +197,29 @@ def transpose_kernel(a: PeriodicKernel) -> PeriodicKernel:
     return periodic_kernel(fam, rows)
 
 
-@lru_cache(maxsize=8)
-def _fiber_layout(family: LatticeFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Where each fiber sits on the fine dual, and its block phases, read-only.
+def _block_phase_matrix(spec: LatticeSpec, dual, direct) -> np.ndarray:
+    """exp(i p.v): momenta p in dual-block steps as rows (a fraction of a
+    step inside the dual-coarse zone), fine-step coords v as columns."""
+    t = (np.asarray(dual) / spec.ratios().astype(float)) @ np.asarray(direct, dtype=np.int64).T
+    return np.exp(2j * np.pi * t)
 
-    Returns the flat dual-fine indices of p = k + l, shape (n_coarse,
-    n_block), for k over ``family.coords("dual_coarse")`` and l over the
-    dual block, and exp(i p.b) over block sites b, shape (n_coarse,
-    n_block, n_block) indexed [k, l, b].
+
+@lru_cache(maxsize=8)
+def _fiber_layout(spec: LatticeSpec, grid: tuple[int, ...]):
+    """The torus with grid * l sites per axis: its shape, where each fiber
+    sits on its fine dual, and the two factors of its block phases, read-only.
+
+    The flat dual-fine indices of p = k + l are (prod grid, n_block), k over
+    the grid's dual-coarse momenta in row-major order and l over the dual
+    block; exp(i k.b) is (prod grid, n_block) and exp(i l.b) is (n_block,
+    n_block) indexed [l, b], over the block sites b.
     """
-    lift = family.extents("dual_fine") // family.extents("dual_block")
-    p = family.coords("dual_coarse")[:, None, :] + family.coords("dual_block") * lift
-    idx = family.indices("dual_fine", p)
-    phases = family.pairing_phases(
-        "dual_fine", family.coords("dual_fine")[idx.reshape(-1)],
-        "block", family.coords("block"),
-    ).reshape(idx.shape + (family.n_block,))
-    return _frozen(idx), _frozen(phases)
-
-
-@lru_cache(maxsize=8)
-def _row_grid(family: LatticeFamily) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Shape of the block rows stacked as (n_block, *fine extents), and the
-    axes of that stack that run over the fine torus, counted from the end."""
-    shape = (family.n_block, *_shape(family.spec, "fine"))
-    return shape, tuple(range(1 - len(shape), 0))
+    n, block = np.asarray(grid), _coords_cache(spec, "block")
+    shape = tuple((n * spec.ratios()).tolist())
+    reps = np.indices(grid).reshape(len(n), -1).T
+    idx = np.ravel_multi_index(tuple((reps[:, None, :] + block * n).T), shape).T
+    tables = idx, _block_phase_matrix(spec, reps / n, block), _block_phase_matrix(spec, block, block)
+    return (shape, *map(_frozen, tables))
 
 
 def bloch_fibers(kernel: PeriodicKernel) -> BlochFiber:
@@ -228,13 +230,12 @@ def bloch_fibers(kernel: PeriodicKernel) -> BlochFiber:
     from the block rows, one inverse FFT per row.
     """
     fam = kernel.family
-    idx, phases = _fiber_layout(fam)
-    shape, axes = _row_grid(fam)
+    shape, idx, ek, el = _fiber_layout(fam.spec, _shape(fam.spec, "coarse"))
     # R_b(p) = sum_v A(b, v) exp(i p.v): the unnormalized inverse transform
-    r_b = np.fft.ifftn(kernel.rows.reshape(shape), axes=axes, norm="forward")
-    r_b = r_b.reshape(fam.n_block, fam.n_fine)
-    # fiber[l, l'] = vol_f / n_block * sum_b exp(-i (k+l).b) R_b(k+l')
-    entries = np.conj(phases) @ np.moveaxis(r_b[:, idx], 0, 1)
+    r_b = np.fft.ifftn(kernel.rows.reshape((fam.n_block,) + shape), axes=range(1, 1 + len(shape)),
+                       norm="forward").reshape(fam.n_block, fam.n_fine)
+    # fiber[l, l'] = vol_f / n_block * sum_b exp(-i l.b) exp(-i k.b) R_b(k+l')
+    entries = np.conj(el) @ (np.conj(ek)[..., None] * np.moveaxis(r_b[:, idx], 0, 1))
     entries *= fam.vol_f / fam.n_block
     reps = fam.coords("dual_coarse")
     return BlochFiber(reps * fam.steps("dual_coarse"), _frozen(entries), reps)
@@ -253,20 +254,25 @@ def reconstruct(family: LatticeFamily, fibers: BlochFiber) -> PeriodicKernel:
     if fibers.rep is None or not np.array_equal(fibers.rep, family.coords("dual_coarse")):
         raise ValueError("reconstruct needs the canonical fiber stack: rep must be "
                          "family.coords('dual_coarse'), in that order")
-    return periodic_kernel(family, _fiber_rows(family, fibers.entries))
+    return periodic_kernel(family, _fiber_rows(family.spec, _shape(family.spec, "coarse"),
+                                               fibers.entries))
 
 
-def _fiber_rows(family: LatticeFamily, blocks: np.ndarray) -> np.ndarray:
-    """Block rows (..., n_block, n_fine) of the kernels whose canonical fiber
-    stacks are ``blocks`` (..., n_coarse, n_block, n_block); one FFT per
-    row, each kernel bitwise as if alone."""
-    idx, phases = _fiber_layout(family)
-    # G_b(k+l') = sum_l exp(i (k+l).b) F_k[l, l'], scattered onto the fine
-    # dual; the classes cover it exactly once
+def _fiber_rows(spec: LatticeSpec, grid: tuple[int, ...], blocks: np.ndarray) -> np.ndarray:
+    """Block rows (..., n_block, prod(grid * l)) of the kernels on the torus
+    with grid * l sites per axis whose canonical fiber stacks are ``blocks``
+    (..., prod grid, n_block, n_block); one FFT per row, each kernel bitwise
+    as if alone."""
+    shape, idx, ek, el = _fiber_layout(spec, grid)
+    # G_b(k+l') = exp(i k.b) sum_l exp(i l.b) F_k[l, l'], scattered onto the
+    # fine dual; the classes cover it exactly once
+    g = el.T @ blocks
+    g *= ek[..., None]
     lead = blocks.shape[:-3]
-    spectrum = np.empty(lead + (family.n_block, family.n_fine), dtype=complex)
-    spectrum[..., idx] = np.moveaxis(np.swapaxes(phases, 1, 2) @ blocks, -3, -2)
-    shape, axes = _row_grid(family)
-    rows = np.fft.fftn(spectrum.reshape(lead + shape), axes=axes)
-    rows /= family.vol_c * family.n_coarse
-    return rows.reshape(lead + (family.n_block, family.n_fine))
+    spectrum = np.empty(lead + (spec.n_block, math.prod(shape)), dtype=complex)
+    spectrum[..., idx] = np.moveaxis(g, -3, -2)
+    del g
+    rows = np.fft.fftn(spectrum.reshape(lead + (spec.n_block,) + shape),
+                       axes=range(-len(shape), 0))
+    rows /= spec.vol_c * math.prod(grid)
+    return rows.reshape(spectrum.shape)

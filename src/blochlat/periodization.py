@@ -15,16 +15,18 @@ single period.  The momentum fiber of such a kernel,
 
 is an entire function of k (the sums are finite) and quasi-periodic under
 the dual-block reciprocal lattice: fiber(k + p) equals fiber(k) with both
-dual-block indices shifted by p.  ``inverse_fiber`` undoes the transform by
-quadrature over the dual-coarse Brillouin zone; the integrand is a
-trigonometric polynomial whose frequencies are multiples of the block width
-l, so the uniform grid of ``exact_grid_sizes``, N nodes per axis with
-N * l > 2 * radius, is exact.  Every fiber evaluator, from ``fiber_hat``
+dual-block indices shifted by p.  Every fiber evaluator, from ``fiber_hat``
 on, takes a stack of momenta (..., n_axes) and returns the stacked fibers
 (..., n_block, n_block); a single momentum gives a single fiber.
 
-The value quadrature runs along one imaginary shift; ``norms.fiber_decay_bound``
-needs only one sum of fiber moduli per shift, whose passes every shift shares.
+``inverse_fiber`` undoes the transform on a uniform grid of N nodes per axis
+over the dual-coarse Brillouin zone.  The fibers at those nodes are the torus
+fibers of the kernel periodized onto N * l sites per axis, so the torus
+inverse transform of ``periodic_op`` returns a(w, w + d) plus its images at
+d + N * l * c: the grid of ``exact_grid_sizes``, N * l > 2 * radius, is
+exact, and a coarser grid aliases by periodization.  The inversion runs
+along one imaginary shift; ``norms.fiber_decay_bound`` needs only one sum of
+fiber moduli per shift, whose passes every shift shares.
 
 An asymmetric kernel between the fine and coarse lattices is one
 coarse-invariant window table, ``ZKernelFC``, read in two directions: the
@@ -56,8 +58,8 @@ from .lattice import (
     extents,
     steps,
 )
-from .periodic_op import (BlochFiber, PeriodicKernel, _block_sites, _coarse_orbits,
-                          periodic_kernel)
+from .periodic_op import (BlochFiber, PeriodicKernel, _block_phase_matrix, _block_sites,
+                          _coarse_orbits, _fiber_layout, _fiber_rows, periodic_kernel)
 
 __all__ = [
     "ZKernel",
@@ -97,21 +99,26 @@ def _axis_name(axis: int) -> str:
     return AXIS_NAMES.get(axis, f"space {axis - 1}")
 
 
+def _axis_integers(spec: LatticeSpec, values, least: int, name: str) -> tuple[int, ...]:
+    """One int per axis, each in [least, 2**63), broadcast from a scalar; a
+    tuple that is already canonical comes back unchanged.  A float, bool or
+    string is refused, not truncated, by a ValueError naming ``name``."""
+    if type(values) is tuple and len(values) == spec.n_axes and all(
+            type(r) is int and least <= r < 2**63 for r in values):
+        return values
+    arr = np.asarray(values, dtype=object)
+    arr = np.full(spec.n_axes, values, dtype=object) if arr.ndim == 0 else arr
+    if arr.shape != (spec.n_axes,) or any(isinstance(r, bool) or not isinstance(
+            r, (int, np.integer)) or not least <= r < 2**63 for r in arr):
+        kind = "nonnegative" if least == 0 else "positive"
+        raise ValueError(f"{name} must be {spec.n_axes} {kind} integers, got {values!r}")
+    return tuple(int(r) for r in arr)
+
+
 def normalize_radii(spec: LatticeSpec, radii) -> tuple[int, ...]:
     """Broadcast a scalar support radius to one value per axis; a tuple of
     ints that is already canonical comes back unchanged."""
-    if type(radii) is tuple and len(radii) == spec.n_axes and all(
-            type(r) is int and r >= 0 for r in radii):
-        return radii
-    arr = np.asarray(radii, dtype=object)
-    if arr.ndim == 0:
-        arr = np.full(spec.n_axes, radii, dtype=object)
-    if arr.shape != (spec.n_axes,) or not all(isinstance(r, (int, np.integer))
-                                              and not isinstance(r, bool) and r >= 0 for r in arr):
-        raise ValueError(
-            f"support radii must be {spec.n_axes} nonnegative integers, got {radii!r}"
-        )
-    return tuple(int(r) for r in arr)
+    return _axis_integers(spec, radii, 0, "support radii")
 
 
 @lru_cache(maxsize=64)
@@ -277,14 +284,6 @@ def compose_z(a: ZKernel, b: ZKernel) -> ZKernel:
 # ---------------------------------------------------------------------------
 
 
-def _block_phase_matrix(spec: LatticeSpec, direct_coords: np.ndarray) -> np.ndarray:
-    """exp(i l.v): dual-block momenta as rows, fine-step coords as columns."""
-    ratios = spec.ratios().astype(float)
-    bhat = _block_coords(spec)
-    t = (bhat / ratios) @ np.asarray(direct_coords, dtype=np.int64).T
-    return np.exp(2j * np.pi * t)
-
-
 def _momentum(spec: LatticeSpec, k) -> np.ndarray:
     """A momentum stack (..., n_axes) as a float or complex array; the one
     shape check of every fiber evaluator."""
@@ -303,8 +302,8 @@ def _window_tables(spec: LatticeSpec, radii: tuple[int, ...]):
     over the block, and the block class of w + d over (w, window)."""
     offsets = window_offsets(spec, radii)
     block = _block_coords(spec)
-    tables = (offsets * spec.spacings(), _block_phase_matrix(spec, offsets),
-              _block_phase_matrix(spec, block),
+    tables = (offsets * spec.spacings(), _block_phase_matrix(spec, block, offsets),
+              _block_phase_matrix(spec, block, block),
               _wrapped_indices(spec, "block", block[:, None, :] + offsets))
     return tuple(map(_frozen, tables))
 
@@ -337,7 +336,7 @@ def _coarse_window_tables(spec: LatticeSpec, radii: tuple[int, ...]):
     offset * l * eps over the coarse window, w * eps and exp(i l.w) over the block."""
     block = _block_coords(spec)
     tables = (window_offsets(spec, radii) * spec.ratios() * spec.spacings(),
-              block * spec.spacings(), _block_phase_matrix(spec, block))
+              block * spec.spacings(), _block_phase_matrix(spec, block, block))
     return tuple(map(_frozen, tables))
 
 
@@ -427,23 +426,23 @@ def _finite_sums(sums: np.ndarray, etas) -> np.ndarray:
 
 def _inversion_sums(f: FiberFunction, radii: tuple[int, ...], eta,
                     grid: tuple[int, ...]) -> np.ndarray:
-    """Inversion quadrature of f along the contour shifted by i * eta: window
-    column d sums exp(-i kc.d) f(kc)[w, class of w + d] / (vol_c * N) over
-    the N nodes kc = k + i * eta of the uniform ``grid`` in order, which is
-    the kernel entry a(w, w + d) whenever the grid is exact."""
+    """Inversion of f along the contour shifted by i * eta on the uniform
+    ``grid``, as window entries (n_block, n_window): entry (w, w + d) of the
+    ``_fiber_rows`` of f(k + i eta), times exp(eta.d), which is the image sum
+    over c of a(w, w + d + N l c) exp(-eta.N l c)."""
     spec = f.spec
-    d_phys, _, ew, vmap = _window_tables(spec, radii)
     nodes = _quadrature_nodes(spec, grid) + 1j * eta
-    total = np.zeros(vmap.shape, dtype=complex)
-    for start in range(0, len(nodes), INVERSION_CHUNK):
-        chunk = nodes[start:start + INVERSION_CHUNK]
-        with np.errstate(all="ignore"):  # a sum that is not finite is named below
-            fibers = np.asarray(f.matrix_at(chunk))
-            s = np.take_along_axis(ew.T @ fibers @ np.conj(ew), vmap[None], axis=2)
-            terms = np.exp(-1j * chunk @ d_phys.T)[:, None, :] * s
-            # the running total leads the sum, so nodes add in order
-            total = np.concatenate([total[None], terms]).sum(axis=0)
-    return _finite_sums(total, eta[None]) / (spec.vol_c * len(nodes))
+    fibers = np.empty((len(nodes), spec.n_block, spec.n_block), dtype=complex)
+    cols = np.ravel_multi_index(tuple((_block_coords(spec)[:, None, :] + window_offsets(
+        spec, radii)).T), _fiber_layout(spec, grid)[0], mode="wrap").T
+    with np.errstate(all="ignore"):  # a sum that is not finite is named below
+        for start in range(0, len(nodes), INVERSION_CHUNK):
+            fibers[start:start + INVERSION_CHUNK] = f.matrix_at(
+                nodes[start:start + INVERSION_CHUNK])
+        rows = _fiber_rows(spec, grid, fibers)
+        sums = rows[np.arange(spec.n_block)[:, None], cols] * np.exp(
+            _window_tables(spec, radii)[0] @ eta)
+    return _finite_sums(sums, eta[None])
 
 
 def _modulus_sums(f: FiberFunction, radii: tuple[int, ...], etas,
@@ -478,16 +477,8 @@ def inverse_fiber(f: FiberFunction, radii, *, grid_points=None) -> ZKernel:
     spec = f.spec
     radii = normalize_radii(spec, radii)
     _probe_quasi_periodicity(f)
-    grid = exact_grid_sizes(spec, radii)
-    if grid_points is not None:
-        arr = np.asarray(grid_points, dtype=np.int64)
-        grid = tuple(int(n) for n in (np.full(spec.n_axes, arr) if arr.ndim == 0
-                                      else arr.reshape(-1)))
-        if len(grid) != spec.n_axes or min(grid) < 1:
-            raise ValueError(
-                f"quadrature grid must be {spec.n_axes} positive integers, "
-                f"got {grid_points!r}"
-            )
+    grid = (exact_grid_sizes(spec, radii) if grid_points is None
+            else _axis_integers(spec, grid_points, 1, "quadrature grid"))
     return zkernel(spec, radii, _inversion_sums(f, radii, np.zeros(spec.n_axes), grid))
 
 

@@ -159,10 +159,17 @@ def test_fiber_rows_of_a_stack_equal_single_reconstructs(case, seed):
     fam = build_family(spec)
     n = fam.n_block
     blocks = rng.normal(size=(3, fam.n_coarse, n, n, 2)) @ [1.0, 1.0j]
-    rows = _fiber_rows(fam, blocks)
+    rows = _fiber_rows(spec, tuple(int(e) for e in fam.extents("coarse")), blocks)
     for stack, got in zip(blocks, rows):
         fibers = BlochFiber(None, stack, fam.coords("dual_coarse"))
         np.testing.assert_array_equal(got, reconstruct(fam, fibers).rows)
+    # a grid that is no family's: 1, 2, 3, ... nodes along the axes
+    grid = tuple(range(1, spec.n_axes + 1))
+    blocks = rng.normal(size=(3, math.prod(grid), n, n, 2)) @ [1.0, 1.0j]
+    rows = _fiber_rows(spec, grid, blocks)
+    assert rows.shape == (3, n, math.prod(grid) * n)
+    for stack, got in zip(blocks, rows):
+        np.testing.assert_array_equal(got, _fiber_rows(spec, grid, stack))
 
 
 def _per_arc_norm_bound(kernel, fn, contour, mass):

@@ -1,6 +1,7 @@
 """Memory guards: coarse-invariant kernels stay at their block rows on the
-periodize -> function -> fibers path, in ``compose`` and in the torus,
-window and function rows of ``verify``, so no n_fine x n_fine array forms,
+periodize -> function -> fibers path, in the fiber round trip, in
+``compose`` and in the torus, window and function rows of ``verify``, so
+no n_fine x n_fine array forms,
 ``function_norm_bound`` holds one pass of resolvents and
 ``fiber_decay_bound`` one pass of shifted fibers at a time, and the CLI
 streams its CSVs one fiber at a time.
@@ -19,7 +20,7 @@ from blochlat.cli import _fiber_chunks, _fiber_header, _write_csv
 from blochlat.lattice import LatticeSpec, build_family
 from blochlat.norms import decay_constant, fiber_decay_bound
 from blochlat.opfunc import Circle, function_norm_bound, function_of_operator, make_polynomial
-from blochlat.periodic_op import bloch_fibers, reconstruct
+from blochlat.periodic_op import _fiber_layout, bloch_fibers, reconstruct
 from blochlat.periodization import (
     INVERSION_CHUNK,
     exact_grid_sizes,
@@ -121,6 +122,20 @@ def test_dim3_round_trip_fits_without_the_dense_kernel():
     scale = np.abs(kernel.rows).max()
     assert np.abs(back.rows - kernel.rows).max() <= 1e-12 * scale
     assert peak < 128.0
+
+
+def test_dim3_round_trip_stays_near_its_block_rows():
+    # 12^4 = 20736 sites, radius 2: the block rows are 26.9 MB.  The fibers,
+    # the spectrum and the transform take a few times that; the block phases
+    # are two small factors, where the (n_coarse, n_block, n_block) table of
+    # exp(i (k+l).b) would cost one more copy of the rows
+    spec = LatticeSpec(1.0, 1.0, 3, 3, 12, 12, dim=3)
+    fam = build_family(spec)
+    kernel = periodize(random_zkernel(spec, (2, 2, 2, 2), rng_from_seed(0)), fam)
+    _fiber_layout.cache_clear()
+    back, peak = _traced_peak_mb(lambda: reconstruct(fam, bloch_fibers(kernel)))
+    assert np.abs(back.rows - kernel.rows).max() <= 1e-12 * np.abs(kernel.rows).max()
+    assert peak < 4.5 * kernel.rows.nbytes / 1e6
 
 
 def test_verify_torus_rows_stay_at_the_block_rows():

@@ -19,6 +19,7 @@ from blochlat.norms import (
     inverse_fiber_shifted,
     weighted_norm,
 )
+from blochlat.opfunc import Circle, function_norm_bound, make_polynomial
 from blochlat.periodization import (
     INVERSION_CHUNK,
     FiberFunction,
@@ -418,3 +419,24 @@ def test_shifted_inversion_is_contour_independent():
         assert np.abs(shifted.entries - plain.entries).max() <= 1e-10 * scale
     with pytest.raises(ValueError, match="components"):
         inverse_fiber_shifted(f, a.radii, np.array([0.1]))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda a: fiber_decay_bound(fiber_function(a), (1, 1), math.nan), "mass"),
+    (lambda a: fiber_decay_bound(fiber_function(a), (1, 1), math.inf), "mass"),
+    (lambda a: decay_norm_bound(fiber_function(a), (1, 1), math.nan, 0.25), "mass"),
+    (lambda a: decay_norm_bound(fiber_function(a), (1, 1), math.inf, 0.25), "mass"),
+    (lambda a: decay_norm_bound(fiber_function(a), (1, 1), 0.5, math.nan), "target_mass"),
+    (lambda a: decay_norm_bound(fiber_function(a), (1, 1), 0.5, -math.inf), "target_mass"),
+    (lambda a: inverse_fiber_shifted(fiber_function(a), (1, 1), (math.inf, 0.0)), "eta"),
+    (lambda a: inverse_fiber_shifted(fiber_function(a), (1, 1), (math.nan, 0.0)), "eta"),
+    (lambda a: weighted_norm(a, math.inf), "mass"),
+    (lambda a: weighted_norm(periodize(a, FAM), math.nan), "mass"),
+    (lambda a: function_norm_bound(periodize(a, FAM), make_polynomial([1.0, 0.5]),
+                                   Circle(0.0, 200.0), math.inf), "mass"),
+], ids=["bound-nan", "bound-inf", "norm-nan", "norm-inf", "target-nan", "target-inf",
+        "eta-inf", "eta-nan", "window-norm-inf", "torus-norm-nan", "function-norm-inf"])
+def test_non_finite_masses_and_shifts_are_refused_by_name(call, name):
+    # refused up front, before any arithmetic could warn
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(random_zkernel(REF, (1, 1), rng_from_seed(68)))

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochlat import opfunc
-from blochlat.lattice import LatticeFamily, LatticeSpec, build_family
+from blochlat import opfunc, periodic_op
+from blochlat.lattice import LatticeSpec, build_family
 from blochlat.norms import weighted_norm
 from blochlat.opfunc import (
     FUNCTIONS,
@@ -397,19 +397,21 @@ def test_norm_bound_carries_arcs_beyond_reach_by_the_two_norm():
 
 
 def test_function_of_operator_computes_the_fiber_phases_once(monkeypatch):
-    # the 972-site dim=2 torus; bloch_fibers and reconstruct share one layout
+    # the 972-site dim=2 torus; bloch_fibers and reconstruct share one
+    # layout, whose two block phase factors are built once
     spec = LatticeSpec(1.0, 1.0, 3, 3, 12, 9, 2)
     torus = periodize(random_zkernel(spec, (2, 2, 2), rng_from_seed(0)), build_family(spec))
-    original = LatticeFamily.pairing_phases
+    original = periodic_op._block_phase_matrix
     calls = []
 
-    def counting_phases(self, *args):
+    def counting_phases(*args):
         calls.append(args)
-        return original(self, *args)
+        return original(*args)
 
-    monkeypatch.setattr(LatticeFamily, "pairing_phases", counting_phases)
+    monkeypatch.setattr(periodic_op, "_block_phase_matrix", counting_phases)
+    periodic_op._fiber_layout.cache_clear()
     function_of_operator(torus, make_polynomial([1.0, 0.5, 0.25]), Circle(0.0, 200.0))
-    assert len(calls) <= 1
+    assert len(calls) == 2
 
 
 def eigenvalue_check(contour, matrix):

@@ -4,6 +4,8 @@
 the independent reference for block diagonality and for the band oracle
 of the ``verify`` suite."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from blochlat.fourier import transform
 from blochlat.lattice import FieldVector, LatticeSpec, build_family
 from blochlat.periodic_op import (
     _block_sites,
+    _fiber_rows,
     apply_kernel,
     bloch_fibers,
     compose,
@@ -195,6 +198,30 @@ def test_reconstruct_from_definition_fibers():
     acc /= FAM.vol_c * FAM.n_coarse
     scale = np.abs(a.entries).max()
     assert np.abs(acc - a.entries).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("spec, grid", [
+    (REF, (1, 2)),
+    (REF, (4, 1)),
+    (LatticeSpec(1.0, 0.5, 2, 3, 4, 6, dim=2), (1, 2, 3)),
+])
+def test_fiber_rows_on_any_grid_match_the_displayed_sum(spec, grid):
+    # A(b, v) = 1 / (vol_c N) sum_{k, l, l'} exp(i (k+l).b) F_k[l, l']
+    # exp(-i (k+l').v) on the torus of grid * l sites, from physical momenta
+    blocks = rng_from_seed(12).normal(
+        size=(math.prod(grid), spec.n_block, spec.n_block, 2)) @ [1.0, 1.0j]
+    eps, ratios = spec.spacings(), spec.ratios()
+
+    def points(shape):
+        return np.indices(shape).reshape(spec.n_axes, -1).T
+
+    k = points(grid) * 2 * np.pi / (eps * np.multiply(grid, ratios))
+    p = k[:, None, :] + points(ratios) * 2 * np.pi / (eps * ratios)  # (k, l)
+    left = np.exp(1j * p @ (points(ratios) * eps).T)  # (k, l, b)
+    right = np.exp(-1j * p @ (points(np.multiply(grid, ratios)) * eps).T)  # (k, l', v)
+    want = np.einsum("klb,klm,kmv->bv", left, blocks, right) / (spec.vol_c * len(k))
+    got = _fiber_rows(spec, grid, blocks)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_fibers_are_one_read_only_stack():

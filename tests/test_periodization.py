@@ -1,5 +1,7 @@
 """Infinite-lattice kernels: periodization, fibers, inversion, torus actions."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -266,6 +268,66 @@ def test_inverse_fiber_undersampling_aliases():
     assert np.abs(one.entries - b.entries).max() > 1e-6 * bscale
     two = inverse_fiber(g, (2, 2), grid_points=2)
     assert np.abs(two.entries - b.entries).max() <= 1e-13 * bscale
+
+
+@pytest.mark.parametrize("bad", [2.7, (2, 2.5), "3", np.float64(2.9), True, 10**20, (1, -1)])
+def test_inverse_fiber_refuses_a_grid_it_would_truncate(bad):
+    f = fiber_function(random_zkernel(REF, (1, 1), rng_from_seed(32)))
+    message = f"quadrature grid must be 2 positive integers, got {re.escape(repr(bad))}"
+    with pytest.raises(ValueError, match=message):
+        inverse_fiber(f, (1, 1), grid_points=bad)
+
+
+def _image_sums(a, radii, period, eta):
+    """sum over c of a(w, w + d + period c) exp(-eta.(period c) eps) for d
+    over the window of ``radii``, by a loop over the window of a."""
+    spec = a.spec
+    small = window_offsets(spec, radii)
+    out = np.zeros((spec.n_block, len(small)), dtype=complex)
+    for j, big in enumerate(window_offsets(spec, a.radii)):
+        for i, d in enumerate(small):
+            if not ((big - d) % period).any():
+                out[:, i] += a.entries[:, j] * np.exp(-(big - d) * spec.spacings() @ eta)
+    return out
+
+
+SPEC2 = LatticeSpec(1.0, 0.5, 2, 3, 4, 6, dim=2)
+
+
+@pytest.mark.parametrize("spec, kernel_radii, radii, grid", [
+    (TRIV, (2, 2), (2, 2), 4),
+    (REF, (2, 2), (2, 2), (1, 2)),
+    (REF, (4, 3), (1, 2), (2, 1)),
+    (SPEC2, (2, 2, 2), (1, 2, 2), (1, 2, 1)),
+])
+def test_undersampled_inversion_is_the_image_sum(spec, kernel_radii, radii, grid):
+    # the N-node grid recovers the periodization onto grid * l sites per axis
+    a = random_zkernel(spec, kernel_radii, rng_from_seed(34))
+    got = inverse_fiber(fiber_function(a), radii, grid_points=grid).entries
+    no_shift = np.zeros(spec.n_axes)
+    want = _image_sums(a, radii, np.broadcast_to(grid, spec.n_axes) * spec.ratios(), no_shift)
+    plain = _image_sums(a, radii, 10**6, no_shift)  # a itself on the window
+    scale = np.abs(want).max()
+    assert np.abs(want - plain).max() > 1e-6 * scale  # the grid does alias
+    assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("spec, kernel_radii, radii, eta", [
+    (TRIV, (3, 2), (1, 1), (0.3, -0.2)),
+    (REF, (4, 3), (1, 1), (0.3, -0.2)),
+    (SPEC2, (2, 3, 2), (1, 1, 1), (-0.4, 0.2, 0.1)),
+])
+def test_shifted_inversion_of_a_wider_kernel_is_the_weighted_image_sum(
+        spec, kernel_radii, radii, eta):
+    # past the exact grid's period the images add, weighted by exp(-eta.(N l c))
+    a = random_zkernel(spec, kernel_radii, rng_from_seed(35))
+    eta = np.asarray(eta)
+    got = inverse_fiber_shifted(fiber_function(a), radii, eta).entries
+    period = np.asarray(exact_grid_sizes(spec, radii)) * spec.ratios()
+    want = _image_sums(a, radii, period, eta)
+    scale = np.abs(want).max()
+    assert np.abs(want - _image_sums(a, radii, 10**6, eta)).max() > 1e-6 * scale
+    assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 EVERY_INVERSION = pytest.mark.parametrize(
