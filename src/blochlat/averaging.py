@@ -175,27 +175,29 @@ def prolong_field(family: LatticeFamily, profile: Profile,
     return apply_fc(family, averaging_kernel(profile), psi)
 
 
+def _pair_sums(weights: np.ndarray, l: int) -> np.ndarray:
+    """Pair sums g[w, d + 2r] = sum over z = w (mod l) of q(z) q(z + d) of one
+    axis window q on [-r, r], for w in [0, l) and d in [-2r, 2r]."""
+    r = (len(weights) - 1) // 2
+    i, j = np.indices((len(weights), len(weights)))
+    g = np.zeros((l, 4 * r + 1))
+    np.add.at(g, ((i - r) % l, j - i + 2 * r), np.outer(weights, weights))
+    return g
+
+
 def restrict_prolong_profile(profile: Profile) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
     """Stencil of restrict-then-prolong on the coarse lattice.
 
     Returns per-axis radii and weight arrays; the naive profile gives the
     identity stencil because distinct blocks do not overlap.
     """
-    spec = profile.spec
-    ratios = spec.ratios()
-    radii_out = []
-    weights_out = []
-    for axis, (r, w) in enumerate(zip(profile.radii, profile.axis_weights)):
-        l = int(ratios[axis])
-        m = (2 * r) // l
-        vals = np.zeros(2 * m + 1)
-        z = np.arange(-r, r + 1)
-        for y in range(-m, m + 1):
-            zz = z - l * y
-            mask = np.abs(zz) <= r
-            vals[y + m] = l * np.sum(w[mask] * w[zz[mask] + r])
+    radii_out, weights_out = [], []
+    for r, w, l in zip(profile.radii, profile.axis_weights, profile.spec.ratios()):
+        l, m = int(l), 2 * r // int(l)
+        # the stencil at coarse offset y is l * sum_w g[w, -l y]
+        stencil = l * _pair_sums(w, l).sum(axis=0)[2 * r - l * np.arange(-m, m + 1)]
         radii_out.append(m)
-        weights_out.append(_frozen(vals))
+        weights_out.append(_frozen(stencil))
     return tuple(radii_out), tuple(weights_out)
 
 
@@ -204,23 +206,7 @@ def prolong_restrict_kernel(profile: Profile) -> ZKernel:
     spec = profile.spec
     ratios = spec.ratios()
     radii = tuple(2 * r for r in profile.radii)
-    # per-axis pair sums g[w, d] = sum_x q(w - l x) q(w + d - l x)
-    tables = []
-    for axis, (r, w) in enumerate(zip(profile.radii, profile.axis_weights)):
-        l = int(ratios[axis])
-        g = np.zeros((l, 4 * r + 1))
-        for wa in range(l):
-            for d in range(-2 * r, 2 * r + 1):
-                lo = -((r - wa) // l + 2)
-                hi = (r + wa) // l + 2
-                total = 0.0
-                for x in range(lo, hi + 1):
-                    z0 = wa - l * x
-                    z1 = wa + d - l * x
-                    if abs(z0) <= r and abs(z1) <= r:
-                        total += w[z0 + r] * w[z1 + r]
-                g[wa, d + 2 * r] = total
-        tables.append(g)
+    tables = [_pair_sums(w, int(l)) for w, l in zip(profile.axis_weights, ratios)]
     block = _block_coords(spec)
     offsets = window_offsets(spec, radii)
     val = np.full((len(block), len(offsets)), spec.vol_c / spec.vol_f**2)

@@ -126,7 +126,8 @@ def _float_list(section, key, default) -> list[float]:
 def _load_config(path: str) -> configparser.ConfigParser:
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a "%" in a value is text for its parser to refuse by name
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)

@@ -8,6 +8,9 @@ The norm of a kernel a with mass m is
 with the cell volume of the summed variable and the physical distance
 between row and column sites (geodesic on the torus, Euclidean on the
 infinite lattices).  It is submultiplicative under operator composition.
+Torus rows, window kernels and fine-coarse tables all read one sum,
+``_weighted_sups``, which weighs the support only and refuses a sum that
+overflows by naming the mass.
 
 A kernel of known support radius can be bounded through its momentum
 fibers.  Along the contour shifted by an imaginary momentum eta, the phase
@@ -42,6 +45,7 @@ from .periodization import (
     _inversion_sums,
     _modulus_sums,
     _probe_quasi_periodicity,
+    _window_tables,
     exact_grid_sizes,
     normalize_radii,
     window_offsets,
@@ -69,43 +73,32 @@ def _block_distances(spec: LatticeSpec) -> np.ndarray:
                            _coords_cache(spec, "fine"))
 
 
+def _weighted_sups(table, dist, classes, n_classes: int, mass: float, vols):
+    """(sup of the row sums, sup of the column-class sums) of |a| exp(m dist)
+    over tables (..., rows, cols), times the cell volumes ``vols`` of the
+    summed variables, weighted on the support only: exp(m dist) may overflow
+    where the entry is 0.  Entry (r, c) adds into column class
+    ``classes[r, c]``, or ``classes[c]`` when one row of classes serves every
+    row; a sum that is not finite raises a ValueError naming the mass."""
+    table = np.abs(table)
+    with np.errstate(over="ignore"):
+        weight = np.exp(mass * dist, out=np.zeros(table.shape), where=table != 0.0) * table
+        cols = np.zeros(table.shape[:-2] + (n_classes,))
+        np.add.at(cols, (..., classes), weight if classes.ndim == 2 else weight.sum(axis=-2))
+        sups = vols[0] * weight.sum(axis=-1).max(axis=-1), vols[1] * cols.max(axis=-1)
+    if not all(np.isfinite(s).all() for s in sups):
+        raise ValueError(f"weighted norm overflows at mass {mass:g}: a weighted row "
+                         "or column sum is not finite")
+    return sups
+
+
 def _torus_norm(fam: LatticeFamily, rows: np.ndarray, mass: float) -> np.ndarray:
     """Torus norms of kernels given as block rows (..., n_block, n_fine): the
     row sums of A are those of its block rows, and column v collects the
     block rows' columns in the coarse class of v."""
-    rows = np.abs(rows)
-    # weight the support only: exp(m dist) may overflow where the entry is 0
-    weight = np.exp(mass * _block_distances(fam.spec), out=np.zeros(rows.shape),
-                    where=rows != 0.0) * rows
-    cols = np.zeros(rows.shape[:-2] + (fam.n_block,))
     classes = _wrapped_indices(fam.spec, "block", fam.coords("fine"))
-    np.add.at(cols, (..., classes), weight.sum(axis=-2))
-    return fam.vol_f * np.maximum(weight.sum(axis=-1).max(axis=-1), cols.max(axis=-1))
-
-
-def _z_norm(a: ZKernel, mass: float) -> float:
-    spec = a.spec
-    offsets = window_offsets(spec, a.radii)
-    dist = np.linalg.norm(offsets * spec.spacings(), axis=1)
-    weight = np.exp(mass * dist)
-    rows = (np.abs(a.entries) * weight).sum(axis=1).max()
-    # the block class of v - d
-    src = _wrapped_indices(spec, "block", _block_coords(spec)[:, None, :] - offsets)
-    cols = (np.abs(a.entries[src, np.arange(len(offsets))]) * weight).sum(axis=1).max()
-    return float(spec.vol_f * max(rows, cols))
-
-
-def _asym_sums(spec, radii, entries, mass: float) -> tuple[float, float]:
-    """(coarse-weighted row sup, fine-weighted column sup); both readings
-    of a ``ZKernelFC`` share them.
-
-    Fine point w against the coarse point at offset m, in physical units:
-    row w sums over the coarse points, and the column of the coarse origin
-    collects every row, since u = w - L m carries entry (w, m)."""
-    offsets = window_offsets(spec, radii)
-    d = (_block_coords(spec)[:, None, :] - offsets * spec.ratios()) * spec.spacings()
-    row_sums = (np.abs(entries) * np.exp(mass * np.linalg.norm(d, axis=2))).sum(axis=1)
-    return float(spec.vol_c * row_sums.max()), float(sum(spec.vol_f * row_sums))
+    return np.maximum(*_weighted_sups(rows, _block_distances(fam.spec), classes,
+                                      fam.n_block, mass, (fam.vol_f, fam.vol_f)))
 
 
 def _finite(name: str, value) -> np.ndarray:
@@ -117,18 +110,30 @@ def _finite(name: str, value) -> np.ndarray:
 
 
 def weighted_norm(kernel, mass: float) -> float:
-    """Exponentially weighted norm, dispatching on the kernel kind."""
+    """Exponentially weighted norm, dispatching on the kernel kind.
+
+    A window kernel's column v collects the entries (w, d) with w + d in the
+    block class of v.  A fine-coarse table, fine point w against the coarse
+    point at offset m, sums its rows over the coarse points (vol_c), and the
+    column of the coarse origin collects every entry (vol_f)."""
     mass = float(_finite("mass", mass))
     if isinstance(kernel, PeriodicKernel):
         return float(_torus_norm(kernel.family, kernel.rows, mass))
+    if not isinstance(kernel, (ZKernel, ZKernelFC)):
+        raise TypeError(f"no weighted norm defined for {type(kernel).__name__}")
+    spec = kernel.spec
+    radii = normalize_radii(spec, kernel.radii)
     if isinstance(kernel, ZKernel):
-        return _z_norm(kernel, mass)
-    if isinstance(kernel, ZKernelFC):
-        coarse_sum, fine_sum = _asym_sums(
-            kernel.spec, kernel.radii, np.asarray(kernel.entries), mass
-        )
-        return max(coarse_sum, fine_sum)
-    raise TypeError(f"no weighted norm defined for {type(kernel).__name__}")
+        disp, _, _, classes = _window_tables(spec, radii)
+        sups = _weighted_sups(kernel.entries, np.linalg.norm(disp, axis=1), classes,
+                              spec.n_block, mass, (spec.vol_f, spec.vol_f))
+    else:
+        offsets = window_offsets(spec, radii)
+        d = (_block_coords(spec)[:, None, :] - offsets * spec.ratios()) * spec.spacings()
+        sups = _weighted_sups(kernel.entries, np.linalg.norm(d, axis=2),
+                              np.zeros(len(offsets), dtype=np.intp), 1, mass,
+                              (spec.vol_c, spec.vol_f))
+    return float(max(sups))
 
 
 def _log_tail(gap: float, n: int, delta: float, rho: float) -> float:

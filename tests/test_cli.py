@@ -1,6 +1,7 @@
 """End-to-end tests for the batch front end: config validation, task
 execution, report determinism, and the exit-code contract."""
 
+import configparser
 import csv
 import json
 import os
@@ -14,7 +15,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from blochlat.cli import _write_csv, main
+from blochlat.cli import (_KERNEL_KEYS_BY_TYPE, _LATTICE_KEYS, _PARAM_KEYS_BY_TASK, KERNEL_TYPES,
+                          TASKS, _write_csv, main)
 from blochlat.lattice import LatticeSpec, steps
 from blochlat.periodic_op import PeriodicKernel
 from blochlat.periodization import fiber_hat, window_offsets, zkernel
@@ -387,6 +389,34 @@ target_mass = 0.25
     assert not (out / "report.json").exists()
 
 
+def test_norms_overflowing_weight_exits_one(tmp_path, capsys):
+    # exp(700 sqrt 2) overflows on the support of the radius-1 window
+    config = write_config(tmp_path, REF_LINES.format(task="norms").replace(
+        "support_radius = 2", "support_radius = 1") + "\n[params]\nmasses = 700\n")
+    out = tmp_path / "out"
+    assert run(config, out) == 1
+    err = capsys.readouterr().err
+    assert "numerical error: weighted norm overflows at mass 700: " in err
+    assert "RuntimeWarning" not in err
+    assert not (out / "norms.csv").exists()
+    assert not (out / "report.json").exists()
+
+
+def test_funcalc_overflowing_weight_exits_one(tmp_path, capsys):
+    # the weighted norm of f(A) = A overflows at mass 710; no Infinity row passes
+    config = write_config(tmp_path, REF_LINES.format(task="funcalc")
+                          + FUNCALC_PARAMS.format(center="0", mass="710").replace(
+                              "contour_radius = 5.0", "contour_radius = 50"))
+    out = tmp_path / "out"
+    assert run(config, out) == 1
+    err = capsys.readouterr().err
+    assert "numerical error: weighted norm overflows at mass 710: " in err
+    assert "RuntimeWarning" not in err
+    assert not (out / "report.json").exists()
+    values = np.loadtxt(out / "funcalc.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(values).all()
+
+
 def test_funcalc_rounding_floor_exits_one(tmp_path, capsys):
     # exp reaches e^20 on this circle, which clears every eigenvalue by 14.5:
     # the quadrature stalls at its rounding floor, and says so
@@ -490,6 +520,79 @@ def test_malformed_and_non_finite_numbers_exit_two(tmp_path, capsys, text, key):
     assert key in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+FUZZ_PARAMS = {
+    "verify": {},
+    "norms": {"masses": "1,0.5"},
+    "decay": {"mass": "0.5", "target_mass": "0.25"},
+    "funcalc": {"function": "identity", "contour_center": "10", "contour_radius": "5",
+                "mass": "0.25"},
+}
+FUZZ_REQUIRED = [("lattice", key) for key in ("l_t", "l_x", "big_l_t", "big_l_x")] + [
+    ("kernel", "type"), ("task", "name")]
+FUZZ_NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+# no text here parses as a finite number, an integer or a complex
+FUZZ_JUNK = st.sampled_from(["", "nan", "inf", "-inf", "abc", "1%", "%(x)s"]) | st.text(
+    alphabet="0123456789.+-abdfinxz%$_", min_size=1, max_size=6).filter(
+        lambda text: any(c in "abdfinxz%$_" for c in text))
+
+
+@st.composite
+def broken_configs(draw):
+    """The REF config of a drawn task with one field broken, as INI text, and
+    the field that the config error must name."""
+    task = draw(st.sampled_from(sorted(FUZZ_PARAMS)))
+    parser = configparser.ConfigParser()
+    parser.read_string(REF_LINES.format(task=task))
+    config = {name: dict(parser[name]) for name in parser.sections()}
+    config["params"] = dict(FUZZ_PARAMS[task])
+    allowed = {"lattice": _LATTICE_KEYS, "kernel": {"type", *_KERNEL_KEYS_BY_TYPE["random"]},
+               "task": {"name"}, "params": _PARAM_KEYS_BY_TASK[task]}
+    change = draw(st.sampled_from(["drop", "unknown_key", "unknown_section", "junk",
+                                   "radius_length", "unknown_name"]))
+    if change == "drop":
+        section, key = draw(st.sampled_from(FUZZ_REQUIRED))
+        del config[section][key]
+    elif change == "unknown_key":
+        section = draw(st.sampled_from(sorted(config)))
+        key = draw(FUZZ_NAMES.filter(lambda name: name not in allowed[section]))
+        config[section][key] = "1"
+    elif change == "unknown_section":
+        section = draw(FUZZ_NAMES.filter(lambda name: name not in allowed))
+        config[section] = {"x": "1"}
+        return _ini(config), f"unknown section '{section}'"
+    elif change == "junk":
+        numeric = [("lattice", key) for key in config["lattice"]] + [
+            ("kernel", "support_radius"), ("kernel", "seed")] + [
+            ("params", key) for key in FUZZ_PARAMS[task] if key != "function"]
+        section, key = draw(st.sampled_from(numeric))
+        config[section][key] = draw(FUZZ_JUNK)
+    elif change == "radius_length":  # dim = 1 has two axes
+        section, key = "kernel", "support_radius"
+        config[section][key] = ",".join(["1"] * draw(st.integers(3, 5)))
+    else:
+        section, key = draw(st.sampled_from([("task", "name"), ("kernel", "type")]))
+        config[section][key] = draw(FUZZ_NAMES.filter(
+            lambda name: name not in TASKS + KERNEL_TYPES))
+    return _ini(config), f"{section}.{key}"
+
+
+def _ini(config) -> str:
+    return "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                   + "\n" for section, keys in config.items())
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=broken_configs())
+def test_one_broken_field_is_a_config_error_naming_it(tmp_path, capsys, drawn):
+    text, field = drawn
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, text), out) == 2, text
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err, (text, err)
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("line", [

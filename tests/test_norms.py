@@ -33,6 +33,8 @@ from blochlat.periodization import (
     periodize,
     shift_zkernel,
     window_offsets,
+    zkernel,
+    zkernel_fc,
 )
 from blochlat.periodic_op import identity_kernel
 from blochlat.rand import (
@@ -78,6 +80,63 @@ def test_torus_norm_finite_where_the_weight_overflows():
     torus = weighted_norm(periodize(a, FAM), 200.0)
     assert np.isfinite(torus)
     assert torus <= weighted_norm(a, 200.0) * (1.0 + 1e-12)
+
+
+def test_zero_entries_weigh_nothing_where_the_weight_overflows():
+    # exp(300 |d|) overflows on the far offsets of the diagonal's window and
+    # exp(400 |d|) on most of the zero table's, but only where the entries are 0
+    spec = LatticeSpec(1.0, 1.0, 3, 3, 9, 9, 1)
+    offsets = window_offsets(spec, (2, 2))
+    entries = np.where((offsets == 0).all(axis=1), 1.0 / spec.vol_f, 0.0)
+    diagonal = zkernel(spec, (2, 2), np.tile(entries, (spec.n_block, 1)))
+    assert weighted_norm(diagonal, 300.0) == 1.0
+    assert weighted_norm(periodize(diagonal, build_family(spec)), 300.0) == 1.0
+    assert weighted_norm(zkernel_fc(spec, (1, 1), np.zeros((spec.n_block, 9))), 400.0) == 0.0
+
+
+def test_an_overflowing_weighted_sum_is_refused_by_name():
+    rng = rng_from_seed(65)
+    a = random_zkernel(REF, (1, 1), rng)
+    for kernel in (a, periodize(a, FAM), random_zkernel_fc(REF, (1, 1), rng)):
+        with pytest.raises(ValueError, match="weighted norm overflows at mass 700: "):
+            weighted_norm(kernel, 700.0)
+    with pytest.raises(ValueError, match="weighted norm overflows at mass 1e\\+308: "):
+        weighted_norm(a, 1e308)
+    # the resolvents of the norm bound have full support on the torus
+    with pytest.raises(ValueError, match="weighted norm overflows at mass 200: "):
+        function_norm_bound(periodize(a, FAM), make_polynomial([0.0, 1.0]),
+                            Circle(0.0, 50.0), 200.0)
+
+
+@st.composite
+def sparse_windows(draw):
+    """A window kernel with a drawn zero pattern that fits its torus, and a
+    mass from 0 up to where exp(mass * |d|) overflows on its support; off the
+    support it may overflow."""
+    spec, radii = draw(specs_and_radii())
+    rng = rng_from_seed(draw(st.integers(0, 2**32 - 1)))
+    a = random_zkernel(spec, radii, rng)
+    keep = rng.random(a.entries.shape) < draw(st.sampled_from((0.7, 0.2, 1.0, 0.0)))
+    dist = np.linalg.norm(window_offsets(spec, radii) * spec.spacings(), axis=1)
+    reach = dist[keep.any(axis=0)].max(initial=0.0)  # over the support only
+    edge = 709.0 / reach if reach else 1e300
+    mass = draw(st.sampled_from((0.9, 0.5, 1.0, 0.0))) * edge
+    return zkernel(spec, radii, np.where(keep, a.entries, 0.0)), mass
+
+
+@PROPERTY_SETTINGS
+@given(drawn=sparse_windows())
+def test_window_norm_equals_the_torus_norm_of_its_periodization(drawn):
+    # 2 r + 1 <= L on every axis: the torus distances are the window distances
+    a, mass = drawn
+    torus = periodize(a, build_family(a.spec))
+    try:
+        expect = weighted_norm(a, mass)
+    except ValueError:  # a sum of many terms near the edge may overflow
+        with pytest.raises(ValueError, match="weighted norm overflows"):
+            weighted_norm(torus, mass)
+        return
+    assert weighted_norm(torus, mass) == pytest.approx(expect, rel=1e-13)
 
 
 def test_torus_norm_matches_direct_formula():

@@ -242,13 +242,12 @@ def test_torus_norm_matches_the_dense_formula(case, seed):
     reach = np.linalg.norm(window_offsets(spec, near) * spec.spacings(), axis=1).max()
     for k in (window, random_periodic_kernel(fam, rng)):
         for mass in (0.0, 0.6, 200.0):
-            with np.errstate(over="ignore"):  # full support at mass 200
-                got = weighted_norm(k, mass)
             expect = _dense_norm(k, mass)
             if np.isfinite(expect):
-                assert got == pytest.approx(expect, rel=1e-13)
-            else:
-                assert got == expect
+                assert weighted_norm(k, mass) == pytest.approx(expect, rel=1e-13)
+            else:  # full support at mass 200: refused by name, not inf
+                with pytest.raises(ValueError, match="weighted norm overflows at mass 200"):
+                    weighted_norm(k, mass)
     # exp(650) times at most 3^4 entries of size sqrt(2) and vol_f <= 4^4
     # stays below the float range
     if 200.0 * reach <= 650.0:
