@@ -171,8 +171,8 @@ def _build_spec(section) -> LatticeSpec:
             big_l_x=_get_int(section, "big_l_x"),
             dim=_get_int(section, "dim", 1),
         )
-    except ValueError as exc:
-        raise ConfigError(f"lattice: {exc}")
+    except ValueError as exc:  # each LatticeSpec message opens with its key
+        raise ConfigError(f"lattice.{exc}")
 
 
 def _read_explicit_entries(spec: LatticeSpec, path: str, fit: bool):
@@ -260,6 +260,8 @@ def _build_kernel(spec: LatticeSpec, section, kind: str, seed: int, fit: bool):
             return prolong_restrict_kernel(naive_profile(spec))
         if kind == "smooth_qstarq":
             width = _get_int(section, "width")
+            if width < 1:
+                raise ConfigError(f"kernel.width must be at least 1, got {width}")
             return prolong_restrict_kernel(smooth_profile(spec, width))
         if kind == "explicit":
             path = section.get("entries")
@@ -363,7 +365,7 @@ class Job:
         try:
             return Circle(center, radius)
         except ValueError as exc:
-            raise ConfigError(f"params: {exc}")
+            raise ConfigError(f"params.contour_radius: {exc}")
 
     def _build_function(self):
         name = self.params.get("function", "identity")
@@ -453,16 +455,16 @@ def _run_decay(job: Job, outdir: str):
 
 def _run_funcalc(job: Job, outdir: str):
     result = function_of_operator(job.torus, job.fn, job.contour)
-    fibers = bloch_fibers(result)
-    _write_csv(os.path.join(outdir, "funcalc.csv"), _fiber_header(job.spec),
-               _fiber_chunks(job.spec, zip(fibers.rep, fibers.entries)))
     checks = []
     mass = job.mass
-    if mass is not None:
+    if mass is not None:  # before the CSV, so a run that stops here writes none
         direct = weighted_norm(result, mass)
         bound = function_norm_bound(job.torus, job.fn, job.contour, mass)
         checks.append(_le(f"function_norm_bound[m={mass:g}]", "lemBOfnbnd", direct, bound,
                           witness=f"function={job.fn_name}; arcs={bound.arcs}"))
+    fibers = bloch_fibers(result)
+    _write_csv(os.path.join(outdir, "funcalc.csv"), _fiber_header(job.spec),
+               _fiber_chunks(job.spec, zip(fibers.rep, fibers.entries)))
     return checks
 
 

@@ -248,23 +248,22 @@ class SpectrumVector:
 
 @dataclass(frozen=True)
 class LatticeFamily:
-    """A consistent bundle of the six lattices with cell volumes.
-
-    ``vol_f``/``vol_c`` are the fine and coarse cell volumes, ``hvol_f``/
-    ``hvol_c``/``hvol_b`` the dual cell volumes; they satisfy
+    """A consistent bundle of the six lattices with cell volumes, read from
+    ``spec``: ``vol_f``/``vol_c`` are the fine and coarse cell volumes,
+    ``hvol_f`` = ``hvol_c`` and ``hvol_b`` the dual ones; they satisfy
     ``vol_f * hvol_f = (2*pi)**(1+dim) / n_fine`` and
     ``vol_c * hvol_c = (2*pi)**(1+dim) / n_coarse`` exactly.
     """
 
     spec: LatticeSpec
-    vol_f: float
-    vol_c: float
-    hvol_f: float
-    hvol_c: float
-    hvol_b: float
-    n_fine: int
-    n_coarse: int
-    n_block: int
+
+    vol_f = property(lambda self: self.spec.vol_f)
+    vol_c = property(lambda self: self.spec.vol_c)
+    hvol_f = hvol_c = property(lambda self: self.spec.hvol_f)
+    hvol_b = property(lambda self: self.spec.hvol_b)
+    n_fine = property(lambda self: self.spec.n_fine)
+    n_coarse = property(lambda self: self.spec.n_coarse)
+    n_block = property(lambda self: self.spec.n_block)
 
     # -- geometry -------------------------------------------------------
 
@@ -352,17 +351,7 @@ class LatticeFamily:
 
 def build_family(spec: LatticeSpec) -> LatticeFamily:
     """Construct the six-lattice family with its cell volumes."""
-    return LatticeFamily(
-        spec=spec,
-        vol_f=spec.vol_f,
-        vol_c=spec.vol_c,
-        hvol_f=spec.hvol_f,
-        hvol_c=spec.hvol_f,
-        hvol_b=spec.hvol_b,
-        n_fine=spec.n_fine,
-        n_coarse=spec.n_coarse,
-        n_block=spec.n_block,
-    )
+    return LatticeFamily(spec)
 
 
 def inner(family: LatticeFamily, f: FieldVector, g: FieldVector) -> complex:

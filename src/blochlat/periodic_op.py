@@ -42,16 +42,17 @@ over coarse cells,
 
     (A phi)(b + x) = vol_f * sum_w A(b, w) phi(w + x),
 
-its transpose has the rows A*(b, c + x) = A(c, b - x), c over the block
-sites, and ``compose`` takes row b of A B as B* acting on the row A(b, .).
-Every operation works on the rows.  The dense ``entries`` view is kept for
-test oracles only: it is expanded on first use, and no library path reads it.
+and its transpose has the rows A*(b, c + x) = A(c, b - x), c over the block
+sites.  The decomposition is an algebra homomorphism: the fiber of A B at
+k is fiber_A(k) fiber_B(k), so ``compose`` multiplies the two stacks class
+by class.  The dense ``entries`` view is kept for test oracles only: it is
+expanded on first use, and no library path reads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -176,14 +177,14 @@ def apply_kernel(kernel: PeriodicKernel, field: FieldVector) -> FieldVector:
 def compose(a: PeriodicKernel, b: PeriodicKernel) -> PeriodicKernel:
     """Kernel of the operator product, vol_f * sum_u'' A(u,u'') B(u'',u').
 
-    Row b of the product is the transpose of B acting on the row A(b, .),
-    one row at a time; the dense ``entries`` are never read."""
+    The fiber of A B at each dual-coarse class is the product of the
+    fibers of A and B there; ``reconstruct`` resums the products."""
     if a.family.spec != b.family.spec:
         raise ValueError("kernels live on different lattice families")
-    fam = a.family
-    bt = transpose_kernel(b)
-    return periodic_kernel(fam, [apply_kernel(bt, fam.field("fine", row)).values
-                                 for row in a.rows])
+    fibers = bloch_fibers(a)
+    # rebinding frees the input fibers before reconstruct
+    fibers = replace(fibers, entries=fibers.entries @ bloch_fibers(b).entries)
+    return reconstruct(a.family, fibers)
 
 
 def transpose_kernel(a: PeriodicKernel) -> PeriodicKernel:

@@ -340,26 +340,25 @@ def _coarse_window_tables(spec: LatticeSpec, radii: tuple[int, ...]):
     return tuple(map(_frozen, tables))
 
 
-def fiber_hat_fc(b: ZKernelFC, k) -> np.ndarray:
-    """Dual-block column vector of a fine-from-coarse kernel at momentum k;
-    momenta (..., n_axes) give vectors (..., n_block)."""
-    spec = b.spec
-    k = _momentum(spec, k)
-    disp, wdisp, ew = _coarse_window_tables(spec, normalize_radii(spec, b.radii))
-    g = np.exp(1j * k @ disp.T) @ b.entries.T  # sum over x, exp(i k.x)
+def _fc_product(spec: LatticeSpec, radii, entries: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """vol_f * sum_{w, x} exp(i k.x) entries[w, x] exp(-i (k + l).w), over l."""
+    disp, wdisp, ew = _coarse_window_tables(spec, normalize_radii(spec, radii))
+    g = np.exp(1j * k @ disp.T) @ entries.T  # sum over x, exp(i k.x)
     ekw = np.exp(-1j * k @ wdisp.T)  # exp(-i k.w)
     return spec.vol_f * ((ekw * g) @ np.conj(ew).T)
 
 
-def fiber_hat_cf(c: ZKernelFC, k) -> np.ndarray:
-    """Dual-block row vector of a coarse-from-fine kernel at momentum k;
+def fiber_hat_fc(b: ZKernelFC, k) -> np.ndarray:
+    """Dual-block column vector of a fine-from-coarse kernel at momentum k;
     momenta (..., n_axes) give vectors (..., n_block)."""
-    spec = c.spec
-    k = _momentum(spec, k)
-    disp, wdisp, ew = _coarse_window_tables(spec, normalize_radii(spec, c.radii))
-    g = np.exp(-1j * k @ disp.T) @ c.entries.T  # sum over x, exp(-i k.x)
-    ekw = np.exp(1j * k @ wdisp.T)  # exp(i k.w)
-    return spec.vol_f * ((ekw * g) @ ew.T)
+    return _fc_product(b.spec, b.radii, b.entries, _momentum(b.spec, k))
+
+
+def fiber_hat_cf(c: ZKernelFC, k) -> np.ndarray:
+    """Dual-block row vectors (..., n_block) of a coarse-from-fine kernel at
+    momenta k (..., n_axes): conj of ``_fc_product`` of the conjugate table at conj(k)."""
+    k = np.conj(_momentum(c.spec, k))
+    return np.conj(_fc_product(c.spec, c.radii, np.conj(c.entries), k))
 
 
 def exact_grid_sizes(spec: LatticeSpec, radii) -> tuple[int, ...]:

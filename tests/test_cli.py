@@ -412,9 +412,8 @@ def test_funcalc_overflowing_weight_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical error: weighted norm overflows at mass 710: " in err
     assert "RuntimeWarning" not in err
+    assert not (out / "funcalc.csv").exists()
     assert not (out / "report.json").exists()
-    values = np.loadtxt(out / "funcalc.csv", delimiter=",", skiprows=1)
-    assert np.isfinite(values).all()
 
 
 def test_funcalc_rounding_floor_exits_one(tmp_path, capsys):
@@ -537,20 +536,30 @@ FUZZ_JUNK = st.sampled_from(["", "nan", "inf", "-inf", "abc", "1%", "%(x)s"]) | 
     alphabet="0123456789.+-abdfinxz%$_", min_size=1, max_size=6).filter(
         lambda text: any(c in "abdfinxz%$_" for c in text))
 
+FUZZ_SIZE = st.integers(max_value=0).map(str)
+FUZZ_NON_POSITIVE = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False).map(repr)
+FUZZ_NEGATIVE = st.floats(max_value=-5e-324, allow_infinity=False).map(repr)
+# each numeric field with the values below its range: sizes and spacings
+# that are not positive, a width below 1, a contour radius <= 0, negative masses
+FUZZ_OUT_OF_RANGE = {
+    **{("lattice", key): FUZZ_SIZE for key in ("l_t", "l_x", "big_l_t", "big_l_x", "dim")},
+    ("lattice", "eps_t"): FUZZ_NON_POSITIVE, ("lattice", "eps_x"): FUZZ_NON_POSITIVE,
+    ("kernel", "width"): FUZZ_SIZE, ("params", "contour_radius"): FUZZ_NON_POSITIVE,
+    ("params", "mass"): FUZZ_NEGATIVE, ("params", "target_mass"): FUZZ_NEGATIVE,
+    ("params", "masses"): FUZZ_NEGATIVE.map(lambda text: "0.5," + text),
+}
+
 
 @st.composite
 def broken_configs(draw):
     """The REF config of a drawn task with one field broken, as INI text, and
     the field that the config error must name."""
     task = draw(st.sampled_from(sorted(FUZZ_PARAMS)))
-    parser = configparser.ConfigParser()
-    parser.read_string(REF_LINES.format(task=task))
-    config = {name: dict(parser[name]) for name in parser.sections()}
-    config["params"] = dict(FUZZ_PARAMS[task])
+    config = _ref_config(task)
     allowed = {"lattice": _LATTICE_KEYS, "kernel": {"type", *_KERNEL_KEYS_BY_TYPE["random"]},
                "task": {"name"}, "params": _PARAM_KEYS_BY_TASK[task]}
     change = draw(st.sampled_from(["drop", "unknown_key", "unknown_section", "junk",
-                                   "radius_length", "unknown_name"]))
+                                   "radius_length", "unknown_name", "out_of_range"]))
     if change == "drop":
         section, key = draw(st.sampled_from(FUZZ_REQUIRED))
         del config[section][key]
@@ -568,6 +577,11 @@ def broken_configs(draw):
             ("params", key) for key in FUZZ_PARAMS[task] if key != "function"]
         section, key = draw(st.sampled_from(numeric))
         config[section][key] = draw(FUZZ_JUNK)
+    elif change == "out_of_range":
+        section, key = draw(st.sampled_from([
+            field for field in FUZZ_OUT_OF_RANGE
+            if field[0] != "params" or field[1] in config["params"]]))
+        return _out_of_range(task, section, key, draw(FUZZ_OUT_OF_RANGE[section, key]))
     elif change == "radius_length":  # dim = 1 has two axes
         section, key = "kernel", "support_radius"
         config[section][key] = ",".join(["1"] * draw(st.integers(3, 5)))
@@ -578,14 +592,36 @@ def broken_configs(draw):
     return _ini(config), f"{section}.{key}"
 
 
+def _ref_config(task):
+    parser = configparser.ConfigParser()
+    parser.read_string(REF_LINES.format(task=task))
+    config = {name: dict(parser[name]) for name in parser.sections()}
+    config["params"] = dict(FUZZ_PARAMS[task])
+    return config
+
+
+def _out_of_range(task, section, key, value):
+    """The REF config of ``task`` with ``section.key`` set to ``value``; a
+    width is read by the smoothed kernel."""
+    config = _ref_config(task)
+    if key == "width":
+        config["kernel"] = {"type": "smooth_qstarq"}
+    config[section][key] = value
+    return _ini(config), f"{section}.{key}"
+
+
 def _ini(config) -> str:
     return "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
                    + "\n" for section, keys in config.items())
 
 
-@settings(derandomize=True, database=None, max_examples=120, deadline=None,
+@settings(derandomize=True, database=None, max_examples=140, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(drawn=broken_configs())
+@example(drawn=_out_of_range("funcalc", "params", "contour_radius", "0"))
+@example(drawn=_out_of_range("verify", "kernel", "width", "0"))
+@example(drawn=_out_of_range("verify", "lattice", "l_t", "0"))
+@example(drawn=_out_of_range("norms", "params", "masses", "1,-0.5"))
 def test_one_broken_field_is_a_config_error_naming_it(tmp_path, capsys, drawn):
     text, field = drawn
     out = tmp_path / "out"

@@ -20,7 +20,13 @@ from blochlat.cli import _fiber_chunks, _fiber_header, _write_csv
 from blochlat.lattice import LatticeSpec, build_family
 from blochlat.norms import decay_constant, fiber_decay_bound
 from blochlat.opfunc import Circle, function_norm_bound, function_of_operator, make_polynomial
-from blochlat.periodic_op import _fiber_layout, bloch_fibers, reconstruct
+from blochlat.periodic_op import (
+    _coarse_orbits,
+    _fiber_layout,
+    bloch_fibers,
+    compose,
+    reconstruct,
+)
 from blochlat.periodization import (
     INVERSION_CHUNK,
     exact_grid_sizes,
@@ -136,6 +142,23 @@ def test_dim3_round_trip_stays_near_its_block_rows():
     back, peak = _traced_peak_mb(lambda: reconstruct(fam, bloch_fibers(kernel)))
     assert np.abs(back.rows - kernel.rows).max() <= 1e-12 * np.abs(kernel.rows).max()
     assert peak < 4.5 * kernel.rows.nbytes / 1e6
+
+
+def test_compose_stays_near_its_block_rows():
+    # 15^3 = 3375 sites, 27 block sites: the block rows are 1.5 MB.  The
+    # fiber product peaks near 4 times the rows; a product over the rows
+    # gathers an (n_fine, n_coarse) field per block row and reaches about
+    # 10 times the rows
+    spec = LatticeSpec(1.0, 1.0, 3, 3, 15, 15, dim=2)
+    fam = build_family(spec)
+    rng = rng_from_seed(0)
+    a = periodize(random_zkernel(spec, (2, 2, 2), rng), fam)
+    b = periodize(random_zkernel(spec, (1, 1, 1), rng), fam)
+    _fiber_layout.cache_clear()
+    _coarse_orbits.cache_clear()
+    product, peak = _traced_peak_mb(lambda: compose(a, b))
+    assert product.rows.shape == a.rows.shape
+    assert peak < 7 * a.rows.nbytes / 1e6
 
 
 def test_verify_torus_rows_stay_at_the_block_rows():

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from blochlat import periodic_op
 from blochlat.fourier import transform
 from blochlat.lattice import FieldVector, LatticeSpec, build_family
 from blochlat.periodic_op import (
@@ -298,3 +299,21 @@ def test_compose_matches_brute_force():
     lhs = apply_kernel(c, phi).values
     rhs = apply_kernel(a, apply_kernel(b, phi)).values
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+@pytest.mark.parametrize("spec", [REF, LatticeSpec(0.5, 1.25, 2, 3, 6, 9, dim=2)],
+                         ids=["ref", "dim2"])
+def test_compose_is_the_fiber_product_without_row_gathers(monkeypatch, spec):
+    # the product multiplies fibers class by class; no row of it comes from
+    # a gather over coarse cells
+    def gather(*args):
+        raise AssertionError("compose gathered rows")
+
+    fam = build_family(spec)
+    rng = rng_from_seed(15)
+    a, b = random_periodic_kernel(fam, rng), random_periodic_kernel(fam, rng)
+    monkeypatch.setattr(periodic_op, "apply_kernel", gather)
+    monkeypatch.setattr(periodic_op, "transpose_kernel", gather)
+    got = compose(a, b).entries
+    expect = fam.vol_f * a.entries @ b.entries
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
