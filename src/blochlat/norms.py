@@ -22,9 +22,9 @@ that eta, so the bound is one sum of fiber moduli per shift, with no value
 quadrature.  The quadrature is exact, so the inequality is a theorem:
 summed against exp(m' |d|) it controls |a|_{m'} by
 ``decay_constant(m - m') / vol_c`` times that mean.  ``decay_constant`` is
-itself a certified upper bound on its lattice sum, an exact sum over a
-ball plus an analytic majorant of the rest, in bounded memory, so
-``decay_norm_bound`` is a theorem at any number of axes.
+itself a certified upper bound on its lattice sum, an exact sum over a ball
+plus an analytic majorant of the rest; but the shifted fibers round at about
+u exp(m reach), so the computed bound is not certified at moderate masses.
 """
 
 from __future__ import annotations

@@ -474,7 +474,9 @@ def function_norm_bound(kernel: PeriodicKernel, fn: CertifiedFunction, contour,
     + h W b_j^2 / (1 - h b_j) instead: R(z) = R_j + (z_j - z) R(z) R_j,
     every entry of an operator is at most its 2-norm, and W = max_x sum_y
     e^(m d(x, y)).  The bound holds in exact arithmetic on the computed
-    resolvents; ``arcs`` on the result is n.
+    resolvents; ``arcs`` on the result is n.  Where e^(m diameter) overflows,
+    it raises naming the mass (the CLI exits 1), though ||f(A)||_m is finite:
+    the resolvents have full support (the reference ``funcalc`` at m = 200).
     """
     _require_certified(fn, "function_norm_bound")
     mass = float(_finite("mass", mass))

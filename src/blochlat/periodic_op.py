@@ -36,17 +36,17 @@ sites per axis for any grid of N dual-coarse momenta per axis, which is how
 ``periodization.inverse_fiber`` recovers a window kernel from its samples.
 
 A ``PeriodicKernel`` stores exactly those rows, shape (n_block, n_fine),
-read-only; ``periodic_kernel`` takes nothing else.  Coarse translation by x
-maps row b to the row of b + x, so the kernel acts from its rows by a gather
-over coarse cells,
+read-only; ``periodic_kernel`` takes nothing else.  One cached block-major
+table holds the fine index of b + x, b a block site and x a coarse cell;
+translation by x maps row b to the row of b + x, so the kernel acts by
 
     (A phi)(b + x) = vol_f * sum_w A(b, w) phi(w + x),
 
-and its transpose has the rows A*(b, c + x) = A(c, b - x), c over the block
-sites.  The decomposition is an algebra homomorphism: the fiber of A B at
-k is fiber_A(k) fiber_B(k), so ``compose`` multiplies the two stacks class
-by class.  The dense ``entries`` view is kept for test oracles only: it is
-expanded on first use, and no library path reads it.
+a gather over n_block coarse cells at a time; the transpose has the rows
+A*(b, c + x) = A(c, b - x), c a block site.  The fiber of A B at k is
+fiber_A(k) fiber_B(k) (an algebra homomorphism), so ``compose`` multiplies
+the two stacks class by class.  The dense ``entries`` view is kept for test
+oracles only: it is expanded on first use, and no library path reads it.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ class PeriodicKernel:
     """Kernel on the fine torus, coarse-translation invariant.
 
     Stored as its block rows: ``rows[b]`` is A(b, .) over the fine sites,
-    with b running over ``family.coords("block")``; coarse translation
-    gives every other row.  ``entries`` is the dense (n_fine, n_fine) view,
-    kept for test oracles: expanded from the rows on first use and cached
+    b over ``family.coords("block")``; the row of b + x, x a coarse cell, is
+    its translate.  ``entries`` is the dense (n_fine, n_fine) view for test
+    oracles: expanded on first use, one coarse cell at a time, and cached
     read-only, it is read by no library path.
     """
 
@@ -90,10 +90,9 @@ class PeriodicKernel:
     def entries(self) -> np.ndarray:
         """The dense kernel: A(b + x, v) = A(b, v - x) over coarse steps x."""
         fam = self.family
-        orbits, neg = _coarse_orbits(fam)
         out = np.empty((fam.n_fine, fam.n_fine), dtype=complex)
-        for plus, minus in zip(orbits[_block_sites(fam)].T, orbits[:, neg].T):
-            out[plus] = self.rows[:, minus]
+        for plus, shift in zip(_block_major(fam).T, fam.coords("coarse") * fam.spec.ratios()):
+            out[plus] = self.rows[:, fam.indices("fine", fam.coords("fine") - shift)]
         return _frozen(out)
 
 
@@ -120,20 +119,20 @@ class BlochFiber:
 
 
 @lru_cache(maxsize=8)
-def _block_sites(family: LatticeFamily) -> np.ndarray:
-    """Fine-site indices of the block sites, in block order; read-only."""
-    return _frozen(family.indices("fine", family.coords("block")))
+def _block_major(family: LatticeFamily) -> np.ndarray:
+    """Fine-site indices of b + x, read-only: b over ``family.coords("block")``
+    (rows), x over the coarse cells (columns); column 0 holds the block sites."""
+    steps = family.coords("coarse") * family.spec.ratios()
+    return _frozen(family.indices("fine", family.coords("block")[:, None, :] + steps))
 
 
-@lru_cache(maxsize=8)
-def _coarse_orbits(family: LatticeFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Fine-site indices of u + x, u over the fine sites (rows) and x over
-    the coarse cells in ``family.coords("coarse")`` order (columns), and the
-    column of -x for each column x; read-only."""
-    shifts = family.coords("coarse") * family.spec.ratios()
-    orbits = family.indices("fine", family.coords("fine")[:, None, :] + shifts)
-    neg = family.indices("coarse", -family.coords("coarse"))
-    return _frozen(orbits), _frozen(neg)
+def _check_field(family: LatticeFamily, field: FieldVector, tag: str) -> None:
+    """Refuse a field that is not one value per site of the ``tag`` lattice."""
+    if field.tag != tag:
+        raise ValueError(f"kernel acts on {tag}-lattice fields, got {field.tag!r}")
+    if field.values.shape != (family.count(tag),):
+        raise ValueError(f"kernel acts on fields of {family.count(tag)} {tag} sites, "
+                         f"got values of shape {field.values.shape}")
 
 
 def periodic_kernel(family: LatticeFamily, rows) -> PeriodicKernel:
@@ -155,22 +154,24 @@ def periodic_kernel(family: LatticeFamily, rows) -> PeriodicKernel:
 def identity_kernel(family: LatticeFamily) -> PeriodicKernel:
     """Kernel of the identity operator, (1/vol_f) on the diagonal."""
     rows = np.zeros((family.n_block, family.n_fine), dtype=complex)
-    rows[np.arange(family.n_block), _block_sites(family)] = 1.0 / family.vol_f
+    rows[np.arange(family.n_block), _block_major(family)[:, 0]] = 1.0 / family.vol_f
     return periodic_kernel(family, rows)
 
 
 def apply_kernel(kernel: PeriodicKernel, field: FieldVector) -> FieldVector:
     """Position-space action vol_f * sum_u' A(u, u') phi(u'), from the rows:
-    (A phi)(b + x) = vol_f * sum_w A(b, w) phi(w + x)."""
+    (A phi)(b + x) = vol_f * sum_w A(b, w) phi(w + x), over n_block coarse
+    cells x at a time; w = c + y, c a block site and y a coarse cell."""
     fam = kernel.family
-    if field.tag != "fine":
-        raise ValueError(f"kernel acts on fine-lattice fields, got {field.tag!r}")
-    if field.values.shape != (fam.n_fine,):
-        raise ValueError(f"kernel acts on fields of {fam.n_fine} fine sites, "
-                         f"got values of shape {field.values.shape}")
-    orbits, _ = _coarse_orbits(fam)
+    _check_field(fam, field, "fine")
+    fine, coarse, block = fam.coords("fine"), fam.coords("coarse"), _block_major(fam)
+    c, y = fam.indices("block", fine), fam.indices("coarse", fine // fam.spec.ratios())
+    values, rows = field.values[block], fam.vol_f * kernel.rows  # phi(c + y) at [c, y]
     out = np.empty(fam.n_fine, dtype=complex)
-    out[orbits[_block_sites(fam)]] = fam.vol_f * kernel.rows @ field.values[orbits]
+    for start in range(0, fam.n_coarse, fam.n_block):
+        chunk = slice(start, start + fam.n_block)
+        plus = fam.indices("coarse", coarse[:, None, :] + coarse[chunk])  # y + x
+        out[block[:, chunk]] = rows @ values[c[:, None], plus[y]]
     return fam.field("fine", out)
 
 
@@ -191,8 +192,8 @@ def transpose_kernel(a: PeriodicKernel) -> PeriodicKernel:
     """Kernel of the transposed operator, A*(u, u') = A(u', u), from the
     rows: A*(b, c + x) = A(c, b - x)."""
     fam = a.family
-    orbits, neg = _coarse_orbits(fam)
-    block = orbits[_block_sites(fam)]  # c + x, (n_block, n_coarse)
+    block = _block_major(fam)  # c + x, (n_block, n_coarse)
+    neg = fam.indices("coarse", -fam.coords("coarse"))
     rows = np.empty_like(a.rows)
     rows[:, block] = np.swapaxes(a.rows[:, block[:, neg]], 0, 1)
     return periodic_kernel(fam, rows)

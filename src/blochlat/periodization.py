@@ -58,8 +58,8 @@ from .lattice import (
     extents,
     steps,
 )
-from .periodic_op import (BlochFiber, PeriodicKernel, _block_phase_matrix, _block_sites,
-                          _coarse_orbits, _fiber_layout, _fiber_rows, periodic_kernel)
+from .periodic_op import (BlochFiber, PeriodicKernel, _block_major, _block_phase_matrix,
+                          _check_field, _fiber_layout, _fiber_rows, periodic_kernel)
 
 __all__ = [
     "ZKernel",
@@ -488,8 +488,7 @@ def inverse_fiber(f: FiberFunction, radii, *, grid_points=None) -> ZKernel:
 
 def apply_fc(family: LatticeFamily, b: ZKernelFC, psi: FieldVector) -> FieldVector:
     """Torus action of the periodized kernel: fine field from a coarse one."""
-    if psi.tag != "coarse":
-        raise ValueError(f"fc kernel acts on coarse fields, got {psi.tag!r}")
+    _check_field(family, psi, "coarse")
     spec = b.spec
     if family.spec != spec:
         raise ValueError("kernel and family carry different lattice specs")
@@ -497,22 +496,20 @@ def apply_fc(family: LatticeFamily, b: ZKernelFC, psi: FieldVector) -> FieldVect
     cols = family.indices("coarse", family.coords("coarse")
                           + window_offsets(spec, b.radii)[:, None, :])
     out = np.zeros(family.n_fine, dtype=complex)
-    out[_coarse_orbits(family)[0][_block_sites(family)]] = (  # the sites w + x
-        family.vol_c * (b.entries @ psi.values[cols]))
+    out[_block_major(family)] = family.vol_c * (b.entries @ psi.values[cols])  # at w + x
     return family.field("fine", out)
 
 
 def apply_cf(family: LatticeFamily, c: ZKernelFC, phi: FieldVector) -> FieldVector:
     """Torus action of the periodized kernel: coarse field from a fine one."""
-    if phi.tag != "fine":
-        raise ValueError(f"cf kernel acts on fine fields, got {phi.tag!r}")
+    _check_field(family, phi, "fine")
     spec = c.spec
     if family.spec != spec:
         raise ValueError("kernel and family carry different lattice specs")
     cols = family.indices("coarse", family.coords("coarse")
                           - window_offsets(spec, c.radii)[:, None, :])
     # phi at w + (x - m) over (block site, window, coarse cell)
-    gathered = phi.values[_coarse_orbits(family)[0][_block_sites(family)][:, cols]]
+    gathered = phi.values[_block_major(family)[:, cols]]
     out = family.vol_f * (c.entries.reshape(-1) @ gathered.reshape(-1, family.n_coarse))
     return family.field("coarse", out)
 

@@ -40,7 +40,7 @@ from .lattice import (LatticeFamily, LatticeSpec, _wrapped_indices, build_family
 from .norms import decay_norm_bound, inverse_fiber_shifted, weighted_norm
 from .opfunc import FUNCTIONS, Circle, function_norm_bound, function_of_operator
 from .periodic_op import (
-    _block_sites,
+    _block_major,
     apply_kernel,
     bloch_fibers,
     compose,
@@ -190,7 +190,7 @@ def _definition_fiber(fam: LatticeFamily, kernel, rep):
         axis=tuple(range(1, 2 * spec.n_axes, 2))
     ).reshape(fam.n_block, fam.n_block)
     classes = _wrapped_indices(spec, "block", fam.coords("fine"))
-    return fam.vol_c * np.conj(phase[_block_sites(fam)])[:, None] * per_class[:, classes]
+    return fam.vol_c * np.conj(phase[_block_major(fam)[:, 0]])[:, None] * per_class[:, classes]
 
 
 def _direct_dft(fam: LatticeFamily, rows, sign: int) -> np.ndarray:
@@ -251,7 +251,7 @@ def _torus_checks(fam: LatticeFamily, rng):
     out.append(_eq("momentum_action", "lemBOkervar.c", worst, 1e-12))
 
     sites = fam.coords("fine")
-    block_sites = _block_sites(fam)
+    block_sites = _block_major(fam)[:, 0]
     acc = np.zeros_like(np.asarray(a.rows))
     for rep in fam.coords("dual_coarse"):
         ak = _definition_fiber(fam, a, rep)

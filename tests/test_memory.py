@@ -2,6 +2,8 @@
 periodize -> function -> fibers path, in the fiber round trip, in
 ``compose`` and in the torus, window and function rows of ``verify``, so
 no n_fine x n_fine array forms,
+``apply_kernel`` gathers n_block coarse cells at a time through the one
+(n_block, n_coarse) block-major index table, never all of them at once,
 ``function_norm_bound`` holds one pass of resolvents and
 ``fiber_decay_bound`` one pass of shifted fibers at a time, and the CLI
 streams its CSVs one fiber at a time.
@@ -21,8 +23,9 @@ from blochlat.lattice import LatticeSpec, build_family
 from blochlat.norms import decay_constant, fiber_decay_bound
 from blochlat.opfunc import Circle, function_norm_bound, function_of_operator, make_polynomial
 from blochlat.periodic_op import (
-    _coarse_orbits,
+    _block_major,
     _fiber_layout,
+    apply_kernel,
     bloch_fibers,
     compose,
     reconstruct,
@@ -34,7 +37,7 @@ from blochlat.periodization import (
     periodize,
     window_offsets,
 )
-from blochlat.rand import random_zkernel, rng_from_seed
+from blochlat.rand import random_field_values, random_zkernel, rng_from_seed
 from blochlat.verify import _opfunc_checks, _torus_checks, _window_checks
 
 
@@ -155,10 +158,26 @@ def test_compose_stays_near_its_block_rows():
     a = periodize(random_zkernel(spec, (2, 2, 2), rng), fam)
     b = periodize(random_zkernel(spec, (1, 1, 1), rng), fam)
     _fiber_layout.cache_clear()
-    _coarse_orbits.cache_clear()
+    _block_major.cache_clear()
     product, peak = _traced_peak_mb(lambda: compose(a, b))
     assert product.rows.shape == a.rows.shape
     assert peak < 7 * a.rows.nbytes / 1e6
+
+
+def test_apply_kernel_gathers_near_its_block_rows():
+    # 15^3 = 3375 sites in 125 coarse cells of 27 block sites: the block
+    # rows are 1.5 MB.  A gather over 27 coarse cells at a time, with its
+    # own index, is the size of the rows; one gather over every coarse cell
+    # through an (n_fine, n_coarse) index table reaches about 9 times them
+    spec = LatticeSpec(1.0, 1.0, 3, 3, 15, 15, dim=2)
+    fam = build_family(spec)
+    rng = rng_from_seed(0)
+    kernel = periodize(random_zkernel(spec, (2, 2, 2), rng), fam)
+    phi = fam.field("fine", random_field_values(fam, "fine", rng))
+    _block_major.cache_clear()
+    out, peak = _traced_peak_mb(lambda: apply_kernel(kernel, phi))
+    assert out.values.shape == (fam.n_fine,)
+    assert peak < 4 * kernel.rows.nbytes / 1e6
 
 
 def test_verify_torus_rows_stay_at_the_block_rows():

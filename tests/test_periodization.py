@@ -497,6 +497,27 @@ def test_fc_cf_actions_are_transposes_under_pairing():
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+@pytest.mark.parametrize("big_l", [6, 12])
+def test_fc_cf_actions_refuse_fields_of_another_family(big_l):
+    # REF has 9 coarse cells and 81 fine sites, the 6 x 6 family 4 and 36,
+    # the 12 x 12 one 16 and 144: unchecked, a shorter field indexes past
+    # its end and a longer one is silently cut to REF's sites
+    other = build_family(LatticeSpec(1.0, 1.0, 3, 3, big_l, big_l, dim=1))
+    b = random_zkernel_fc(REF, (1, 1), rng_from_seed(42))
+    coarse = other.field("coarse", np.ones(other.n_coarse))
+    fine = other.field("fine", np.ones(other.n_fine))
+    with pytest.raises(ValueError, match=f"fields of {FAM.n_coarse} coarse sites, "
+                                         rf"got values of shape \({other.n_coarse},\)"):
+        apply_fc(FAM, b, coarse)
+    with pytest.raises(ValueError, match=f"fields of {FAM.n_fine} fine sites, "
+                                         rf"got values of shape \({other.n_fine},\)"):
+        apply_cf(FAM, b, fine)
+    with pytest.raises(ValueError, match="coarse-lattice fields, got 'fine'"):
+        apply_fc(FAM, b, FAM.field("fine", np.zeros(FAM.n_fine)))
+    with pytest.raises(ValueError, match="fine-lattice fields, got 'coarse'"):
+        apply_cf(FAM, b, FAM.field("coarse", np.zeros(FAM.n_coarse)))
+
+
 def test_apply_z_matches_brute_sum():
     rng = rng_from_seed(42)
     a = random_zkernel(REF, (1, 1), rng)
