@@ -7,9 +7,9 @@ lattice and kernel, and writes machine-readable reports:
                     across repeated runs
 * ``summary.json``  the same rows plus ``elapsed_ms`` and ``stage_ms``
 * ``<task>.csv``    bulk numeric output where the task produces matrices;
-                    ``_write_csv`` fills one ``%.17g`` template per chunk (a
-                    fiber, a block site), so floats read back bit-exact, and
-                    writes it before the next, so memory holds one chunk
+                    ``_write_csv`` formats each chunk (a fiber, a block site)
+                    as ``%.17g`` cells in numpy, so floats read back bit-exact,
+                    and writes it before the next, so memory holds one chunk
 
 Config sections are ``[lattice]``, ``[kernel]``, ``[task]``, ``[params]``;
 unknown sections or keys are rejected by name so typos cannot silently
@@ -30,6 +30,7 @@ import math
 import os
 import sys
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -385,10 +386,12 @@ class Job:
 def _fiber_chunks(spec, matrices):
     """``_write_csv`` chunks per fiber: labels "k indices,row,col,", values re, im."""
     n = spec.n_block
-    suffixes = [f"{i},{j}," for i in range(n) for j in range(n)]
+    suffixes = np.array([b"%d,%d," % (i, j) for i in range(n) for j in range(n)])
     for rep, matrix in matrices:
-        base = "".join(f"{int(c)}," for c in rep)
-        yield ([base + s for s in suffixes],
+        base = "".join(f"{int(c)}," for c in rep).encode()
+        labels = np.empty(n * n, [("k", f"S{len(base)}"), ("ell", suffixes.dtype)])
+        labels["k"], labels["ell"] = base, suffixes
+        yield (labels.view(f"S{labels.itemsize}"),
                np.ascontiguousarray(matrix, dtype=complex).view(float).reshape(-1, 2))
 
 
@@ -481,15 +484,103 @@ _RUNNERS = {
 }
 
 
+_CELL = 29  # bytes: sign, "0.000" head, 17 digits and a dot, "e+XX" tail, separator
+_TIE = 2.0 ** -36  # fast-path margin, far above the < 1e-14 error of N
+
+
+def _split(a):
+    """Dekker's split of doubles into halves of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+@lru_cache(maxsize=1)
+def _cell_tables():
+    """Fast-path tables over the exponents e = -30..30: 10^(16 - e) as hi, hi's
+    halves and lo (hi + lo within 2^-106 of it), the %g head and tail and the
+    digits before the dot; and the 10^4 four-digit groups, one per column."""
+    scale, frame, whole = [], [], []
+    for e in range(-30, 31):
+        top, bottom = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+        hi = top / bottom  # int division rounds correctly, as does lo's
+        num, den = hi.as_integer_ratio()
+        scale.append((hi, (top * den - num * bottom) / (bottom * den)))
+        fixed = -4 <= e < 17
+        head = b"0." + b"0" * (-e - 1) if fixed and e < 0 else b""
+        frame.append(head.ljust(5, b"\0") + (b"" if fixed else b"e%+03d" % e).ljust(4, b"\0"))
+        whole.append(max(e + 1, 0) if fixed else 1)
+    hi, lo = np.array(scale).T
+    groups = np.arange(10 ** 4, dtype=np.uint16) // np.array([[1000], [100], [10], [1]], np.uint16)
+    return (np.stack((hi, *_split(hi), lo)),
+            np.frombuffer(b"".join(frame), np.uint8).reshape(61, 9).T.copy(),
+            np.array(whole, np.uint8), (groups % 10 + 48).astype(np.uint8))
+
+
+def _format_cells(x, out) -> None:
+    """Write the %.17g bytes of each x into ``out``, zeroed uint8 of shape
+    (_CELL,) + x.shape; its last row, the separator, is left as it is.
+
+    With E = floor(log10 |x|), the 17 digits are N = |x| 10^(16 - E) rounded
+    half-to-even; N is a double-double, Dekker's exact product of |x| and the
+    table's hi plus |x| lo.  Cells it cannot decide go to the exact formatter:
+    N's fraction within _TIE of 0, 1/2 or 1, N outside [10^16, 10^17), zeros,
+    subnormals, non-finite values and |x| outside (1e-30, 1e30)."""
+    scale, frame, whole, groups = _cell_tables()
+    a = np.abs(x)
+    fast = (a > 1e-30) & (a < 1e30)
+    a[~fast] = 1.0
+    row = np.floor(np.log10(a)).astype(np.intp) + 30
+    hi, hh, hl, lo = np.take(scale, row, axis=1)
+    p = a * hi
+    ah, al = _split(a)
+    t = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo  # N - p
+    floor = np.floor(t)
+    t -= floor
+    n = p.astype(np.int64) + floor.astype(np.int64)
+    fast &= n >= 10 ** 16
+    n += t > 0.5
+    t = np.abs(t - 0.5)
+    fast &= (t >= _TIE) & (t <= 0.5 - _TIE) & (n < 10 ** 17)
+    n[~fast] = 10 ** 16
+    digits = np.empty((17,) + x.shape, np.uint8)
+    top, low = np.divmod(n, 10 ** 8)
+    digits[0] = top // 10 ** 8 + 48
+    quads = np.stack((top // 10 ** 4 % 10 ** 4, top % 10 ** 4, low // 10 ** 4, low % 10 ** 4))
+    digits[1:].reshape((4, 4) + x.shape)[...] = np.take(groups, quads, axis=1).swapaxes(0, 1)
+    # %g drops trailing zeros after the dot, and the dot when none is left
+    count = np.arange(1, 18, dtype=np.uint8).reshape((17,) + (1,) * x.ndim)
+    w = whole[row]
+    kept = np.maximum(np.max((digits != 48) * count, axis=0), w)
+    digits *= count <= kept
+    before = digits * (count <= w)
+    ends = np.take(frame, row, axis=1)
+    out[0], out[1:6], out[24:28] = (x < 0) * np.uint8(45), ends[:5], ends[5:]
+    out[6:23] = before
+    out[7:24] += digits - before + (count == w) * ((kept > w) * np.uint8(46))  # the dot
+    for i in zip(*np.nonzero(~fast)):
+        cell = ("%.17g" % x[i]).encode().ljust(_CELL - 1, b"\0")
+        out[(slice(None, -1),) + i] = np.frombuffer(cell, np.uint8)
+
+
 def _write_csv(path: str, header, chunks) -> None:
     """Write ``header``, then each ``(labels, values)`` chunk: row r is ``labels[r]``
-    ("" or integer fields each ending in ",") and then ``values[r]`` as %.17g cells."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    ("" or integer fields each ending in ",", as ``np.asarray(labels, dtype="S")``
+    takes them) and then ``values[r]`` as %.17g cells, formatted in numpy by
+    ``_format_cells``; a chunk is written before the next is read."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for labels, values in chunks:
-            cells = ",".join(["%.17g"] * values.shape[1]) + "\n"
-            fh.write("".join(label + cells for label in labels)
-                     % tuple(values.ravel().tolist()))
+            labels = np.asarray(labels, dtype="S")
+            n_rows, n_cols = values.shape
+            width = labels.itemsize
+            text = np.zeros((width + n_cols * _CELL, n_rows), np.uint8)
+            text[:width] = labels.view(np.uint8).reshape(n_rows, width).T
+            cells = text[width:].reshape(n_cols, _CELL, n_rows).swapaxes(0, 1)
+            _format_cells(np.ascontiguousarray(values.T, dtype=float), cells)
+            cells[-1] = ord(",")
+            cells[-1, -1] = ord("\n")
+            fh.write(text.T.tobytes().translate(None, b"\0"))
 
 
 def _check_payload(results) -> list[dict]:

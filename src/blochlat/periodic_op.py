@@ -126,6 +126,15 @@ def _block_major(family: LatticeFamily) -> np.ndarray:
     return _frozen(family.indices("fine", family.coords("block")[:, None, :] + steps))
 
 
+@lru_cache(maxsize=8)
+def _fine_translates(family: LatticeFamily):
+    """``apply_kernel``'s read-only tables: the block index c and the coarse
+    index y of each fine site w = c + y, and the coarse index of y + x over y, x."""
+    fine, coarse = family.coords("fine"), family.coords("coarse")
+    c, y = family.indices("block", fine), family.indices("coarse", fine // family.spec.ratios())
+    return tuple(map(_frozen, (c, y, family.indices("coarse", coarse[:, None, :] + coarse))))
+
+
 def _check_field(family: LatticeFamily, field: FieldVector, tag: str) -> None:
     """Refuse a field that is not one value per site of the ``tag`` lattice."""
     if field.tag != tag:
@@ -164,14 +173,12 @@ def apply_kernel(kernel: PeriodicKernel, field: FieldVector) -> FieldVector:
     cells x at a time; w = c + y, c a block site and y a coarse cell."""
     fam = kernel.family
     _check_field(fam, field, "fine")
-    fine, coarse, block = fam.coords("fine"), fam.coords("coarse"), _block_major(fam)
-    c, y = fam.indices("block", fine), fam.indices("coarse", fine // fam.spec.ratios())
+    block, (c, y, plus) = _block_major(fam), _fine_translates(fam)
     values, rows = field.values[block], fam.vol_f * kernel.rows  # phi(c + y) at [c, y]
     out = np.empty(fam.n_fine, dtype=complex)
     for start in range(0, fam.n_coarse, fam.n_block):
         chunk = slice(start, start + fam.n_block)
-        plus = fam.indices("coarse", coarse[:, None, :] + coarse[chunk])  # y + x
-        out[block[:, chunk]] = rows @ values[c[:, None], plus[y]]
+        out[block[:, chunk]] = rows @ values[c[:, None], plus[y, chunk]]
     return fam.field("fine", out)
 
 

@@ -5,6 +5,7 @@ import configparser
 import csv
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -219,6 +220,23 @@ def test_no_task_reads_the_dense_kernel(tmp_path, monkeypatch, task):
     monkeypatch.setattr(PeriodicKernel, "entries", property(dense))
     config = write_config(tmp_path, REF_LINES.format(task=task) + TASK_PARAMS[task])
     assert run(config, tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("task", ["fibers", "norms", "decay", "funcalc"])
+def test_every_csv_cell_is_its_own_17g_and_a_rerun_writes_the_same_bytes(tmp_path, task):
+    # the %.17g contract at the CLI: each float cell is the %.17g text of the
+    # double it reads back as, and a rerun writes the same file
+    config = write_config(tmp_path, REF_LINES.format(task=task) + TASK_PARAMS[task])
+    assert run(config, tmp_path / "a") == 0
+    assert run(config, tmp_path / "b") == 0
+    path = tmp_path / "a" / f"{task}.csv"
+    assert path.read_bytes() == (tmp_path / "b" / f"{task}.csv").read_bytes()
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    cells = [i for i, name in enumerate(header) if not re.search(r"_index_|^ell_", name)]
+    assert rows and cells
+    for row in rows:
+        assert [format(float(row[i]), ".17g") for i in cells] == [row[i] for i in cells]
 
 
 def test_funcalc_projection_spectrum(tmp_path):
@@ -713,7 +731,7 @@ def _csv_chunks(draw):
     ([], np.empty((0, 3))),
 ]))
 def test_write_csv_matches_csv_writer(tmp_path, drawn):
-    # the %-template writer must reproduce csv.writer fed format(x, ".17g")
+    # the numpy writer must reproduce csv.writer fed format(x, ".17g")
     # cells byte for byte, special values included
     n_cols, chunks = drawn
     header = [f"c{i}" for i in range(n_cols)]
@@ -730,6 +748,30 @@ def test_write_csv_matches_csv_writer(tmp_path, drawn):
                              + [format(float(x), ".17g") for x in row]
                              for label, row in zip(labels, values))
     assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def _one_ulp_around(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+@settings(derandomize=True, database=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.builds(lambda sign, m, k: sign * m * 2.0 ** k, st.sampled_from([1.0, -1.0]),
+                          st.integers(2 ** 52, 2 ** 53 - 1), st.integers(-152, 46)),
+                min_size=1, max_size=40))
+@example([m * 2.0 ** -17 for m in (2 ** 17 + 1, 2 ** 17 + 3, 1000001, 1048579, 1310719)])
+@example([v for k in range(-30, 31) for v in _one_ulp_around(float(f"1e{k}"))])
+@example([float(v) for n in (10 ** 16, 10 ** 17) for v in range(n - 64, n + 65, 8)])
+@example([v for x in (1e-5, 1e-4, 1e16, 1e17) for v in _one_ulp_around(x)]
+         + [9.99995e-5, 9.9999999999999991e-5, 9.9999999999999984e15, 9.9999999999999984e16])
+def test_write_csv_fast_path_is_exact(tmp_path, cells):
+    # doubles m * 2^k over the decades of the numpy fast path, 1e-30 to
+    # 1e30; the examples are exact decimal ties (m * 2^-17 has 18 digits,
+    # the last a 5), 10^k and its neighbours, integers near 10^16 and 10^17,
+    # and the points where %g switches between fixed and exponent notation
+    path = tmp_path / "cells.csv"
+    _write_csv(str(path), ["x"], [([""] * len(cells), np.array(cells)[:, None])])
+    assert path.read_text().split("\n")[1:-1] == [format(x, ".17g") for x in cells]
 
 
 def test_missing_config_exits_two(tmp_path, capsys):

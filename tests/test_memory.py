@@ -25,6 +25,7 @@ from blochlat.opfunc import Circle, function_norm_bound, function_of_operator, m
 from blochlat.periodic_op import (
     _block_major,
     _fiber_layout,
+    _fine_translates,
     apply_kernel,
     bloch_fibers,
     compose,
@@ -175,6 +176,7 @@ def test_apply_kernel_gathers_near_its_block_rows():
     kernel = periodize(random_zkernel(spec, (2, 2, 2), rng), fam)
     phi = fam.field("fine", random_field_values(fam, "fine", rng))
     _block_major.cache_clear()
+    _fine_translates.cache_clear()
     out, peak = _traced_peak_mb(lambda: apply_kernel(kernel, phi))
     assert out.values.shape == (fam.n_fine,)
     assert peak < 4 * kernel.rows.nbytes / 1e6
