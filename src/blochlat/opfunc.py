@@ -5,8 +5,10 @@ circle, f(A) = (1 / 2 pi i) * integral f(zeta) (zeta - A)^(-1) dzeta, which
 the momentum fibers of a coarse-invariant kernel split fiber by fiber.  On
 a circle |zeta - z0| = r the n-node trapezoid rule has a closed form
 (Trefethen and Weideman, SIAM Review 56, 2014): with B = (M - z0) / r and
-fhat = fft(f(z_j)) / n, it is (I - B^n)^(-1) sum_{k<n} fhat_k B^k, n - 1
-matrix products and one solve per fiber, with f evaluated once per node.
+fhat = fft(f(z_j)) / n, it is (I - B^n)^(-1) sum_{k<n} fhat_k B^k.  The
+power sum is evaluated by Paterson and Stockmeyer (SIAM J. Comput. 2, 1973)
+in about 2 sqrt(n) matrix products (12 at n = 27) and one solve per fiber,
+with f evaluated once per node.
 
 The node count comes from a certified error bound: a majorant ||B^j||_2 <=
 K gamma^j per fiber, from its norm disc or computed powers of B; Cauchy
@@ -20,7 +22,8 @@ Every fiber's eigenvalues must be enclosed and clear the circle by more
 than 1e-8 of the spectral scale.  The disc |z - c| <= rho, c = trace / n,
 rho >= ||M - cI||_2, holds the spectrum and bounds cond_2(zeta - M) by
 (d + rho) / (d - rho) at |zeta - c| = d > rho (Trefethen and Embree 2005);
-only where it settles neither are the eigenvalues or the SVD computed.
+every fiber's disc comes from one batched pass, and only where it settles
+neither are the eigenvalues or the SVD computed.
 
 ``function_norm_bound`` certifies an upper bound on the weighted norm of
 f(A): the resolvent identity bounds the resolvent's norm on arcs around
@@ -49,9 +52,12 @@ RESOLVENT_COND_LIMIT = 1e14
 # The disc bound clears a shift only this far below the limit: near 1e14 it and the
 # SVD condition number carry rounding errors near one percent, so the SVD decides.
 COND_BOUND_ACCEPT = RESOLVENT_COND_LIMIT / 10
-# Matrices per batched product, solve or SVD in the quadrature: a chunk's
-# five stacks (base, power, sum, two temporaries) match a 16-node resolvent stack.
+# Matrices per batched product, solve or SVD in the quadrature.  The circle
+# rule holds at most MAX_POWERS powers of B per chunk, 2 * CHUNK**2 = 128
+# matrices, as many as a 16-node resolvent stack of CHUNK fibers, and a few
+# working stacks; the cap costs products only from 136 nodes on.
 CHUNK = 8
+MAX_POWERS = 2 * CHUNK
 CLEARANCE_RTOL = 1e-8
 QUADRATURE_RTOL = 1e-10  # per fiber, relative to max(1, max|f(M)|)
 MAX_NODES = 1 << 14
@@ -105,28 +111,37 @@ def _require_finite(matrix: np.ndarray) -> None:
         raise ValueError(f"fiber matrix is not finite: entry {at} is {matrix[at]}")
 
 
-def _spectral_disc(matrix: np.ndarray) -> tuple[complex, float]:
-    """(c, rho): c = trace / n and rho >= ||M - cI||_2, rounded up to cover its
-    own rounding; NaN or infinite for a matrix whose sums overflow."""
-    n = len(matrix)
+def _spectral_disc(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, rho) per matrix of an (..., n, n) stack: c = trace / n and rho >=
+    ||M - cI||_2, rounded up to cover its own rounding; NaN or infinite for a
+    matrix whose sums overflow, or that is not finite."""
+    n = matrix.shape[-1]
     with np.errstate(all="ignore"):
-        c = complex(np.trace(matrix)) / n
-        rho = float(_norm2_bound(np.abs(matrix - c * np.eye(n))))
+        c = np.trace(matrix, axis1=-2, axis2=-1) / n
+        shifted = np.array(matrix, dtype=complex)
+        shifted.reshape(matrix.shape[:-2] + (-1,))[..., ::n + 1] -= c[..., None]
+        rho = _norm2_bound(np.abs(shifted))
     return c, rho * (1.0 + (n * n + 8) * np.finfo(float).eps)
 
 
-def _validate_spectrum(contour, matrix: np.ndarray) -> tuple[complex, float]:
+def _disc_clears(contour, c, rho) -> np.ndarray:
+    """Whether each disc |z - c| <= rho is enclosed and clears the contour by
+    2e-8 * max(1, |c| + rho); never where rho is not finite."""
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(c - contour.center)
+        return ((np.abs(gap - contour.radius) - rho
+                 > 2.0 * CLEARANCE_RTOL * np.maximum(1.0, np.abs(c) + rho))
+                & (gap < contour.radius))
+
+
+def _validate_spectrum(contour, matrix: np.ndarray) -> None:
     """Reject eigenvalues outside the contour or within 1e-8 of the spectral
-    scale of it, and return the matrix's disc (c, rho).  A disc that is
-    enclosed and clears the contour by 2e-8 * max(1, |c| + rho) passes with
-    no eigensolve: it is connected and holds every eigenvalue, computed ones
-    included."""
+    scale of it.  A disc that clears the contour (``_disc_clears``) passes
+    with no eigensolve: it is connected and holds every eigenvalue, computed
+    ones included."""
     _require_finite(matrix)
-    c, rho = _spectral_disc(matrix)
-    # a finite rho keeps c finite
-    if (np.isfinite(rho) and contour_clearance(contour, c) - rho
-            > 2.0 * CLEARANCE_RTOL * max(1.0, abs(c) + rho) and encloses(contour, c)):
-        return c, rho
+    if _disc_clears(contour, *_spectral_disc(matrix)):
+        return
     eigenvalues = np.linalg.eigvals(matrix)
     scale = max(1.0, float(np.abs(eigenvalues).max()))
     for lam in eigenvalues:
@@ -137,7 +152,6 @@ def _validate_spectrum(contour, matrix: np.ndarray) -> tuple[complex, float]:
         if not encloses(contour, lam):
             raise ValueError(f"contour does not enclose the whole spectrum: eigenvalue "
                              f"{lam:.6g} lies outside")
-    return c, rho
 
 
 def _check_conditioning(stack: np.ndarray, centers: np.ndarray, rhos: np.ndarray,
@@ -198,33 +212,73 @@ def _require_certified(fn, caller: str) -> None:
 
 
 def _contour_setup(stack: np.ndarray, fn, contour) -> tuple[np.ndarray, np.ndarray, float]:
-    """(centers, rhos, sup): each fiber's disc from ``_validate_spectrum``,
-    and the sup of |f| on the closed disc of the contour, which must be
-    finite; a value of f that is not finite at a node is named first."""
-    discs = np.array([_validate_spectrum(contour, matrix) for matrix in stack], dtype=complex)
-    centers, rhos = discs.reshape(-1, 2).T
+    """(centers, rhos, sup): every fiber's disc, CHUNK fibers per batched
+    pass, with ``_validate_spectrum`` on each fiber whose disc does not clear
+    the contour, in order, so the first failing fiber is named; and the sup
+    of |f| on the closed disc of the contour, which must be finite; a value
+    of f that is not finite at a node is named first."""
+    centers, rhos = np.empty(len(stack), dtype=complex), np.empty(len(stack))
+    for lo in range(0, len(stack), CHUNK):
+        centers[lo:lo + CHUNK], rhos[lo:lo + CHUNK] = _spectral_disc(stack[lo:lo + CHUNK])
+    # a finite rho keeps the fiber finite, so a cleared disc needs no other check
+    for i in np.flatnonzero(~_disc_clears(contour, centers, rhos)):
+        _validate_spectrum(contour, stack[i])
     sup = float(fn.disc_sup(np.array([complex(contour.center)]), contour.radius)[0])
     if not np.isfinite(sup):
         _function_values(fn, contour_nodes(contour, NORM_BOUND_ARCS)[0])
         raise ValueError(f"f has no finite sup on the closed disc of the contour "
                          f"{contour}: a pole lies on or inside it, or |f| overflows there")
-    return centers, rhos.real, sup
+    return centers, rhos, sup
+
+
+def _power_products(n: int, s: int) -> int:
+    """Matrix products of ``_circle_rule`` at n nodes and block size s <= n:
+    B^2..B^s, Horner over the ceil(n / s) blocks, and B^n = (B^s)^a B^r, n =
+    a s + r, by binary powers."""
+    a, r = divmod(n, s)
+    horner = -(-n // s) - 1
+    binary = a.bit_length() - 1 + bin(a).count("1") - 1
+    return s - 1 + horner + binary + (r > 0)
 
 
 def _circle_rule(stack: np.ndarray, contour, values: np.ndarray) -> np.ndarray:
     """The n-node rule sum_j w_j f(z_j) (z_j - M)^(-1), n = len(values), for
-    each fiber M of the stack, in closed form; the powers of B run forward,
-    and the last gives B^n for the solve."""
-    coeffs = np.fft.fft(values) / len(values)
-    eye = np.eye(stack.shape[-1])
+    each fiber M of the stack, in closed form (I - B^n)^(-1) sum_{k<n} fhat_k
+    B^k.  Paterson-Stockmeyer: with X = B^s, the block size s <= MAX_POWERS
+    of the fewest products, the sum is Horner's rule in X over the blocks
+    sum_(i<s) fhat_(js+i) B^i, formed by elementwise multiply-adds, so each
+    fiber's result is the same in any stack.  The powers are dropped before
+    the solve."""
+    n = len(values)
+    coeffs = np.fft.fft(values) / n
+    s = min(range(1, min(n, MAX_POWERS) + 1), key=lambda s: _power_products(n, s))
+    a, r = divmod(n, s)
+    m = stack.shape[-1]
+    eye = np.eye(m)
     out = np.empty(stack.shape, dtype=complex)
     for lo in range(0, len(stack), CHUNK):
-        base = (stack[lo:lo + CHUNK] - contour.center * eye) / contour.radius
-        total, power = np.broadcast_to(coeffs[0] * eye, base.shape).copy(), base
-        for a in coeffs[1:]:
-            total += a * power
-            power = power @ base
-        out[lo:lo + CHUNK] = np.linalg.solve(eye - power, total)
+        chunk = stack[lo:lo + CHUNK]
+        powers = [(chunk - contour.center * eye) / contour.radius]  # B^1 .. B^s
+        while len(powers) < s:
+            powers.append(powers[-1] @ powers[0])
+        total, spare = np.zeros(chunk.shape, dtype=complex), np.empty(chunk.shape, dtype=complex)
+        for j in reversed(range(0, n, s)):
+            if j + s < n:
+                np.matmul(total, powers[-1], out=spare)
+                total, spare = spare, total
+            total.reshape(len(chunk), -1)[:, ::m + 1] += coeffs[j]
+            for i, c in enumerate(coeffs[j + 1:j + s]):
+                total += np.multiply(powers[i], c, out=spare)
+        del spare
+        power = powers[-1]  # B^n = (B^s)^a B^r, by binary powers from a's leading bit
+        for bit in bin(a)[3:]:
+            power = power @ power
+            if bit == "1":
+                power = power @ powers[-1]
+        if r:
+            power = power @ powers[r - 1]
+        del powers
+        out[lo:lo + CHUNK] = np.linalg.solve(np.subtract(eye, power, out=power), total)
     return out
 
 

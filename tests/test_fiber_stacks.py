@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_periodic_op_properties import PROPERTY_SETTINGS, REF3, _dense_norm, specs_and_radii
 
+from blochlat import opfunc
 from blochlat.averaging import Profile, profile_hat, prolong_restrict_fiber
 from blochlat.lattice import LatticeSpec, build_family, steps
 from blochlat.opfunc import (
@@ -148,6 +149,21 @@ def test_function_fiber_stack_equals_single_calls(case, seed):
     got = f.matrix_at(ks)
     for k, matrix in zip(ks, got):
         np.testing.assert_array_equal(matrix, f.matrix_at(k))
+
+
+@pytest.mark.parametrize("nodes", [1, 9, 27, 65, 200])
+def test_circle_rule_and_discs_of_a_stack_equal_single_calls(nodes):
+    # CHUNK + 3 fibers: one full chunk and a short one
+    rng = rng_from_seed(nodes)
+    stack = (rng.normal(size=(opfunc.CHUNK + 3, 27, 27, 2)) @ [1.0, 1.0j]) / 12.0
+    contour = Circle(0.1 + 0.2j, 2.0)
+    values = np.exp(contour_nodes(contour, nodes)[0])
+    got = opfunc._circle_rule(stack, contour, values)
+    centers, rhos = opfunc._spectral_disc(stack)
+    for i, matrix in enumerate(stack):
+        alone = opfunc._circle_rule(matrix[None], contour, values)[0]
+        np.testing.assert_array_equal(got[i], alone)
+        assert opfunc._spectral_disc(matrix) == (centers[i], rhos[i])
 
 
 @PROPERTY_SETTINGS

@@ -4,6 +4,7 @@ periodize -> function -> fibers path, in the fiber round trip, in
 no n_fine x n_fine array forms,
 ``apply_kernel`` gathers n_block coarse cells at a time through the one
 (n_block, n_coarse) block-major index table, never all of them at once,
+the circle rule holds at most ``MAX_POWERS`` powers of B per chunk,
 ``function_norm_bound`` holds one pass of resolvents and
 ``fiber_decay_bound`` one pass of shifted fibers at a time, and the CLI
 streams its CSVs one fiber at a time.
@@ -21,7 +22,15 @@ import pytest
 from blochlat.cli import _fiber_chunks, _fiber_header, _write_csv
 from blochlat.lattice import LatticeSpec, build_family
 from blochlat.norms import decay_constant, fiber_decay_bound
-from blochlat.opfunc import Circle, function_norm_bound, function_of_operator, make_polynomial
+from blochlat.opfunc import (
+    CHUNK,
+    Circle,
+    _circle_rule,
+    contour_nodes,
+    function_norm_bound,
+    function_of_operator,
+    make_polynomial,
+)
 from blochlat.periodic_op import (
     _block_major,
     _fiber_layout,
@@ -65,6 +74,20 @@ def test_funcalc_path_stays_below_one_dense_kernel():
     fibers, peak = _traced_peak_mb(run)
     assert len(fibers) == fam.n_coarse
     assert peak < 8.0
+
+
+def test_circle_rule_holds_a_bounded_set_of_powers():
+    # 4096 nodes on one chunk of 27 x 27 fibers, 93 KB a stack: the rule
+    # holds at most MAX_POWERS = 16 powers of B and a few working stacks
+    # (two sums, the products behind B^n and the result), where the block
+    # size of the fewest products, 64, would hold 64 powers
+    rng = rng_from_seed(41)
+    stack = (rng.normal(size=(CHUNK, 27, 27, 2)) @ [1.0, 1.0j]) / 12.0
+    contour = Circle(0.0, 2.0)
+    values = np.exp(contour_nodes(contour, 4096)[0])
+    out, peak = _traced_peak_mb(lambda: _circle_rule(stack, contour, values))
+    assert np.isfinite(out).all()
+    assert peak < 24 * stack.nbytes / 1e6
 
 
 def test_function_norm_bound_holds_one_pass_of_resolvents():

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochlat import opfunc, periodic_op
@@ -276,7 +276,8 @@ def test_norm_bound_takes_one_disc_per_fiber_and_one_pass_on_ref(monkeypatch):
     calls = {name: 0 for name in ("_spectral_disc", "_fiber_rows", "_torus_norm")}
     for name in calls:
         def counted(*args, _fn=getattr(opfunc, name), _name=name):
-            calls[_name] += 1
+            # a disc pass takes a stack: count the fibers that get a disc
+            calls[_name] += args[0][..., 0, 0].size if _name == "_spectral_disc" else 1
             return _fn(*args)
         monkeypatch.setattr(opfunc, name, counted)
     shapes = []
@@ -535,18 +536,26 @@ def drawn_fiber(kind, n, seed, fn, around, gap):
     return m, Circle(np.trace(m) / n + offset, radius)
 
 
-RULE_NODES = 64
+def node_sweep(test):
+    """Draw the rule's node count in [1, 200], with examples at the node
+    counts where the rule's block size or its power B^n changes shape."""
+    kinds = ["normal", "non-normal", "triangular"]
+    for i, nodes in enumerate((1, 2, 3, 9, 27, 28, 65, 128)):
+        test = example(kind=kinds[i % 3], n=2 + i % 7, seed=i, fn=list(SWEEP_FUNCTIONS)[i % 3],
+                       around=("disc", "spectrum")[i % 2], gap=0.1, nodes=nodes)(test)
+    return given(kind=st.sampled_from(kinds), n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+                 fn=st.sampled_from(list(SWEEP_FUNCTIONS)),
+                 around=st.sampled_from(["disc", "spectrum"]), gap=st.floats(0.02, 2.0),
+                 nodes=st.integers(1, 200))(test)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(kind=st.sampled_from(["normal", "non-normal", "triangular"]),
-       n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
-       fn=st.sampled_from(["exp", "polynomial", "inverse"]),
-       around=st.sampled_from(["disc", "spectrum"]), gap=st.floats(0.02, 2.0))
-def test_closed_form_rule_matches_the_per_node_resolvent_sum(kind, n, seed, fn, around, gap):
+@node_sweep
+def test_closed_form_rule_matches_the_per_node_resolvent_sum(kind, n, seed, fn, around, gap,
+                                                              nodes):
     m, contour = drawn_fiber(kind, n, seed, fn, around, gap)
     f = SWEEP_FUNCTIONS[fn]
-    zs, ws = contour_nodes(contour, RULE_NODES)
+    zs, ws = contour_nodes(contour, nodes)
     values = np.array([f(z) for z in zs])
     got = opfunc._circle_rule(m[None], contour, values)[0]
     want = np.tensordot(ws * values, resolvent_fiber(m, zs), 1)
@@ -579,11 +588,8 @@ def function_of_fiber(kind, m, fn, contour):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(kind=st.sampled_from(["normal", "non-normal", "triangular"]),
-       n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
-       fn=st.sampled_from(["exp", "polynomial", "inverse"]),
-       around=st.sampled_from(["disc", "spectrum"]), gap=st.floats(0.02, 2.0))
-def test_certified_error_dominates_the_rule_error(kind, n, seed, fn, around, gap):
+@node_sweep
+def test_certified_error_dominates_the_rule_error(kind, n, seed, fn, around, gap, nodes):
     m, contour = drawn_fiber(kind, n, seed, fn, around, gap)
     f = SWEEP_FUNCTIONS[fn]
     want = function_of_fiber(kind, m, fn, contour)
@@ -595,11 +601,10 @@ def test_certified_error_dominates_the_rule_error(kind, n, seed, fn, around, gap
     assert np.abs(got - want).max() <= opfunc.QUADRATURE_RTOL * max(1.0, np.abs(want).max())
     centers, rhos, _ = opfunc._contour_setup(m[None], f, contour)
     major = opfunc._majorants(m[None], centers, rhos, contour)
-    for nodes in (2, 4, 8, 16, 32, 64, 128):
-        values = np.array([f(z) for z in contour_nodes(contour, nodes)[0]])
-        rule = opfunc._circle_rule(m[None], contour, values)[0]
-        error = sum(opfunc._rule_errors(major, [nodes], f, contour, np.abs(values).max(), n))
-        assert np.abs(rule - want).max() <= error[0, 0]
+    values = np.array([f(z) for z in contour_nodes(contour, nodes)[0]])
+    rule = opfunc._circle_rule(m[None], contour, values)[0]
+    error = sum(opfunc._rule_errors(major, [nodes], f, contour, np.abs(values).max(), n))
+    assert np.abs(rule - want).max() <= error[0, 0]
 
 
 def test_a_fiber_below_the_centre_scale_takes_one_more_rule():
@@ -634,6 +639,21 @@ def test_non_finite_fiber_is_named_before_any_solve(matrix):
 def test_resolvent_of_a_non_finite_fiber_is_named(matrix):
     with pytest.raises(ValueError, match=r"fiber matrix is not finite: entry \(0, 0\)"):
         resolvent_fiber(matrix, [5.0])
+
+
+@pytest.mark.parametrize("first", ["unenclosed", "non-finite"])
+def test_first_failing_fiber_of_a_stack_is_named(first):
+    # CHUNK + 3 fibers whose discs clear the circle, but for an unenclosed
+    # one and a non-finite one in different disc passes: the earlier one stops
+    stack = np.tile(np.diag([0.5, 0.25j, -0.5]), (opfunc.CHUNK + 3, 1, 1))
+    unenclosed = np.diag([0.5, 0.25j, 7.5]), r"eigenvalue 7\.5\+0j lies outside"
+    non_finite = np.diag([np.nan, 0.25j, -0.5]), r"fiber matrix is not finite: entry \(0, 0\)"
+    pair = (unenclosed, non_finite) if first == "unenclosed" else (non_finite, unenclosed)
+    (early, message), (late, _) = pair
+    stack[2], stack[opfunc.CHUNK + 1] = early, late
+    f = function_fiber(FiberFunction(REF, lambda ks: stack), FUNCTIONS["exp"], Circle(0.0, 1.0))
+    with pytest.raises(ValueError, match=message):
+        f.matrix_at(np.zeros((len(stack), 2)))
 
 
 def test_overflowing_norm_bound_falls_through_to_the_svd():
