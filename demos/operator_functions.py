@@ -68,7 +68,7 @@ explicit = periodic_kernel(
 print(f"polynomial vs explicit sum: "
       f"{np.abs(direct.rows - explicit.rows).max():.3e}")
 
-print("\ntrapezoid convergence for f = exp at fixed node counts:")
+print("\nnode-interpolant convergence for f = exp at fixed node counts:")
 fibers = bloch_fibers(a)
 
 

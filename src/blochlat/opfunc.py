@@ -3,19 +3,21 @@
 For an operator A with spectrum strictly inside a positively oriented
 circle, f(A) = (1 / 2 pi i) * integral f(zeta) (zeta - A)^(-1) dzeta, which
 the momentum fibers of a coarse-invariant kernel split fiber by fiber.  On
-a circle |zeta - z0| = r the n-node trapezoid rule has a closed form
-(Trefethen and Weideman, SIAM Review 56, 2014): with B = (M - z0) / r and
-fhat = fft(f(z_j)) / n, it is (I - B^n)^(-1) sum_{k<n} fhat_k B^k.  The
-power sum is evaluated by Paterson and Stockmeyer (SIAM J. Comput. 2, 1973)
-in about 2 sqrt(n) matrix products (12 at n = 27) and one solve per fiber,
-with f evaluated once per node.
+a circle |zeta - z0| = r, with B = (M - z0) / r and fhat = fft(f(z_j)) / n
+at the n nodes z_j, the trapezoid rule is (I - B^n)^(-1) P(B) (Trefethen and
+Weideman, SIAM Review 56, 2014), where P(B) = sum_{k<n} fhat_k B^k is f's
+degree n - 1 interpolant at the nodes, evaluated at M (Higham, Functions of
+Matrices, SIAM 2008, ch. 4).  The quadrature returns P(B), with no B^n and
+no solve, by Paterson and Stockmeyer (SIAM J. Comput. 2, 1973) in about 2
+sqrt(n) matrix products (9 at n = 27), with f evaluated once per node.
 
 The node count comes from a certified error bound: a majorant ||B^j||_2 <=
 K gamma^j per fiber, from its norm disc or computed powers of B; Cauchy
 bounds on the Taylor coefficients of f about z0, from the closed-form sups
 of a ``CertifiedFunction`` (every entry of ``FUNCTIONS`` and every
-``make_polynomial`` is one); and a first-order rounding term.  Each
-fiber's certified error is at most 1e-10 * max(1, max|f(M)|), or the
+``make_polynomial`` is one), so the error falls like s^n and (s gamma)^n for
+r / s the radius of a disc about z0 on which f is bounded; and a
+first-order rounding term.  Each fiber's certified error is at most 1e-10 * max(1, max|f(M)|), or the
 quadrature stops and names the fiber.
 
 Every fiber's eigenvalues must be enclosed and clear the circle by more
@@ -55,7 +57,7 @@ COND_BOUND_ACCEPT = RESOLVENT_COND_LIMIT / 10
 # Matrices per batched product, solve or SVD in the quadrature.  The circle
 # rule holds at most MAX_POWERS powers of B per chunk, 2 * CHUNK**2 = 128
 # matrices, as many as a 16-node resolvent stack of CHUNK fibers, and a few
-# working stacks; the cap costs products only from 136 nodes on.
+# working stacks; the cap costs products only from 289 nodes on.
 CHUNK = 8
 MAX_POWERS = 2 * CHUNK
 CLEARANCE_RTOL = 1e-8
@@ -231,34 +233,23 @@ def _contour_setup(stack: np.ndarray, fn, contour) -> tuple[np.ndarray, np.ndarr
     return centers, rhos, sup
 
 
-def _power_products(n: int, s: int) -> int:
-    """Matrix products of ``_circle_rule`` at n nodes and block size s <= n:
-    B^2..B^s, Horner over the ceil(n / s) blocks, and B^n = (B^s)^a B^r, n =
-    a s + r, by binary powers."""
-    a, r = divmod(n, s)
-    horner = -(-n // s) - 1
-    binary = a.bit_length() - 1 + bin(a).count("1") - 1
-    return s - 1 + horner + binary + (r > 0)
-
-
 def _circle_rule(stack: np.ndarray, contour, values: np.ndarray) -> np.ndarray:
-    """The n-node rule sum_j w_j f(z_j) (z_j - M)^(-1), n = len(values), for
-    each fiber M of the stack, in closed form (I - B^n)^(-1) sum_{k<n} fhat_k
-    B^k.  Paterson-Stockmeyer: with X = B^s, the block size s <= MAX_POWERS
-    of the fewest products, the sum is Horner's rule in X over the blocks
-    sum_(i<s) fhat_(js+i) B^i, formed by elementwise multiply-adds, so each
-    fiber's result is the same in any stack.  The powers are dropped before
-    the solve."""
+    """P(B) = sum_{k<n} fhat_k B^k, n = len(values), for each fiber M of the
+    stack: f's interpolant at the n nodes, evaluated at M, which is the rule
+    sum_j w_j f(z_j) (z_j - M)^(-1) times (I - B^n).  Paterson-Stockmeyer:
+    with X = B^s, the block size s <= MAX_POWERS of the fewest products, the
+    sum is Horner's rule in X over the blocks sum_(i<s) fhat_(js+i) B^i,
+    formed by elementwise multiply-adds, so each fiber's result is the same
+    in any stack."""
     n = len(values)
     coeffs = np.fft.fft(values) / n
-    s = min(range(1, min(n, MAX_POWERS) + 1), key=lambda s: _power_products(n, s))
-    a, r = divmod(n, s)
+    # B^2..B^s and Horner over the ceil(n / s) blocks take s - 2 + ceil(n / s) products
+    s = min(range(1, min(n, MAX_POWERS) + 1), key=lambda s: s - 2 + -(-n // s))
     m = stack.shape[-1]
-    eye = np.eye(m)
     out = np.empty(stack.shape, dtype=complex)
     for lo in range(0, len(stack), CHUNK):
         chunk = stack[lo:lo + CHUNK]
-        powers = [(chunk - contour.center * eye) / contour.radius]  # B^1 .. B^s
+        powers = [(chunk - contour.center * np.eye(m)) / contour.radius]  # B^1 .. B^s
         while len(powers) < s:
             powers.append(powers[-1] @ powers[0])
         total, spare = np.zeros(chunk.shape, dtype=complex), np.empty(chunk.shape, dtype=complex)
@@ -269,16 +260,7 @@ def _circle_rule(stack: np.ndarray, contour, values: np.ndarray) -> np.ndarray:
             total.reshape(len(chunk), -1)[:, ::m + 1] += coeffs[j]
             for i, c in enumerate(coeffs[j + 1:j + s]):
                 total += np.multiply(powers[i], c, out=spare)
-        del spare
-        power = powers[-1]  # B^n = (B^s)^a B^r, by binary powers from a's leading bit
-        for bit in bin(a)[3:]:
-            power = power @ power
-            if bit == "1":
-                power = power @ powers[-1]
-        if r:
-            power = power @ powers[r - 1]
-        del powers
-        out[lo:lo + CHUNK] = np.linalg.solve(np.subtract(eye, power, out=power), total)
+        out[lo:lo + CHUNK] = total
     return out
 
 
@@ -289,57 +271,69 @@ def _majorants(stack: np.ndarray, centers, rhos, contour) -> np.ndarray:
     t_p >= ||B^p||_2, p = 2^k <= MAX_NODES, bounds the squared powers with
     twice their first-order rounding.  As j is a multiple of p plus powers of
     two below p, t_p < 1 gives gamma = t_p^(1/p), K = prod_(i<k) max(1,
-    t_(2^i) / gamma^(2^i)) and S = prod_(i<k) (1 + t_(2^i)) / (1 - t_p); the
-    p with the fewest nodes by log(K / (1 - gamma) / QUADRATURE_RTOL) /
-    log(1 / gamma) is taken."""
+    t_(2^i) / gamma^(2^i)) and S = prod_(i<k) (1 + t_(2^i)) / (1 - t_p).  The
+    rule's error bound takes (K, gamma) as K / (1 - s gamma), s < 1, at most
+    K / (1 - gamma), so the p with the least K / (1 - gamma) is taken, and a
+    fiber stops squaring once that stops falling."""
     n, u = stack.shape[-1], np.finfo(float).eps / 2
     beta = (np.abs(centers - contour.center) + rhos) / contour.radius * (1.0 + 4 * u)
     major = np.array([np.ones_like(beta), beta, 1.0 / (1.0 - beta)])
-    big, p = np.flatnonzero(~(beta < 0.5)), 1 << np.arange(MAX_NODES.bit_length())
-    t = np.empty((len(p), len(big)))
+    big = np.flatnonzero(~(beta < 0.5))
     power = (stack[big] - contour.center * np.eye(n)) / contour.radius
     modulus = _norm2_bound(np.abs(power))  # >= || |B| ||_2
+    t, cost, live = [], np.full(len(big), np.inf), np.ones(len(big), dtype=bool)
     with np.errstate(all="ignore"):  # an overflowing power certifies nothing
-        for k in range(len(p) if len(big) else 0):
-            power = power @ power if k else power
-            bound = _norm2_bound(np.abs(power)) + 4 * p[k] * (n + 3) * u * modulus ** p[k]
-            t[k] = np.fmin(bound * (1.0 + (n * n + 8) * u), t[k - 1] ** 2 if k else beta[big])
-        log_t = np.log(np.maximum(t, np.finfo(float).tiny))  # (level i, fiber)
-        log_gamma = log_t / p[:, None]  # (candidate k, fiber)
-        below = np.tri(len(p), k=-1, dtype=bool)[..., None]  # i < k
-        log_k = np.where(below, np.maximum(log_t - p[:, None] * log_gamma[:, None], 0), 0).sum(1)
-        log_s = np.where(below, np.log1p(t), 0.0).sum(axis=1) - np.log1p(-np.minimum(t, 1.0))
-        nodes = (log_k - np.log1p(-np.exp(log_gamma)) - np.log(QUADRATURE_RTOL)) / -log_gamma
-        nodes[~(t < 1.0) | np.isnan(nodes)] = np.inf
-        best, fibers = nodes.argmin(axis=0), np.arange(len(big))
-        major[:, big] = np.exp([log_k, log_gamma, log_s])[:, best, fibers]
-    for i in big[np.isinf(nodes[best, fibers])][:1]:
+        for k, p in enumerate(1 << np.arange(MAX_NODES.bit_length() if len(big) else 0)):
+            power = power @ power if k else power  # B^p of the live fibers
+            t.append(t[-1] ** 2 if k else beta[big])  # t_p <= t_(p/2)^2 where not live
+            bound = _norm2_bound(np.abs(power)) + 4 * p * (n + 3) * u * modulus[live] ** p
+            t[k][live] = np.fmin(bound * (1.0 + (n * n + 8) * u), t[k][live])
+            log_t = np.log(np.maximum(t, np.finfo(float).tiny))  # (level i, fiber)
+            log_gamma = log_t[k] / p
+            log_k = np.maximum(log_t[:k] - (1 << np.arange(k))[:, None] * log_gamma, 0).sum(0)
+            level = np.where(np.exp(log_gamma) < 1.0, log_k - np.log1p(-np.exp(log_gamma)), np.inf)
+            better = live & (level < cost)
+            cost[better] = level[better]
+            log_s = np.log1p(t[:k]).sum(axis=0) - np.log1p(-np.minimum(t[k], 1.0))
+            major[:, big[better]] = np.exp([log_k, log_gamma, log_s])[:, better]
+            power = power[(better | np.isinf(cost))[live]]
+            live &= better | np.isinf(cost)
+            if not live.any():
+                break
+    for i in big[np.isinf(cost)][:1]:
         raise ValueError(f"contour quadrature did not converge at fiber {i}: no B^p, p <= "
                          f"{MAX_NODES}, has norm below 1; the spectrum may hug the contour")
     return major
 
 
 def _rule_errors(major, n, fn, contour, top, n_block) -> tuple[np.ndarray, np.ndarray]:
-    """(truncation, rounding) in 2-norm of the n-node rule per fiber (row) and
-    count n (column).  With F = sup |f| on |z - center| <= R = radius / s,
-    for the ladder R = radius * 2^(k/8), k = 1..96, Cauchy gives |c_j| <= F
-    s^j for f(center + radius w) = sum_j c_j w^j, and the rule, whose fhat_k
-    is sum_p c_(k+pn), misses f(M) = sum_j c_j B^j by at most K min_R F (s^n
-    / (1 - s^n) + g^n / (1 - g^n)) / (1 - s g), g = gamma.  An error e in the
-    FFT coefficients, the power sum or the solve reaches the result as at
-    most e S: rounding adds u (n + n_block) max|f| S / (1 - g^n)."""
+    """(truncation, rounding) in 2-norm of the n-node rule P(B) per fiber
+    (row) and count n (column).
+
+    Write f(center + radius w) = sum_j c_j w^j, so f(M) = sum_j c_j B^j.  The
+    nodes alias c_j onto fhat_k = sum_(p>=0) c_(k+pn), hence P(B) - f(B) =
+    sum_(k<n) sum_(p>=1) c_(k+pn) (B^k - B^(k+pn)).  With ||B^j||_2 <= K g^j
+    (g = gamma, K >= 1 = ||B^0||) and, for the ladder R = radius / s, s =
+    2^(-k/8), k = 1..96, Cauchy's |c_j| <= F s^j with F = sup |f| on |z -
+    center| <= R, the B^k terms sum to at most K F s^n / (1 - s^n) sum_(k<n)
+    (s g)^k and the B^(k+pn) terms to K F sum_(j>=n) (s g)^j, so the error is
+    at most K min_R F (s^n / (1 - s^n) + (s g)^n) / (1 - s g).  An error e
+    in the FFT coefficients or the power sum reaches the result as at most e
+    sum_(k<n) ||B^k||_2 <= S_n = min(S, K (1 - g^n) / (1 - g)): rounding adds
+    u (n + n_block) max|f| S_n, with no solve to amplify it."""
     factor, gamma, total = (row[:, None] for row in major)
     ladder = 2.0 ** (np.arange(1, 97) / 8.0)
     sups = fn.disc_sup(np.array([complex(contour.center)]), contour.radius * ladder)
     ladder, sups = ladder[np.isfinite(sups)], sups[np.isfinite(sups), None]
-    n = np.asarray(n, dtype=float)
+    n, log_g = np.asarray(n, dtype=float), np.log(np.maximum(gamma, np.finfo(float).tiny))
+    log_sg = log_g[:, None] - np.log(ladder)[:, None]  # (fiber, rung, 1)
     with np.errstate(over="ignore"):  # an overflowing bound certifies nothing
-        # x^n / (1 - x^n) for x = gamma and x = s
-        tail = 1.0 / np.expm1(-np.log(np.maximum(gamma, np.finfo(float).tiny)) * n)
-        trunc = (sups * (1.0 / np.expm1(np.log(ladder)[:, None] * n) + tail[:, None])
-                 / (1.0 - gamma[:, None] / ladder[:, None]))
+        # (s g)^n as exp(n log(s g)): ** on the (fiber, rung, n) cube is far slower
+        trunc = (sups * (1.0 / np.expm1(np.log(ladder)[:, None] * n) + np.exp(log_sg * n))
+                 / -np.expm1(log_sg))
+        partial = np.minimum(total, factor * np.expm1(log_g * n) / np.expm1(log_g))
         return (factor * trunc.min(axis=1, initial=np.inf),
-                np.finfo(float).eps / 2 * (n + n_block) * top * total * (1.0 + tail))
+                np.finfo(float).eps / 2 * (n + n_block) * top * partial)
 
 
 def _node_count(major, target, rows, fn, contour, top, n_block, fallback: bool) -> int:
@@ -358,18 +352,21 @@ def _node_count(major, target, rows, fn, contour, top, n_block, fallback: bool) 
         for counts, ok in ((alone, trunc <= target[keep, None]),
                            (both, trunc + rounding <= target[keep, None])):
             counts[:] = np.where((counts > 0) | ~ok.any(axis=1), counts, n[ok.argmax(axis=1)])
-        if both.all():
+        # the rounding grows with n: past a target, no larger n meets it
+        if ((both > 0) | (alone > 0) & (rounding[:, -1] > target[keep])).all():
             break
     for i, enough, reached in zip(keep, both, alone):
         factor, gamma, total = major[:, i]
         if not (enough or fallback and reached):
             raise ValueError("contour quadrature " + (
                 f"stalled at its rounding floor at fiber {i}: the rounding term u (n + n_block) "
-                f"max|f| S / (1 - gamma^n), S = {total:.3g}, keeps every n <= {MAX_NODES} "
-                f"above {target[i]:.2g}, set by max |f| = {top:.3g} on the contour" if reached
-                else f"did not converge within {MAX_NODES} nodes at fiber {i}: its truncation "
-                f"bound stays above {target[i]:.2g} (K = {factor:.3g}, 1 - gamma = "
-                f"{1.0 - gamma:.2g}); the spectrum may hug the contour"))
+                f"max|f| S_n, S_n <= S = {total:.3g}, stays above {target[i]:.2g} at every n "
+                f"whose truncation meets it, set by max |f| = {top:.3g} on the contour"
+                if reached else f"did not converge within {MAX_NODES} nodes at fiber {i}: its "
+                f"truncation bound stays above {target[i]:.2g} (K = {factor:.3g}, gamma = "
+                f"{gamma:.6g}): s gamma stays near 1 for every s = radius / R such that f is "
+                "bounded on |z - center| <= R, as a singularity of f or the spectrum lies near "
+                "the contour"))
     return int(np.where(both > 0, both, alone).max(initial=1))
 
 

@@ -79,8 +79,8 @@ def test_funcalc_path_stays_below_one_dense_kernel():
 def test_circle_rule_holds_a_bounded_set_of_powers():
     # 4096 nodes on one chunk of 27 x 27 fibers, 93 KB a stack: the rule
     # holds at most MAX_POWERS = 16 powers of B and a few working stacks
-    # (two sums, the products behind B^n and the result), where the block
-    # size of the fewest products, 64, would hold 64 powers
+    # (two sums and the result), where the block size of the fewest
+    # products, 64, would hold 64 powers
     rng = rng_from_seed(41)
     stack = (rng.normal(size=(CHUNK, 27, 27, 2)) @ [1.0, 1.0j]) / 12.0
     contour = Circle(0.0, 2.0)

@@ -251,8 +251,8 @@ def test_rule_evaluates_f_once_per_certified_node():
     square = CertifiedFunction(counting_square, FUNCTIONS["square"].disc_sup)
     out = function_of_operator(a, square, contour)
     # f at the centre for the scale, then once per node for every fiber at
-    # once: 22 certified nodes, where doubling evaluated 32
-    assert len(calls) == 1 + 22
+    # once: 5 certified nodes for the interpolant, where doubling evaluated 32
+    assert len(calls) == 1 + 5
     want = compose(a, a).entries
     assert np.abs(out.entries - want).max() <= 1e-8 * np.abs(want).max()
 
@@ -558,7 +558,10 @@ def test_closed_form_rule_matches_the_per_node_resolvent_sum(kind, n, seed, fn, 
     zs, ws = contour_nodes(contour, nodes)
     values = np.array([f(z) for z in zs])
     got = opfunc._circle_rule(m[None], contour, values)[0]
-    want = np.tensordot(ws * values, resolvent_fiber(m, zs), 1)
+    # the interpolant P(B) is the rule sum_j w_j f(z_j) (z_j - M)^(-1) times (I - B^n)
+    b = (m - contour.center * np.eye(n)) / contour.radius
+    want = np.tensordot(ws * values, resolvent_fiber(m, zs), 1) @ (
+        np.eye(n) - np.linalg.matrix_power(b, nodes))
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
@@ -675,11 +678,23 @@ def test_non_finite_function_value_is_named():
 
 
 def test_contour_hugging_an_eigenvalue_is_still_named():
-    # just clear of the eigenvalue 1 for the spectrum check, so close that no
-    # rule within MAX_NODES certifies, far above the rounding floor
-    contour = Circle(0.0, 1.0 + 2.0 * opfunc.CLEARANCE_RTOL)
-    fibers = constant_fibers(np.diag([0.0, 1.0, 0.5j]))
-    hug = "did not converge .* the spectrum may hug the contour"
+    # 1/z with its pole just outside the circle: f is bounded on no wider
+    # disc, so the bound has no s < 1 to converge at and no rule within
+    # MAX_NODES certifies, though the spectrum clears the circle by far
+    contour = Circle(1.0, 1.0 - 2.0 * opfunc.CLEARANCE_RTOL)
+    fibers = constant_fibers(np.diag([1.0, 1.25, 1.0 + 0.25j]))
+    hug = "did not converge .* a singularity of f or the spectrum lies near the contour"
     with pytest.raises(ValueError, match=hug) as info:
-        function_fiber(fibers, FUNCTIONS["exp"], contour).matrix_at(np.zeros(2))
+        function_fiber(fibers, FUNCTIONS["inverse"], contour).matrix_at(np.zeros(2))
     assert "at fiber 0" in str(info.value)
+
+
+def test_contour_hugging_an_eigenvalue_is_certified_by_the_interpolant():
+    # the eigenvalue 1 clears the circle by 2e-8 only: gamma is about 1 - 2e-8,
+    # but the interpolant's bound needs s * gamma < 1 only, for some s < 1
+    m = np.diag([0.0, 1.0, 0.5j])
+    contour = Circle(0.0, 1.0 + 2.0 * opfunc.CLEARANCE_RTOL)
+    fibers = constant_fibers(m)
+    got = function_fiber(fibers, FUNCTIONS["exp"], contour).matrix_at(np.zeros(2))
+    want = function_of_fiber("normal", m, "exp", contour)
+    assert np.abs(got - want).max() <= opfunc.QUADRATURE_RTOL * max(1.0, np.abs(want).max())
