@@ -26,7 +26,6 @@ from .lattice import (
     DUAL_TAGS,
     TAGS,
     FieldVector,
-    LatticeFamily,
     LatticeSpec,
     SpectrumVector,
     build_family,
@@ -48,7 +47,6 @@ __all__ = [
     "DIRECT_TAGS",
     "DUAL_TAGS",
     "LatticeSpec",
-    "LatticeFamily",
     "FieldVector",
     "SpectrumVector",
     "build_family",

@@ -33,12 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import FieldVector, LatticeFamily, LatticeSpec, _frozen
+from .lattice import FieldVector, LatticeSpec, _frozen
 from .periodic_op import BlochFiber
 from .periodization import (
     ZKernel,
     ZKernelFC,
-    _block_coords,
     _momentum,
     apply_cf,
     apply_fc,
@@ -156,7 +155,7 @@ def averaging_kernel(profile: Profile) -> ZKernelFC:
     spec = profile.spec
     radii_c = _coarse_radii(profile)
     ratios = spec.ratios()
-    z = _block_coords(spec)[:, None, :] - window_offsets(spec, radii_c) * ratios
+    z = spec.coords("block")[:, None, :] - window_offsets(spec, radii_c) * ratios
     radii = np.asarray(profile.radii)
     val = np.ones(z.shape[:2])
     for axis, weights in enumerate(profile.axis_weights):
@@ -165,12 +164,12 @@ def averaging_kernel(profile: Profile) -> ZKernelFC:
     return zkernel_fc(spec, radii_c, np.where(inside, val / spec.vol_f, 0.0))
 
 
-def restrict_field(family: LatticeFamily, profile: Profile,
+def restrict_field(family: LatticeSpec, profile: Profile,
                    phi: FieldVector) -> FieldVector:
     return apply_cf(family, averaging_kernel(profile), phi)
 
 
-def prolong_field(family: LatticeFamily, profile: Profile,
+def prolong_field(family: LatticeSpec, profile: Profile,
                   psi: FieldVector) -> FieldVector:
     return apply_fc(family, averaging_kernel(profile), psi)
 
@@ -207,7 +206,7 @@ def prolong_restrict_kernel(profile: Profile) -> ZKernel:
     ratios = spec.ratios()
     radii = tuple(2 * r for r in profile.radii)
     tables = [_pair_sums(w, int(l)) for w, l in zip(profile.axis_weights, ratios)]
-    block = _block_coords(spec)
+    block = spec.coords("block")
     offsets = window_offsets(spec, radii)
     val = np.full((len(block), len(offsets)), spec.vol_c / spec.vol_f**2)
     for axis in range(spec.n_axes):
@@ -220,7 +219,7 @@ def prolong_restrict_fiber(profile: Profile, k) -> BlochFiber:
     momenta (..., n_axes) give entries (..., n_block, n_block)."""
     spec = profile.spec
     k = _momentum(spec, k)
-    ells = 2.0 * np.pi * _block_coords(spec) / (spec.spacings() * spec.ratios())
+    ells = 2.0 * np.pi * spec.coords("block") / (spec.spacings() * spec.ratios())
     lifted = k[..., None, :] + ells  # k + l over the dual block
     entries = (profile_hat(profile, -lifted)[..., :, None]
                * profile_hat(profile, lifted)[..., None, :])

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .averaging import naive_profile, prolong_restrict_kernel, smooth_profile
-from .lattice import LatticeSpec, build_family, steps
+from .lattice import LatticeSpec
 from .norms import _decay_norm_from_bound, fiber_decay_bound, weighted_norm
 from .opfunc import (
     FUNCTIONS,
@@ -323,10 +323,9 @@ class Job:
         periodizes = task in ("norms", "funcalc", "verify")
         self.kernel = _build_kernel(self.spec, parser["kernel"], kind, seed, periodizes)
         self.params = parser["params"]
-        self.family = build_family(self.spec)
         if periodizes:
             try:
-                self.torus = periodize(self.kernel, self.family)
+                self.torus = periodize(self.kernel, self.spec)
             except ValueError as exc:
                 raise ConfigError(f"kernel does not fit the torus: {exc}")
         if task == "decay":
@@ -403,8 +402,8 @@ def _fiber_header(spec) -> list[str]:
 
 def _run_fibers(job: Job, outdir: str):
     spec = job.spec
-    reps = job.family.coords("dual_coarse")
-    fibers = fiber_function(job.kernel).matrix_at(reps * steps(spec, "dual_coarse"))
+    reps = spec.coords("dual_coarse")
+    fibers = fiber_function(job.kernel).matrix_at(reps * spec.steps("dual_coarse"))
     _write_csv(os.path.join(outdir, "fibers.csv"), _fiber_header(spec),
                _fiber_chunks(spec, zip(reps, fibers)))
     return []

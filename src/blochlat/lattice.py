@@ -24,7 +24,9 @@ dual_block     2*pi / (eps * l)                       l
 =============  =====================================  =================
 
 where ``eps``/``l``/``big_l`` stand for the time value on axis 0 and the
-space value on the remaining axes.
+space value on the remaining axes.  A ``LatticeSpec`` fixes all six, so the
+spec is the family: its methods give each tagged lattice's extents, steps,
+volumes, coords, indices, pairing phases and fields.
 
 The geometry accessors (``spacings``, ``ratios``, ``fine_extents``,
 ``extents``, ``steps``, ``coords``) are built once per spec and tag and
@@ -46,7 +48,6 @@ __all__ = [
     "DUAL_OF",
     "DIRECT_OF",
     "LatticeSpec",
-    "LatticeFamily",
     "FieldVector",
     "SpectrumVector",
     "build_family",
@@ -73,13 +74,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Geometry parameters: spacings, coarsening ratios, torus extents.
+    """The lattice family, fixed by its spacings, coarsening ratios and
+    torus extents.
 
     ``big_l_t`` must be divisible by ``l_t`` and ``big_l_x`` by ``l_x`` so
     that the coarse sublattice closes on the torus, and every cell and
     dual-cell volume must be finite and positive.  The site counts
     ``n_fine``, ``n_coarse``, ``n_block`` and the dual cell volumes
-    ``hvol_f``, ``hvol_b`` are computed once, with the per-axis arrays.
+    ``hvol_f`` = ``hvol_c`` and ``hvol_b`` are computed once, with the
+    per-axis arrays; with the cell volumes ``vol_f`` and ``vol_c`` they
+    satisfy ``vol_f * hvol_f = (2*pi)**(1+dim) / n_fine`` and
+    ``vol_c * hvol_c = (2*pi)**(1+dim) / n_coarse`` exactly.
     """
 
     eps_t: float
@@ -129,6 +134,8 @@ class LatticeSpec:
                 ("_fine", _frozen(np.array([self.big_l_t] + [self.big_l_x] * d, dtype=np.int64)))):
             object.__setattr__(self, name, value)
 
+    hvol_c = property(lambda self: self.hvol_f)  # the dual-coarse cell is the dual-fine one
+
     @property
     def n_axes(self) -> int:
         return 1 + self.dim
@@ -154,6 +161,89 @@ class LatticeSpec:
     def fine_extents(self) -> np.ndarray:
         """Fine torus extent in steps per axis, shape (1+dim,), shared read-only."""
         return self._fine
+
+    # -- the six lattices --------------------------------------------------
+
+    def extents(self, tag: str) -> np.ndarray:
+        return extents(self, tag)
+
+    def steps(self, tag: str) -> np.ndarray:
+        return steps(self, tag)
+
+    def count(self, tag: str) -> int:
+        return math.prod(_shape(self, tag))
+
+    def volume(self, tag: str) -> float:
+        """Cell volume of the tagged lattice (block cells are fine cells)."""
+        _check_tag(tag)
+        return {
+            "fine": self.vol_f,
+            "coarse": self.vol_c,
+            "block": self.vol_f,
+            "dual_fine": self.hvol_f,
+            "dual_coarse": self.hvol_c,
+            "dual_block": self.hvol_b,
+        }[tag]
+
+    # -- sites ----------------------------------------------------------
+
+    def coords(self, tag: str) -> np.ndarray:
+        """Integer coords of every site, shape (count, 1+dim), row-major."""
+        return _coords_cache(self, tag)
+
+    def index(self, tag: str, coords) -> int:
+        """Flat canonical index of (possibly unreduced) integer coords."""
+        return int(self.indices(tag, coords))
+
+    def indices(self, tag: str, coords) -> np.ndarray:
+        """Vectorized :meth:`index`: coords of shape (..., 1+dim), each
+        wrapped onto the tagged torus, give indices of shape (...)."""
+        arr = np.asarray(coords, dtype=np.int64)
+        return np.ravel_multi_index(tuple(arr.T), _shape(self, tag), mode="wrap").T
+
+    # -- pairing phases --------------------------------------------------
+
+    def pairing_phases(self, dual_tag: str, dual_coords, direct_tag: str,
+                       direct_coords) -> np.ndarray:
+        """Matrix exp(i p.u) over dual (rows) and direct (cols) coords.
+
+        Works for every tag combination; the dot product is evaluated from
+        integer multi-indices so the result is 2*pi-periodic exactly.
+        """
+        _check_tag(dual_tag)
+        _check_tag(direct_tag)
+        if dual_tag not in DUAL_TAGS or direct_tag not in DIRECT_TAGS:
+            raise ValueError(
+                f"pairing needs a dual and a direct tag, got {dual_tag!r}, "
+                f"{direct_tag!r}"
+            )
+        m = np.atleast_2d(np.asarray(dual_coords, dtype=np.int64))
+        n = np.atleast_2d(np.asarray(direct_coords, dtype=np.int64))
+        mf = m * _fine_unit_factor(self, dual_tag)
+        nf = n * _fine_unit_factor(self, direct_tag)
+        t = (mf / self.fine_extents().astype(float)) @ nf.T
+        return np.exp(2j * np.pi * t)
+
+    # -- fields ----------------------------------------------------------
+
+    def field(self, tag: str, values) -> FieldVector:
+        if tag not in DIRECT_TAGS:
+            raise ValueError(f"field values live on a direct lattice, got {tag!r}")
+        return FieldVector(self._site_values(tag, values), tag)
+
+    def spectrum(self, tag: str, values) -> SpectrumVector:
+        if tag not in DUAL_TAGS:
+            raise ValueError(f"spectrum values live on a dual lattice, got {tag!r}")
+        return SpectrumVector(self._site_values(tag, values), tag)
+
+    def _site_values(self, tag: str, values) -> np.ndarray:
+        """Read-only complex copy of one value per site of the tagged lattice."""
+        arr = np.array(values, dtype=complex)
+        if arr.shape != (self.count(tag),):
+            raise ValueError(
+                f"expected {self.count(tag)} values for {tag!r}, got shape {arr.shape}"
+            )
+        return _frozen(arr)
 
 
 @lru_cache(maxsize=256)
@@ -185,13 +275,6 @@ def steps(spec: LatticeSpec, tag: str) -> np.ndarray:
     if tag in ("dual_fine", "dual_coarse"):
         return _frozen(2.0 * np.pi / (eps * spec.fine_extents()))
     return _frozen(2.0 * np.pi / (eps * spec.ratios()))
-
-
-def _wrapped_indices(spec: LatticeSpec, tag: str, coords) -> np.ndarray:
-    """Flat canonical indices of integer coords (..., 1+dim), each wrapped
-    onto the tagged torus; ``.T`` splits off the coordinate axis as views."""
-    arr = np.asarray(coords, dtype=np.int64)
-    return np.ravel_multi_index(tuple(arr.T), _shape(spec, tag), mode="wrap").T
 
 
 def _fine_unit_factor(spec: LatticeSpec, tag: str) -> np.ndarray:
@@ -246,115 +329,12 @@ class SpectrumVector:
     tag: str
 
 
-@dataclass(frozen=True)
-class LatticeFamily:
-    """A consistent bundle of the six lattices with cell volumes, read from
-    ``spec``: ``vol_f``/``vol_c`` are the fine and coarse cell volumes,
-    ``hvol_f`` = ``hvol_c`` and ``hvol_b`` the dual ones; they satisfy
-    ``vol_f * hvol_f = (2*pi)**(1+dim) / n_fine`` and
-    ``vol_c * hvol_c = (2*pi)**(1+dim) / n_coarse`` exactly.
-    """
-
-    spec: LatticeSpec
-
-    vol_f = property(lambda self: self.spec.vol_f)
-    vol_c = property(lambda self: self.spec.vol_c)
-    hvol_f = hvol_c = property(lambda self: self.spec.hvol_f)
-    hvol_b = property(lambda self: self.spec.hvol_b)
-    n_fine = property(lambda self: self.spec.n_fine)
-    n_coarse = property(lambda self: self.spec.n_coarse)
-    n_block = property(lambda self: self.spec.n_block)
-
-    # -- geometry -------------------------------------------------------
-
-    def extents(self, tag: str) -> np.ndarray:
-        return extents(self.spec, tag)
-
-    def steps(self, tag: str) -> np.ndarray:
-        return steps(self.spec, tag)
-
-    def count(self, tag: str) -> int:
-        return math.prod(_shape(self.spec, tag))
-
-    def volume(self, tag: str) -> float:
-        """Cell volume of the tagged lattice (block cells are fine cells)."""
-        _check_tag(tag)
-        return {
-            "fine": self.vol_f,
-            "coarse": self.vol_c,
-            "block": self.vol_f,
-            "dual_fine": self.hvol_f,
-            "dual_coarse": self.hvol_c,
-            "dual_block": self.hvol_b,
-        }[tag]
-
-    # -- sites ----------------------------------------------------------
-
-    def coords(self, tag: str) -> np.ndarray:
-        """Integer coords of every site, shape (count, 1+dim), row-major."""
-        return _coords_cache(self.spec, tag)
-
-    def index(self, tag: str, coords) -> int:
-        """Flat canonical index of (possibly unreduced) integer coords."""
-        return int(self.indices(tag, coords))
-
-    def indices(self, tag: str, coords) -> np.ndarray:
-        """Vectorized :meth:`index`: coords of shape (..., 1+dim) give
-        indices of shape (...)."""
-        return _wrapped_indices(self.spec, tag, coords)
-
-    # -- pairing phases --------------------------------------------------
-
-    def pairing_phases(self, dual_tag: str, dual_coords, direct_tag: str,
-                       direct_coords) -> np.ndarray:
-        """Matrix exp(i p.u) over dual (rows) and direct (cols) coords.
-
-        Works for every tag combination; the dot product is evaluated from
-        integer multi-indices so the result is 2*pi-periodic exactly.
-        """
-        _check_tag(dual_tag)
-        _check_tag(direct_tag)
-        if dual_tag not in DUAL_TAGS or direct_tag not in DIRECT_TAGS:
-            raise ValueError(
-                f"pairing needs a dual and a direct tag, got {dual_tag!r}, "
-                f"{direct_tag!r}"
-            )
-        spec = self.spec
-        m = np.atleast_2d(np.asarray(dual_coords, dtype=np.int64))
-        n = np.atleast_2d(np.asarray(direct_coords, dtype=np.int64))
-        mf = m * _fine_unit_factor(spec, dual_tag)
-        nf = n * _fine_unit_factor(spec, direct_tag)
-        t = (mf / spec.fine_extents().astype(float)) @ nf.T
-        return np.exp(2j * np.pi * t)
-
-    # -- fields ----------------------------------------------------------
-
-    def field(self, tag: str, values) -> FieldVector:
-        if tag not in DIRECT_TAGS:
-            raise ValueError(f"field values live on a direct lattice, got {tag!r}")
-        return FieldVector(self._site_values(tag, values), tag)
-
-    def spectrum(self, tag: str, values) -> SpectrumVector:
-        if tag not in DUAL_TAGS:
-            raise ValueError(f"spectrum values live on a dual lattice, got {tag!r}")
-        return SpectrumVector(self._site_values(tag, values), tag)
-
-    def _site_values(self, tag: str, values) -> np.ndarray:
-        """Read-only complex copy of one value per site of the tagged lattice."""
-        arr = np.array(values, dtype=complex)
-        if arr.shape != (self.count(tag),):
-            raise ValueError(
-                f"expected {self.count(tag)} values for {tag!r}, got shape {arr.shape}"
-            )
-        return _frozen(arr)
+def build_family(spec: LatticeSpec) -> LatticeSpec:
+    """The six-lattice family of ``spec``, which is ``spec`` itself."""
+    return spec
 
 
-def build_family(spec: LatticeSpec) -> LatticeFamily:
-    """Construct the six-lattice family with its cell volumes."""
-    return LatticeFamily(spec)
-
-
-def inner(family: LatticeFamily, f: FieldVector, g: FieldVector) -> complex:
+def inner(family: LatticeSpec, f: FieldVector, g: FieldVector) -> complex:
     """Cell-volume weighted inner product, conjugate-linear in ``f``."""
     if f.tag != g.tag:
         raise ValueError(f"fields live on different lattices: {f.tag!r} vs {g.tag!r}")

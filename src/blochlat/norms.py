@@ -34,14 +34,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (LatticeFamily, LatticeSpec, _coords_cache, _pair_distances,
-                      _wrapped_indices)
+from .lattice import LatticeSpec, _pair_distances
 from .periodic_op import PeriodicKernel
 from .periodization import (
     FiberFunction,
     ZKernel,
     ZKernelFC,
-    _block_coords,
     _inversion_sums,
     _modulus_sums,
     _probe_quasi_periodicity,
@@ -69,8 +67,7 @@ DECAY_CHUNK = 1 << 14  # (slab, point) pairs per pass of decay_constant
 def _block_distances(spec: LatticeSpec) -> np.ndarray:
     """Geodesic torus distances from the block sites (rows) to every fine
     site (columns), read-only."""
-    return _pair_distances(spec, "fine", _block_coords(spec),
-                           _coords_cache(spec, "fine"))
+    return _pair_distances(spec, "fine", spec.coords("block"), spec.coords("fine"))
 
 
 def _weighted_sups(table, dist, classes, n_classes: int, mass: float, vols):
@@ -92,12 +89,12 @@ def _weighted_sups(table, dist, classes, n_classes: int, mass: float, vols):
     return sups
 
 
-def _torus_norm(fam: LatticeFamily, rows: np.ndarray, mass: float) -> np.ndarray:
+def _torus_norm(fam: LatticeSpec, rows: np.ndarray, mass: float) -> np.ndarray:
     """Torus norms of kernels given as block rows (..., n_block, n_fine): the
     row sums of A are those of its block rows, and column v collects the
     block rows' columns in the coarse class of v."""
-    classes = _wrapped_indices(fam.spec, "block", fam.coords("fine"))
-    return np.maximum(*_weighted_sups(rows, _block_distances(fam.spec), classes,
+    classes = fam.indices("block", fam.coords("fine"))
+    return np.maximum(*_weighted_sups(rows, _block_distances(fam), classes,
                                       fam.n_block, mass, (fam.vol_f, fam.vol_f)))
 
 
@@ -129,7 +126,7 @@ def weighted_norm(kernel, mass: float) -> float:
                               spec.n_block, mass, (spec.vol_f, spec.vol_f))
     else:
         offsets = window_offsets(spec, radii)
-        d = (_block_coords(spec)[:, None, :] - offsets * spec.ratios()) * spec.spacings()
+        d = (spec.coords("block")[:, None, :] - offsets * spec.ratios()) * spec.spacings()
         sups = _weighted_sups(kernel.entries, np.linalg.norm(d, axis=2),
                               np.zeros(len(offsets), dtype=np.intp), 1, mass,
                               (spec.vol_c, spec.vol_f))

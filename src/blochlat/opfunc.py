@@ -313,16 +313,19 @@ def _rule_errors(major, n, fn, contour, top, n_block) -> tuple[np.ndarray, np.nd
     Write f(center + radius w) = sum_j c_j w^j, so f(M) = sum_j c_j B^j.  The
     nodes alias c_j onto fhat_k = sum_(p>=0) c_(k+pn), hence P(B) - f(B) =
     sum_(k<n) sum_(p>=1) c_(k+pn) (B^k - B^(k+pn)).  With ||B^j||_2 <= K g^j
-    (g = gamma, K >= 1 = ||B^0||) and, for the ladder R = radius / s, s =
-    2^(-k/8), k = 1..96, Cauchy's |c_j| <= F s^j with F = sup |f| on |z -
-    center| <= R, the B^k terms sum to at most K F s^n / (1 - s^n) sum_(k<n)
-    (s g)^k and the B^(k+pn) terms to K F sum_(j>=n) (s g)^j, so the error is
-    at most K min_R F (s^n / (1 - s^n) + (s g)^n) / (1 - s g).  An error e
+    (g = gamma, K >= 1 = ||B^0||) and, for the ladder R = radius / s, with
+    1 / s = 1 + 2^-k for k = 10..4 and then 2^(k/8) for k = 1..96, Cauchy's
+    |c_j| <= F s^j with F = sup |f| on |z - center| <= R, the B^k terms sum
+    to at most K F s^n / (1 - s^n) sum_(k<n) (s g)^k and the B^(k+pn) terms
+    to K F sum_(j>=n) (s g)^j, so the error is at most K min_R F (s^n / (1 -
+    s^n) + (s g)^n) / (1 - s g).  The rungs near 1 reach an f whose
+    singularity lies just outside the circle.  An error e
     in the FFT coefficients or the power sum reaches the result as at most e
     sum_(k<n) ||B^k||_2 <= S_n = min(S, K (1 - g^n) / (1 - g)): rounding adds
     u (n + n_block) max|f| S_n, with no solve to amplify it."""
     factor, gamma, total = (row[:, None] for row in major)
-    ladder = 2.0 ** (np.arange(1, 97) / 8.0)
+    ladder = np.concatenate([1.0 + 2.0 ** -np.arange(10.0, 3.0, -1.0),
+                             2.0 ** (np.arange(1, 97) / 8.0)])
     sups = fn.disc_sup(np.array([complex(contour.center)]), contour.radius * ladder)
     ladder, sups = ladder[np.isfinite(sups)], sups[np.isfinite(sups), None]
     n, log_g = np.asarray(n, dtype=float), np.log(np.maximum(gamma, np.finfo(float).tiny))
@@ -502,7 +505,7 @@ def _resolvent_norms(fam, stack, centers, rhos, zs, mass: float):
         _check_conditioning(stack, centers, rhos, shifts)
         blocks = np.linalg.inv(shifts[:, None, None, None] * eye - stack)  # (node, fiber, l, l')
         spectral[lo:lo + size] = _norm2_bound(np.abs(blocks)).max(axis=1)
-        blocks = _fiber_rows(fam.spec, _shape(fam.spec, "coarse"), blocks)  # frees the fibers
+        blocks = _fiber_rows(fam, _shape(fam, "coarse"), blocks)  # frees the fibers
         norms[lo:lo + size] = _torus_norm(fam, blocks, mass)
     return norms, spectral
 
@@ -560,7 +563,7 @@ def function_norm_bound(kernel: PeriodicKernel, fn: CertifiedFunction, contour,
     with np.errstate(all="ignore"):  # the arcs where this is not finite are replaced
         arc_norms = norms / (1.0 - h * norms)
         if not neumann.all():
-            weight = np.exp(mass * _block_distances(fam.spec)).sum(axis=1).max()
+            weight = np.exp(mass * _block_distances(fam)).sum(axis=1).max()
             arc_norms[~neumann] = (norms + h * weight * spectral**2
                                    / (1.0 - h * spectral))[~neumann]
     total = contour.radius / n * float((sups * arc_norms).sum())

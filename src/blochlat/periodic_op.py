@@ -46,18 +46,18 @@ a gather over n_block coarse cells at a time; the transpose has the rows
 A*(b, c + x) = A(c, b - x), c a block site.  The fiber of A B at k is
 fiber_A(k) fiber_B(k) (an algebra homomorphism), so ``compose`` multiplies
 the two stacks class by class.  The dense ``entries`` view is kept for test
-oracles only: it is expanded on first use, and no library path reads it.
+oracles only: it is expanded on each read, and no library path reads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .lattice import FieldVector, LatticeFamily, LatticeSpec, _coords_cache, _frozen, _shape
+from .lattice import FieldVector, LatticeSpec, _frozen, _shape
 
 __all__ = [
     "PeriodicKernel",
@@ -79,19 +79,19 @@ class PeriodicKernel:
     Stored as its block rows: ``rows[b]`` is A(b, .) over the fine sites,
     b over ``family.coords("block")``; the row of b + x, x a coarse cell, is
     its translate.  ``entries`` is the dense (n_fine, n_fine) view for test
-    oracles: expanded on first use, one coarse cell at a time, and cached
-    read-only, it is read by no library path.
+    oracles, read by no library path: it is expanded on each read, one
+    coarse cell at a time, and not kept.
     """
 
-    family: LatticeFamily
+    family: LatticeSpec
     rows: np.ndarray  # (n_block, n_fine) complex
 
-    @cached_property
+    @property
     def entries(self) -> np.ndarray:
         """The dense kernel: A(b + x, v) = A(b, v - x) over coarse steps x."""
         fam = self.family
         out = np.empty((fam.n_fine, fam.n_fine), dtype=complex)
-        for plus, shift in zip(_block_major(fam).T, fam.coords("coarse") * fam.spec.ratios()):
+        for plus, shift in zip(_block_major(fam).T, fam.coords("coarse") * fam.ratios()):
             out[plus] = self.rows[:, fam.indices("fine", fam.coords("fine") - shift)]
         return _frozen(out)
 
@@ -119,23 +119,23 @@ class BlochFiber:
 
 
 @lru_cache(maxsize=8)
-def _block_major(family: LatticeFamily) -> np.ndarray:
+def _block_major(family: LatticeSpec) -> np.ndarray:
     """Fine-site indices of b + x, read-only: b over ``family.coords("block")``
     (rows), x over the coarse cells (columns); column 0 holds the block sites."""
-    steps = family.coords("coarse") * family.spec.ratios()
+    steps = family.coords("coarse") * family.ratios()
     return _frozen(family.indices("fine", family.coords("block")[:, None, :] + steps))
 
 
 @lru_cache(maxsize=8)
-def _fine_translates(family: LatticeFamily):
+def _fine_translates(family: LatticeSpec):
     """``apply_kernel``'s read-only tables: the block index c and the coarse
     index y of each fine site w = c + y, and the coarse index of y + x over y, x."""
     fine, coarse = family.coords("fine"), family.coords("coarse")
-    c, y = family.indices("block", fine), family.indices("coarse", fine // family.spec.ratios())
+    c, y = family.indices("block", fine), family.indices("coarse", fine // family.ratios())
     return tuple(map(_frozen, (c, y, family.indices("coarse", coarse[:, None, :] + coarse))))
 
 
-def _check_field(family: LatticeFamily, field: FieldVector, tag: str) -> None:
+def _check_field(family: LatticeSpec, field: FieldVector, tag: str) -> None:
     """Refuse a field that is not one value per site of the ``tag`` lattice."""
     if field.tag != tag:
         raise ValueError(f"kernel acts on {tag}-lattice fields, got {field.tag!r}")
@@ -144,7 +144,7 @@ def _check_field(family: LatticeFamily, field: FieldVector, tag: str) -> None:
                          f"got values of shape {field.values.shape}")
 
 
-def periodic_kernel(family: LatticeFamily, rows) -> PeriodicKernel:
+def periodic_kernel(family: LatticeSpec, rows) -> PeriodicKernel:
     """Wrap the block rows of a coarse-invariant kernel.
 
     ``rows`` has shape (n_block, n_fine), row b = A(b, .) with b in
@@ -160,7 +160,7 @@ def periodic_kernel(family: LatticeFamily, rows) -> PeriodicKernel:
     return PeriodicKernel(family, _frozen(arr))
 
 
-def identity_kernel(family: LatticeFamily) -> PeriodicKernel:
+def identity_kernel(family: LatticeSpec) -> PeriodicKernel:
     """Kernel of the identity operator, (1/vol_f) on the diagonal."""
     rows = np.zeros((family.n_block, family.n_fine), dtype=complex)
     rows[np.arange(family.n_block), _block_major(family)[:, 0]] = 1.0 / family.vol_f
@@ -187,7 +187,7 @@ def compose(a: PeriodicKernel, b: PeriodicKernel) -> PeriodicKernel:
 
     The fiber of A B at each dual-coarse class is the product of the
     fibers of A and B there; ``reconstruct`` resums the products."""
-    if a.family.spec != b.family.spec:
+    if a.family != b.family:
         raise ValueError("kernels live on different lattice families")
     fibers = bloch_fibers(a)
     # rebinding frees the input fibers before reconstruct
@@ -223,7 +223,7 @@ def _fiber_layout(spec: LatticeSpec, grid: tuple[int, ...]):
     block; exp(i k.b) is (prod grid, n_block) and exp(i l.b) is (n_block,
     n_block) indexed [l, b], over the block sites b.
     """
-    n, block = np.asarray(grid), _coords_cache(spec, "block")
+    n, block = np.asarray(grid), spec.coords("block")
     shape = tuple((n * spec.ratios()).tolist())
     reps = np.indices(grid).reshape(len(n), -1).T
     idx = np.ravel_multi_index(tuple((reps[:, None, :] + block * n).T), shape).T
@@ -239,7 +239,7 @@ def bloch_fibers(kernel: PeriodicKernel) -> BlochFiber:
     from the block rows, one inverse FFT per row.
     """
     fam = kernel.family
-    shape, idx, ek, el = _fiber_layout(fam.spec, _shape(fam.spec, "coarse"))
+    shape, idx, ek, el = _fiber_layout(fam, _shape(fam, "coarse"))
     # R_b(p) = sum_v A(b, v) exp(i p.v): the unnormalized inverse transform
     r_b = np.fft.ifftn(kernel.rows.reshape((fam.n_block,) + shape), axes=range(1, 1 + len(shape)),
                        norm="forward").reshape(fam.n_block, fam.n_fine)
@@ -250,7 +250,7 @@ def bloch_fibers(kernel: PeriodicKernel) -> BlochFiber:
     return BlochFiber(reps * fam.steps("dual_coarse"), _frozen(entries), reps)
 
 
-def reconstruct(family: LatticeFamily, fibers: BlochFiber) -> PeriodicKernel:
+def reconstruct(family: LatticeSpec, fibers: BlochFiber) -> PeriodicKernel:
     """Resum the canonical fiber stack of ``bloch_fibers`` into the kernel.
 
     The block rows come from one FFT per row and are the stored kernel.
@@ -263,8 +263,7 @@ def reconstruct(family: LatticeFamily, fibers: BlochFiber) -> PeriodicKernel:
     if fibers.rep is None or not np.array_equal(fibers.rep, family.coords("dual_coarse")):
         raise ValueError("reconstruct needs the canonical fiber stack: rep must be "
                          "family.coords('dual_coarse'), in that order")
-    return periodic_kernel(family, _fiber_rows(family.spec, _shape(family.spec, "coarse"),
-                                               fibers.entries))
+    return periodic_kernel(family, _fiber_rows(family, _shape(family, "coarse"), fibers.entries))
 
 
 def _fiber_rows(spec: LatticeSpec, grid: tuple[int, ...], blocks: np.ndarray) -> np.ndarray:

@@ -47,17 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import (
-    FieldVector,
-    LatticeFamily,
-    LatticeSpec,
-    _coords_cache,
-    _frozen,
-    _shape,
-    _wrapped_indices,
-    extents,
-    steps,
-)
+from .lattice import FieldVector, LatticeSpec, _frozen, _shape
 from .periodic_op import (BlochFiber, PeriodicKernel, _block_major, _block_phase_matrix,
                           _check_field, _fiber_layout, _fiber_rows, periodic_kernel)
 
@@ -136,11 +126,6 @@ def window_offsets(spec: LatticeSpec, radii) -> np.ndarray:
     """Integer offsets of the support window, shape (prod(2r+1), 1+dim),
     shared read-only."""
     return _window(spec, normalize_radii(spec, radii))[1]
-
-
-def _block_coords(spec: LatticeSpec) -> np.ndarray:
-    """Block site coords, canonical order; the cached read-only table."""
-    return _coords_cache(spec, "block")
 
 
 @dataclass(frozen=True)
@@ -241,19 +226,18 @@ def _check_window_fits(spec: LatticeSpec, radii, torus_extents) -> None:
             )
 
 
-def periodize(a: ZKernel, family: LatticeFamily) -> PeriodicKernel:
+def periodize(a: ZKernel, family: LatticeSpec) -> PeriodicKernel:
     """Wrap an infinite-lattice kernel around the torus.
 
     Exact because the window fits inside one period, so at most one image of
     each entry lands on any torus pair.  Only the block rows are filled;
     coarse invariance gives the rest.
     """
-    spec = a.spec
-    if family.spec != spec:
+    if family != a.spec:
         raise ValueError("kernel and family carry different lattice specs")
-    _check_window_fits(spec, a.radii, extents(spec, "fine"))
-    cols = family.indices("fine", _block_coords(spec)[:, None, :]
-                          + window_offsets(spec, a.radii))
+    _check_window_fits(family, a.radii, family.extents("fine"))
+    cols = family.indices("fine", family.coords("block")[:, None, :]
+                          + window_offsets(family, a.radii))
     rows = np.zeros((family.n_block, family.n_fine), dtype=complex)
     rows[np.arange(family.n_block)[:, None], cols] = a.entries
     return periodic_kernel(family, rows)
@@ -269,7 +253,7 @@ def compose_z(a: ZKernel, b: ZKernel) -> ZKernel:
     # vol_f a(w, w + d_a) b(w + d_a, .) at offsets d_a + d_b of row w, for the
     # nonzero a(w, w + d_a) in row-major order, which np.add.at keeps
     w, d_a = np.nonzero(a.entries != 0.0)
-    mids = _wrapped_indices(spec, "block", _block_coords(spec)[w] + offs_a[d_a])
+    mids = spec.indices("block", spec.coords("block")[w] + offs_a[d_a])
     products = (spec.vol_f * a.entries[w, d_a])[:, None] * b.entries[mids]
     strides = np.cumprod((1,) + window_shape(spec, radii)[::-1])[::-1]  # out[w, d_c]
     rows = np.column_stack([w, offs_a[d_a] + a.radii]) @ strides
@@ -301,10 +285,10 @@ def _window_tables(spec: LatticeSpec, radii: tuple[int, ...]):
     window displacements offset * eps, exp(i l.d) over the window, exp(i l.w)
     over the block, and the block class of w + d over (w, window)."""
     offsets = window_offsets(spec, radii)
-    block = _block_coords(spec)
+    block = spec.coords("block")
     tables = (offsets * spec.spacings(), _block_phase_matrix(spec, block, offsets),
               _block_phase_matrix(spec, block, block),
-              _wrapped_indices(spec, "block", block[:, None, :] + offsets))
+              spec.indices("block", block[:, None, :] + offsets))
     return tuple(map(_frozen, tables))
 
 
@@ -334,7 +318,7 @@ def fiber_function(a: ZKernel) -> FiberFunction:
 def _coarse_window_tables(spec: LatticeSpec, radii: tuple[int, ...]):
     """The k-independent tables of the ``_fc`` and ``_cf`` fibers, read-only:
     offset * l * eps over the coarse window, w * eps and exp(i l.w) over the block."""
-    block = _block_coords(spec)
+    block = spec.coords("block")
     tables = (window_offsets(spec, radii) * spec.ratios() * spec.spacings(),
               block * spec.spacings(), _block_phase_matrix(spec, block, block))
     return tuple(map(_frozen, tables))
@@ -371,7 +355,7 @@ def exact_grid_sizes(spec: LatticeSpec, radii) -> tuple[int, ...]:
 
 def _quadrature_nodes(spec: LatticeSpec, grid: tuple[int, ...]) -> np.ndarray:
     """Uniform tensor grid over the dual-coarse Brillouin zone, (prod N, axes)."""
-    circumference = steps(spec, "dual_block")  # 2*pi / (eps * l) per axis
+    circumference = spec.steps("dual_block")  # 2*pi / (eps * l) per axis
     axes = [circumference[a] * np.arange(n) / n for a, n in enumerate(grid)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
@@ -382,7 +366,7 @@ def _probe_momenta(spec: LatticeSpec) -> tuple[tuple[np.ndarray, ...], ...]:
     """The probe's (t, k, k + t p) triples: t each unit vector and one seeded
     nonzero draw, each at a seeded k."""
     rng = np.random.Generator(np.random.PCG64(PROBE_SEED))
-    recip = steps(spec, "dual_block")
+    recip = spec.steps("dual_block")
     draw = np.zeros(spec.n_axes, dtype=np.int64)
     while not draw.any():
         draw = rng.integers(-2, 3, size=spec.n_axes)
@@ -432,7 +416,7 @@ def _inversion_sums(f: FiberFunction, radii: tuple[int, ...], eta,
     spec = f.spec
     nodes = _quadrature_nodes(spec, grid) + 1j * eta
     fibers = np.empty((len(nodes), spec.n_block, spec.n_block), dtype=complex)
-    cols = np.ravel_multi_index(tuple((_block_coords(spec)[:, None, :] + window_offsets(
+    cols = np.ravel_multi_index(tuple((spec.coords("block")[:, None, :] + window_offsets(
         spec, radii)).T), _fiber_layout(spec, grid)[0], mode="wrap").T
     with np.errstate(all="ignore"):  # a sum that is not finite is named below
         for start in range(0, len(nodes), INVERSION_CHUNK):
@@ -486,28 +470,26 @@ def inverse_fiber(f: FiberFunction, radii, *, grid_points=None) -> ZKernel:
 # ---------------------------------------------------------------------------
 
 
-def apply_fc(family: LatticeFamily, b: ZKernelFC, psi: FieldVector) -> FieldVector:
+def apply_fc(family: LatticeSpec, b: ZKernelFC, psi: FieldVector) -> FieldVector:
     """Torus action of the periodized kernel: fine field from a coarse one."""
     _check_field(family, psi, "coarse")
-    spec = b.spec
-    if family.spec != spec:
+    if family != b.spec:
         raise ValueError("kernel and family carry different lattice specs")
     # psi at x + m over (window, coarse cell): wrapped images add in the product
     cols = family.indices("coarse", family.coords("coarse")
-                          + window_offsets(spec, b.radii)[:, None, :])
+                          + window_offsets(family, b.radii)[:, None, :])
     out = np.zeros(family.n_fine, dtype=complex)
     out[_block_major(family)] = family.vol_c * (b.entries @ psi.values[cols])  # at w + x
     return family.field("fine", out)
 
 
-def apply_cf(family: LatticeFamily, c: ZKernelFC, phi: FieldVector) -> FieldVector:
+def apply_cf(family: LatticeSpec, c: ZKernelFC, phi: FieldVector) -> FieldVector:
     """Torus action of the periodized kernel: coarse field from a fine one."""
     _check_field(family, phi, "fine")
-    spec = c.spec
-    if family.spec != spec:
+    if family != c.spec:
         raise ValueError("kernel and family carry different lattice specs")
     cols = family.indices("coarse", family.coords("coarse")
-                          - window_offsets(spec, c.radii)[:, None, :])
+                          - window_offsets(family, c.radii)[:, None, :])
     # phi at w + (x - m) over (block site, window, coarse cell)
     gathered = phi.values[_block_major(family)[:, cols]]
     out = family.vol_f * (c.entries.reshape(-1) @ gathered.reshape(-1, family.n_coarse))
@@ -558,7 +540,7 @@ def apply_z(a: ZKernel, phi: ZField) -> ZField:
         raise ValueError("field must be a fine-lattice field on the same spec")
     offsets = window_offsets(spec, a.radii)
     u = phi.coords[:, None, :] - offsets  # (support point, offset) pairs
-    a_vals = a.entries[_wrapped_indices(spec, "block", u), np.arange(len(offsets))]
+    a_vals = a.entries[spec.indices("block", u), np.arange(len(offsets))]
     # the nonzero terms, point-major: zfield adds them in this order
     pt, col = np.nonzero(a_vals != 0.0)
     if not len(pt):

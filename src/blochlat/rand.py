@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import LatticeFamily
+from .lattice import LatticeSpec
 from .periodization import (
     ZKernel,
     ZKernelFC,
@@ -52,11 +52,11 @@ def random_zkernel_fc(spec, radii, rng) -> ZKernelFC:
     return zkernel_fc(spec, radii, _window_values(spec, radii, rng))
 
 
-def random_periodic_kernel(family: LatticeFamily, rng) -> PeriodicKernel:
+def random_periodic_kernel(family: LatticeSpec, rng) -> PeriodicKernel:
     """Random coarse-invariant torus kernel: free rows on block representatives,
     extended over the torus by coarse translations."""
     return periodic_kernel(family, _uniform(rng, (family.n_block, family.n_fine)))
 
 
-def random_field_values(family: LatticeFamily, tag: str, rng) -> np.ndarray:
+def random_field_values(family: LatticeSpec, tag: str, rng) -> np.ndarray:
     return _uniform(rng, family.count(tag))

@@ -35,8 +35,7 @@ from .averaging import (
     smooth_profile,
 )
 from .fourier import transform
-from .lattice import (LatticeFamily, LatticeSpec, _wrapped_indices, build_family, extents,
-                      inner, steps)
+from .lattice import LatticeSpec, inner
 from .norms import decay_norm_bound, inverse_fiber_shifted, weighted_norm
 from .opfunc import FUNCTIONS, Circle, function_norm_bound, function_of_operator
 from .periodic_op import (
@@ -135,12 +134,12 @@ def _rel_peaks(delta, reference) -> list[float]:
                                                  np.abs(reference).max(axis=axes))]
 
 
-def _lifted_momenta(fam: LatticeFamily):
+def _lifted_momenta(spec: LatticeSpec):
     """The momenta rep + l * lift, rep (rows) over the dual-coarse torus and
     l (columns) over the dual block, and their fine-dual indices."""
-    lift = fam.extents("dual_fine") // fam.extents("dual_block")
-    moms = fam.coords("dual_coarse")[:, None, :] + fam.coords("dual_block") * lift
-    return moms, fam.indices("dual_fine", moms)
+    lift = spec.extents("dual_fine") // spec.extents("dual_block")
+    moms = spec.coords("dual_coarse")[:, None, :] + spec.coords("dual_block") * lift
+    return moms, spec.indices("dual_fine", moms)
 
 
 def _complex_momenta(spec, rng, count, im_radius):
@@ -160,15 +159,15 @@ def _complex_momenta(spec, rng, count, im_radius):
 # ---------------------------------------------------------------------------
 
 
-def _volume_checks(fam: LatticeFamily):
-    two_pi = (2.0 * np.pi) ** fam.spec.n_axes
-    fine = fam.volume("fine") * fam.volume("dual_fine") / two_pi
-    coarse = fam.volume("coarse") * fam.volume("dual_coarse") / two_pi
+def _volume_checks(spec: LatticeSpec):
+    two_pi = (2.0 * np.pi) ** spec.n_axes
+    fine = spec.volume("fine") * spec.volume("dual_fine") / two_pi
+    coarse = spec.volume("coarse") * spec.volume("dual_coarse") / two_pi
     return [
         _eq("volume_identity_fine", "eqnBOvolhvol",
-            _rel(abs(fine - 1.0 / fam.n_fine), 1.0 / fam.n_fine), 1e-14),
+            _rel(abs(fine - 1.0 / spec.n_fine), 1.0 / spec.n_fine), 1e-14),
         _eq("volume_identity_coarse", "eqnBOvolhvol",
-            _rel(abs(coarse - 1.0 / fam.n_coarse), 1.0 / fam.n_coarse), 1e-14),
+            _rel(abs(coarse - 1.0 / spec.n_coarse), 1.0 / spec.n_coarse), 1e-14),
     ]
 
 
@@ -177,26 +176,25 @@ def _volume_checks(fam: LatticeFamily):
 # ---------------------------------------------------------------------------
 
 
-def _definition_fiber(fam: LatticeFamily, kernel, rep):
+def _definition_fiber(spec: LatticeSpec, kernel, rep):
     """Block rows vol_c sum_x exp(-i k.b) A(b, v + x) exp(i k.(v + x)) of the
     position-space fiber, x over the coarse cells, fully independent of the
     band and FFT routes.  v + x runs over the coarse class of v,
     so the sum over x is one sum over the coarse axes of the weighted rows."""
-    spec = fam.spec
-    phase = fam.pairing_phases("dual_coarse", rep, "fine", fam.coords("fine"))[0]
-    split = tuple(int(e) for pair in zip(fam.extents("coarse"), spec.ratios())
+    phase = spec.pairing_phases("dual_coarse", rep, "fine", spec.coords("fine"))[0]
+    split = tuple(int(e) for pair in zip(spec.extents("coarse"), spec.ratios())
                   for e in pair)  # each fine axis as (coarse cell, block site)
-    per_class = (kernel.rows * phase).reshape((fam.n_block,) + split).sum(
+    per_class = (kernel.rows * phase).reshape((spec.n_block,) + split).sum(
         axis=tuple(range(1, 2 * spec.n_axes, 2))
-    ).reshape(fam.n_block, fam.n_block)
-    classes = _wrapped_indices(spec, "block", fam.coords("fine"))
-    return fam.vol_c * np.conj(phase[_block_major(fam)[:, 0]])[:, None] * per_class[:, classes]
+    ).reshape(spec.n_block, spec.n_block)
+    classes = spec.indices("block", spec.coords("fine"))
+    return spec.vol_c * np.conj(phase[_block_major(spec)[:, 0]])[:, None] * per_class[:, classes]
 
 
-def _direct_dft(fam: LatticeFamily, rows, sign: int) -> np.ndarray:
+def _direct_dft(spec: LatticeSpec, rows, sign: int) -> np.ndarray:
     """sum_v rows[:, v] exp(sign i p.v) at every fine-dual p, v over the
     fine sites: one phase matrix per fine axis, no FFT."""
-    ext = tuple(int(e) for e in fam.extents("fine"))
+    ext = tuple(int(e) for e in spec.extents("fine"))
     out = rows.reshape((-1,) + ext)
     for axis, n in enumerate(ext, start=1):
         phase = np.exp(sign * 2j * np.pi * (np.outer(range(n), range(n)) % n) / n)
@@ -204,75 +202,75 @@ def _direct_dft(fam: LatticeFamily, rows, sign: int) -> np.ndarray:
     return out.reshape(rows.shape)
 
 
-def _band(fam: LatticeFamily, rows, moms) -> np.ndarray:
+def _band(spec: LatticeSpec, rows, moms) -> np.ndarray:
     """The momentum matrix on its band, [k, l, l'] = A_hat(moms[k, l],
     moms[k, l']) for momenta (n_coarse, n_block, n_axes), one dual-coarse
     class per k: A_hat(p, p') = vol_f / n_block sum_b exp(-i p.b) R_b(p')
     with R_b(p) = sum_v A(b, v) exp(i p.v)."""
-    p = fam.indices("dual_fine", moms)
-    ph = fam.pairing_phases("dual_fine", fam.coords("dual_fine"), "block", fam.coords("block"))
-    out = np.conj(ph[p]) @ np.moveaxis(_direct_dft(fam, rows, 1)[:, p], 0, 1)
-    return fam.vol_f / fam.n_block * out
+    p = spec.indices("dual_fine", moms)
+    ph = spec.pairing_phases("dual_fine", spec.coords("dual_fine"), "block", spec.coords("block"))
+    out = np.conj(ph[p]) @ np.moveaxis(_direct_dft(spec, rows, 1)[:, p], 0, 1)
+    return spec.vol_f / spec.n_block * out
 
 
-def _band_rows(fam: LatticeFamily, band) -> np.ndarray:
+def _band_rows(spec: LatticeSpec, band) -> np.ndarray:
     """Invert :func:`_band` over ``_lifted_momenta``: G_b(k+l') = sum_l
     exp(i (k+l).b) band[k, l, l'] covers the fine dual once, and A(b, v) =
     1 / (vol_c n_coarse) sum_p G_b(p) exp(-i p.v)."""
-    _, p = _lifted_momenta(fam)
-    ph = fam.pairing_phases("dual_fine", fam.coords("dual_fine"), "block", fam.coords("block"))
-    g_b = np.empty((fam.n_block, fam.n_fine), dtype=complex)
+    _, p = _lifted_momenta(spec)
+    ph = spec.pairing_phases("dual_fine", spec.coords("dual_fine"), "block", spec.coords("block"))
+    g_b = np.empty((spec.n_block, spec.n_fine), dtype=complex)
     g_b[:, p] = np.moveaxis(np.swapaxes(ph[p], 1, 2) @ band, 1, 0)
-    return _direct_dft(fam, g_b, -1) / (fam.vol_c * fam.n_coarse)
+    return _direct_dft(spec, g_b, -1) / (spec.vol_c * spec.n_coarse)
 
 
-def _torus_checks(fam: LatticeFamily, rng):
+def _torus_checks(spec: LatticeSpec, rng):
     out = []
-    a = random_periodic_kernel(fam, rng)
+    a = random_periodic_kernel(spec, rng)
     scale = np.abs(a.rows).max()
 
-    moms, p = _lifted_momenta(fam)
-    band = _band(fam, a.rows, moms)
+    moms, p = _lifted_momenta(spec)
+    band = _band(spec, a.rows, moms)
     out.append(_eq("momentum_round_trip", "lemBOkervar.a",
-                   _rel(np.abs(_band_rows(fam, band) - a.rows).max(), scale), 1e-12))
+                   _rel(np.abs(_band_rows(spec, band) - a.rows).max(), scale), 1e-12))
 
     fibers = bloch_fibers(a)
-    back = reconstruct(fam, fibers)
+    back = reconstruct(spec, fibers)
     out.append(_eq("fiber_reconstruction", "lemBOkervar.b",
                    _rel(np.abs(back.rows - a.rows).max(), scale), 1e-12))
 
     worst = 0.0
     for _ in range(5):
-        phi = fam.field("fine", random_field_values(fam, "fine", rng))
-        lhs = transform(fam, apply_kernel(a, phi)).values
-        rhs = np.empty(fam.n_fine, dtype=complex)
-        rhs[p] = (band @ transform(fam, phi).values[p][:, :, None])[:, :, 0]
+        phi = spec.field("fine", random_field_values(spec, "fine", rng))
+        lhs = transform(spec, apply_kernel(a, phi)).values
+        rhs = np.empty(spec.n_fine, dtype=complex)
+        rhs[p] = (band @ transform(spec, phi).values[p][:, :, None])[:, :, 0]
         worst = max(worst, _rel(np.abs(lhs - rhs).max(), max(1.0, np.abs(lhs).max())))
     out.append(_eq("momentum_action", "lemBOkervar.c", worst, 1e-12))
 
-    sites = fam.coords("fine")
-    block_sites = _block_major(fam)[:, 0]
+    sites = spec.coords("fine")
+    block_sites = _block_major(spec)[:, 0]
     acc = np.zeros_like(np.asarray(a.rows))
-    for rep in fam.coords("dual_coarse"):
-        ak = _definition_fiber(fam, a, rep)
-        ph = fam.pairing_phases("dual_coarse", rep, "fine", sites)[0]
+    for rep in spec.coords("dual_coarse"):
+        ak = _definition_fiber(spec, a, rep)
+        ph = spec.pairing_phases("dual_coarse", rep, "fine", sites)[0]
         acc += ph[block_sites, None] * ak * np.conj(ph)[None, :]
-    acc /= fam.vol_c * fam.n_coarse
+    acc /= spec.vol_c * spec.n_coarse
     out.append(_eq("position_fiber_reconstruction", "lemBOkervar.d",
                    _rel(np.abs(acc - a.rows).max(), scale), 1e-12))
 
-    block_ph = fam.pairing_phases(
-        "dual_block", fam.coords("dual_block"), "fine", sites
+    block_ph = spec.pairing_phases(
+        "dual_block", spec.coords("dual_block"), "fine", sites
     )
     worst = 0.0
     for fiber in fibers[:4]:
-        direct = _definition_fiber(fam, a, fiber.rep)
+        direct = _definition_fiber(spec, a, fiber.rep)
         via = block_ph.T[block_sites] @ fiber.entries @ np.conj(block_ph)
-        worst = max(worst, _rel(np.abs(direct - via).max(), scale * fam.vol_c))
+        worst = max(worst, _rel(np.abs(direct - via).max(), scale * spec.vol_c))
     out.append(_eq("fiber_position_definition", "lemBOkervar.e", worst, 1e-12))
 
     # the fiber of the transpose at k is the band at -k - l, transposed
-    expect = np.swapaxes(_band(fam, a.rows, -moms), 1, 2)
+    expect = np.swapaxes(_band(spec, a.rows, -moms), 1, 2)
     got = bloch_fibers(transpose_kernel(a)).entries
     out.append(_eq("transpose_fiber_reflection", "lemBOkervar.f",
                    _rel(np.abs(got - expect).max(), np.abs(band).max()), 1e-12))
@@ -287,27 +285,26 @@ def _torus_checks(fam: LatticeFamily, rng):
 def _companion_radii(spec: LatticeSpec, radii) -> tuple[int, ...]:
     """Largest radii <= 1 whose sum with ``radii`` still fits the fine torus."""
     return tuple(max(0, min(1, (int(e) - 1) // 2 - int(r)))
-                 for r, e in zip(radii, extents(spec, "fine")))
+                 for r, e in zip(radii, spec.extents("fine")))
 
 
-def _coarse_kernel(fam: LatticeFamily, rng):
+def _coarse_kernel(spec: LatticeSpec, rng):
     """Random fine-coarse kernel of radius <= 1 that fits the coarse torus."""
-    radii = tuple(min(1, (int(e) - 1) // 2) for e in fam.extents("coarse"))
-    return random_zkernel_fc(fam.spec, radii, rng)
+    radii = tuple(min(1, (int(e) - 1) // 2) for e in spec.extents("coarse"))
+    return random_zkernel_fc(spec, radii, rng)
 
 
-def _window_checks(fam: LatticeFamily, a: ZKernel, rng):
-    spec = fam.spec
+def _window_checks(spec: LatticeSpec, a: ZKernel, rng):
     out = []
     scale = max(np.abs(a.entries).max(), 1e-300)
 
-    torus = periodize(a, fam)
+    torus = periodize(a, spec)
     # a gather, apart from periodize's scatter: reduce v - b to its minimal
     # image d, then read a(b, d) inside the window and 0 outside
-    ext = fam.extents("fine")
+    ext = spec.extents("fine")
     ratios = spec.ratios()
     radii = np.asarray(a.radii)
-    d = (fam.coords("fine")[None, :, :] - fam.coords("block")[:, None, :]) % ext
+    d = (spec.coords("fine")[None, :, :] - spec.coords("block")[:, None, :]) % ext
     d = np.where(2 * d > ext, d - ext, d)
     inside = (np.abs(d) <= radii).all(axis=2)
     slot = np.ravel_multi_index(
@@ -319,8 +316,8 @@ def _window_checks(fam: LatticeFamily, a: ZKernel, rng):
 
     b = random_zkernel(spec, _companion_radii(spec, a.radii), rng)
     ab = compose_z(a, b)
-    lhs = periodize(ab, fam)
-    rhs = compose(torus, periodize(b, fam))
+    lhs = periodize(ab, spec)
+    rhs = compose(torus, periodize(b, spec))
     cscale = max(np.abs(rhs.rows).max(), 1e-300)
     out.append(_eq("periodization_homomorphism", "remBOperiodization.c",
                    _rel(np.abs(lhs.rows - rhs.rows).max(), cscale), 1e-12))
@@ -328,7 +325,7 @@ def _window_checks(fam: LatticeFamily, a: ZKernel, rng):
     eye = fiber_function(identity_zkernel(spec)).matrix_at(
         _complex_momenta(spec, rng, 3, MASS))
     out.append(_eq("identity_fiber_delta", "lemBOperiodalg.a",
-                   np.abs(eye - np.eye(fam.n_block)).max(), 1e-13))
+                   np.abs(eye - np.eye(spec.n_block)).max(), 1e-13))
 
     f = fiber_function(a)
     ks = np.concatenate([_complex_momenta(spec, rng, 5, MASS),
@@ -348,17 +345,17 @@ def _window_checks(fam: LatticeFamily, a: ZKernel, rng):
     ti = translation_invariant_zkernel(spec, prof_radii, profile)
     ti_offsets = window_offsets(spec, prof_radii)
     eps = spec.spacings()
-    ells = 2.0 * np.pi * fam.coords("dual_block") / (eps * ratios)
+    ells = 2.0 * np.pi * spec.coords("dual_block") / (eps * ratios)
     ks = _complex_momenta(spec, rng, 3, MASS)
-    alpha_hat = fam.vol_f * (np.exp(1j * (ks[:, None, :] + ells) @ (ti_offsets * eps).T)
+    alpha_hat = spec.vol_f * (np.exp(1j * (ks[:, None, :] + ells) @ (ti_offsets * eps).T)
                              @ profile)
-    expect = alpha_hat[:, :, None] * np.eye(fam.n_block)
+    expect = alpha_hat[:, :, None] * np.eye(spec.n_block)
     worst = max(_rel_peaks(fiber_hat(ti, ks).entries - expect, expect))
     out.append(_eq("translation_invariant_diagonal", "lemBOifkervar.b", worst, 1e-12))
 
     # the fibers carry vol_f, like fiber_position_definition's carry vol_c
     fibers = bloch_fibers(torus)
-    worst = _rel(np.abs(f.matrix_at(fibers.k) - fibers.entries).max(), scale * fam.vol_f)
+    worst = _rel(np.abs(f.matrix_at(fibers.k) - fibers.entries).max(), scale * spec.vol_f)
     out.append(_eq("discrete_momentum_consistency", "lemBOifkervar.c", worst, 1e-12))
 
     ks = _complex_momenta(spec, rng, 3, MASS)
@@ -379,27 +376,26 @@ def _window_checks(fam: LatticeFamily, a: ZKernel, rng):
     return out
 
 
-def _asymmetric_checks(fam: LatticeFamily, rng):
-    spec = fam.spec
+def _asymmetric_checks(spec: LatticeSpec, rng):
     out = []
-    b = _coarse_kernel(fam, rng)
-    step_c = steps(spec, "dual_coarse")
+    b = _coarse_kernel(spec, rng)
+    step_c = spec.steps("dual_coarse")
 
-    reps = fam.coords("dual_coarse")
-    _, p = _lifted_momenta(fam)
+    reps = spec.coords("dual_coarse")
+    _, p = _lifted_momenta(spec)
 
-    psi = fam.field("coarse", random_field_values(fam, "coarse", rng))
-    got = transform(fam, apply_fc(fam, b, psi)).values
-    psi_hat = transform(fam, psi).values
+    psi = spec.field("coarse", random_field_values(spec, "coarse", rng))
+    got = transform(spec, apply_fc(spec, b, psi)).values
+    psi_hat = transform(spec, psi).values
     coeffs = fiber_hat_fc(b, reps * step_c)
-    expect = np.zeros(fam.n_fine, dtype=complex)
+    expect = np.zeros(spec.n_fine, dtype=complex)
     expect[p] = coeffs * psi_hat[:, None]
     dev_fc = _rel(np.abs(got - expect).max(), max(1.0, np.abs(expect).max()))
     out.append(_eq("fc_momentum_action", "eqnPOftaction", dev_fc, 1e-12))
 
-    phi = fam.field("fine", random_field_values(fam, "fine", rng))
-    got = transform(fam, apply_cf(fam, b, phi)).values
-    phi_hat = transform(fam, phi).values
+    phi = spec.field("fine", random_field_values(spec, "fine", rng))
+    got = transform(spec, apply_cf(spec, b, phi)).values
+    phi_hat = transform(spec, phi).values
     coeffs = fiber_hat_cf(b, reps * step_c)
     expect = (coeffs * phi_hat[p]).sum(axis=1)
     dev_cf = _rel(np.abs(got - expect).max(), max(1.0, np.abs(expect).max()))
@@ -420,17 +416,16 @@ def _asymmetric_checks(fam: LatticeFamily, rng):
 # ---------------------------------------------------------------------------
 
 
-def _profile_checks(fam: LatticeFamily, rng):
-    spec = fam.spec
+def _profile_checks(spec: LatticeSpec, rng):
     out = []
     naive = naive_profile(spec)
     smooth = smooth_profile(spec, 2)
-    step_f = steps(spec, "dual_fine")
+    step_f = spec.steps("dual_fine")
 
     worst = 0.0
     for _ in range(3):
-        psi = fam.field("coarse", random_field_values(fam, "coarse", rng))
-        back = restrict_field(fam, naive, prolong_field(fam, naive, psi)).values
+        psi = spec.field("coarse", random_field_values(spec, "coarse", rng))
+        back = restrict_field(spec, naive, prolong_field(spec, naive, psi)).values
         worst = max(worst, np.abs(back - psi.values).max())
     out.append(_eq("naive_projection_identity", "exBOnaive", worst, 1e-12))
 
@@ -441,33 +436,33 @@ def _profile_checks(fam: LatticeFamily, rng):
         worst = max(worst, abs(dirichlet_average(points, np.pi) - closed))
     out.append(_eq("block_average_spot_values", "exBOnaiveCont", worst, 1e-14))
 
-    phi = fam.field("fine", random_field_values(fam, "fine", rng))
-    psi = fam.field("coarse", random_field_values(fam, "coarse", rng))
-    lhs = inner(fam, restrict_field(fam, smooth, phi), psi)
-    rhs = inner(fam, phi, prolong_field(fam, smooth, psi))
+    phi = spec.field("fine", random_field_values(spec, "fine", rng))
+    psi = spec.field("coarse", random_field_values(spec, "coarse", rng))
+    lhs = inner(spec, restrict_field(spec, smooth, phi), psi)
+    rhs = inner(spec, phi, prolong_field(spec, smooth, psi))
     out.append(_eq("averaging_adjoint", "lemBOQ.a",
                    _rel(abs(lhs - rhs), max(1.0, abs(lhs))), 1e-12))
 
     st_radii, st_weights = restrict_prolong_profile(smooth)
-    psi = random_field_values(fam, "coarse", rng)
+    psi = random_field_values(spec, "coarse", rng)
     via_ops = restrict_field(
-        fam, smooth, prolong_field(fam, smooth, fam.field("coarse", psi))
+        spec, smooth, prolong_field(spec, smooth, spec.field("coarse", psi))
     ).values
     offs = window_offsets(spec, st_radii)
     weights = np.prod([w[offs[:, axis] + r] for axis, (r, w)
                        in enumerate(zip(st_radii, st_weights))], axis=0)
-    expect = psi[fam.indices("coarse", fam.coords("coarse")[:, None, :] + offs)] @ weights
+    expect = psi[spec.indices("coarse", spec.coords("coarse")[:, None, :] + offs)] @ weights
     out.append(_eq("composite_average_stencil", "lemBOQ.b",
                    _rel(np.abs(via_ops - expect).max(),
                         max(1.0, np.abs(expect).max())), 1e-12))
 
-    phi = fam.field("fine", random_field_values(fam, "fine", rng))
-    phi_hat = transform(fam, phi).values
-    got_q = transform(fam, restrict_field(fam, smooth, phi)).values
-    psi = fam.field("coarse", random_field_values(fam, "coarse", rng))
-    got_qs = transform(fam, prolong_field(fam, smooth, psi)).values
-    psi_hat = transform(fam, psi).values
-    moms, p = _lifted_momenta(fam)
+    phi = spec.field("fine", random_field_values(spec, "fine", rng))
+    phi_hat = transform(spec, phi).values
+    got_q = transform(spec, restrict_field(spec, smooth, phi)).values
+    psi = spec.field("coarse", random_field_values(spec, "coarse", rng))
+    got_qs = transform(spec, prolong_field(spec, smooth, psi)).values
+    psi_hat = transform(spec, psi).values
+    moms, p = _lifted_momenta(spec)
     q_hat = profile_hat(smooth, moms * step_f)
     dev = max(np.abs(got_qs[p] - np.conj(q_hat) * psi_hat[:, None]).max(),
               np.abs(got_q - (q_hat * phi_hat[p]).sum(axis=1)).max())
@@ -482,7 +477,7 @@ def _profile_checks(fam: LatticeFamily, rng):
     k_real = rng.uniform(0.0, 2.0 * np.pi, size=spec.n_axes) / (
         spec.spacings() * spec.ratios()
     )
-    ells = 2.0 * np.pi * fam.coords("dual_block") / (spec.spacings() * spec.ratios())
+    ells = 2.0 * np.pi * spec.coords("dual_block") / (spec.spacings() * spec.ratios())
     q_lifted = profile_hat(smooth, k_real + ells)
     rank_one = np.conj(q_lifted)[:, None] * q_lifted[None, :]
     worst = max(worst, np.abs(fiber_hat(kern, k_real).entries - rank_one).max())
@@ -508,8 +503,7 @@ def _profile_checks(fam: LatticeFamily, rng):
 # ---------------------------------------------------------------------------
 
 
-def _norm_checks(fam: LatticeFamily, a: ZKernel, rng):
-    spec = fam.spec
+def _norm_checks(spec: LatticeSpec, a: ZKernel, rng):
     out = []
 
     norm_m = weighted_norm(a, MASS)
@@ -525,7 +519,7 @@ def _norm_checks(fam: LatticeFamily, a: ZKernel, rng):
                    weighted_norm(a, MASS_LOW), bound))
 
     out.append(_le("torus_norm_dominated", "lemBOlonelinfty.b",
-                   weighted_norm(periodize(a, fam), MASS_LOW),
+                   weighted_norm(periodize(a, spec), MASS_LOW),
                    weighted_norm(a, MASS_LOW)))
 
     eta = np.full(spec.n_axes, 0.3)
@@ -539,7 +533,7 @@ def _norm_checks(fam: LatticeFamily, a: ZKernel, rng):
     out.append(_eq("stokes_shift_independence", "lemBOlonelinfty.b", dev, 1e-10,
                    witness=f"eta={_fmt_vec(eta)}"))
 
-    b = _coarse_kernel(fam, rng)
+    b = _coarse_kernel(spec, rng)
     norm_b = weighted_norm(b, MASS)
     sup = np.abs(fiber_hat_fc(b, _complex_momenta(spec, rng, 20, MASS))).max()
     out.append(_le("asymmetric_fiber_bound", "lemBOlonelinfty.c", sup, norm_b))
@@ -564,9 +558,9 @@ def _recentered(a: ZKernel, shift: float = 10.0, width: float = 0.3) -> ZKernel:
     return zkernel(spec, a.radii, entries)
 
 
-def _opfunc_checks(fam: LatticeFamily, a: ZKernel):
+def _opfunc_checks(spec: LatticeSpec, a: ZKernel):
     out = []
-    t = periodize(_recentered(a), fam)
+    t = periodize(_recentered(a), spec)
     contour = Circle(10.0, 5.0)
     scale = np.abs(t.rows).max()
 
@@ -582,7 +576,7 @@ def _opfunc_checks(fam: LatticeFamily, a: ZKernel):
 
     inv = function_of_operator(t, FUNCTIONS["inverse"], contour)
     unit = compose(t, inv)
-    eye = identity_kernel(fam)
+    eye = identity_kernel(spec)
     out.append(_eq("inverse_left_inverse", "eqnBOfofA",
                    _rel(np.abs(unit.rows - eye.rows).max(),
                         np.abs(eye.rows).max()), 1e-8))
@@ -600,8 +594,7 @@ def _opfunc_checks(fam: LatticeFamily, a: ZKernel):
 # ---------------------------------------------------------------------------
 
 
-def _scaling_checks(fam: LatticeFamily, a: ZKernel, rng):
-    spec = fam.spec
+def _scaling_checks(spec: LatticeSpec, a: ZKernel, rng):
     s = SCALE_FACTORS
     out = []
     a_s = scale_kernel(a, s)
@@ -631,7 +624,7 @@ def _scaling_checks(fam: LatticeFamily, a: ZKernel, rng):
                    weighted_norm(a_s, MASS),
                    weighted_norm(a, MASS * mass_transfer(s))))
 
-    b = _coarse_kernel(fam, rng)
+    b = _coarse_kernel(spec, rng)
     b_s = scale_kernel(b, s)
     ks = _complex_momenta(spec, rng, 5, MASS)
     k_s = ks * s.vector(spec)
@@ -658,16 +651,15 @@ def verify_suite(spec: LatticeSpec, kernel: ZKernel, seed: int = 0):
     """
     if kernel.spec != spec:
         raise ValueError("kernel was built on a different lattice spec")
-    fam = build_family(spec)
     rng = rng_from_seed(seed)
     results = []
-    results += _volume_checks(fam)
-    results += _torus_checks(fam, rng)
-    results += _window_checks(fam, kernel, rng)
-    results += _asymmetric_checks(fam, rng)
+    results += _volume_checks(spec)
+    results += _torus_checks(spec, rng)
+    results += _window_checks(spec, kernel, rng)
+    results += _asymmetric_checks(spec, rng)
     if spec.l_t % 2 == 1 and spec.l_x % 2 == 1:
-        results += _profile_checks(fam, rng)
-    results += _norm_checks(fam, kernel, rng)
-    results += _opfunc_checks(fam, kernel)
-    results += _scaling_checks(fam, kernel, rng)
+        results += _profile_checks(spec, rng)
+    results += _norm_checks(spec, kernel, rng)
+    results += _opfunc_checks(spec, kernel)
+    results += _scaling_checks(spec, kernel, rng)
     return results

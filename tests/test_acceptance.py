@@ -117,7 +117,7 @@ def _definition_fiber(fam, kernel, rep):
     rep = np.asarray(rep, dtype=np.int64)
     phase = fam.pairing_phases("dual_coarse", rep, "fine", sites)[0]
     out = np.zeros((fam.n_fine, fam.n_fine), dtype=complex)
-    for x in fam.coords("coarse") * fam.spec.ratios():
+    for x in fam.coords("coarse") * fam.ratios():
         cols = fam.indices("fine", sites + x)
         shifted = fam.pairing_phases(
             "dual_coarse", rep, "fine", (sites + x) % fam.extents("fine")
@@ -393,9 +393,9 @@ def test_criterion_6_norm_bounds():
 
 def _spread_spectrum_kernel(fam, rng, shift=10.0, width=2.0):
     """Random torus kernel with spectrum pinned inside |z - shift| <= width."""
-    a = random_zkernel(fam.spec, (2, 2), rng)
+    a = random_zkernel(fam, (2, 2), rng)
     scaled = np.asarray(a.entries) * (width / weighted_norm(a, 0.0))
-    torus = periodize(zkernel(fam.spec, a.radii, scaled), fam)
+    torus = periodize(zkernel(fam, a.radii, scaled), fam)
     return periodic_kernel(fam, torus.rows + shift * identity_kernel(fam).rows)
 
 

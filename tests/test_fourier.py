@@ -69,7 +69,7 @@ def test_inverse_matches_defining_sum():
     momenta = fam.coords("dual_fine")
     sites = fam.coords("fine")
     phases = fam.pairing_phases("dual_fine", momenta, "fine", sites)
-    factor = fam.hvol_f / (2 * np.pi) ** (1 + fam.spec.dim)
+    factor = fam.hvol_f / (2 * np.pi) ** (1 + fam.dim)
     expect = factor * (phases.T @ vals)
     np.testing.assert_allclose(out.values, expect, atol=1e-12 * fam.n_fine)
 

@@ -17,7 +17,7 @@ from blochlat.lattice import (
     inner,
     steps,
 )
-from blochlat.periodization import _block_coords, normalize_radii, window_offsets, window_shape
+from blochlat.periodization import normalize_radii, window_offsets, window_shape
 
 REF = LatticeSpec(eps_t=1.0, eps_x=1.0, l_t=3, l_x=3, big_l_t=9, big_l_x=9, dim=1)
 
@@ -253,7 +253,7 @@ def test_site_caches_are_bounded_and_read_only():
     LatticeSpec(eps_t=0.5, eps_x=0.25, l_t=2, l_x=4, big_l_t=8, big_l_x=16, dim=2),
 ])
 def test_block_coords_are_the_cached_block_table(spec):
-    block = _block_coords(spec)
+    block = spec.coords("block")
     expect = np.indices(tuple(int(r) for r in spec.ratios()))
     np.testing.assert_array_equal(block, expect.reshape(spec.n_axes, -1).T)
     assert block is build_family(spec).coords("block")

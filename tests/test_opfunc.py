@@ -698,3 +698,13 @@ def test_contour_hugging_an_eigenvalue_is_certified_by_the_interpolant():
     got = function_fiber(fibers, FUNCTIONS["exp"], contour).matrix_at(np.zeros(2))
     want = function_of_fiber("normal", m, "exp", contour)
     assert np.abs(got - want).max() <= opfunc.QUADRATURE_RTOL * max(1.0, np.abs(want).max())
+
+
+def test_pole_just_outside_the_circle_is_certified_by_a_near_rung():
+    # the pole of 1/z sits 1.053 radii from the centre: only a ladder rung
+    # between 1 and 2^(1/8) radii bounds f, and with it the rule certifies
+    m = np.diag([1.0, 1.25, 1.0 + 0.25j])
+    fibers = constant_fibers(m)
+    got = function_fiber(fibers, FUNCTIONS["inverse"], Circle(1.0, 0.95)).matrix_at(np.zeros(2))
+    want = np.linalg.inv(m)
+    assert np.abs(got - want).max() <= opfunc.QUADRATURE_RTOL * max(1.0, np.abs(want).max())

@@ -57,7 +57,7 @@ def fiber_by_definition(fam, kernel, rep):
     rep = np.asarray(rep, dtype=np.int64)
     phase_u = fam.pairing_phases("dual_coarse", rep, "fine", sites)[0]
     out = np.zeros((n, n), dtype=complex)
-    coarse_fine = fam.coords("coarse") * fam.spec.ratios()
+    coarse_fine = fam.coords("coarse") * fam.ratios()
     for x in coarse_fine:
         cols = fam.indices("fine", sites + x)
         shifted_phase = fam.pairing_phases(

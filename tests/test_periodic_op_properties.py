@@ -167,10 +167,10 @@ def _bits(arr):
 
 def _dense_periodize(a, fam):
     """Dense periodization, one scatter per fine row."""
-    offsets = window_offsets(fam.spec, a.radii)
+    offsets = window_offsets(fam, a.radii)
     entries = np.zeros((fam.n_fine, fam.n_fine), dtype=complex)
     for w_idx, w in enumerate(fam.coords("block")):
-        for x in fam.coords("coarse") * fam.spec.ratios():
+        for x in fam.coords("coarse") * fam.ratios():
             cols = fam.indices("fine", w + x + offsets)
             entries[fam.index("fine", w + x), cols] = a.entries[w_idx]
     return entries
@@ -182,7 +182,7 @@ def _dense_random_kernel(fam, seed):
     rows = rng.uniform(-1.0, 1.0, size=(fam.n_block, fam.n_fine))
     rows = rows + 1j * rng.uniform(-1.0, 1.0, size=rows.shape)
     entries = np.zeros((fam.n_fine, fam.n_fine), dtype=complex)
-    for x in fam.coords("coarse") * fam.spec.ratios():
+    for x in fam.coords("coarse") * fam.ratios():
         row_idx = fam.indices("fine", fam.coords("block") + x)
         col_idx = fam.indices("fine", fam.coords("fine") + x)
         entries[np.ix_(row_idx, col_idx)] = rows
@@ -196,9 +196,9 @@ def _assert_row_form(fam, k):
     assert not k.rows.flags.writeable and not k.entries.flags.writeable
     block = fam.indices("fine", fam.coords("block"))
     np.testing.assert_array_equal(_bits(k.rows), _bits(k.entries[block]))
-    for axis in range(fam.spec.n_axes):
-        shift = np.zeros(fam.spec.n_axes, dtype=np.int64)
-        shift[axis] = fam.spec.ratios()[axis]
+    for axis in range(fam.n_axes):
+        shift = np.zeros(fam.n_axes, dtype=np.int64)
+        shift[axis] = fam.ratios()[axis]
         perm = fam.indices("fine", fam.coords("fine") + shift)
         assert np.abs(k.entries[np.ix_(perm, perm)] - k.entries).max() == 0.0
 
@@ -224,7 +224,7 @@ def _dense_norm(k, mass):
     """The weighted norm from the dense kernel and all pairwise distances."""
     entries = np.abs(k.entries)
     with np.errstate(over="ignore"):
-        weight = np.exp(mass * distance_matrix(k.family.spec, "fine"),
+        weight = np.exp(mass * distance_matrix(k.family, "fine"),
                         out=np.zeros(entries.shape), where=entries != 0.0) * entries
     return k.family.vol_f * max(weight.sum(axis=1).max(), weight.sum(axis=0).max())
 

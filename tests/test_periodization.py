@@ -618,7 +618,7 @@ def loop_z_inner(a, b):
 
 def fine_site_table(fam):
     """Fine torus index of w + x over block sites (rows) and coarse cells."""
-    spec = fam.spec
+    spec = fam
     return fam.indices("fine", block_sites(spec)[:, None, :]
                        + fam.coords("coarse") * spec.ratios())
 
@@ -627,7 +627,7 @@ def loop_apply_fc(fam, b, psi):
     """One outer product per coarse offset m."""
     table, coarse = fine_site_table(fam), fam.coords("coarse")
     out = np.zeros(fam.n_fine, dtype=complex)
-    for m_idx, m in enumerate(window_offsets(fam.spec, b.radii)):
+    for m_idx, m in enumerate(window_offsets(fam, b.radii)):
         vals = psi.values[fam.indices("coarse", coarse + m)]
         out[table] += fam.vol_c * np.outer(b.entries[:, m_idx], vals)
     return out
@@ -637,7 +637,7 @@ def loop_apply_cf(fam, c, phi):
     """One gathered block of phi per coarse offset m."""
     table, coarse = fine_site_table(fam), fam.coords("coarse")
     out = np.zeros(fam.n_coarse, dtype=complex)
-    for m_idx, m in enumerate(window_offsets(fam.spec, c.radii)):
+    for m_idx, m in enumerate(window_offsets(fam, c.radii)):
         gathered = phi.values[table[:, fam.indices("coarse", coarse - m)]]
         out += fam.vol_f * c.entries[:, m_idx] @ gathered
     return out
