@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import configparser
+import gc
 import json
 import math
 import os
@@ -659,5 +660,20 @@ def main(argv=None) -> int:
     return EXIT_OK if all_passed(results) else EXIT_CHECK_FAILED
 
 
+def run() -> None:
+    """Process entry of the ``blochlat`` command: exit with :func:`main`'s code.
+
+    The reports are closed when ``main`` returns, so the collector is
+    frozen before exit: the interpreter's shutdown collections skip the
+    frozen generation instead of traversing the objects that importing numpy
+    and the package created, which the process's exit reclaims anyway.
+    Atexit handlers, the flush of the standard streams and module teardown
+    still run. ``main`` leaves the collector alone for in-process callers.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

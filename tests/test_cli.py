@@ -1,8 +1,11 @@
 """End-to-end tests for the batch front end: config validation, task
 execution, report determinism, and the exit-code contract."""
 
+import ast
 import configparser
 import csv
+import gc
+import importlib
 import json
 import os
 import re
@@ -16,6 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from blochlat import cli
 from blochlat.cli import (_KERNEL_KEYS_BY_TYPE, _LATTICE_KEYS, _PARAM_KEYS_BY_TASK, KERNEL_TYPES,
                           TASKS, _write_csv, main)
 from blochlat.lattice import LatticeSpec, steps
@@ -815,3 +819,65 @@ def test_cli_import_does_not_load_scipy():
 def test_cli_import_does_not_load_numpy_polynomial():
     # the contour rule is the trapezoid rule, which needs no quadrature tables
     assert not [m for m in modules_after_cli_import() if m.startswith("numpy.polynomial")]
+
+
+# Runs the command as ``python -m blochlat.cli`` does, in a child whose atexit
+# hook reports how many objects the collector had frozen by then.
+RUN_AS_COMMAND = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"freeze_count={gc.get_freeze_count()}", file=sys.stderr))
+runpy.run_module("blochlat.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def report_bytes(outdir):
+    path = outdir / "report.json"
+    return path.read_bytes() if path.exists() else None
+
+
+@pytest.mark.parametrize("task, params, code, needle", [
+    ("verify", "", 0, "verify: 42/42 checks passed"),
+    ("funcalc", "\n[params]\nfunction = exp\ncontour_center = 0\ncontour_radius = 0.5\n", 1,
+     "contour does not enclose the whole spectrum"),
+], ids=["verify_exit0", "funcalc_exit1"])
+def test_command_exits_with_the_collector_frozen(tmp_path, task, params, code, needle):
+    # the process entry freezes the collector once main has returned, so the
+    # shutdown collections skip the import-time objects; the atexit hook
+    # still runs, and the child writes what an in-process main writes
+    config = write_config(tmp_path, REF_LINES.format(task=task) + params)
+    child, inproc = tmp_path / "child", tmp_path / "inproc"
+    out = subprocess.run(
+        [sys.executable, "-c", RUN_AS_COMMAND, "--config", config,
+         "--output", str(child), "--seed", "5"],
+        env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == code, out.stderr
+    assert int(re.search(r"freeze_count=(\d+)", out.stderr).group(1)) > 0
+    assert needle in (out.stdout if code == 0 else out.stderr)
+    assert run(config, inproc, "--seed", "5") == code
+    assert report_bytes(child) == report_bytes(inproc)
+    assert (report_bytes(child) is None) == (code != 0)
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    # the tests, the acceptance suite and the benchmark's tracer call main
+    # in-process; only the process entry freezes
+    config = write_config(tmp_path, REF_LINES.format(task="verify"))
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert run(config, tmp_path / "out") == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_installed_command_and_module_share_one_entry():
+    # ``blochlat`` and ``python -m blochlat.cli`` must exit the same way
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(SRC, os.pardir, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["blochlat"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    [main_block] = [node for node in tree.body if isinstance(node, ast.If)
+                    and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in main_block.body] == ["run()"]
