@@ -11,8 +11,6 @@ weighted norm of f(A): on each arc the resolvent's norm is bounded from
 its value at the node, and |f| by the function's closed-form certificate.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from blochlat import LatticeSpec, build_family
@@ -75,7 +73,7 @@ fibers = bloch_fibers(a)
 def fixed_rule(nodes):
     values = np.exp(contour_nodes(contour, nodes)[0])
     rule = _circle_rule(fibers.entries, contour, values)
-    return reconstruct(fam, replace(fibers, entries=rule))
+    return reconstruct(fam, fibers.replace(entries=rule))
 
 
 reference = fixed_rule(4096)

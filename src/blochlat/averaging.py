@@ -29,11 +29,9 @@ responses and fibers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .lattice import FieldVector, LatticeSpec, _frozen
+from .lattice import FieldVector, LatticeSpec, Record, _frozen
 from .periodic_op import BlochFiber
 from .periodization import (
     ZKernel,
@@ -61,8 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Record):
     """Tensor-product averaging weights, one symmetric window per axis.
 
     ``axis_weights[a]`` has length ``2 * radii[a] + 1``, is real, and sums

@@ -663,13 +663,16 @@ def main(argv=None) -> int:
 def run() -> None:
     """Process entry of the ``blochlat`` command: exit with :func:`main`'s code.
 
-    The reports are closed when ``main`` returns, so the collector is
-    frozen before exit: the interpreter's shutdown collections skip the
-    frozen generation instead of traversing the objects that importing numpy
-    and the package created, which the process's exit reclaims anyway.
-    Atexit handlers, the flush of the standard streams and module teardown
-    still run. ``main`` leaves the collector alone for in-process callers.
+    The collector is frozen before ``main`` and again once it has returned
+    and closed the reports. The first freeze moves the objects that importing
+    numpy and the package created into the permanent generation, so the
+    job's own collections do not traverse them; the second does the same for
+    the interpreter's shutdown collections, and the process's exit reclaims
+    them anyway. Atexit handlers, the flush of the standard streams and
+    module teardown still run. ``main`` leaves the collector alone for
+    in-process callers.
     """
+    gc.freeze()
     code = main()
     gc.freeze()
     sys.exit(code)

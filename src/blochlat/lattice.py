@@ -36,7 +36,6 @@ return shared read-only arrays: copy one before writing to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,6 +46,7 @@ __all__ = [
     "DUAL_TAGS",
     "DUAL_OF",
     "DIRECT_OF",
+    "Record",
     "LatticeSpec",
     "FieldVector",
     "SpectrumVector",
@@ -72,8 +72,85 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class Record:
+    """Immutable record, the base of the package's data classes.
+
+    A subclass names its fields by class annotations, in order; a class
+    attribute of the same name is that field's default.  A record is built
+    from positional or keyword arguments, then ``__post_init__`` validates
+    it and may set derived attributes with ``object.__setattr__``; after that,
+    assigning or deleting an attribute raises ``AttributeError``.  ``repr``,
+    ``==`` and ``hash`` are those of a frozen dataclass: records of one class
+    compare and hash as the tuple of their field values, built once.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(vars(cls).get("__annotations__", ()))
+        cls._fields = cls._fields + own
+        cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        # object.__setattr__ keeps the values inline, where reading them is
+        # fastest; writing to self.__dict__ would make a dict of them
+        set_field = object.__setattr__
+        for name, value in zip(self._fields, args):
+            set_field(self, name, value)
+        set_field(self, "_field_values", args)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call with keywords, defaults or too few arguments."""
+        name, fields = cls.__name__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in cls._defaults:
+                values.append(cls._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing required argument {field!r}")
+        if kwargs:
+            key = next(iter(kwargs))
+            raise TypeError(f"{name}() got multiple values for argument {key!r}" if key in fields
+                            else f"{name}() got an unexpected keyword argument {key!r}")
+        return tuple(values)
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._field_values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._field_values == other._field_values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._field_values)
+
+    def replace(self, **changes):
+        """A new record with the named fields changed, validated again."""
+        return type(self)(**dict(zip(self._fields, self._field_values), **changes))
+
+
+class LatticeSpec(Record):
     """The lattice family, fixed by its spacings, coarsening ratios and
     torus extents.
 
@@ -313,16 +390,14 @@ def distance_matrix(spec: LatticeSpec, tag: str) -> np.ndarray:
     return _pair_distances(spec, tag, pts, pts)
 
 
-@dataclass(frozen=True)
-class FieldVector:
+class FieldVector(Record):
     """Values over all sites of a direct lattice, canonical order."""
 
     values: np.ndarray
     tag: str
 
 
-@dataclass(frozen=True)
-class SpectrumVector:
+class SpectrumVector(Record):
     """Values over all momenta of a dual lattice, canonical order."""
 
     values: np.ndarray

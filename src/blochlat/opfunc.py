@@ -34,12 +34,12 @@ the nodes from its norm at each node, and f's sup bounds |f| on each arc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import cmath
 from typing import Callable
 
 import numpy as np
 
-from .lattice import _shape
+from .lattice import Record, _shape
 from .norms import _block_distances, _finite, _torus_norm
 from .periodic_op import PeriodicKernel, _fiber_rows, bloch_fibers, reconstruct
 from .periodization import FiberFunction, ZKernel, fiber_function
@@ -68,8 +68,7 @@ NORM_BOUND_ARCS = 16
 NORM_BOUND_BUDGET = 1 << 17
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(Record):
     """Positively oriented circle in the complex plane."""
 
     center: complex
@@ -78,6 +77,9 @@ class Circle:
     def __post_init__(self):
         if not self.radius > 0.0:
             raise ValueError(f"circle radius must be positive, got {self.radius}")
+        for name in ("center", "radius"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"circle {name} must be finite, got {getattr(self, name)}")
 
 
 def contour_nodes(contour, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -401,7 +403,7 @@ def function_of_operator(kernel: PeriodicKernel, fn: CertifiedFunction,
     _require_certified(fn, "function_of_operator")
     fibers = bloch_fibers(kernel)
     # rebinding frees the input fibers before reconstruct
-    fibers = replace(fibers, entries=_fiber_quadrature(fibers.entries, fn, contour))
+    fibers = fibers.replace(entries=_fiber_quadrature(fibers.entries, fn, contour))
     return reconstruct(kernel.family, fibers)
 
 
@@ -421,8 +423,7 @@ def function_fiber(source, fn: CertifiedFunction, contour) -> FiberFunction:
     return FiberFunction(source.spec, matrix_at)
 
 
-@dataclass(frozen=True)
-class CertifiedFunction:
+class CertifiedFunction(Record):
     """A contour-calculus function that carries a closed-form bound on |f|.
 
     Calling it calls ``fn``.  ``disc_sup(c, h)`` bounds |f| on the disc

@@ -52,12 +52,11 @@ oracles only: it is expanded on each read, and no library path reads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .lattice import FieldVector, LatticeSpec, _frozen, _shape
+from .lattice import FieldVector, LatticeSpec, Record, _frozen, _shape
 
 __all__ = [
     "PeriodicKernel",
@@ -72,8 +71,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PeriodicKernel:
+class PeriodicKernel(Record):
     """Kernel on the fine torus, coarse-translation invariant.
 
     Stored as its block rows: ``rows[b]`` is A(b, .) over the fine sites,
@@ -96,8 +94,7 @@ class PeriodicKernel:
         return _frozen(out)
 
 
-@dataclass(frozen=True)
-class BlochFiber:
+class BlochFiber(Record):
     """Momentum fibers: dual-block matrices at physical momenta ``k``
     (..., n_axes), complex off the real torus.  ``bloch_fibers`` returns a
     torus kernel's canonical stack, with integer ``rep`` =
@@ -191,7 +188,7 @@ def compose(a: PeriodicKernel, b: PeriodicKernel) -> PeriodicKernel:
         raise ValueError("kernels live on different lattice families")
     fibers = bloch_fibers(a)
     # rebinding frees the input fibers before reconstruct
-    fibers = replace(fibers, entries=fibers.entries @ bloch_fibers(b).entries)
+    fibers = fibers.replace(entries=fibers.entries @ bloch_fibers(b).entries)
     return reconstruct(a.family, fibers)
 
 

@@ -41,13 +41,12 @@ The window operations are table gathers, with no loop over points or offsets;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .lattice import FieldVector, LatticeSpec, _frozen, _shape
+from .lattice import FieldVector, LatticeSpec, Record, _frozen, _shape
 from .periodic_op import (BlochFiber, PeriodicKernel, _block_major, _block_phase_matrix,
                           _check_field, _fiber_layout, _fiber_rows, periodic_kernel)
 
@@ -128,8 +127,7 @@ def window_offsets(spec: LatticeSpec, radii) -> np.ndarray:
     return _window(spec, normalize_radii(spec, radii))[1]
 
 
-@dataclass(frozen=True)
-class ZKernel:
+class ZKernel(Record):
     """Coarse-invariant kernel on the infinite fine lattice.
 
     ``entries[w, d]`` holds a(w, w + offset(d)) with w over block
@@ -142,8 +140,7 @@ class ZKernel:
     entries: np.ndarray  # (n_block, prod(2r+1)) complex
 
 
-@dataclass(frozen=True)
-class ZKernelFC:
+class ZKernelFC(Record):
     """Coarse-invariant kernel between the fine and coarse lattices.
 
     ``entries[w, m]`` holds b(w, x) = c(x, w) at the coarse point x with
@@ -158,8 +155,7 @@ class ZKernelFC:
     entries: np.ndarray
 
 
-@dataclass(frozen=True)
-class FiberFunction:
+class FiberFunction(Record):
     """A momentum-fiber evaluator: momenta (..., n_axes) -> dual-block
     matrices (..., n_block, n_block), so a whole stack of momenta is one call.
 
@@ -501,8 +497,7 @@ def apply_cf(family: LatticeSpec, c: ZKernelFC, phi: FieldVector) -> FieldVector
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZField:
+class ZField(Record):
     """Finitely supported field on an infinite lattice ('fine' or 'coarse')."""
 
     spec: LatticeSpec

@@ -20,11 +20,11 @@ take a stack of momenta (..., n_axes), as ``fiber_hat`` does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
 
 import numpy as np
 
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, Record
 from .periodic_op import BlochFiber
 from .periodization import (
     ZField,
@@ -51,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScaleFactors:
+class ScaleFactors(Record):
     """Per-axis dilatation factors, one for time and one for all space axes."""
 
     time: float
@@ -60,10 +59,11 @@ class ScaleFactors:
 
     def __post_init__(self):
         for name in ("time", "space"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(
-                    f"{name} scale factor must be positive, got {getattr(self, name)}"
-                )
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} scale factor must be positive, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} scale factor must be finite, got {value}")
 
     def vector(self, spec: LatticeSpec) -> np.ndarray:
         return np.array([self.time] + [self.space] * spec.dim)
@@ -71,11 +71,7 @@ class ScaleFactors:
 
 def scale_spec(spec: LatticeSpec, factors: ScaleFactors) -> LatticeSpec:
     """The same integer lattice at spacings divided by the factors."""
-    return replace(
-        spec,
-        eps_t=spec.eps_t / factors.time,
-        eps_x=spec.eps_x / factors.space,
-    )
+    return spec.replace(eps_t=spec.eps_t / factors.time, eps_x=spec.eps_x / factors.space)
 
 
 def amplitude(spec: LatticeSpec, factors: ScaleFactors) -> float:

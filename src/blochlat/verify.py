@@ -19,8 +19,6 @@ rows compare block rows as well: no check reads a dense kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .averaging import (
@@ -35,7 +33,7 @@ from .averaging import (
     smooth_profile,
 )
 from .fourier import transform
-from .lattice import LatticeSpec, inner
+from .lattice import LatticeSpec, Record, inner
 from .norms import decay_norm_bound, inverse_fiber_shifted, weighted_norm
 from .opfunc import FUNCTIONS, Circle, function_norm_bound, function_of_operator
 from .periodic_op import (
@@ -92,8 +90,14 @@ SCALE_FACTORS = ScaleFactors(time=4.0, space=2.0)
 INEQ_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    """One check row, ``name`` testing the paper statement ``anchor``.
+
+    ``passed`` says whether ``lhs`` meets ``rhs``: a deviation within its
+    tolerance, or a bound that holds.  ``witness``, when set, names the
+    momentum or parameters the row was decided at.
+    """
+
     name: str
     anchor: str
     lhs: float

@@ -10,7 +10,6 @@ three space dimensions.
 
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 from test_periodic_op import dense_momentum_matrix
@@ -432,7 +431,7 @@ def test_criterion_7_operator_functions():
     def fixed_rule(n):
         values = np.exp(contour_nodes(contour, n)[0])
         rule = _circle_rule(fibers.entries, contour, values)
-        return reconstruct(fam, replace(fibers, entries=rule)).entries
+        return reconstruct(fam, fibers.replace(entries=rule)).entries
 
     reference = fixed_rule(4096)
     floor = 1e-12 * np.abs(reference).max()

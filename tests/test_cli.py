@@ -811,14 +811,17 @@ def modules_after_cli_import():
     return set(out.stdout.split())
 
 
-def test_cli_import_does_not_load_scipy():
+@pytest.mark.parametrize("package", [
     # a heavy dependency on the import path dominates the start-up of every job
-    assert "scipy" not in modules_after_cli_import()
-
-
-def test_cli_import_does_not_load_numpy_polynomial():
+    "scipy",
     # the contour rule is the trapezoid rule, which needs no quadrature tables
-    assert not [m for m in modules_after_cli_import() if m.startswith("numpy.polynomial")]
+    "numpy.polynomial",
+    # the records share one base, so no class compiles generated methods
+    "dataclasses",
+])
+def test_cli_import_does_not_load(package):
+    assert not [m for m in modules_after_cli_import()
+                if m == package or m.startswith(package + ".")]
 
 
 # Runs the command as ``python -m blochlat.cli`` does, in a child whose atexit
@@ -867,6 +870,20 @@ def test_main_leaves_the_collector_alone(tmp_path):
     before = gc.get_freeze_count(), gc.isenabled()
     assert run(config, tmp_path / "out") == 0
     assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_command_freezes_the_collector_before_main(monkeypatch):
+    # the job's collections skip the import-time objects, which the process
+    # entry has frozen by the time main starts
+    counts = []
+    monkeypatch.setattr(cli, "main", lambda: counts.append(gc.get_freeze_count()) or 0)
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run()
+    finally:
+        gc.unfreeze()
+    assert exit_info.value.code == 0
+    assert len(counts) == 1 and counts[0] > 0
 
 
 def test_installed_command_and_module_share_one_entry():

@@ -8,7 +8,6 @@ references.
 
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,7 +195,7 @@ def _per_arc_norm_bound(kernel, fn, contour, mass):
 
     def resolvent_norm(z):
         stack = np.stack([resolvent_fiber(matrix, z) for matrix in fibers.entries])
-        return _dense_norm(reconstruct(kernel.family, replace(fibers, entries=stack)), mass)
+        return _dense_norm(reconstruct(kernel.family, fibers.replace(entries=stack)), mass)
 
     n = 16
     while True:

@@ -1,7 +1,6 @@
 """Contour calculus: resolvents, operator functions, convergence, bounds."""
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,12 +109,22 @@ def test_trapezoid_doubling_converges_geometrically():
     for nodes in (8, 16, 32, 64, 128, 256):
         values = np.exp(contour_nodes(contour, nodes)[0])
         rule = opfunc._circle_rule(fibers.entries, contour, values)
-        got = reconstruct(FAM, replace(fibers, entries=rule)).entries
+        got = reconstruct(FAM, fibers.replace(entries=rule)).entries
         devs.append(np.abs(got - reference).max())
     for small, big in zip(devs[1:], devs[:-1]):
         if big <= 1e-12 * scale:
             break
         assert small <= 0.1 * big
+
+
+@pytest.mark.parametrize("center, radius, name", [
+    (0, np.inf, "radius"), (0, np.nan, "radius"),
+    (complex(np.nan, 0), 5, "center"), (complex(0, np.inf), 5, "center"),
+])
+def test_circle_rejects_a_non_finite_center_or_radius(center, radius, name):
+    # a non-finite circle has no finite nodes; it must not reach the rule
+    with pytest.raises(ValueError, match=f"circle {name}"):
+        Circle(center, radius)
 
 
 def test_result_is_contour_independent():
@@ -389,7 +398,7 @@ def test_norm_bound_carries_arcs_beyond_reach_by_the_two_norm():
     assert bound.arcs == 16
     z = contour_nodes(contour, 16)[0][0]
     fibers = bloch_fibers(kernel)
-    resolvent = reconstruct(fam, replace(fibers, entries=np.stack(
+    resolvent = reconstruct(fam, fibers.replace(entries=np.stack(
         [resolvent_fiber(m, z) for m in fibers.entries])))
     h = 2.0 * contour.radius * np.sin(np.pi / 32)
     assert h * weighted_norm(resolvent, 0.25) > 1e4

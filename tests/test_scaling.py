@@ -61,6 +61,14 @@ def test_scale_factor_validation():
         scale_kernel(np.eye(2), SIGMA)
 
 
+@pytest.mark.parametrize("time, space, name", [
+    (np.inf, 1.0, "time"), (1.0, np.inf, "space"), (np.nan, 1.0, "time"),
+])
+def test_scale_factors_reject_a_non_finite_factor(time, space, name):
+    with pytest.raises(ValueError, match=f"{name} scale factor"):
+        ScaleFactors(time, space)
+
+
 def test_scaling_conjugates_the_kernel_action():
     rng = rng_from_seed(11)
     a = random_zkernel(REF, (2, 1), rng)
